@@ -81,7 +81,6 @@ from .series import (
     pushforward,
     rational_expand,
     specialize_series,
-    truncated_mul,
 )
 from .toric import (
     Fan,
@@ -114,7 +113,7 @@ __all__ = [
     "enumerate_elements",
     "MonoidPolynomial", "TruncatedSeries", "RationalSeries",
     "RationalityVerdict", "binomial_factor_polynomial", "certify_rational",
-    "rational_expand", "truncated_mul", "specialize_series", "pushforward",
+    "rational_expand", "specialize_series", "pushforward",
     "external_product", "localize_quotient", "curve_zeta",
     "punctured_p1_zeta",
     "Fan", "fan_validate", "OrbitClassMonoid", "chow_presentation",

@@ -5,14 +5,14 @@ blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input.  Output is deterministic: identical inputs give identical bytes.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms an
-expansion may accumulate before the run aborts with exit code 2.
+expansion or a monoid enumeration may accumulate before the run aborts with
+exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from math import comb
@@ -20,7 +20,7 @@ from math import comb
 from .errors import MCSError
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization, standard_ring
-from .monoid import DEFAULT_MAX_TERMS, GradedMonoid, MonoidHom, express_in_basis
+from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
 from .serialize import fan_from_json, series_from_json, series_to_json
 from .series import (
     MonoidPolynomial,
@@ -39,19 +39,6 @@ from .toric import chow_presentation, mc_series_toric, pn_divisor_series, produc
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _max_terms() -> int:
-    raw = os.environ.get("MCS_MAX_TERMS", "").strip()
-    if not raw:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MCSError(f"MCS_MAX_TERMS must be an integer, got {raw!r}")
-    if cap <= 0:
-        raise MCSError("MCS_MAX_TERMS must be positive")
-    return cap
 
 
 def _load_json(path: str):
@@ -88,11 +75,13 @@ def _apply_specializations(f, raw: list[str]):
     return f.specialize(Specialization(f.ring, pairs))
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
-    if getattr(args, "format", "pretty") == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(args, doc, lines) -> None:
+    """Print doc() as JSON or the lines(), as --format asks; only the chosen
+    output is built, so JSON runs never render class words."""
+    if args.format == "json":
+        print(json.dumps(doc(), indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -157,15 +146,23 @@ def cmd_toric(args) -> int:
     fan = fan_from_json(_load_json(args.fan))
     chow = chow_presentation(fan, args.p)
     f = _apply_specializations(mc_series_toric(fan, args.p, chow=chow), args.specialize)
-    lines = [f"MC_{args.p} = {f}"]
-    doc = {"command": "toric", "p": args.p, "rational": series_to_json(f)}
+    e = None
     if args.truncate > 0:
-        e = f.expand(args.truncate, max_terms=_max_terms())
-        lines.append(f"expansion: {e}")
-        doc["expansion"] = series_to_json(e)
-    for note in chow.assumptions:
-        lines.append(f"note: {note}")
-    doc["notes"] = list(chow.assumptions)
+        e = f.expand(args.truncate, max_terms=max_terms_from_env())
+
+    def doc():
+        out = {"command": "toric", "p": args.p, "rational": series_to_json(f),
+               "notes": list(chow.assumptions)}
+        if e is not None:
+            out["expansion"] = series_to_json(e)
+        return out
+
+    def lines():
+        out = [f"MC_{args.p} = {f}"]
+        if e is not None:
+            out.append(f"expansion: {e}")
+        return out + [f"note: {note}" for note in chow.assumptions]
+
     _emit(args, doc, lines)
     return 0
 
@@ -230,12 +227,10 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int, cap: int):
 
 def cmd_colinear(args) -> int:
     f = _apply_specializations(colinear_mc_series(args.r), args.specialize)
-    lines = [f"MC_1 = {f}"]
-    doc = {"command": "colinear", "r": args.r, "rational": series_to_json(f)}
+    e = None
     if args.truncate > 0:
-        e = f.expand(args.truncate, max_terms=_max_terms())
-        lines.append(f"expansion: {e}")
-        doc["expansion"] = series_to_json(e)
+        e = f.expand(args.truncate, max_terms=max_terms_from_env())
+    compare = None
     if args.compare:
         if args.r != 3:
             raise MCSError("--compare needs --r 3: the reference basis is"
@@ -243,19 +238,35 @@ def cmd_colinear(args) -> int:
         if args.truncate <= 0:
             raise MCSError("--compare needs --truncate > 0")
         fan = fan_from_json(_load_json(args.compare))
-        hit = _compare_colinear(f, fan, args.truncate, _max_terms())
+        hit = _compare_colinear(f, fan, args.truncate, max_terms_from_env())
         if hit is None:
             msg = (f"no differing coefficient up to degree {args.truncate}"
                    " in both gradings")
-            lines.append(f"compare: {msg}")
-            doc["compare"] = {"differs": False, "message": msg}
+            compare = ({"differs": False, "message": msg}, f"compare: {msg}")
         else:
             v, a, b = hit
-            lines.append(f"compare: first differing class {_class_in_h_e(v)}:"
-                         f" colinear {a}, fan {b}")
-            doc["compare"] = {"differs": True, "class": list(v),
-                              "colinear_coefficient": str(a),
-                              "fan_coefficient": str(b)}
+            compare = ({"differs": True, "class": list(v),
+                        "colinear_coefficient": str(a),
+                        "fan_coefficient": str(b)},
+                       f"compare: first differing class {_class_in_h_e(v)}:"
+                       f" colinear {a}, fan {b}")
+
+    def doc():
+        out = {"command": "colinear", "r": args.r, "rational": series_to_json(f)}
+        if e is not None:
+            out["expansion"] = series_to_json(e)
+        if compare is not None:
+            out["compare"] = compare[0]
+        return out
+
+    def lines():
+        out = [f"MC_1 = {f}"]
+        if e is not None:
+            out.append(f"expansion: {e}")
+        if compare is not None:
+            out.append(compare[1])
+        return out
+
     _emit(args, doc, lines)
     return 0
 
@@ -284,7 +295,7 @@ def cmd_verify_localization(args) -> int:
         closed = RationalSeries(ring, zx.monoid, closed, [])
     print(f"closed path:   {closed}")
     print(f"quotient path: {quotient}")
-    cap = _max_terms()
+    cap = max_terms_from_env()
     same_form = quotient == closed
     hit = _first_difference(quotient.expand(args.truncate, max_terms=cap),
                             closed.expand(args.truncate, max_terms=cap))
@@ -330,7 +341,7 @@ def cmd_verify_product(args) -> int:
     pushed = pushforward(ext, phi)
     print(f"external product: {pushed}")
     print(f"product fan:      {direct}")
-    cap = _max_terms()
+    cap = max_terms_from_env()
     hit = _first_difference(pushed.expand(args.truncate, max_terms=cap),
                             direct.expand(args.truncate, max_terms=cap))
     if hit is None:
@@ -373,7 +384,7 @@ def cmd_verify_macdonald(args) -> int:
               f" {chi} (one per maximal cone)")
         return 1
     pt = mc0.factors[0][1]
-    e = mc0.expand(args.truncate, max_terms=_max_terms())
+    e = mc0.expand(args.truncate, max_terms=max_terms_from_env())
     for d in range(args.truncate + 1):
         want = comb(chi + d - 1, d)
         got = e.coefficient(d * pt)
@@ -391,7 +402,7 @@ def cmd_verify_macdonald(args) -> int:
 
 def cmd_expand(args) -> int:
     f = series_from_json(_load_json(args.series))
-    cap = _max_terms()
+    cap = max_terms_from_env()
     if isinstance(f, RationalSeries):
         out = f.expand(args.truncate, max_terms=cap)
     elif isinstance(f, TruncatedSeries):
@@ -404,8 +415,8 @@ def cmd_expand(args) -> int:
         out = f.as_series(args.truncate)
     if len(out.terms) > cap:
         raise MCSError(f"expansion exceeds {cap} terms; raise MCS_MAX_TERMS")
-    _emit(args, {"command": "expand", "series": series_to_json(out)},
-          [str(out)])
+    _emit(args, lambda: {"command": "expand", "series": series_to_json(out)},
+          lambda: [str(out)])
     return 0
 
 
@@ -414,8 +425,8 @@ def cmd_specialize(args) -> int:
     pairs = dict(_parse_assignment(text, f.ring) for text in args.assign)
     out = f.specialize(Specialization(f.ring, pairs,
                                       carry_unassigned=not args.strict))
-    _emit(args, {"command": "specialize", "series": series_to_json(out)},
-          [str(out)])
+    _emit(args, lambda: {"command": "specialize", "series": series_to_json(out)},
+          lambda: [str(out)])
     return 0
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .errors import EnumerationLimitError, FiniteFiberError
+from .errors import EnumerationLimitError, FiniteFiberError, MCSError
 from .intlinalg import (
     kernel_basis,
     mat_vec,
@@ -45,9 +46,27 @@ __all__ = [
     "express_in_basis",
     "free_graded_monoid",
     "DEFAULT_MAX_TERMS",
+    "max_terms_from_env",
 ]
 
 DEFAULT_MAX_TERMS = 10 ** 6
+
+
+def max_terms_from_env() -> int:
+    """The term cap: MCS_MAX_TERMS when set, else DEFAULT_MAX_TERMS.
+
+    Raises MCSError when the variable is not a positive integer.
+    """
+    raw = os.environ.get("MCS_MAX_TERMS", "").strip()
+    if not raw:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise MCSError(f"MCS_MAX_TERMS must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        raise MCSError("MCS_MAX_TERMS must be positive")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -102,6 +121,11 @@ class MonoidElement:
 
     def sort_key(self):
         return (self.free, self.torsion)
+
+    def packed(self) -> tuple[int, ...]:
+        """Free part then torsion residues as one int tuple.  Within one
+        group, packed keys order exactly as sort_key does."""
+        return self.free + self.torsion
 
 
 class AbelianGroupPresentation:
@@ -191,6 +215,24 @@ class AbelianGroupPresentation:
     def zero(self) -> MonoidElement:
         return MonoidElement((0,) * self.rank,
                              tuple(0 for _ in self.invariants), self.invariants)
+
+    def unpack(self, key) -> MonoidElement:
+        """The element whose packed key is key."""
+        return MonoidElement(key[:self.rank], key[self.rank:], self.invariants)
+
+    def packed_adder(self):
+        """Function summing two packed keys of this group."""
+        moduli = self.invariants
+        if not moduli:
+            return lambda a, b: tuple(map(add, a, b))
+        r = self.rank
+
+        def add_packed(a, b):
+            s = list(map(add, a, b))
+            s[r:] = [x % d for x, d in zip(s[r:], moduli)]
+            return tuple(s)
+
+        return add_packed
 
     def basis_images(self) -> list[MonoidElement]:
         out = []
@@ -315,25 +357,33 @@ class GradedMonoid:
     # -- enumeration
 
     def _enumerate(self, bound: int, max_terms: int | None) -> dict:
-        cap = max_terms
-        if cap is None:
-            cap = int(os.environ.get("MCS_MAX_TERMS", str(DEFAULT_MAX_TERMS)))
+        """Packed key -> (degree, word) for every element of degree <= bound.
+
+        Breadth-first from zero, generators in order; each element keeps the
+        word it was first reached by.  Every prefix of a word for e has
+        degree <= deg e, so elements above deg e never change which word e
+        gets: a table built for a larger bound gives the same words, and the
+        cached table is reused for every smaller bound.
+        """
         if self._enum_cache is not None and self._enum_cache[0] >= bound:
             return self._enum_cache[1]
-        zero = self.zero
-        found: dict[MonoidElement, tuple[int, tuple[int, ...]]] = {
-            zero: (0, (0,) * len(self.generators))}
-        frontier = [zero]
+        cap = max_terms if max_terms is not None else max_terms_from_env()
+        plus = self.group.packed_adder()
+        gens = [g.packed() for g in self.generators]
         degs = [self.degree(g) for g in self.generators]
+        zero = self.zero.packed()
+        found: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
+            zero: (0, (0,) * len(gens))}
+        frontier = [zero]
         while frontier:
             nxt = []
             for e in frontier:
                 d0, word = found[e]
-                for i, g in enumerate(self.generators):
+                for i, g in enumerate(gens):
                     d = d0 + degs[i]
                     if d > bound:
                         continue
-                    e2 = e + g
+                    e2 = plus(e, g)
                     if e2 in found:
                         continue
                     w2 = list(word)
@@ -347,46 +397,66 @@ class GradedMonoid:
         self._enum_cache = (bound, found)
         return found
 
+    def _key(self, e: MonoidElement) -> tuple[int, ...]:
+        if e.moduli != self.group.invariants or len(e.free) != self.group.rank:
+            raise ValueError("element is not in the monoid's group")
+        return e.packed()
+
     def elements_up_to(self, bound: int, max_terms: int | None = None):
         """All monoid elements of degree <= bound as (element, degree) pairs."""
         found = self._enumerate(max(bound, 0), max_terms)
-        out = [(e, dw[0]) for e, dw in found.items() if dw[0] <= bound]
-        out.sort(key=lambda p: (p[1], p[0].sort_key()))
-        return out
+        out = sorted((dw[0], key) for key, dw in found.items() if dw[0] <= bound)
+        return [(self.group.unpack(key), d) for d, key in out]
 
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
         """A representative generator word for an effective element."""
+        key = self._key(e)
         d = self.degree(e)
         if d < 0:
             raise ValueError("element has negative degree; not in the monoid")
-        found = self._enumerate(d, None)
         try:
-            return found[e][1]
+            return self._enumerate(d, None)[key][1]
         except KeyError:
             raise ValueError("element is not a sum of monoid generators") from None
 
     def contains(self, e: MonoidElement) -> bool:
         if e.moduli != self.group.invariants or len(e.free) != self.group.rank:
             return False
+        if e in self.generators:
+            return True
         d = self.degree(e)
         if d < 0:
             return False
         if d == 0:
             return e.is_zero()
-        return e in self._enumerate(d, None)
+        return e.packed() in self._enumerate(d, None)
 
-    def format_element(self, e: MonoidElement) -> str:
-        """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""
-        if e.is_zero():
-            return "1"
-        word = self.word_for(e)
+    def _format_word(self, word) -> str:
         parts = []
         for name, k in zip(self.names, word):
             if k == 1:
                 parts.append(name)
             elif k > 1:
                 parts.append(f"{name}^{k}")
-        return "*".join(parts)
+        return "*".join(parts) or "1"
+
+    def format_element(self, e: MonoidElement) -> str:
+        """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""
+        return self._format_word(self.word_for(e))
+
+    def format_elements(self, elements) -> list[str]:
+        """format_element of each element, from one enumeration up to the
+        largest degree among them."""
+        elements = list(elements)
+        if not elements:
+            return []
+        keys = [self._key(e) for e in elements]
+        bound = max(self.degree(e) for e in elements)
+        found = self._enumerate(max(bound, 0), None)
+        try:
+            return [self._format_word(found[k][1]) for k in keys]
+        except KeyError:
+            raise ValueError("element is not a sum of monoid generators") from None
 
 
 def canonicalize(exponents, monoid: GradedMonoid) -> MonoidElement:

@@ -18,7 +18,7 @@ truncation bound or report consistency up to it, never prove it outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from heapq import heappop, heappush
 
 from .errors import (
     EnumerationLimitError,
@@ -43,7 +43,6 @@ __all__ = [
     "TruncatedSeries",
     "RationalSeries",
     "RationalityVerdict",
-    "truncated_mul",
     "rational_expand",
     "certify_rational",
     "pushforward",
@@ -197,10 +196,13 @@ def _coeff_str(c: KElement, word: str) -> str:
     return f"{text}*{word}"
 
 
-def _terms_str(monoid: GradedMonoid, terms) -> str:
+def _terms_str(monoid: GradedMonoid, terms, words=None) -> str:
+    """Signed sum of terms; words are the terms' class words when the
+    caller has rendered them already."""
+    if words is None:
+        words = monoid.format_elements(e for e, _ in terms)
     pieces = []
-    for e, c in terms:
-        word = monoid.format_element(e)
+    for (_, c), word in zip(terms, words):
         body = _coeff_str(c, word)
         if not pieces:
             pieces.append(body)
@@ -233,18 +235,20 @@ class TruncatedSeries:
     def one(cls, ring, monoid, truncation):
         return cls(ring, monoid, truncation, {monoid.zero: ring.one})
 
+    @classmethod
+    def _from_sorted(cls, ring, monoid, truncation, terms, degrees):
+        """Series from terms already checked, nonzero and in term order,
+        with their degrees."""
+        out = cls.__new__(cls)
+        out.ring, out.monoid, out.truncation = ring, monoid, truncation
+        out.terms, out._degrees = tuple(terms), tuple(degrees)
+        return out
+
     def coefficient(self, e: MonoidElement) -> KElement:
         for e2, c in self.terms:
             if e2 == e:
                 return c
         return self.ring.zero
-
-    def coefficients_by_degree(self) -> dict[int, KElement]:
-        """Degree d -> sum of coefficients in degree d (handy over Z>=0)."""
-        out: dict[int, KElement] = {}
-        for (e, c), d in zip(self.terms, self._degrees):
-            out[d] = out.get(d, self.ring.zero) + c
-        return out
 
     def is_monic(self) -> bool:
         return self.coefficient(self.monoid.zero).is_one()
@@ -304,11 +308,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<series {self}>"
-
-
-def truncated_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Exact convolution below the shared truncation bound."""
-    return f * g
 
 
 @dataclass(frozen=True)
@@ -432,12 +431,14 @@ class RationalSeries:
                               [(specialize(c, s), a, e) for c, a, e in self.factors])
 
     def __str__(self):
-        num = str(self.numerator)
+        num_terms = self.numerator.terms
+        words = self.monoid.format_elements(
+            [e for e, _ in num_terms] + [alpha for _, alpha, _ in self.factors])
+        num = _terms_str(self.monoid, num_terms, words) or "0"
         if not self.factors:
             return num
         parts = []
-        for c, alpha, e in self.factors:
-            word = self.monoid.format_element(alpha)
+        for (c, alpha, e), word in zip(self.factors, words[len(num_terms):]):
             binom = f"(1 - {_coeff_str(c, word)})"
             parts.append(binom if e == 1 else f"{binom}^{e}")
         den = "*".join(parts) if len(parts) == 1 else f"({'*'.join(parts)})"
@@ -461,27 +462,77 @@ def rational_expand(f: RationalSeries, truncation: int,
                     max_terms: int | None = None) -> TruncatedSeries:
     """Expand numerator / product of binomials exactly up to the bound.
 
-    When max_terms is given the running term count is capped; exceeding it
-    raises EnumerationLimitError instead of finishing the expansion.
+    Dividing by 1 - c*t^alpha is the recurrence a[b + alpha] += c*a[b], run
+    over the degree buckets in increasing order; a factor of exponent e
+    applies it e times.  Classes are packed int keys (see
+    MonoidElement.packed) until the end, and coefficients stay Python ints
+    while the numerator and every c are integers.
+
+    When max_terms is given, the running term count is checked as each new
+    term appears; exceeding it raises EnumerationLimitError.
     """
-    result = f.numerator.as_series(truncation)
+    if truncation < 0:
+        raise ValueError("negative truncation bound")
+    monoid, ring = f.monoid, f.ring
+    plus = monoid.group.packed_adder()
+    as_int = (all(c.is_integer() for _, c in f.numerator.terms)
+              and all(c.is_integer() for c, _, _ in f.factors))
+    cap = max_terms if max_terms is not None else float("inf")
+
+    def over_cap():
+        return EnumerationLimitError(
+            f"expansion exceeds {max_terms} terms; raise MCS_MAX_TERMS")
+
+    # degree -> {packed class: nonzero coefficient}
+    buckets: dict[int, dict[tuple[int, ...], object]] = {}
+    count = 0
+    for (e, c), d in zip(f.numerator.terms, f.numerator._degrees):
+        if d <= truncation:
+            buckets.setdefault(d, {})[e.packed()] = c.as_integer() if as_int else c
+            count += 1
+    if count > cap:
+        raise over_cap()
     for c, alpha, e in f.factors:
         if alpha.is_zero():
             raise ZeroClassFactor("denominator factor at the zero class")
-        d = f.monoid.degree(alpha)
-        terms: dict[MonoidElement, KElement] = {}
-        k = 0
-        power = f.ring.one
-        while k * d <= truncation:
-            terms[k * alpha] = f.ring.from_int(comb(k + e - 1, e - 1)) * power
-            power = power * c
-            k += 1
-        geo = TruncatedSeries(f.ring, f.monoid, truncation, terms)
-        result = result * geo
-        if max_terms is not None and len(result.terms) > max_terms:
-            raise EnumerationLimitError(
-                f"expansion exceeds {max_terms} terms; raise MCS_MAX_TERMS")
-    return result
+        step = monoid.degree(alpha)
+        a = alpha.packed()
+        if as_int:
+            c = c.as_integer()
+        unit = c == 1
+        for _ in range(e):
+            todo = sorted(d for d in buckets if d + step <= truncation)
+            while todo:
+                d = heappop(todo)
+                dst = buckets.get(d + step)
+                if dst is None:
+                    dst = buckets[d + step] = {}
+                    if d + 2 * step <= truncation:
+                        heappush(todo, d + step)
+                for key, v in buckets[d].items():
+                    key2 = plus(key, a)
+                    inc = v if unit else c * v
+                    old = dst.get(key2)
+                    if old is None:
+                        dst[key2] = inc
+                        count += 1
+                        if count > cap:
+                            raise over_cap()
+                        continue
+                    new = old + inc
+                    if new == 0:
+                        del dst[key2]
+                        count -= 1
+                    else:
+                        dst[key2] = new
+    unpack = monoid.group.unpack
+    to_ring = ring.from_int if as_int else (lambda x: x)
+    terms, degrees = [], []
+    for d in sorted(buckets):
+        for key, v in sorted(buckets[d].items()):
+            terms.append((unpack(key), to_ring(v)))
+            degrees.append(d)
+    return TruncatedSeries._from_sorted(ring, monoid, truncation, terms, degrees)
 
 
 def specialize_series(obj, s: Specialization):

@@ -111,6 +111,24 @@ class TestToric:
         path = fan_file(projective_space_fan(2), "p2")
         assert main(["toric", "--fan", path, "--p", "1", "--truncate", "2"]) == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_cap_value_without_truncation(self, fan_file, capsys,
+                                              monkeypatch, raw):
+        # printing the series reads the cap too
+        monkeypatch.setenv("MCS_MAX_TERMS", raw)
+        path = fan_file(three_point_blowup_fan(), "gp")
+        assert main(["toric", "--fan", path, "--p", "1"]) == 2
+        assert "MCS_MAX_TERMS" in capsys.readouterr().err
+
+    def test_json_skips_rendering(self, fan_file, capsys, monkeypatch):
+        # printing the six generator words enumerates seven classes; JSON
+        # output renders no word, so it stays under a cap of three
+        monkeypatch.setenv("MCS_MAX_TERMS", "3")
+        path = fan_file(three_point_blowup_fan(), "gp")
+        argv = ["toric", "--fan", path, "--p", "1"]
+        assert main(argv) == 2
+        assert main(argv + ["--format", "json"]) == 0
+
 
 class TestColinear:
     def test_r3_formula(self, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcseries.errors import EnumerationLimitError, FiniteFiberError
+from mcseries.errors import EnumerationLimitError, FiniteFiberError, MCSError
 from mcseries.monoid import (
     GradedMonoid,
     MonoidElement,
@@ -144,6 +144,22 @@ def test_enumeration_cap(monkeypatch):
         m2.elements_up_to(5)
     monkeypatch.delenv("MCS_MAX_TERMS")
     assert len(m.elements_up_to(5)) == 21
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_cap_value_raises_package_error(monkeypatch, raw):
+    monkeypatch.setenv("MCS_MAX_TERMS", raw)
+    with pytest.raises(MCSError, match="MCS_MAX_TERMS"):
+        free_graded_monoid(("x", "y")).elements_up_to(2)
+
+
+def test_contains_generator_without_enumerating(monkeypatch):
+    # a cap of one element stops any enumeration past the zero class
+    monkeypatch.setenv("MCS_MAX_TERMS", "1")
+    m = blowup_monoid()
+    assert all(m.contains(g) for g in m.generators)
+    with pytest.raises(EnumerationLimitError):
+        m.contains(m.generators[0] + m.generators[1])
 
 
 def test_canonicalize_respects_relations():
