@@ -230,7 +230,7 @@ def cmd_colinear(args) -> int:
     e = None
     if args.truncate > 0:
         e = f.expand(args.truncate, max_terms=max_terms_from_env())
-    compare = None
+    compare_doc = compare_line = None
     if args.compare:
         if args.r != 3:
             raise MCSError("--compare needs --r 3: the reference basis is"
@@ -242,29 +242,30 @@ def cmd_colinear(args) -> int:
         if hit is None:
             msg = (f"no differing coefficient up to degree {args.truncate}"
                    " in both gradings")
-            compare = ({"differs": False, "message": msg}, f"compare: {msg}")
+            compare_doc = {"differs": False, "message": msg}
+            compare_line = f"compare: {msg}"
         else:
             v, a, b = hit
-            compare = ({"differs": True, "class": list(v),
-                        "colinear_coefficient": str(a),
-                        "fan_coefficient": str(b)},
-                       f"compare: first differing class {_class_in_h_e(v)}:"
-                       f" colinear {a}, fan {b}")
+            compare_doc = {"differs": True, "class": list(v),
+                           "colinear_coefficient": str(a),
+                           "fan_coefficient": str(b)}
+            compare_line = (f"compare: first differing class {_class_in_h_e(v)}:"
+                            f" colinear {a}, fan {b}")
 
     def doc():
         out = {"command": "colinear", "r": args.r, "rational": series_to_json(f)}
         if e is not None:
             out["expansion"] = series_to_json(e)
-        if compare is not None:
-            out["compare"] = compare[0]
+        if compare_doc is not None:
+            out["compare"] = compare_doc
         return out
 
     def lines():
         out = [f"MC_1 = {f}"]
         if e is not None:
             out.append(f"expansion: {e}")
-        if compare is not None:
-            out.append(compare[1])
+        if compare_line is not None:
+            out.append(compare_line)
         return out
 
     _emit(args, doc, lines)

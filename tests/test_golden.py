@@ -156,8 +156,8 @@ def at_root(monkeypatch):
     monkeypatch.delenv("MCS_MAX_TERMS", raising=False)
 
 
-@pytest.mark.parametrize("name,argv", cli_cases(), ids=lambda x: x
-                         if isinstance(x, str) else "")
+@pytest.mark.parametrize("name,argv", cli_cases(),
+                         ids=[name for name, _ in cli_cases()])
 def test_cli_output_unchanged(name, argv, at_root):
     with open(_golden_path(name), encoding="utf-8") as fh:
         want = fh.read()
