@@ -47,7 +47,6 @@ from .monoid import (
     MonoidElement,
     MonoidHom,
     direct_sum,
-    enumerate_elements,
     express_in_basis,
     free_graded_monoid,
 )
@@ -80,16 +79,13 @@ from .series import (
     punctured_p1_zeta,
     pushforward,
     rational_expand,
-    specialize_series,
 )
 from .toric import (
     Fan,
     OrbitClassMonoid,
     blowup_at_fixed_point,
     chow_presentation,
-    cones_of_dim,
     degree_class,
-    fan_validate,
     hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
@@ -110,14 +106,13 @@ __all__ = [
     "standard_ring", "specialize", "class_projective_space",
     "AbelianGroupPresentation", "GradedMonoid", "MonoidElement", "MonoidHom",
     "free_graded_monoid", "direct_sum", "express_in_basis",
-    "enumerate_elements",
     "MonoidPolynomial", "TruncatedSeries", "RationalSeries",
     "RationalityVerdict", "binomial_factor_polynomial", "certify_rational",
-    "rational_expand", "specialize_series", "pushforward",
+    "rational_expand", "pushforward",
     "external_product", "localize_quotient", "curve_zeta",
     "punctured_p1_zeta",
-    "Fan", "fan_validate", "OrbitClassMonoid", "chow_presentation",
-    "cones_of_dim", "degree_class", "mc_series_toric", "pn_divisor_series",
+    "Fan", "OrbitClassMonoid", "chow_presentation",
+    "degree_class", "mc_series_toric", "pn_divisor_series",
     "projective_space_fan", "product_fan", "blowup_at_fixed_point",
     "hirzebruch_fan", "three_point_blowup_fan", "weighted_p112_fan",
     "FixedComponentStratum", "OrbitFamilyOverPoint",

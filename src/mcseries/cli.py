@@ -108,9 +108,7 @@ def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
         if name in monoid.names:
             alpha = alpha + exp * monoid.generator_named(name)
         elif name in ring.generators:
-            g = ring.generator(name)
-            for _ in range(exp):
-                coeff = coeff * g
+            coeff = coeff * ring.generator(name) ** exp
         else:
             raise MCSError(f"unknown symbol {name!r} in denominator")
     if text[pos:].strip():
@@ -129,8 +127,7 @@ def _parse_denominator(text: str, ring: KRingSpec,
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
-        for _ in range(int(m.group(2) or 1)):
-            poly = poly * factor
+        poly = poly * factor ** int(m.group(2) or 1)
         pos = m.end()
         count += 1
     if text[pos:].replace("*", " ").strip() or count == 0:
@@ -406,12 +403,6 @@ def cmd_expand(args) -> int:
     cap = max_terms_from_env()
     if isinstance(f, RationalSeries):
         out = f.expand(args.truncate, max_terms=cap)
-    elif isinstance(f, TruncatedSeries):
-        if args.truncate > f.truncation:
-            raise MCSError(f"series data stops at degree {f.truncation};"
-                           f" cannot expand to {args.truncate}")
-        kept = {e: c for e, c in f.terms if f.monoid.degree(e) <= args.truncate}
-        out = TruncatedSeries(f.ring, f.monoid, args.truncate, kept)
     else:
         out = f.as_series(args.truncate)
     if len(out.terms) > cap:

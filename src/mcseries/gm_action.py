@@ -126,8 +126,7 @@ def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
                 raise UnsupportedStratum(
                     "no closed factor for a one-punctured rational base")
             b = binomial_factor_polynomial(ring, monoid, ring.one, st.fiber_class)
-            for _ in range(st.punctures - 2):
-                numerator = numerator * b
+            numerator = numerator * b ** (st.punctures - 2)
     return RationalSeries(ring, monoid, result.numerator * numerator,
                           result.factors)
 

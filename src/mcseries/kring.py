@@ -34,8 +34,9 @@ class ReductionRule:
 
     ``replacement`` is a tuple of (exponent map, coefficient) pairs where the
     exponent map is a tuple of (name, exponent) pairs.  The replacement must
-    have degree < power in the eliminated symbol, which makes rewriting
-    terminate and, since rules touch disjoint single generators, confluent.
+    have degree < power in the eliminated symbol and may not use another
+    reduced generator, so rules touch disjoint single generators: rewriting
+    terminates and is confluent.
     """
 
     symbol: str
@@ -72,6 +73,7 @@ class KRingSpec:
         object.__setattr__(self, "a1_homotopy", bool(a1_homotopy))
         object.__setattr__(self, "_index", {g: i for i, g in enumerate(gens)})
         compiled = {}
+        reduced = {self._index[rule.symbol] for rule in rules}
         for rule in rules:
             gi = self._index[rule.symbol]
             terms = []
@@ -81,6 +83,8 @@ class KRingSpec:
                     vec[self._index[name]] = e
                 if vec[gi] >= rule.power:
                     raise ValueError("replacement does not lower the degree")
+                if any(vec[j] for j in reduced if j != gi):
+                    raise ValueError("replacement uses another reduced generator")
                 terms.append((tuple(vec), coeff))
             compiled[gi] = (rule.power, tuple(terms))
         object.__setattr__(self, "_compiled", compiled)
@@ -370,18 +374,6 @@ def specialize(a: KElement, s: Specialization) -> KElement:
             term = term * image ** e
         result = result + term
     return result
-
-
-def ring_add(a: KElement, b: KElement) -> KElement:
-    return a + b
-
-
-def ring_sub(a: KElement, b: KElement) -> KElement:
-    return a - b
-
-
-def ring_mul(a: KElement, b: KElement) -> KElement:
-    return a * b
 
 
 def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:

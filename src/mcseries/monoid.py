@@ -28,7 +28,6 @@ from .intlinalg import (
     mat_vec,
     minimize_linear,
     smith_decomposition,
-    smith_normal_form,
     solve_integer,
 )
 
@@ -37,11 +36,8 @@ __all__ = [
     "AbelianGroupPresentation",
     "GradedMonoid",
     "MonoidHom",
-    "smith_normal_form",
-    "presentation_from_relations",
     "positive_grading",
     "canonicalize",
-    "enumerate_elements",
     "direct_sum",
     "express_in_basis",
     "free_graded_monoid",
@@ -241,10 +237,6 @@ class AbelianGroupPresentation:
             vec[j] = 1
             out.append(self.project(vec))
         return out
-
-
-def presentation_from_relations(num_generators: int, relations=()) -> AbelianGroupPresentation:
-    return AbelianGroupPresentation(num_generators, relations)
 
 
 def positive_grading(generators, rank: int) -> tuple[int, ...]:
@@ -473,11 +465,6 @@ def canonicalize(exponents, monoid: GradedMonoid) -> MonoidElement:
     return e
 
 
-def enumerate_elements(monoid: GradedMonoid, bound: int,
-                       max_terms: int | None = None):
-    return monoid.elements_up_to(bound, max_terms)
-
-
 def free_graded_monoid(names) -> GradedMonoid:
     """Z_{>=0}^k on the given generator names."""
     names = tuple(names)
@@ -574,10 +561,6 @@ class MonoidHom:
             if ratio > best:
                 best = ratio
         return best
-
-
-def identity_hom(monoid: GradedMonoid) -> MonoidHom:
-    return MonoidHom(monoid, monoid, monoid.generators, check=False)
 
 
 def direct_sum(a: GradedMonoid, b: GradedMonoid):

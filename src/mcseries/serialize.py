@@ -42,6 +42,27 @@ def _need(obj, key, kind):
     return obj[key]
 
 
+_SHAPES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _as(shape, value, what, size=None):
+    """value as a list, dict or str (of the given size, if any), or as int()
+    makes it; anything else is a SchemaError naming what."""
+    if shape is int:
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, shape) and (size is None or len(value) == size):
+        return value
+    of = "" if size is None else f" of length {size}"
+    raise SchemaError(f"{what} must be {_SHAPES[shape]}{of}, got {value!r:.60}")
+
+
+def _ints(value, what) -> tuple[int, ...]:
+    return tuple(_as(int, x, what) for x in _as(list, value, what))
+
+
 # ---------------------------------------------------------------------------
 # coefficient rings and their elements
 
@@ -62,13 +83,20 @@ def ring_to_json(spec: KRingSpec) -> dict:
 
 
 def ring_from_json(obj) -> KRingSpec:
-    gens = tuple(_need(obj, "generators", "ring"))
+    gens = tuple(_as(str, g, "ring generator")
+                 for g in _as(list, _need(obj, "generators", "ring"), "ring generators"))
     rules = []
-    for r in obj.get("reductions", ()):
-        replacement = tuple(
-            (tuple((str(n), int(e)) for n, e in exp), int(c))
-            for exp, c in r["replacement"])
-        rules.append(ReductionRule(str(r["symbol"]), int(r["power"]), replacement))
+    for r in _as(list, obj.get("reductions", []), "ring reductions"):
+        replacement = []
+        for row in _as(list, _need(r, "replacement", "reduction"), "replacement"):
+            exp, c = _as(list, row, "replacement term", 2)
+            pairs = [_as(list, x, "replacement factor", 2)
+                     for x in _as(list, exp, "replacement monomial")]
+            replacement.append((tuple((str(n), _as(int, e, "exponent")) for n, e in pairs),
+                                _as(int, c, "replacement coefficient")))
+        rules.append(ReductionRule(str(_need(r, "symbol", "reduction")),
+                                   _as(int, _need(r, "power", "reduction"), "reduction power"),
+                                   tuple(replacement)))
     return KRingSpec(gens, rules, bool(obj.get("a1_homotopy", False)))
 
 
@@ -82,12 +110,13 @@ def element_to_json(x: KElement) -> dict:
 
 def element_from_json(ring: KRingSpec, obj) -> KElement:
     raw: dict[tuple[int, ...], int] = {}
-    for term in _need(obj, "terms", "ring element"):
+    for term in _as(list, _need(obj, "terms", "ring element"), "ring element terms"):
+        coeff = _as(int, _need(term, "coeff", "ring element term"), "coefficient")
         vec = [0] * len(ring.generators)
-        for name, e in term.get("exp", {}).items():
-            vec[ring.index(name)] = int(e)
+        for name, e in _as(dict, term.get("exp", {}), "exponents").items():
+            vec[ring.index(name)] = _as(int, e, "exponent")
         key = tuple(vec)
-        raw[key] = raw.get(key, 0) + int(term["coeff"])
+        raw[key] = raw.get(key, 0) + coeff
     return ring.element(raw)
 
 
@@ -100,8 +129,8 @@ def monoid_element_to_json(e: MonoidElement) -> dict:
 
 
 def monoid_element_from_json(monoid: GradedMonoid, obj) -> MonoidElement:
-    free = tuple(int(x) for x in _need(obj, "free", "monoid element"))
-    torsion = tuple(int(x) for x in obj.get("torsion", ()))
+    free = _ints(_need(obj, "free", "monoid element"), "free part")
+    torsion = _ints(obj.get("torsion", []), "torsion part")
     return MonoidElement(free, torsion, monoid.group.invariants)
 
 
@@ -117,22 +146,25 @@ def monoid_to_json(monoid: GradedMonoid) -> dict:
 
 
 def monoid_from_json(obj) -> GradedMonoid:
-    gens = _need(obj, "generators", "monoid")
-    relations = [tuple(int(x) for x in row) for row in obj.get("relations", ())]
+    gens = _as(list, _need(obj, "generators", "monoid"), "monoid generators")
+    relations = [_ints(row, "relation")
+                 for row in _as(list, obj.get("relations", []), "relations")]
     if gens and isinstance(gens[0], str):
         # short form: generators are the ambient basis in order
         names = tuple(str(n) for n in gens)
         group = AbelianGroupPresentation(len(names), relations)
         elements = tuple(group.basis_images())
     else:
-        names = tuple(str(g["name"]) for g in gens)
-        ambient = int(_need(obj, "ambient_generators", "monoid"))
+        names = tuple(str(_need(g, "name", "monoid generator")) for g in gens)
+        ambient = _as(int, _need(obj, "ambient_generators", "monoid"),
+                      "ambient_generators")
         group = AbelianGroupPresentation(ambient, relations)
-        elements = tuple(group.project([int(x) for x in g["ambient"]])
-                         for g in gens)
+        elements = tuple(
+            group.project(_ints(_need(g, "ambient", "monoid generator"), "ambient"))
+            for g in gens)
     grading = obj.get("grading")
     if grading is not None:
-        grading = tuple(int(x) for x in grading)
+        grading = _ints(grading, "grading")
     return GradedMonoid(group, names, elements, grading=grading)
 
 
@@ -147,7 +179,7 @@ def _terms_to_json(terms) -> list:
 
 def _terms_from_json(ring, monoid, rows, kind):
     out = {}
-    for row in rows:
+    for row in _as(list, rows, f"{kind}s"):
         e = monoid_element_from_json(monoid, _need(row, "class", kind))
         c = element_from_json(ring, _need(row, "coeff", kind))
         out[e] = out.get(e, ring.zero) + c
@@ -183,7 +215,8 @@ def series_from_json(obj):
     if kind == "truncated":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
                                  "series term")
-        return TruncatedSeries(ring, monoid, int(_need(obj, "truncation", "series")),
+        return TruncatedSeries(ring, monoid,
+                               _as(int, _need(obj, "truncation", "series"), "truncation"),
                                terms)
     if kind == "polynomial":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
@@ -192,15 +225,16 @@ def series_from_json(obj):
     if kind == "rational":
         num = MonoidPolynomial(ring, monoid,
                                _terms_from_json(ring, monoid,
-                                                obj.get("numerator", ()),
+                                                obj.get("numerator", []),
                                                 "numerator term"))
         if not obj.get("numerator"):
             num = MonoidPolynomial.one(ring, monoid)
         factors = []
-        for row in _need(obj, "denominator", "rational series"):
+        for row in _as(list, _need(obj, "denominator", "rational series"),
+                       "denominator"):
             factors.append((element_from_json(ring, _need(row, "coeff", "factor")),
                             monoid_element_from_json(monoid, _need(row, "class", "factor")),
-                            int(row.get("power", 1))))
+                            _as(int, row.get("power", 1), "factor power")))
         return RationalSeries(ring, monoid, num, factors)
     raise SchemaError(f"unknown series kind {kind!r}")
 
@@ -216,10 +250,12 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def fan_from_json(obj) -> Fan:
-    rays = _need(obj, "rays", "fan")
-    cones = _need(obj, "maximal_cones", "fan")
-    fan = Fan(rays, cones, obj.get("ray_names"))
-    if "dim" in obj and int(obj["dim"]) != fan.dim:
+    rays = [_ints(v, "ray") for v in _as(list, _need(obj, "rays", "fan"), "rays")]
+    cones = [_ints(c, "maximal cone")
+             for c in _as(list, _need(obj, "maximal_cones", "fan"), "maximal_cones")]
+    names = obj.get("ray_names")
+    fan = Fan(rays, cones, None if names is None else _as(list, names, "ray_names"))
+    if "dim" in obj and _as(int, obj["dim"], "dim") != fan.dim:
         raise SchemaError(f"fan says dim={obj['dim']} but rays live in"
                           f" dimension {fan.dim}")
     return fan
@@ -253,9 +289,9 @@ def decomposition_from_json(obj) -> GmDecomposition:
     ring = ring_from_json(_need(obj, "ring", "decomposition"))
     monoid = monoid_from_json(_need(obj, "monoid", "decomposition"))
     strata = []
-    for row in _need(obj, "strata", "decomposition"):
+    for row in _as(list, _need(obj, "strata", "decomposition"), "strata"):
         kind = _need(row, "kind", "stratum")
-        p = int(_need(row, "cycle_dimension", "stratum"))
+        p = _as(int, _need(row, "cycle_dimension", "stratum"), "cycle_dimension")
         if kind == "fixed_component":
             strata.append(FixedComponentStratum(
                 series_from_json(_need(row, "series", "stratum")), p))
@@ -264,7 +300,7 @@ def decomposition_from_json(obj) -> GmDecomposition:
                 monoid_element_from_json(monoid, _need(row, "class", "stratum")), p))
         elif kind == "orbit_family_over_punctured_p1":
             strata.append(OrbitFamilyOverPuncturedLine(
-                int(_need(row, "punctures", "stratum")),
+                _as(int, _need(row, "punctures", "stratum"), "punctures"),
                 monoid_element_from_json(monoid, _need(row, "fiber_class", "stratum")),
                 p))
         else:

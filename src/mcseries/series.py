@@ -17,6 +17,7 @@ truncation bound or report consistency up to it, never prove it outright.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -48,7 +49,6 @@ __all__ = [
     "pushforward",
     "external_product",
     "localize_quotient",
-    "specialize_series",
     "curve_zeta",
     "punctured_p1_zeta",
     "binomial_factor_polynomial",
@@ -65,21 +65,15 @@ def _coerce_coeff(ring: KRingSpec, c) -> KElement:
     raise TypeError(f"bad coefficient {c!r}")
 
 
-def _sorted_terms(ring, monoid, mapping):
-    items = []
-    for e, c in mapping.items():
-        c = _coerce_coeff(ring, c)
-        if c.is_zero():
-            continue
-        if e.moduli != monoid.group.invariants or len(e.free) != monoid.group.rank:
-            raise ValueError("term class is not in the series monoid")
-        items.append((monoid.degree(e), e, c))
-    items.sort(key=lambda t: (t[0], t[1].sort_key()))
-    return tuple((e, c) for _, e, c in items), tuple(d for d, _, _ in items)
+class _Terms:
+    """Finitely many nonzero terms (class, coefficient), ordered by degree and
+    then class, with their degrees; the core of MonoidPolynomial and
+    TruncatedSeries.
 
-
-class MonoidPolynomial:
-    """Finite R-linear combination of monoid classes."""
+    A subclass supplies _like(mapping), a same-kind object with the given
+    terms, and _bound(), the largest degree a term (of a product too) may
+    have.  _noun and _range_error word its error messages.
+    """
 
     __slots__ = ("ring", "monoid", "terms", "_degrees")
 
@@ -87,10 +81,89 @@ class MonoidPolynomial:
         self.ring = ring
         self.monoid = monoid
         mapping = dict(terms) if not isinstance(terms, dict) else terms
-        self.terms, self._degrees = _sorted_terms(ring, monoid, mapping)
-        for d in self._degrees:
-            if d < 0:
-                raise ValueError("polynomial term of negative degree")
+        items = []
+        for e, c in mapping.items():
+            c = _coerce_coeff(ring, c)
+            if c.is_zero():
+                continue
+            if e.moduli != monoid.group.invariants or len(e.free) != monoid.group.rank:
+                raise ValueError("term class is not in the series monoid")
+            items.append((monoid.degree(e), e, c))
+        items.sort(key=lambda t: (t[0], t[1].sort_key()))
+        self.terms = tuple((e, c) for _, e, c in items)
+        self._degrees = tuple(d for d, _, _ in items)
+        if items and (self._degrees[0] < 0 or self._degrees[-1] > self._bound()):
+            raise ValueError(self._range_error)
+
+    def coefficient(self, e: MonoidElement) -> KElement:
+        for e2, c in self.terms:
+            if e2 == e:
+                return c
+        return self.ring.zero
+
+    def is_monic(self) -> bool:
+        return self.coefficient(self.monoid.zero).is_one()
+
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise SpecMismatch(f"{self._noun} over different ring specs")
+        if self.monoid != other.monoid:
+            raise SeriesMismatch(f"{self._noun} over different monoids")
+
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, self.ring.zero) + c
+        return self._like(acc)
+
+    def __sub__(self, other):
+        self._check(other)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, self.ring.zero) - c
+        return self._like(acc)
+
+    def __mul__(self, other):
+        self._check(other)
+        top = self._bound()
+        acc: dict[MonoidElement, KElement] = {}
+        for (e1, c1), d1 in zip(self.terms, self._degrees):
+            for (e2, c2), d2 in zip(other.terms, other._degrees):
+                if d1 + d2 > top:
+                    break  # other's terms are sorted by degree
+                e = e1 + e2
+                acc[e] = acc.get(e, self.ring.zero) + c1 * c2
+        return self._like(acc)
+
+    def specialize(self, s: Specialization):
+        return self._like({e: specialize(c, s) for e, c in self.terms})
+
+    def as_series(self, n: int) -> "TruncatedSeries":
+        """The terms of degree <= n as a series truncated at n; n may not
+        exceed the bound of the data."""
+        if n > self._bound():
+            raise SeriesMismatch(f"series data stops at degree {self._bound()};"
+                                 f" cannot expand to {n}")
+        if n < 0:
+            raise ValueError("negative truncation bound")
+        k = bisect_right(self._degrees, n)
+        return TruncatedSeries._from_sorted(self.ring, self.monoid, n,
+                                            self.terms[:k], self._degrees[:k])
+
+
+class MonoidPolynomial(_Terms):
+    """Finite R-linear combination of monoid classes."""
+
+    __slots__ = ()
+    _noun = "polynomials"
+    _range_error = "polynomial term of negative degree"
+
+    def _like(self, mapping) -> "MonoidPolynomial":
+        return MonoidPolynomial(self.ring, self.monoid, mapping)
+
+    def _bound(self):
+        return float("inf")
 
     @classmethod
     def one(cls, ring, monoid):
@@ -107,53 +180,26 @@ class MonoidPolynomial:
         return (len(self.terms) == 1 and self.terms[0][0].is_zero()
                 and self.terms[0][1].is_one())
 
-    def is_monic(self) -> bool:
-        return self.coefficient(self.monoid.zero).is_one()
-
     def degree(self) -> int:
         """Max degree of a term; -1 for the zero polynomial."""
         return self._degrees[-1] if self._degrees else -1
 
-    def coefficient(self, e: MonoidElement) -> KElement:
-        for e2, c in self.terms:
-            if e2 == e:
-                return c
-        return self.ring.zero
-
-    def _check(self, other: "MonoidPolynomial"):
-        if self.ring != other.ring:
-            raise SpecMismatch("polynomials over different ring specs")
-        if self.monoid != other.monoid:
-            raise SeriesMismatch("polynomials over different monoids")
-
-    def __add__(self, other: "MonoidPolynomial") -> "MonoidPolynomial":
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) + c
-        return MonoidPolynomial(self.ring, self.monoid, acc)
-
-    def __sub__(self, other: "MonoidPolynomial") -> "MonoidPolynomial":
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) - c
-        return MonoidPolynomial(self.ring, self.monoid, acc)
-
-    def __mul__(self, other: "MonoidPolynomial") -> "MonoidPolynomial":
-        self._check(other)
-        acc: dict[MonoidElement, KElement] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                c = c1 * c2
-                acc[e] = acc.get(e, self.ring.zero) + c
-        return MonoidPolynomial(self.ring, self.monoid, acc)
+    def __pow__(self, k: int) -> "MonoidPolynomial":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        result = MonoidPolynomial.one(self.ring, self.monoid)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def scale(self, c) -> "MonoidPolynomial":
         c = _coerce_coeff(self.ring, c)
-        return MonoidPolynomial(self.ring, self.monoid,
-                                {e: c * c2 for e, c2 in self.terms})
+        return self._like({e: c * c2 for e, c2 in self.terms})
 
     def __eq__(self, other):
         if not isinstance(other, MonoidPolynomial):
@@ -163,16 +209,6 @@ class MonoidPolynomial:
 
     def __hash__(self):
         return hash((self.ring, self.monoid, self.terms))
-
-    def as_series(self, truncation: int) -> "TruncatedSeries":
-        """View as a truncated series; terms above the bound are dropped."""
-        kept = {e: c for (e, c), d in zip(self.terms, self._degrees)
-                if d <= truncation}
-        return TruncatedSeries(self.ring, self.monoid, truncation, kept)
-
-    def specialize(self, s: Specialization) -> "MonoidPolynomial":
-        return MonoidPolynomial(self.ring, self.monoid,
-                                {e: specialize(c, s) for e, c in self.terms})
 
     def __str__(self):
         return _terms_str(self.monoid, self.terms) or "0"
@@ -213,23 +249,25 @@ def _terms_str(monoid: GradedMonoid, terms, words=None) -> str:
     return " ".join(pieces)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Terms):
     """All terms of degree <= truncation, exactly."""
 
-    __slots__ = ("ring", "monoid", "truncation", "terms", "_degrees")
+    __slots__ = ("truncation",)
+    _noun = "series"
+    _range_error = "series term outside [0, truncation]"
 
     def __init__(self, ring: KRingSpec, monoid: GradedMonoid, truncation: int,
                  terms=()):
         if truncation < 0:
             raise ValueError("negative truncation bound")
-        self.ring = ring
-        self.monoid = monoid
         self.truncation = int(truncation)
-        mapping = dict(terms) if not isinstance(terms, dict) else terms
-        self.terms, self._degrees = _sorted_terms(ring, monoid, mapping)
-        for d in self._degrees:
-            if d < 0 or d > self.truncation:
-                raise ValueError("series term outside [0, truncation]")
+        super().__init__(ring, monoid, terms)
+
+    def _like(self, mapping) -> "TruncatedSeries":
+        return TruncatedSeries(self.ring, self.monoid, self.truncation, mapping)
+
+    def _bound(self):
+        return self.truncation
 
     @classmethod
     def one(cls, ring, monoid, truncation):
@@ -244,50 +282,11 @@ class TruncatedSeries:
         out.terms, out._degrees = tuple(terms), tuple(degrees)
         return out
 
-    def coefficient(self, e: MonoidElement) -> KElement:
-        for e2, c in self.terms:
-            if e2 == e:
-                return c
-        return self.ring.zero
-
-    def is_monic(self) -> bool:
-        return self.coefficient(self.monoid.zero).is_one()
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.ring != other.ring:
-            raise SpecMismatch("series over different ring specs")
-        if self.monoid != other.monoid:
-            raise SeriesMismatch("series over different monoids")
+    def _check(self, other):
+        super()._check(other)
         if self.truncation != other.truncation:
             raise SeriesMismatch(
                 f"truncation bounds differ: {self.truncation} vs {other.truncation}")
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) + c
-        return TruncatedSeries(self.ring, self.monoid, self.truncation, acc)
-
-    def __sub__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) - c
-        return TruncatedSeries(self.ring, self.monoid, self.truncation, acc)
-
-    def __mul__(self, other):
-        self._check(other)
-        n = self.truncation
-        acc: dict[MonoidElement, KElement] = {}
-        for (e1, c1), d1 in zip(self.terms, self._degrees):
-            for (e2, c2), d2 in zip(other.terms, other._degrees):
-                if d1 + d2 > n:
-                    break  # other's terms are sorted by degree
-                e = e1 + e2
-                c = c1 * c2
-                acc[e] = acc.get(e, self.ring.zero) + c
-        return TruncatedSeries(self.ring, self.monoid, n, acc)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -297,10 +296,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.ring, self.monoid, self.truncation, self.terms))
-
-    def specialize(self, s: Specialization) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, self.monoid, self.truncation,
-                               {e: specialize(c, s) for e, c in self.terms})
 
     def __str__(self):
         body = _terms_str(self.monoid, self.terms) or "0"
@@ -421,9 +416,7 @@ class RationalSeries:
     def denominator_polynomial(self) -> MonoidPolynomial:
         out = MonoidPolynomial.one(self.ring, self.monoid)
         for c, alpha, e in self.factors:
-            b = binomial_factor_polynomial(self.ring, self.monoid, c, alpha)
-            for _ in range(e):
-                out = out * b
+            out = out * binomial_factor_polynomial(self.ring, self.monoid, c, alpha) ** e
         return out
 
     def specialize(self, s: Specialization) -> "RationalSeries":
@@ -535,15 +528,6 @@ def rational_expand(f: RationalSeries, truncation: int,
     return TruncatedSeries._from_sorted(ring, monoid, truncation, terms, degrees)
 
 
-def specialize_series(obj, s: Specialization):
-    """Apply a coefficient-ring map to any series-like object."""
-    if isinstance(obj, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
-        return obj.specialize(s)
-    if isinstance(obj, KElement):
-        return specialize(obj, s)
-    raise TypeError(f"cannot specialize {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # pushforward along a monoid homomorphism
 
@@ -568,8 +552,9 @@ def pushforward(f, phi: MonoidHom):
     if isinstance(f, TruncatedSeries):
         if f.monoid != phi.source:
             raise PushforwardError("series lives on a different monoid")
-        ratio = phi.degree_ratio()
-        bound = f.truncation * ratio.denominator // ratio.numerator
+        ratio = phi.degree_ratio()  # 0 when the source has no generators
+        bound = (f.truncation * ratio.denominator // ratio.numerator if ratio
+                 else f.truncation)
         acc = {}
         for e, c in f.terms:
             img = phi.apply(e)
@@ -591,37 +576,15 @@ def pushforward(f, phi: MonoidHom):
 
 def external_product(f, g):
     """Product series over the direct sum of the two underlying monoids."""
-    if isinstance(f, TruncatedSeries) and isinstance(g, TruncatedSeries):
-        if f.ring != g.ring:
-            raise SpecMismatch("external product across ring specs")
-        if f.truncation != g.truncation:
-            raise SeriesMismatch("external product needs equal truncation bounds")
-        total, inj1, inj2 = direct_sum(f.monoid, g.monoid)
-        n = f.truncation
-        acc: dict[MonoidElement, KElement] = {}
-        for (e1, c1), d1 in zip(f.terms, f._degrees):
-            for (e2, c2), d2 in zip(g.terms, g._degrees):
-                if d1 + d2 > n:
-                    break
-                e = inj1.apply(e1) + inj2.apply(e2)
-                c = c1 * c2
-                acc[e] = acc.get(e, f.ring.zero) + c
-        return TruncatedSeries(f.ring, total, n, acc)
-    if isinstance(f, RationalSeries) and isinstance(g, RationalSeries):
-        if f.ring != g.ring:
-            raise SpecMismatch("external product across ring specs")
-        total, inj1, inj2 = direct_sum(f.monoid, g.monoid)
-        acc: dict[MonoidElement, KElement] = {}
-        for e1, c1 in f.numerator.terms:
-            for e2, c2 in g.numerator.terms:
-                e = inj1.apply(e1) + inj2.apply(e2)
-                c = c1 * c2
-                acc[e] = acc.get(e, f.ring.zero) + c
-        num = MonoidPolynomial(f.ring, total, acc)
-        facs = [(c, inj1.apply(a), e) for c, a, e in f.factors]
-        facs += [(c, inj2.apply(a), e) for c, a, e in g.factors]
-        return RationalSeries(f.ring, total, num, facs)
-    raise TypeError("external_product expects two series of the same kind")
+    truncated = isinstance(f, TruncatedSeries) and isinstance(g, TruncatedSeries)
+    if not (truncated or isinstance(f, RationalSeries) and isinstance(g, RationalSeries)):
+        raise TypeError("external_product expects two series of the same kind")
+    if f.ring != g.ring:
+        raise SpecMismatch("external product across ring specs")
+    if truncated and f.truncation != g.truncation:
+        raise SeriesMismatch("external product needs equal truncation bounds")
+    total, inj1, inj2 = direct_sum(f.monoid, g.monoid)
+    return pushforward(f, inj1) * pushforward(g, inj2)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +654,7 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
             leftover_y.append((c, a, e - cancel))
     num = mc_x.numerator
     for c, a, e in leftover_y:
-        b = binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a)
-        for _ in range(e):
-            num = num * b
+        num = num * binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a) ** e
     if not mc_y.numerator.is_one():
         num = _divide_polynomial(num, mc_y.numerator)
     q_factors = [remaining[k] for k in order if remaining[k][2] > 0]
@@ -744,9 +705,5 @@ def punctured_p1_zeta(punctures: int, ring: KRingSpec | None = None):
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
     if punctures >= 2:
-        out = MonoidPolynomial.one(ring, monoid)
-        b = binomial_factor_polynomial(ring, monoid, ring.one, t)
-        for _ in range(punctures - 2):
-            out = out * b
-        return out
+        return binomial_factor_polynomial(ring, monoid, ring.one, t) ** (punctures - 2)
     return RationalSeries(ring, monoid, None, [(ring.one, t, 2 - punctures)])

@@ -33,8 +33,6 @@ from .series import RationalSeries, TruncatedSeries
 __all__ = [
     "Fan",
     "OrbitClassMonoid",
-    "fan_validate",
-    "cones_of_dim",
     "chow_presentation",
     "degree_class",
     "mc_series_toric",
@@ -110,6 +108,8 @@ class Fan:
                 if not 0 <= i < len(rays):
                     raise FanError(f"ray index {i} out of range")
             cones.append(c)
+        if not cones:
+            raise FanError("a complete fan needs at least one maximal cone")
         if len(set(cones)) != len(cones):
             raise FanError("duplicate maximal cones")
         for c in cones:
@@ -188,19 +188,18 @@ class Fan:
                 raise FanError(
                     f"wall {f} lies on {len(owners)} maximal cone(s); a"
                     " complete fan pairs every wall (incomplete fan)")
-        if self.maximal_cones:
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                cur = frontier.pop()
-                for owners in facet_owners.values():
-                    if cur in owners:
-                        for o in owners:
-                            if o not in seen:
-                                seen.add(o)
-                                frontier.append(o)
-            if len(seen) != len(self.maximal_cones):
-                raise FanError("fan support is disconnected (incomplete fan)")
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            cur = frontier.pop()
+            for owners in facet_owners.values():
+                if cur in owners:
+                    for o in owners:
+                        if o not in seen:
+                            seen.add(o)
+                            frontier.append(o)
+        if len(seen) != len(self.maximal_cones):
+            raise FanError("fan support is disconnected (incomplete fan)")
 
     # -- queries ----------------------------------------------------------
 
@@ -239,14 +238,6 @@ class Fan:
 
     def __repr__(self):
         return f"<fan dim={self.dim} rays={len(self.rays)} cones={len(self.maximal_cones)}>"
-
-
-def fan_validate(rays, maximal_cones, ray_names=None) -> Fan:
-    return Fan(rays, maximal_cones, ray_names)
-
-
-def cones_of_dim(fan: Fan, k: int):
-    return fan.cones_of_dim(k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, output text, determinism."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +294,45 @@ class TestExpandSpecialize:
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,
                          "--assign", bad]) == 2, bad
+
+
+ROOT = Path(__file__).resolve().parent.parent
+P2_FAN = json.loads((ROOT / "fans" / "p2.json").read_text())
+SERIES = json.loads((ROOT / "tests" / "golden" / "series.json").read_text())
+
+
+def _set(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestBadShapes:
+    """A JSON file of the wrong shape is bad input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("cmd, doc", [
+        ("toric", _set(P2_FAN, ["maximal_cones"], None)),
+        ("toric", _set(P2_FAN, ["rays"], 5)),
+        ("toric", _set(P2_FAN, ["ray_names"], 7)),
+        ("expand", _set(SERIES, ["denominator"], 7)),
+        ("expand", _set(SERIES, ["numerator"], 5)),
+        ("expand", _set(SERIES, ["monoid", "generators"], 3)),
+        ("expand", _set(SERIES, ["denominator", 0, "class"], {"free": None})),
+        ("expand", _set(SERIES, ["denominator", 0, "coeff"], {"terms": 1})),
+    ], ids=["cones-null", "rays-int", "ray-names-int", "denominator-int",
+            "numerator-int", "generators-int", "factor-free-null",
+            "factor-terms-int"])
+    def test_exit_2(self, cmd, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = (["toric", "--fan", str(path), "--p", "1", "--truncate", "2"]
+                if cmd == "toric" else
+                ["expand", "--series", str(path), "--truncate", "2"])
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestArgHandling:

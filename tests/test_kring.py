@@ -75,6 +75,14 @@ def test_custom_reduction_rule():
         KRingSpec(("u",), reductions=(ReductionRule("u", 2, ((((("u", 2),)), 1),)),))
 
 
+def test_rules_may_not_rewrite_into_each_other():
+    # a -> b and b -> a would rewrite forever
+    a_to_b = ReductionRule("a", 1, (((("b", 1),), 1),))
+    b_to_a = ReductionRule("b", 1, (((("a", 1),), 1),))
+    with pytest.raises(ValueError, match="another reduced generator"):
+        KRingSpec(("a", "b"), reductions=(a_to_b, b_to_a))
+
+
 def test_canonical_text_form():
     L = STD.generator("L")
     eps = STD.generator("eps")

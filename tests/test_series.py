@@ -21,10 +21,10 @@ from mcseries.errors import (
 )
 from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
+    AbelianGroupPresentation,
     GradedMonoid,
     MonoidHom,
     free_graded_monoid,
-    presentation_from_relations,
 )
 from mcseries.series import (
     MonoidPolynomial,
@@ -37,7 +37,6 @@ from mcseries.series import (
     localize_quotient,
     punctured_p1_zeta,
     pushforward,
-    specialize_series,
 )
 
 R = standard_ring()
@@ -284,7 +283,7 @@ def test_pushforward_rational_form_commutes_with_expansion():
 
 
 def test_pushforward_scales_truncation_by_degree_ratio():
-    group = presentation_from_relations(1)
+    group = AbelianGroupPresentation(1)
     heavy = GradedMonoid(group, ("u",), (group.project([1]),), grading=(2,))
     line = t_monoid()
     t = line.generator_named("t")
@@ -350,6 +349,24 @@ def test_external_product_requires_equal_truncations():
         external_product(z.expand(3), z.expand(4))
 
 
+def test_external_product_truncated_requires_same_ring():
+    z = curve_zeta(0)
+    other = curve_zeta(0, standard_ring(a1_homotopy=True))
+    with pytest.raises(SpecMismatch):
+        external_product(z.expand(3), other.expand(3))
+
+
+def test_external_product_with_a_generatorless_monoid():
+    point = free_graded_monoid(())
+    line = t_monoid()
+    t = line.generator_named("t")
+    f = TruncatedSeries(R, point, 3, {point.zero: 2})
+    g = TruncatedSeries(R, line, 3, {line.zero: 1, t: L})
+    e = external_product(f, g)
+    assert e.truncation == 3
+    assert [c for _, c in e.terms] == [2 * R.one, 2 * L]
+
+
 # ---------------------------------------------------------------------------
 # specialization
 
@@ -357,7 +374,7 @@ def test_external_product_requires_equal_truncations():
 def test_specialize_collapse_to_euler_form():
     z = curve_zeta(0)
     s = Specialization(R, {"L": 1})
-    col = specialize_series(z, s)
+    col = z.specialize(s)
     # both factors become (1 - t): exponents merge
     assert len(col.factors) == 1 and col.factors[0][2] == 2
     f = col.expand(6)
@@ -369,7 +386,7 @@ def test_specialize_collapse_to_euler_form():
 def test_specialize_commutes_with_expansion():
     z = curve_zeta(0)
     s = Specialization(R, {"L": -1})
-    assert specialize_series(z, s).expand(6) == specialize_series(z.expand(6), s)
+    assert z.specialize(s).expand(6) == z.expand(6).specialize(s)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +425,30 @@ def test_series_context_mismatches():
     r2 = standard_ring(a1_homotopy=True)
     with pytest.raises(SpecMismatch):
         f3 + TruncatedSeries.one(r2, z.monoid, 3)
+
+
+def test_polynomial_power_is_repeated_product():
+    mono = t_monoid()
+    t = mono.generator_named("t")
+    p = MonoidPolynomial(R, mono, {mono.zero: 1, t: -L, 2 * t: 3})
+    assert p ** 0 == MonoidPolynomial.one(R, mono)
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    assert p ** 4 == p * p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+def test_truncated_as_series_keeps_terms_up_to_n():
+    z = curve_zeta(0)
+    f = z.expand(6)
+    for n in range(7):
+        kept = {e: c for e, c in f.terms if z.monoid.degree(e) <= n}
+        g = f.as_series(n)
+        assert g == TruncatedSeries(R, z.monoid, n, kept)
+        assert len(g.terms) == n + 1
+    with pytest.raises(SeriesMismatch):
+        f.as_series(7)
 
 
 def test_truncated_series_rejects_terms_beyond_bound():

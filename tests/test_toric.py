@@ -19,9 +19,7 @@ from mcseries.toric import (
     Fan,
     blowup_at_fixed_point,
     chow_presentation,
-    cones_of_dim,
     degree_class,
-    fan_validate,
     hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
@@ -47,20 +45,22 @@ def test_p2_fan_is_valid():
     fan = projective_space_fan(2)
     assert fan.rays == ((1, 0), (0, 1), (-1, -1))
     assert len(fan.maximal_cones) == 3
-    assert cones_of_dim(fan, 1) == ((0,), (1,), (2,))
-    assert len(cones_of_dim(fan, 2)) == 3
+    assert fan.cones_of_dim(1) == ((0,), (1,), (2,))
+    assert len(fan.cones_of_dim(2)) == 3
 
 
 def test_gp_fan_is_valid():
     fan = three_point_blowup_fan()
     assert len(fan.rays) == 6
-    assert len(cones_of_dim(fan, 1)) == 6
-    assert len(cones_of_dim(fan, 2)) == 6
+    assert len(fan.cones_of_dim(1)) == 6
+    assert len(fan.cones_of_dim(2)) == 6
 
 
 def test_incomplete_fan_rejected():
     with pytest.raises(FanError, match="incomplete"):
         Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+    with pytest.raises(FanError, match="at least one maximal cone"):
+        Fan([(1, 0), (0, 1), (-1, -1)], [])
 
 
 def test_bad_ray_data_rejected():
@@ -314,8 +314,8 @@ def test_blowup_rejects_singular_or_missing_cones():
         blowup_at_fixed_point(projective_space_fan(2), (0,))
 
 
-def test_fan_validate_alias():
-    fan = fan_validate([(1,), (-1,)], [(0,), (1,)], ("a", "b"))
+def test_fan_keeps_ray_names():
+    fan = Fan([(1,), (-1,)], [(0,), (1,)], ("a", "b"))
     assert fan.ray_names == ("a", "b")
 
 
