@@ -14,6 +14,7 @@ from .errors import (
     FanError,
     FiniteFiberError,
     LocalizationMismatch,
+    LPLimitError,
     MCSError,
     MissingAssignment,
     NotMonic,
@@ -101,7 +102,7 @@ __all__ = [
     "MCSError", "SpecMismatch", "MissingAssignment", "FiniteFiberError",
     "EnumerationLimitError", "SeriesMismatch", "ZeroClassFactor", "NotMonic",
     "PushforwardError", "LocalizationMismatch", "FanError", "BlowupError",
-    "DimensionError", "UnsupportedStratum",
+    "DimensionError", "UnsupportedStratum", "LPLimitError",
     "KRingSpec", "KElement", "ReductionRule", "Specialization",
     "standard_ring", "specialize", "class_projective_space",
     "AbelianGroupPresentation", "GradedMonoid", "MonoidElement", "MonoidHom",

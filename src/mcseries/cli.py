@@ -17,7 +17,7 @@ import re
 import sys
 from math import comb
 
-from .errors import MCSError
+from .errors import MCSError, SeriesMismatch
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
@@ -116,22 +116,30 @@ def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
     return coeff, alpha
 
 
-def _parse_denominator(text: str, ring: KRingSpec,
-                       monoid: GradedMonoid) -> MonoidPolynomial:
-    poly = MonoidPolynomial.one(ring, monoid)
+def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
+                       truncation: int) -> MonoidPolynomial:
+    """The product of the parsed factors; its degree, summed from the
+    factors, must stay below the truncation before any power is taken."""
+    factors = []
+    degree = 0
     pos = 0
-    count = 0
     for m in _FACTOR.finditer(text):
         gap = text[pos:m.start()].replace("*", " ").strip()
         if gap:
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
-        poly = poly * factor ** int(m.group(2) or 1)
+        power = int(m.group(2) or 1)
+        factors.append((factor, power))
+        degree += power * factor.degree()
         pos = m.end()
-        count += 1
-    if text[pos:].replace("*", " ").strip() or count == 0:
+    if text[pos:].replace("*", " ").strip() or not factors:
         raise MCSError(f"cannot parse denominator {text!r}")
+    if degree >= truncation:
+        raise SeriesMismatch("denominator degree reaches the truncation bound")
+    poly = MonoidPolynomial.one(ring, monoid)
+    for factor, power in factors:
+        poly = poly * factor ** power
     return poly
 
 
@@ -356,7 +364,7 @@ def cmd_verify_eq1(args) -> int:
         raise MCSError("--n must be >= 1")
     f = _apply_specializations(pn_divisor_series(args.n, args.truncate),
                                args.specialize)
-    g = _parse_denominator(args.denominator, f.ring, f.monoid)
+    g = _parse_denominator(args.denominator, f.ring, f.monoid, args.truncate)
     verdict = certify_rational(f, g)
     print(f"divisor series of P^{args.n} against denominator"
           f" {args.denominator}: {verdict}")

@@ -9,6 +9,13 @@ class MCSError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# linear programming
+
+
+class LPLimitError(MCSError):
+    """A linear program exceeded the elimination work cap."""
+
+
 # coefficient rings
 
 

@@ -263,7 +263,7 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
             seen.append(g.free)
     cons = [(f, 1) for f in seen]
     objective = [sum(g.free[i] for g in gens) for i in range(rank)]
-    result = minimize_linear(rank, objective, cons)
+    result = minimize_linear(rank, objective, cons, "grading")
     if result is None:
         raise FiniteFiberError("no strictly positive grading exists")
     _, point = result

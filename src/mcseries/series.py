@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .errors import (
     EnumerationLimitError,
@@ -455,9 +456,13 @@ def rational_expand(f: RationalSeries, truncation: int,
                     max_terms: int | None = None) -> TruncatedSeries:
     """Expand numerator / product of binomials exactly up to the bound.
 
-    Dividing by 1 - c*t^alpha is the recurrence a[b + alpha] += c*a[b], run
-    over the degree buckets in increasing order; a factor of exponent e
-    applies it e times.  Classes are packed int keys (see
+    Dividing by (1 - c*t^alpha)^k = sum_i p_i t^(i*alpha) is one pass over
+    the degree buckets in increasing order: each finished bucket pushes
+    a[b + i*alpha] -= p_i*a[b] for 1 <= i <= min(k, K), K = truncation //
+    deg alpha; for k = 1 that is a[b + alpha] += c*a[b].  The p_i are made
+    only as far as a push needs them.  A factor of exponent e <= K takes e
+    passes with k = 1; past K, one pass with k = 1 and one with k = e - 1,
+    so the time stops growing with e.  Classes are packed int keys (see
     MonoidElement.packed) until the end, and coefficients stay Python ints
     while the numerator and every c are integers.
 
@@ -489,35 +494,53 @@ def rational_expand(f: RationalSeries, truncation: int,
         if alpha.is_zero():
             raise ZeroClassFactor("denominator factor at the zero class")
         step = monoid.degree(alpha)
-        a = alpha.packed()
         if as_int:
             c = c.as_integer()
-        unit = c == 1
-        for _ in range(e):
+        # up to e = K, e passes with k = 1: one pass with k = e would multiply
+        # big weights by big coefficients.  Past K, a pass with k = 1 first,
+        # so that a term cap trips on small coefficients, then k = e - 1.
+        for k in repeat(1, e) if e <= max(1, truncation // step) else (1, e - 1):
+            # for i = 1..: the push weight -p_i = (-1)^(i+1) C(k, i) c^i,
+            # whether it is 1, the class i*alpha and the degree i*deg(alpha)
+            a = alpha.packed()
+            pushes = [(k * c, k * c == 1, a, step)]
+            binom, power = k, c
             todo = sorted(d for d in buckets if d + step <= truncation)
             while todo:
                 d = heappop(todo)
-                dst = buckets.get(d + step)
-                if dst is None:
-                    dst = buckets[d + step] = {}
-                    if d + 2 * step <= truncation:
-                        heappush(todo, d + step)
-                for key, v in buckets[d].items():
-                    key2 = plus(key, a)
-                    inc = v if unit else c * v
-                    old = dst.get(key2)
-                    if old is None:
-                        dst[key2] = inc
-                        count += 1
-                        if count > cap:
-                            raise over_cap()
-                        continue
-                    new = old + inc
-                    if new == 0:
-                        del dst[key2]
-                        count -= 1
-                    else:
-                        dst[key2] = new
+                src = buckets[d]
+                room = truncation - d
+                while len(pushes) < k and pushes[-1][3] + step <= room:
+                    i = len(pushes) + 1
+                    binom = binom * (k - i + 1) // i
+                    power = power * c
+                    w = (binom if i % 2 else -binom) * power
+                    pushes.append((w, w == 1, plus(pushes[-1][2], a), i * step))
+                for w, unit, shift, off in pushes:
+                    if off > room:
+                        break
+                    d2 = d + off
+                    dst = buckets.get(d2)
+                    if dst is None:
+                        dst = buckets[d2] = {}
+                        if d2 + step <= truncation:
+                            heappush(todo, d2)
+                    for key, v in src.items():
+                        key2 = plus(key, shift)
+                        inc = v if unit else w * v
+                        old = dst.get(key2)
+                        if old is None:
+                            dst[key2] = inc
+                            count += 1
+                            if count > cap:
+                                raise over_cap()
+                            continue
+                        new = old + inc
+                        if new == 0:
+                            del dst[key2]
+                            count -= 1
+                        else:
+                            dst[key2] = new
     unpack = monoid.group.unpack
     to_ring = ring.from_int if as_int else (lambda x: x)
     terms, degrees = [], []

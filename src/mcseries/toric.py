@@ -8,15 +8,20 @@ exactly two maximal cones, the facet graph is connected, maximal cones are
 full-dimensional), which is equivalent to support coverage for fans as long
 as the pairwise face condition already holds.
 
+A maximal cone with n linearly independent rays is simplicial: it is
+strongly convex and every k-subset of its rays spans a k-face, so its faces
+need no linear program.  Other cones find faces by exact LP witnesses.
+
 Class groups of orbit closures are presented by the divisor-of-character
 relations on one-higher-dimensional orbit closures; the relation coefficient
-along a wall is an exact lattice index computed through saturations, never a
-floating determinant.
+along a wall divides by an exact lattice index, the product of Smith
+invariants, never a floating determinant.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from itertools import combinations
+from math import comb, gcd, prod
 
 from .errors import BlowupError, DimensionError, FanError
 from .kring import KRingSpec, class_projective_space, standard_ring
@@ -27,7 +32,7 @@ from .monoid import (
     free_graded_monoid,
     positive_grading,
 )
-from .intlinalg import det, feasible_point, kernel_basis, smith_decomposition, solve_integer, transpose
+from .intlinalg import det, feasible_point, identity_matrix, kernel_basis, smith_decomposition
 from .series import RationalSeries, TruncatedSeries
 
 __all__ = [
@@ -60,28 +65,32 @@ def _rank(rows) -> int:
     return smith_decomposition(rows).rank
 
 
-def _is_face_of(rays, cone_rays, subset) -> bool:
-    """Whether the given ray subset spans a face of the cone.
+def _separable(rays, zero, pos, neg=()) -> bool:
+    """Whether some functional vanishes on the rays indexed by zero, is >= 1
+    on those in pos and <= -1 on those in neg: the exact witness that zero
+    spans a face of a cone, or that two cones meet in their common face.
 
-    Exact witness: a functional vanishing on the subset and >= 1 on the
-    remaining generators.
+    The LP runs in coordinates of the integer kernel of the zero rays, so
+    only the strict inequalities reach the elimination.
     """
-    n = len(rays[0])
-    cons = []
-    for i in cone_rays:
-        if i in subset:
-            cons.append((rays[i], 0))
-            cons.append((tuple(-x for x in rays[i]), 0))
-        else:
-            cons.append((rays[i], 1))
-    return feasible_point(n, cons) is not None
+    if zero:
+        basis = kernel_basis([rays[i] for i in zero])
+    else:
+        basis = identity_matrix(len(rays[0]))
+
+    def coords(i, sign):
+        return tuple(sign * sum(b * x for b, x in zip(col, rays[i])) for col in basis)
+
+    cons = [(coords(i, 1), 1) for i in pos] + [(coords(i, -1), 1) for i in neg]
+    return feasible_point(len(basis), cons, "fan validation") is not None
 
 
 class Fan:
     """Complete rational polyhedral fan given by primitive rays and maximal
     cones (tuples of ray indices)."""
 
-    __slots__ = ("dim", "rays", "maximal_cones", "ray_names", "_face_cache")
+    __slots__ = ("dim", "rays", "maximal_cones", "ray_names", "_simplicial",
+                 "_face_cache")
 
     def __init__(self, rays, maximal_cones, ray_names=None):
         rays = tuple(tuple(int(x) for x in v) for v in rays)
@@ -132,9 +141,12 @@ class Fan:
 
     def _validate_cones(self):
         n = self.dim
+        # n independent rays: strongly convex and full-dimensional
+        self._simplicial = frozenset(
+            c for c in self.maximal_cones
+            if len(c) == n and det([list(self.rays[i]) for i in c]) != 0)
         for c in self.maximal_cones:
-            cons = [(self.rays[i], 1) for i in c]
-            if feasible_point(n, cons) is None:
+            if c not in self._simplicial and not _separable(self.rays, (), c):
                 raise FanError(f"cone {c} is not strongly convex")
         for a in range(len(self.maximal_cones)):
             for b in range(a + 1, len(self.maximal_cones)):
@@ -145,43 +157,31 @@ class Fan:
         """Separating witness: >= 1 on c1's own rays, <= -1 on c2's, zero on
         the shared ones; existence makes the intersection the common face."""
         shared = sorted(set(c1) & set(c2))
-        cons = []
-        for i in shared:
-            cons.append((self.rays[i], 0))
-            cons.append((tuple(-x for x in self.rays[i]), 0))
-        for i in c1:
-            if i not in shared:
-                cons.append((self.rays[i], 1))
-        for i in c2:
-            if i not in shared:
-                cons.append((tuple(-x for x in self.rays[i]), 1))
-        if feasible_point(self.dim, cons) is None:
+        if not _separable(self.rays, shared, [i for i in c1 if i not in shared],
+                          [i for i in c2 if i not in shared]):
             raise FanError(f"cones {c1} and {c2} do not meet in a common face")
 
-    def _facets(self, cone) -> list[tuple]:
-        want = self.dim - 1
+    def _faces(self, cone, k) -> list[tuple]:
+        """The k-dimensional faces of a maximal cone, as ray-index tuples."""
+        if cone in self._simplicial:
+            return list(combinations(cone, k))
         out = []
-        members = list(cone)
-        for mask in range(1 << len(members)):
-            subset = tuple(members[i] for i in range(len(members))
-                           if mask >> i & 1)
-            if subset == cone:
-                continue
-            if _rank([self.rays[i] for i in subset]) != want:
-                continue
-            if _is_face_of(self.rays, cone, set(subset)):
+        for mask in range(1 << len(cone)):
+            subset = tuple(cone[i] for i in range(len(cone)) if mask >> i & 1)
+            if (_rank([self.rays[i] for i in subset]) == k and _separable(
+                    self.rays, subset, [i for i in cone if i not in subset])):
                 out.append(subset)
         return out
 
     def _validate_complete(self):
         n = self.dim
         for c in self.maximal_cones:
-            if _rank([self.rays[i] for i in c]) != n:
+            if c not in self._simplicial and _rank([self.rays[i] for i in c]) != n:
                 raise FanError(f"maximal cone {c} is not full-dimensional"
                                " (incomplete fan)")
         facet_owners: dict[tuple, list[int]] = {}
         for k, c in enumerate(self.maximal_cones):
-            for f in self._facets(c):
+            for f in self._faces(c, n - 1):
                 facet_owners.setdefault(f, []).append(k)
         for f, owners in facet_owners.items():
             if len(owners) != 2:
@@ -212,20 +212,10 @@ class Fan:
         if k == 0:
             self._face_cache[0] = ((),)
             return self._face_cache[0]
-        found: list[tuple[int, ...]] = []
+        found = set()
         for c in self.maximal_cones:
-            members = list(c)
-            for mask in range(1, 1 << len(members)):
-                subset = tuple(members[i] for i in range(len(members))
-                               if mask >> i & 1)
-                if subset in found:
-                    continue
-                if _rank([self.rays[i] for i in subset]) != k:
-                    continue
-                if _is_face_of(self.rays, c, set(subset)):
-                    found.append(subset)
-        found.sort()
-        self._face_cache[k] = tuple(found)
+            found.update(self._faces(c, k))
+        self._face_cache[k] = tuple(sorted(found))
         return self._face_cache[k]
 
     def __eq__(self, other):
@@ -251,26 +241,6 @@ def _saturation_basis(rows) -> list[list[int]]:
         return []
     dec = smith_decomposition(rows)
     return [list(dec.Vinv[i]) for i in range(dec.rank)]
-
-
-def _wall_coefficient(rays, sigma, tau, m) -> int:
-    """ord along V(sigma) of the character m restricted to V(tau).
-
-    Equals <m, v>/q for any generator v of sigma outside tau, where q is the
-    index of N_tau + Zv inside the saturation N_sigma; the quotient is exact.
-    """
-    v = next(rays[i] for i in sigma if i not in tau)
-    tau_basis = _saturation_basis([rays[i] for i in tau])
-    sigma_basis = _saturation_basis([rays[i] for i in sigma])
-    coords = []
-    for vec in tau_basis + [list(v)]:
-        y = solve_integer(transpose(sigma_basis), list(vec))
-        assert y is not None, "face lattice must embed in the cone lattice"
-        coords.append(y)
-    q = abs(det(coords))
-    pairing = sum(mi * vi for mi, vi in zip(m, v))
-    assert pairing % q == 0, "wall pairing must be divisible by the index"
-    return pairing // q
 
 
 class OrbitClassMonoid:
@@ -306,6 +276,10 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     Generators: cones of dimension n-p.  Relations: for every cone tau of
     dimension n-p-1 and every character basis vector m of the sublattice
     orthogonal to tau, the divisor of m on V(tau).
+
+    Its order along V(sigma), for a cone sigma on tau, is <m, v>/q with v a
+    ray of sigma outside tau and q the index of N_tau + Zv in the saturated
+    N_sigma: the product of the Smith invariants of [basis of N_tau; v].
     """
     n = fan.dim
     if not 0 <= p <= n:
@@ -316,17 +290,19 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     if n - p - 1 >= 0:
         for tau in fan.cones_of_dim(n - p - 1):
             tau_rows = [fan.rays[i] for i in tau]
-            if tau_rows:
-                perp = kernel_basis(tau_rows)
-            else:
-                perp = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-            stars = [c for c in gen_cones if set(tau) <= set(c)]
-            for m in perp:
-                rel = [0] * len(gen_cones)
-                for sigma in stars:
-                    rel[index[sigma]] = _wall_coefficient(fan.rays, sigma, tau, m)
-                if any(rel):
-                    relations.append(tuple(rel))
+            perp = kernel_basis(tau_rows) if tau_rows else identity_matrix(n)
+            tau_basis = _saturation_basis(tau_rows)
+            rels = [[0] * len(gen_cones) for _ in perp]
+            for sigma in gen_cones:
+                if not set(tau) <= set(sigma):
+                    continue
+                v = next(fan.rays[i] for i in sigma if i not in tau)
+                q = prod(smith_decomposition(tau_basis + [list(v)]).invariants)
+                for rel, m in zip(rels, perp):
+                    pairing = sum(mi * vi for mi, vi in zip(m, v))
+                    assert pairing % q == 0, "wall pairing must be divisible by the index"
+                    rel[index[sigma]] = pairing // q
+            relations += [tuple(rel) for rel in rels if any(rel)]
     group = AbelianGroupPresentation(len(gen_cones), relations)
     class_of = {c: group.project([1 if j == index[c] else 0
                                   for j in range(len(gen_cones))])

@@ -8,7 +8,7 @@ import pytest
 
 from mcseries.cli import main
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
-from mcseries.series import curve_zeta
+from mcseries.series import MonoidPolynomial, curve_zeta
 from mcseries.toric import (
     mc_series_toric,
     product_fan,
@@ -131,6 +131,21 @@ class TestToric:
         assert main(argv) == 2
         assert main(argv + ["--format", "json"]) == 0
 
+    def test_lp_cap_exits_2_naming_the_stage(self, tmp_path, capsys):
+        # face fan of the 4-cube: its rank-12 divisor grading LP would make
+        # 10^7 constraints in one elimination step
+        rays = [[1 - 2 * (k >> j & 1) for j in range(4)] for k in range(16)]
+        cones = [[i for i, v in enumerate(rays) if v[axis] == sign]
+                 for axis in range(4) for sign in (1, -1)]
+        path = tmp_path / "cube4.json"
+        path.write_text(json.dumps({"dim": 4, "rays": rays,
+                                    "maximal_cones": cones}))
+        assert main(["toric", "--fan", str(path), "--p", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grading gave up:")
+        assert "constraints (cap" in captured.err
+
 
 class TestColinear:
     def test_r3_formula(self, capsys):
@@ -216,6 +231,24 @@ class TestVerify:
     def test_eq1_curve_denominator_with_l(self, capsys):
         assert main(["verify", "eq1", "--n", "1", "--truncate", "8",
                      "--denominator", "(1-t)(1-L t)"]) == 0
+
+    def test_eq1_rejects_the_degree_before_any_power(self, capsys,
+                                                      monkeypatch):
+        def no_power(self, k):
+            raise AssertionError("denominator power built")
+        monkeypatch.setattr(MonoidPolynomial, "__pow__", no_power)
+        assert main(["verify", "eq1", "--n", "1", "--truncate", "4",
+                     "--denominator", "(1-t)^3000"]) == 2
+        assert "denominator degree reaches the truncation bound" in (
+            capsys.readouterr().err)
+
+    def test_eq1_degree_sums_powers_of_factors(self, capsys):
+        # degree 2 + 2 + 0 = 4 reaches --truncate 4; the constant factor
+        # (1-0t) adds nothing, so degree 3 stays below
+        argv = ["verify", "eq1", "--n", "1", "--truncate", "4", "--denominator"]
+        assert main(argv + ["(1-t)^2 (1-L t)^2"]) == 2
+        assert "truncation bound" in capsys.readouterr().err
+        assert main(argv + ["(1-t)^2 (1-L t) (1-0t)^5"]) == 0
 
     def test_eq1_bad_denominators(self, capsys):
         for bad in ("", "t^2", "(2-t)", "(1-q)", "(1-t", "(1-t)^"):

@@ -3,8 +3,9 @@
 The reference multiplies the truncated numerator by one full truncated
 geometric series per factor, sum_k C(k+e-1, e-1) c^k t^(k alpha), using
 TruncatedSeries multiplication.  rational_expand instead divides by each
-binomial with a linear recurrence on packed keys, with int coefficients
-where it can.  Hypothesis draws the forms: torsion monoids, exponents e > 1,
+power of a binomial with a linear recurrence on packed keys, with int
+coefficients where it can.  Hypothesis draws the forms: torsion monoids,
+exponents e both at most and above the truncation over the factor's degree,
 negative and L/eps coefficients, and numerators of several terms.
 """
 
@@ -81,7 +82,7 @@ def forms(draw, coeffs):
     factors = []
     for w in draw(st.lists(word.filter(any), min_size=0, max_size=4)):
         factors.append((draw(st.sampled_from(coeffs)), canonicalize(w, monoid),
-                        draw(st.integers(1, 3))))
+                        draw(st.integers(1, 9))))
     f = RationalSeries(R, monoid, MonoidPolynomial(R, monoid, numerator),
                        factors)
     return f, draw(st.integers(0, 6))
@@ -118,6 +119,16 @@ def test_cancelling_form_leaves_no_zero_terms(c):
     num = MonoidPolynomial(R, m, {m.zero: R.one, t: -c})
     f = RationalSeries(R, m, num, [(c, t, 1)])
     assert rational_expand(f, 6) == TruncatedSeries.one(R, m, 6)
+
+
+@pytest.mark.parametrize("c", [R.from_int(-3), L], ids=["int", "ring"])
+def test_huge_power_costs_only_the_truncation(c):
+    m = MONOIDS["free1"]
+    t = m.generator_named("t")
+    e = 10 ** 9
+    got = rational_expand(RationalSeries(R, m, None, [(c, t, e)]), 2)
+    assert got == TruncatedSeries(R, m, 2, {
+        k * t: R.from_int(comb(e + k - 1, k)) * c ** k for k in range(3)})
 
 
 # ---------------------------------------------------------------------------

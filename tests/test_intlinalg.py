@@ -3,7 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from mcseries import intlinalg
+from mcseries.errors import LPLimitError
 from mcseries.intlinalg import (
+    MAX_STEP_CONSTRAINTS,
     det,
     feasible_point,
     identity_matrix,
@@ -169,3 +174,26 @@ def test_minimize_deterministic():
     a = minimize_linear(2, (1, 1), cons)
     b = minimize_linear(2, (1, 1), cons)
     assert a == b
+
+
+def _bounds_on_last_variable(k):
+    """k lower and k upper bounds on x_1, pairwise distinct directions."""
+    return ([((j, 1), 0) for j in range(k)]
+            + [((j, -1), -10) for j in range(k)])
+
+
+def test_elimination_step_over_the_cap_raises_naming_the_stage():
+    assert 71 * 71 > MAX_STEP_CONSTRAINTS
+    with pytest.raises(LPLimitError, match=r"^fan validation gave up: an"
+                       r" elimination step would create 5041 constraints"):
+        feasible_point(2, _bounds_on_last_variable(71), "fan validation")
+    with pytest.raises(LPLimitError, match="^grading gave up"):
+        minimize_linear(2, (1, 1), _bounds_on_last_variable(71), "grading")
+
+
+def test_cap_counts_the_products_of_one_step(monkeypatch):
+    monkeypatch.setattr(intlinalg, "MAX_STEP_CONSTRAINTS", 3)
+    assert feasible_point(2, _bounds_on_last_variable(1)) is not None
+    with pytest.raises(LPLimitError, match="would create 4 constraints"
+                       r" \(cap 3\)"):
+        feasible_point(2, _bounds_on_last_variable(2))
