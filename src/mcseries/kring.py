@@ -246,6 +246,10 @@ class KElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_integer():
+            return self._scaled(other.as_integer())
+        if self.is_integer():
+            return other._scaled(self.as_integer())
         raw: dict[ExpVec, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -254,6 +258,13 @@ class KElement:
         return self.spec.element(raw)
 
     __rmul__ = __mul__
+
+    def _scaled(self, n: int) -> "KElement":
+        """self * n; scaling keeps the exponent vectors, so the terms stay
+        canonical and need no reduction."""
+        if not n:
+            return self.spec.zero
+        return KElement(self.spec, tuple((e, c * n) for e, c in self.terms))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -354,26 +365,51 @@ class Specialization:
 
 
 def specialize(a: KElement, s: Specialization) -> KElement:
-    """Apply the ring map s to a.  Raises MissingAssignment in strict mode."""
+    """Apply the ring map s to a.  Raises MissingAssignment in strict mode.
+
+    One pass over the terms into a single raw dict, reduced once at the
+    end.  An integer image v scales a term's coefficient by v**e and clears
+    that exponent; an unassigned generator stays in the exponent vector;
+    any other image is raised to each power e once per call."""
     if a.spec != s.spec:
         raise SpecMismatch("element and specialization use different specs")
     spec = a.spec
-    images: list[KElement | None] = [s.assignments.get(name) for name in spec.generators]
-    result = spec.zero
+    ints: dict[int, int] = {}
+    images: dict[int, KElement] = {}
+    for name, image in s.assignments.items():
+        if image.is_integer():
+            ints[spec.index(name)] = image.as_integer()
+        else:
+            images[spec.index(name)] = image
+    powers: dict[tuple[int, int], KElement] = {}
+    raw: dict[ExpVec, int] = {}
     for exp, coeff in a.terms:
-        term = spec.from_int(coeff)
+        rest = list(exp)
+        factor = None
         for gi, e in enumerate(exp):
             if e == 0:
                 continue
-            image = images[gi]
-            if image is None:
-                if not s.carry_unassigned:
-                    raise MissingAssignment(
-                        f"no assignment for generator {spec.generators[gi]!r}")
-                image = spec.generator(spec.generators[gi])
-            term = term * image ** e
-        result = result + term
-    return result
+            if gi in ints:
+                coeff *= ints[gi] ** e
+            elif gi in images:
+                power = powers.get((gi, e))
+                if power is None:
+                    power = powers[(gi, e)] = images[gi] ** e
+                factor = power if factor is None else factor * power
+            elif s.carry_unassigned:
+                continue
+            else:
+                raise MissingAssignment(
+                    f"no assignment for generator {spec.generators[gi]!r}")
+            rest[gi] = 0
+        rest = tuple(rest)
+        if factor is None:
+            raw[rest] = raw.get(rest, 0) + coeff
+            continue
+        for e2, c2 in factor.terms:
+            key = tuple(x + y for x, y in zip(rest, e2))
+            raw[key] = raw.get(key, 0) + coeff * c2
+    return spec.element(raw)
 
 
 def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:

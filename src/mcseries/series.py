@@ -134,7 +134,8 @@ class _Terms:
                 if d1 + d2 > top:
                     break  # other's terms are sorted by degree
                 e = e1 + e2
-                acc[e] = acc.get(e, self.ring.zero) + c1 * c2
+                c = c1 * c2
+                acc[e] = acc[e] + c if e in acc else c
         return self._like(acc)
 
     def specialize(self, s: Specialization):

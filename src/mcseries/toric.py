@@ -23,13 +23,14 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, gcd, prod
 
-from .errors import BlowupError, DimensionError, FanError
+from .errors import BlowupError, DimensionError, EnumerationLimitError, FanError
 from .kring import KRingSpec, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
     MonoidElement,
     free_graded_monoid,
+    max_terms_from_env,
     positive_grading,
 )
 from .intlinalg import det, feasible_point, identity_matrix, kernel_basis, smith_decomposition
@@ -353,9 +354,21 @@ def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None,
 def pn_divisor_series(n: int, truncation: int,
                       ring: KRingSpec | None = None) -> TruncatedSeries:
     """Degree-d coefficient: class of the projective space of degree-d
-    hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1)."""
+    hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1).
+
+    The coefficients have binom(n+d,d) terms each; their total is checked
+    against the MCS_MAX_TERMS cap before any of them is built."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
+    cap = max_terms_from_env()
+    total, count = 0, 1  # count = binom(n+d, d)
+    for d in range(truncation + 1):
+        total += count
+        if total > cap:
+            raise EnumerationLimitError(
+                f"divisor series of P^{n} needs {total} terms by degree {d},"
+                f" over the cap of {cap}; raise MCS_MAX_TERMS")
+        count = count * (n + d + 1) // (d + 1)
     if ring is None:
         ring = standard_ring()
     monoid = free_graded_monoid(("t",))

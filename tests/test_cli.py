@@ -250,6 +250,28 @@ class TestVerify:
         assert "truncation bound" in capsys.readouterr().err
         assert main(argv + ["(1-t)^2 (1-L t) (1-0t)^5"]) == 0
 
+    def test_eq1_term_cap_checked_before_any_coefficient(self, capsys,
+                                                         monkeypatch):
+        # sum of binom(80+d, d) for d <= 4 is 2,024,785 > 10**6
+        def no_class(*args):
+            raise AssertionError("coefficient built")
+        monkeypatch.setattr("mcseries.toric.class_projective_space", no_class)
+        assert main(["verify", "eq1", "--n", "80", "--denominator", "(1-t)^2",
+                     "--truncate", "4", "--specialize", "L=1"]) == 2
+        err = capsys.readouterr().err
+        assert "divisor series" in err and "2024785" in err
+        assert "1000000" in err
+
+    def test_eq1_term_cap_follows_env(self, capsys, monkeypatch):
+        argv = ["verify", "eq1", "--n", "4", "--denominator", "(1-t)^5",
+                "--truncate", "12", "--specialize", "L=1"]
+        monkeypatch.setenv("MCS_MAX_TERMS", "6188")
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("MCS_MAX_TERMS", "6187")
+        assert main(argv) == 2
+        assert "over the cap of 6187" in capsys.readouterr().err
+
     def test_eq1_bad_denominators(self, capsys):
         for bad in ("", "t^2", "(2-t)", "(1-q)", "(1-t", "(1-t)^"):
             assert main(["verify", "eq1", "--n", "2", "--truncate", "4",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcseries.errors import MissingAssignment, SpecMismatch
 from mcseries.kring import (
+    KElement,
     KRingSpec,
     ReductionRule,
     Specialization,
@@ -182,3 +183,123 @@ def test_specialization_on_spec_level_errors():
     other = standard_ring(symbols=("b",))
     with pytest.raises(SpecMismatch):
         Specialization(STD, {"L": other.one})
+
+
+# -- specialize and integer products against raw-dict references
+
+def raw_product(x, y):
+    """x * y from the raw term dicts, reduced once by the spec."""
+    raw = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            raw[exp] = raw.get(exp, 0) + c1 * c2
+    return x.spec.element(raw)
+
+
+def term_by_term_specialize(a, s):
+    """Reference specialize: each term built as a product of images and
+    added into the result, one term at a time."""
+    spec = a.spec
+    images = [s.assignments.get(name) for name in spec.generators]
+    result = spec.zero
+    for exp, coeff in a.terms:
+        term = spec.from_int(coeff)
+        for gi, e in enumerate(exp):
+            if e == 0:
+                continue
+            image = images[gi]
+            if image is None:
+                if not s.carry_unassigned:
+                    raise MissingAssignment(
+                        f"no assignment for generator {spec.generators[gi]!r}")
+                image = spec.generator(spec.generators[gi])
+            for _ in range(e):
+                term = raw_product(term, image)
+        result = result + term
+    return result
+
+
+ORACLE_RINGS = (
+    standard_ring(symbols=("x", "y")),
+    standard_ring(symbols=("x",), a1_homotopy=True),
+    KRingSpec(("L", "u", "x"),
+              reductions=(ReductionRule("u", 3, (((("u", 1), ("x", 1)), 2),
+                                                 ((), -1))),)),
+)
+
+
+def elements(spec, max_terms=4, max_exp=3):
+    n = len(spec.generators)
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * n),
+                     st.integers(-6, 6))
+
+    def build(pairs):
+        raw = {}
+        for exp, c in pairs:
+            raw[exp] = raw.get(exp, 0) + c
+        return spec.element(raw)
+
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+@st.composite
+def specialize_cases(draw):
+    spec = draw(st.sampled_from(ORACLE_RINGS))
+    a = draw(elements(spec))
+    assignments = {}
+    for name in spec.generators:
+        kind = draw(st.sampled_from(("none", "int", "generator", "element")))
+        if kind == "int":
+            assignments[name] = draw(st.integers(-3, 3))
+        elif kind == "generator":
+            assignments[name] = spec.generator(
+                draw(st.sampled_from(spec.generators)))
+        elif kind == "element":
+            assignments[name] = draw(elements(spec, max_terms=3, max_exp=2))
+    carry = draw(st.booleans())
+    return a, Specialization(spec, assignments, carry_unassigned=carry)
+
+
+@given(specialize_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_specialize_matches_term_by_term(case):
+    a, s = case
+    try:
+        want = term_by_term_specialize(a, s)
+    except MissingAssignment:
+        assert not s.carry_unassigned
+        with pytest.raises(MissingAssignment):
+            specialize(a, s)
+        return
+    assert specialize(a, s) == want
+
+
+@given(st.sampled_from(ORACLE_RINGS).flatmap(
+           lambda spec: st.tuples(elements(spec), st.integers(-7, 7))))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_integer_product_fast_path(case):
+    a, n = case
+    k = a.spec.from_int(n)
+    want = raw_product(a, k)
+    for got in (a * k, k * a, a * n, n * a):
+        assert got == want
+        assert got.terms == want.terms
+        assert hash(got) == hash(want)
+    assert (a * a.spec.zero).is_zero() and (a.spec.zero * a).is_zero()
+
+
+def test_specialize_to_integer_makes_no_ring_product(monkeypatch):
+    calls = []
+    original = KElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    monkeypatch.setattr(KElement, "__rmul__", counted)
+    big = class_projective_space(10_000, STD)
+    calls.clear()
+    assert specialize(big, Specialization(STD, {"L": 1})) == 10_001
+    assert len(calls) == 0
