@@ -12,6 +12,7 @@ exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -21,7 +22,7 @@ from .errors import MCSError, SeriesMismatch
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
-from .serialize import fan_from_json, series_from_json, series_to_json
+from .serialize import fan_from_json, json_text, series_from_json, series_to_json
 from .series import (
     MonoidPolynomial,
     RationalSeries,
@@ -49,6 +50,8 @@ def _load_json(path: str):
         raise MCSError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise MCSError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise MCSError(f"{path} nests arrays or objects too deeply to read")
 
 
 def _parse_assignment(text: str, ring: KRingSpec):
@@ -79,7 +82,7 @@ def _emit(args, doc, lines) -> None:
     """Print doc() as JSON or the lines(), as --format asks; only the chosen
     output is built, so JSON runs never render class words."""
     if args.format == "json":
-        print(json.dumps(doc(), indent=2, sort_keys=True))
+        print(json_text(doc()))
     else:
         for line in lines():
             print(line)
@@ -442,7 +445,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="ring assignment applied before printing; repeatable")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Reuse carries no state between
+    calls: parse_args starts from a fresh namespace, and the append actions
+    copy their default list before appending."""
     top = argparse.ArgumentParser(
         prog="mcseries",
         description="Orbit-class generating series of complete toric varieties"

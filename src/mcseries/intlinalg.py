@@ -34,6 +34,8 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
 
 
 def transpose(a: Matrix) -> Matrix:
+    """The transpose of a.  Public helper for callers and tests; the
+    package itself has no caller."""
     if not a:
         return []
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
@@ -206,7 +208,10 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U @ a @ V == D in Smith normal form."""
+    """Return (U, D, V) with U @ a @ V == D in Smith normal form, as lists.
+
+    Public helper with its own tests; the package itself calls
+    smith_decomposition, which also keeps the inverse transforms."""
     dec = smith_decomposition(a)
     unfreeze = lambda mat: [list(row) for row in mat]
     return unfreeze(dec.U), unfreeze(dec.D), unfreeze(dec.V)

@@ -9,6 +9,8 @@ schema written here and the short form {"generators": [names...],
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
+
 from .errors import MCSError
 from .gm_action import (
     FixedComponentStratum,
@@ -29,6 +31,7 @@ __all__ = [
     "series_to_json", "series_from_json",
     "fan_to_json", "fan_from_json",
     "decomposition_to_json", "decomposition_from_json",
+    "json_text",
 ]
 
 
@@ -306,3 +309,63 @@ def decomposition_from_json(obj) -> GmDecomposition:
         else:
             raise SchemaError(f"unknown stratum kind {kind!r}")
     return GmDecomposition(monoid, strata, ring)
+
+
+# ---------------------------------------------------------------------------
+# text
+
+
+def json_text(value) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, for a
+    value built from dicts with str keys, lists, str, int, bool and None;
+    anything else raises TypeError.  With indent set, json.dumps always runs
+    its pure-Python encoder; this writer leans on the C string escaper."""
+    out: list[str] = []
+    _write(value, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            out.append(f"{sep}{_quote(key)}: ")
+            _write(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is int:
+                # exponent vectors make ints the commonest item
+                out.append(sep + int.__repr__(item))
+            else:
+                # each item is joined to one string at once, so the small
+                # pieces alive at a time are one item's, not the document's
+                piece = [sep]
+                _write(item, piece, inner)
+                out.append("".join(piece))
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")

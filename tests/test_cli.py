@@ -2,11 +2,15 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from mcseries.cli import main
+from mcseries.cli import build_parser, main
+from mcseries.kring import Specialization
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
 from mcseries.series import MonoidPolynomial, curve_zeta
 from mcseries.toric import (
@@ -403,3 +407,58 @@ class TestArgHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "toric" in capsys.readouterr().out
+
+
+class TestDeepNesting:
+    """JSON nested past the parser's recursion limit is bad input as well."""
+
+    @pytest.mark.parametrize("argv", [
+        ["toric", "--p", "1", "--fan"],
+        ["expand", "--truncate", "2", "--series"],
+    ], ids=["toric-fan", "expand-series"])
+    def test_exit_2_naming_the_file(self, argv, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run([sys.executable, "-m", "mcseries.cli", *argv,
+                              str(path)],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert run.returncode == 2
+        assert str(path) in run.stderr
+        assert "Traceback" not in run.stderr
+
+
+class TestParserReuse:
+    """main() builds its parser once; no call may see another's options."""
+
+    def test_specialize_does_not_carry_over(self, capsys):
+        p2 = str(ROOT / "fans" / "p2.json")
+        argv = ["toric", "--fan", p2, "--p", "1", "--truncate", "4"]
+        assert main(argv + ["--specialize", "L=1"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        golden = (ROOT / "tests" / "golden" / "cli" / "readme-toric-p2.txt")
+        assert "exit 0\n" + capsys.readouterr().out == golden.read_text()
+        assert build_parser().parse_args(argv).specialize == []
+
+    def test_verify_specialize_does_not_carry_over(self, capsys):
+        argv = ["verify", "eq1", "--n", "2", "--denominator", "(1-t)^3",
+                "--truncate", "8"]
+        assert main(argv + ["--specialize", "L=1"]) == 0
+        assert main(argv) == 1
+
+    def test_only_the_last_calls_assignments_apply(self, capsys):
+        path = str(ROOT / "tests" / "golden" / "series.json")
+        assert main(["specialize", "--series", path, "--assign", "L=1"]) == 0
+        capsys.readouterr()
+        assert main(["specialize", "--series", path,
+                     "--assign", "eps=-1"]) == 0
+        f = series_from_json(SERIES)
+        want = f.specialize(Specialization(f.ring, {"eps": -1},
+                                           carry_unassigned=True))
+        assert capsys.readouterr().out == f"{want}\n"
+
+    def test_usage_error_twice(self, capsys):
+        assert main(["toric"]) == 2
+        assert main(["toric"]) == 2
