@@ -49,13 +49,12 @@ _SHAPES = {list: "an array", dict: "an object", str: "a string", int: "an intege
 
 
 def _as(shape, value, what, size=None):
-    """value as a list, dict or str (of the given size, if any), or as int()
-    makes it; anything else is a SchemaError naming what."""
+    """value when it is a JSON integer (not a bool, a float or a string), or
+    a list, dict or str (of the given size, if any); anything else is a
+    SchemaError naming what."""
     if shape is int:
-        try:
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        if type(value) is int:
+            return value
     elif isinstance(value, shape) and (size is None or len(value) == size):
         return value
     of = "" if size is None else f" of length {size}"

@@ -2,15 +2,17 @@
 product formula for motivic Chow series.
 
 A Fan validates on construction: primitive distinct rays, strongly convex
-maximal cones that pairwise meet in common faces, and completeness.  The
-completeness test is the facet criterion (every codimension-1 face lies on
-exactly two maximal cones, the facet graph is connected, maximal cones are
-full-dimensional), which is equivalent to support coverage for fans as long
-as the pairwise face condition already holds.
+maximal cones that pairwise meet in common faces, and completeness.  When
+every maximal cone has n linearly independent rays (is simplicial), one
+criterion settles all of it without a linear program (De Loera, Rambau and
+Santos, *Triangulations*, 4.5): every wall lies on exactly two cones, with
+their opposite rays on opposite sides, and one generic point lies in exactly
+one cone.  Other fans, and simplicial ones that fail it, take exact LP
+witnesses for convexity and for each pair of cones, then the facet test:
+full-dimensional cones, every wall on exactly two cones.
 
-A maximal cone with n linearly independent rays is simplicial: it is
-strongly convex and every k-subset of its rays spans a k-face, so its faces
-need no linear program.  Other cones find faces by exact LP witnesses.
+A simplicial cone's k-faces are its k-subsets of rays.  Other cones test
+the span of each rank-k subset of their rays by an LP witness.
 
 Class groups of orbit closures are presented by the divisor-of-character
 relations on one-higher-dimensional orbit closures; the relation coefficient
@@ -20,7 +22,8 @@ invariants, never a floating determinant.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, count
 from math import comb, gcd, prod
 
 from .errors import BlowupError, DimensionError, EnumerationLimitError, FanError
@@ -52,20 +55,6 @@ __all__ = [
 ]
 
 
-def _primitive(v) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
-
-
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    return smith_decomposition(rows).rank
-
-
 def _separable(rays, zero, pos, neg=()) -> bool:
     """Whether some functional vanishes on the rays indexed by zero, is >= 1
     on those in pos and <= -1 on those in neg: the exact witness that zero
@@ -74,10 +63,8 @@ def _separable(rays, zero, pos, neg=()) -> bool:
     The LP runs in coordinates of the integer kernel of the zero rays, so
     only the strict inequalities reach the elimination.
     """
-    if zero:
-        basis = kernel_basis([rays[i] for i in zero])
-    else:
-        basis = identity_matrix(len(rays[0]))
+    basis = (kernel_basis([rays[i] for i in zero]) if zero
+             else identity_matrix(len(rays[0])))
 
     def coords(i, sign):
         return tuple(sign * sum(b * x for b, x in zip(col, rays[i])) for col in basis)
@@ -104,7 +91,7 @@ class Fan:
                 raise FanError("rays of mixed ambient dimension")
             if not any(v):
                 raise FanError("zero vector is not a ray")
-            if not _primitive(v):
+            if gcd(*v) != 1:
                 raise FanError(f"ray {v} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanError("duplicate rays")
@@ -122,9 +109,10 @@ class Fan:
             raise FanError("a complete fan needs at least one maximal cone")
         if len(set(cones)) != len(cones):
             raise FanError("duplicate maximal cones")
-        for c in cones:
-            for c2 in cones:
-                if c != c2 and set(c) <= set(c2):
+        sets = [set(c) for c in cones]
+        for c, s in zip(cones, sets):
+            for c2, s2 in zip(cones, sets):
+                if s < s2:
                     raise FanError(f"cone {c} is contained in cone {c2}")
         self.maximal_cones = tuple(cones)
         if ray_names is None:
@@ -135,72 +123,90 @@ class Fan:
                 raise FanError("ray names must be one distinct name per ray")
         self.ray_names = ray_names
         self._face_cache: dict[int, tuple] = {}
-        self._validate_cones()
-        self._validate_complete()
+        # n independent rays: strongly convex and full-dimensional
+        dets = {c: det([list(rays[i]) for i in c]) for c in cones if len(c) == n}
+        self._simplicial = frozenset(c for c, d in dets.items() if d)
+        if len(self._simplicial) < len(cones) or not self._certify(dets):
+            self._validate_cones()
+            self._validate_complete()
 
     # -- validation -------------------------------------------------------
 
-    def _validate_cones(self):
+    def _certify(self, dets) -> bool:
+        """Whether the simplicial maximal cones form a complete fan: every
+        wall on two cones with opposite rays on opposite sides, and a generic
+        point in exactly one cone.  On False the general checks name the fault."""
         n = self.dim
-        # n independent rays: strongly convex and full-dimensional
-        self._simplicial = frozenset(
-            c for c in self.maximal_cones
-            if len(c) == n and det([list(self.rays[i]) for i in c]) != 0)
+        owners: dict[tuple, list] = {}
+        for k, c in enumerate(self.maximal_cones):
+            for j in range(n):
+                # c[j]'s side: det(wall rays, c[j]) is det(c) after n-1-j row swaps
+                owners.setdefault(c[:j] + c[j + 1:], []).append(
+                    (k, (dets[c] > 0) == ((n - 1 - j) % 2 == 0)))
+        if any(len(o) != 2 or o[0][1] == o[1][1] for o in owners.values()):
+            return False
+        walls = [[list(self.rays[i]) for i in w] for w in owners]
+        # det(wall rays, g(s)) is a nonzero polynomial of degree < n in s,
+        # so few points g(s) = (1, s, .., s^(n-1)) lie on a wall's hyperplane
+        for s in count(1):
+            at_g = [det(rows + [[s ** i for i in range(n)]]) for rows in walls]
+            if all(at_g):
+                break
+        # g(s) lies in a cone when it is on the opposite ray's side of each wall
+        agree = Counter(k for o, value in zip(owners.values(), at_g)
+                        for k, side in o if side == (value > 0))
+        return list(agree.values()).count(n) == 1
+
+    def _validate_cones(self):
         for c in self.maximal_cones:
             if c not in self._simplicial and not _separable(self.rays, (), c):
                 raise FanError(f"cone {c} is not strongly convex")
-        for a in range(len(self.maximal_cones)):
-            for b in range(a + 1, len(self.maximal_cones)):
-                self._check_face_intersection(self.maximal_cones[a],
-                                              self.maximal_cones[b])
-
-    def _check_face_intersection(self, c1, c2):
-        """Separating witness: >= 1 on c1's own rays, <= -1 on c2's, zero on
-        the shared ones; existence makes the intersection the common face."""
-        shared = sorted(set(c1) & set(c2))
-        if not _separable(self.rays, shared, [i for i in c1 if i not in shared],
-                          [i for i in c2 if i not in shared]):
-            raise FanError(f"cones {c1} and {c2} do not meet in a common face")
+        # a witness >= 1 on c1's own rays, <= -1 on c2's and zero on the
+        # shared ones makes their intersection the common face
+        for c1, c2 in combinations(self.maximal_cones, 2):
+            shared = sorted(set(c1) & set(c2))
+            if not _separable(self.rays, shared, [i for i in c1 if i not in shared],
+                              [i for i in c2 if i not in shared]):
+                raise FanError(f"cones {c1} and {c2} do not meet in a common face")
 
     def _faces(self, cone, k) -> list[tuple]:
-        """The k-dimensional faces of a maximal cone, as ray-index tuples."""
+        """The k-faces of a maximal cone, as ray-index tuples ordered by their
+        bitmasks of positions in the cone.  A face holds every cone ray in its
+        span, so the candidates are the spans of k-subsets of rank k."""
         if cone in self._simplicial:
             return list(combinations(cone, k))
-        out = []
-        for mask in range(1 << len(cone)):
-            subset = tuple(cone[i] for i in range(len(cone)) if mask >> i & 1)
-            if (_rank([self.rays[i] for i in subset]) == k and _separable(
-                    self.rays, subset, [i for i in cone if i not in subset])):
-                out.append(subset)
-        return out
+        candidates, cap = comb(len(cone), k), max_terms_from_env()
+        if candidates > cap:
+            raise EnumerationLimitError(
+                f"fan validation of cone {cone} needs {candidates} candidate"
+                f" {k}-faces, over the cap of {cap}; raise MCS_MAX_TERMS")
+        spans: list[set] = []
+        for t in combinations(cone, k):
+            if any(s.issuperset(t) for s in spans):
+                continue
+            normals = (kernel_basis([self.rays[i] for i in t]) if t
+                       else identity_matrix(self.dim))
+            if len(normals) == self.dim - k:
+                spans.append({i for i in cone if not any(
+                    sum(b * x for b, x in zip(col, self.rays[i])) for col in normals)})
+        return sorted((tuple(sorted(s)) for s in spans if _separable(
+            self.rays, sorted(s), [i for i in cone if i not in s])),
+            key=lambda f: sum(1 << cone.index(i) for i in f))
 
     def _validate_complete(self):
         n = self.dim
         for c in self.maximal_cones:
-            if c not in self._simplicial and _rank([self.rays[i] for i in c]) != n:
+            if c not in self._simplicial and kernel_basis([self.rays[i] for i in c]):
                 raise FanError(f"maximal cone {c} is not full-dimensional"
                                " (incomplete fan)")
-        facet_owners: dict[tuple, list[int]] = {}
-        for k, c in enumerate(self.maximal_cones):
-            for f in self._faces(c, n - 1):
-                facet_owners.setdefault(f, []).append(k)
+        # with pairwise common faces, paired walls leave no boundary: the
+        # cones cover the space, and their facet graph is connected
+        facet_owners = Counter(f for c in self.maximal_cones for f in self._faces(c, n - 1))
         for f, owners in facet_owners.items():
-            if len(owners) != 2:
+            if owners != 2:
                 raise FanError(
-                    f"wall {f} lies on {len(owners)} maximal cone(s); a"
+                    f"wall {f} lies on {owners} maximal cone(s); a"
                     " complete fan pairs every wall (incomplete fan)")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            cur = frontier.pop()
-            for owners in facet_owners.values():
-                if cur in owners:
-                    for o in owners:
-                        if o not in seen:
-                            seen.add(o)
-                            frontier.append(o)
-        if len(seen) != len(self.maximal_cones):
-            raise FanError("fan support is disconnected (incomplete fan)")
 
     # -- queries ----------------------------------------------------------
 
@@ -208,15 +214,9 @@ class Fan:
         """All fan cones of the given dimension, as sorted ray-index tuples."""
         if not 0 <= k <= self.dim:
             raise DimensionError(f"no cones of dimension {k} in a {self.dim}-fan")
-        if k in self._face_cache:
-            return self._face_cache[k]
-        if k == 0:
-            self._face_cache[0] = ((),)
-            return self._face_cache[0]
-        found = set()
-        for c in self.maximal_cones:
-            found.update(self._faces(c, k))
-        self._face_cache[k] = tuple(sorted(found))
+        if k not in self._face_cache:
+            self._face_cache[k] = ((),) if k == 0 else tuple(sorted(
+                {f for c in self.maximal_cones for f in self._faces(c, k)}))
         return self._face_cache[k]
 
     def __eq__(self, other):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,35 @@ class TestToric:
         assert captured.out == ""
         assert captured.err.startswith("error: grading gave up:")
         assert "constraints (cap" in captured.err
+
+    @staticmethod
+    def _many_ray_plane_fan(path, count):
+        # a cone of `count` rays (1,0), (1,1), .., (1,count-2), (0,1), whose
+        # inner rays lie on no face, closed up by three more quadrants
+        rays = [[1, i] for i in range(count - 1)] + [[0, 1], [-1, 0], [0, -1]]
+        cones = [list(range(count)), [count - 1, count], [count, count + 1],
+                 [count + 1, 0]]
+        path.write_text(json.dumps({"rays": rays, "maximal_cones": cones}))
+        return str(path)
+
+    def test_many_ray_cone_validates_quickly(self, tmp_path, capsys):
+        # its faces come from the spans of ray subsets, not from 2^40 subsets
+        path = self._many_ray_plane_fan(tmp_path / "plane40.json", 40)
+        start = time.perf_counter()
+        assert main(["toric", "--fan", path, "--p", "1", "--truncate", "2"]) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out.startswith(
+            "MC_1 = 1/((1 - r39)^2*(1 - r0)^2)")
+
+    def test_face_candidates_past_the_cap_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the 2-faces of the 40-ray cone have C(40, 2) = 780 candidates
+        path = self._many_ray_plane_fan(tmp_path / "plane40.json", 40)
+        monkeypatch.setenv("MCS_MAX_TERMS", "500")
+        assert main(["toric", "--fan", path, "--p", "0", "--truncate", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "fan validation" in err
+        assert "780" in err and "cap of 500" in err
 
 
 class TestColinear:
@@ -381,9 +411,16 @@ class TestBadShapes:
         ("expand", _set(SERIES, ["monoid", "generators"], 3)),
         ("expand", _set(SERIES, ["denominator", 0, "class"], {"free": None})),
         ("expand", _set(SERIES, ["denominator", 0, "coeff"], {"terms": 1})),
+        # JSON integer fields take integers only, never int() of the value
+        ("toric", _set(P2_FAN, ["rays", 0, 0], 1.9)),
+        ("toric", _set(P2_FAN, ["maximal_cones", 0, 0], "1")),
+        ("toric", _set(P2_FAN, ["maximal_cones", 2, 1], True)),
+        ("expand", _set(SERIES, ["denominator", 0, "coeff", "terms", 0,
+                                 "coeff"], 2.5)),
     ], ids=["cones-null", "rays-int", "ray-names-int", "denominator-int",
             "numerator-int", "generators-int", "factor-free-null",
-            "factor-terms-int"])
+            "factor-terms-int", "ray-float", "cone-index-str",
+            "cone-index-bool", "coeff-float"])
     def test_exit_2(self, cmd, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -8,14 +8,18 @@ inequalities) on every ray subset, and a wall coefficient from two
 saturations, integer coordinates and a determinant for every character.
 Hypothesis draws star subdivisions of P^2, P^3 and P^1 x P^2 and products
 of those; the face fan of the 3-cube covers the non-simplicial path.  The
-last test checks that the benchmark's fans stay far below the work cap of
-the elimination LP.
+benchmark's fans must stay far below the work cap of the elimination LP.
+
+Fans of simplicial cones are certified by wall signs and one covering
+count, with no LP; the tests at the end check that the certificate accepts
+every family above as the general LP path does, that bad fans fail it and
+keep the general path's message, and that it runs no LP or Smith form.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcseries import intlinalg
+from mcseries import intlinalg, toric
 from mcseries.errors import FanError
 from mcseries.intlinalg import (
     det,
@@ -148,6 +152,38 @@ def test_non_simplicial_cube_matches_references():
     assert_matches_references(fan)
 
 
+def test_rays_inside_faces_match_references():
+    # a face holding more rays than its dimension: the inner rays of a plane
+    # cone, and a ray on an edge of the 3-cube shared by two square cones
+    plane = Fan([(1, 0), (1, 1), (1, 2), (1, 3), (0, 1), (-1, 0), (0, -1)],
+                [(0, 1, 2, 3, 4), (4, 5), (5, 6), (6, 0)])
+    assert plane.cones_of_dim(1) == ((0,), (4,), (5,), (6,))
+    assert_matches_references(plane)
+    cube = cube_face_fan(3)
+    rays = cube.rays + ((1, 1, 0),)
+    edge = len(cube.rays)
+    on_edge = [c + (edge,) if any(all(rays[i][axis] == 1 for i in c)
+                                  for axis in (0, 1)) else c
+               for c in cube.maximal_cones]
+    fan = Fan(rays, on_edge)
+    assert sum(edge in f for f in fan.cones_of_dim(2)) == 1
+    assert_matches_references(fan)
+
+
+def test_open_walls_are_named_in_bitmask_order():
+    # the 3-cube without its y = +-1 cones, rays reordered so that a cone has
+    # two open walls: faces come in the order of their bitmasks of positions
+    # in the cone, which names (5, 6) first
+    cube = cube_face_fan(3)
+    rays = [cube.rays[p] for p in (3, 6, 1, 5, 7, 0, 4, 2)]
+    cones = [[i for i, v in enumerate(rays) if v[axis] == sign]
+             for axis in (0, 2) for sign in (1, -1)]
+    with pytest.raises(FanError) as err:
+        Fan(rays, cones)
+    assert str(err.value) == ("wall (5, 6) lies on 1 maximal cone(s); a complete"
+                              " fan pairs every wall (incomplete fan)")
+
+
 def test_star_pentagon_is_rejected_by_the_pairwise_check():
     # five cones winding twice around the origin: every wall lies on two
     # cones, but neighbouring-but-one cones overlap
@@ -172,3 +208,119 @@ def test_benchmark_fans_stay_far_below_the_lp_cap(monkeypatch):
                     projective_space_fan(2), (0, 1)))):
         for p in range(fan.dim + 1):
             chow_presentation(fan, p)
+
+
+# -- the simplicial certificate -------------------------------------------
+
+
+def certificate(fan):
+    return fan._certify({c: det([list(fan.rays[i]) for i in c])
+                         for c in fan.maximal_cones})
+
+
+def assert_both_paths_accept(fan):
+    assert len(fan._simplicial) == len(fan.maximal_cones)
+    assert certificate(fan)
+    fan._validate_cones()
+    fan._validate_complete()
+
+
+def unvalidated(rays, cones):
+    fan = Fan.__new__(Fan)
+    fan.dim, fan.rays = len(rays[0]), tuple(map(tuple, rays))
+    fan.maximal_cones = tuple(tuple(sorted(c)) for c in cones)
+    return fan
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(subdivisions())
+def test_certificate_accepts_star_subdivisions(fan):
+    assert_both_paths_accept(fan)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(subdivisions(("P2",), 2), subdivisions(("P2",), 2))
+def test_certificate_accepts_products_of_subdivisions(f1, f2):
+    assert_both_paths_accept(product_fan(f1, f2))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_certificate_accepts_projective_spaces_and_cube_products(k):
+    assert_both_paths_accept(projective_space_fan(k))
+    fan = projective_space_fan(1)
+    for _ in range(k - 1):
+        fan = product_fan(fan, projective_space_fan(1))
+    assert_both_paths_accept(fan)
+
+
+P3 = projective_space_fan(3)
+BAD_SIMPLICIAL_FANS = {
+    # a wall on three cones
+    "overlap": ([(1, 0), (0, 1), (-1, -1), (2, 1)],
+                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)],
+                "cones (0, 1) and (0, 3) do not meet in a common face"),
+    # every wall paired with opposite sides, but a generic point is covered twice
+    "winding-2": ([(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
+                  [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)],
+                  "cones (0, 2) and (1, 4) do not meet in a common face"),
+    # every wall on two cones, but wall (0,) has both opposite rays above it
+    "same-side": ([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)],
+                  [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)],
+                  "cones (0, 1) and (0, 2) do not meet in a common face"),
+    "missing": (P3.rays, P3.maximal_cones[1:],
+                "wall (2, 3) lies on 1 maximal cone(s); a complete fan pairs"
+                " every wall (incomplete fan)"),
+    # (0, 4, 5) reaches into the interiors of (0, 1, 3) and (0, 2, 3)
+    "extra": (P3.rays + ((0, 1, -3), (0, -3, 1)), P3.maximal_cones + ((0, 4, 5),),
+              "cones (0, 2, 3) and (0, 4, 5) do not meet in a common face"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIMPLICIAL_FANS))
+def test_bad_simplicial_fans_fail_the_certificate_with_the_old_message(name):
+    rays, cones, message = BAD_SIMPLICIAL_FANS[name]
+    assert not certificate(unvalidated(rays, cones))
+    with pytest.raises(FanError) as err:
+        Fan(rays, cones)
+    assert str(err.value) == message
+
+
+def test_winding_pentagon_fails_only_the_covering_count():
+    rays, cones, _ = BAD_SIMPLICIAL_FANS["winding-2"]
+    walls = {}
+    for c in cones:
+        for j in range(2):
+            walls.setdefault(c[:j] + c[j + 1:], []).append(c)
+    assert all(len(owners) == 2 for owners in walls.values())
+    # each wall's two opposite rays lie on opposite sides of its line
+    for (w,), (c1, c2) in walls.items():
+        o1, o2 = (next(i for i in c if i != w) for c in (c1, c2))
+        side = [det([list(rays[w]), list(rays[o])]) for o in (o1, o2)]
+        assert side[0] * side[1] < 0
+    assert not certificate(unvalidated(rays, cones))
+
+
+def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
+    calls = {"feasible_point": 0, "smith_decomposition": 0}
+
+    def counting(name, module):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+    p1 = projective_space_fan(1)
+    p1_5 = p1
+    for _ in range(4):
+        p1_5 = product_fan(p1_5, p1)
+    blown_up = blowup_at_fixed_point(P3, P3.maximal_cones[0])
+    for module in (intlinalg, toric):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, module))
+    for fan in (p1_5, blown_up):
+        Fan(fan.rays, fan.maximal_cones, fan.ray_names)
+    assert calls == {"feasible_point": 0, "smith_decomposition": 0}
+    # the counters do see the general path
+    cube_face_fan(3)
+    assert calls["feasible_point"] > 0 and calls["smith_decomposition"] > 0
