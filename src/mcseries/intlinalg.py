@@ -260,10 +260,11 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
 Constraint = tuple[tuple[Fraction, ...], Fraction]  # sum(coeffs * x) >= rhs
 
 # An elimination step can square the constraint count, so a step that would
-# create more constraints than this aborts instead.  Benchmark fans stay
-# below 30 and test fans below 1000; the grading LPs of the 4-cube face fan
-# and of a product of two twice blown-up planes reach 9,695 and 15,300, and
-# millions one step later.
+# create more constraints than this aborts instead.  In the package only the
+# grading LP of monoid.positive_grading runs here: benchmark gradings stay at
+# 10 constraints a step and those of the test fans below 1000; the gradings
+# of the 4-cube face fan and of a product of two twice blown-up planes reach
+# 9,695 and 15,300, and millions one step later.
 MAX_STEP_CONSTRAINTS = 5000
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .errors import EnumerationLimitError, FiniteFiberError, MCSError
@@ -267,13 +268,9 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     if result is None:
         raise FiniteFiberError("no strictly positive grading exists")
     _, point = result
-    denom = 1
-    for x in point:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in point))
     w = [int(x * denom) for x in point]
-    g = 0
-    for x in w:
-        g = _gcd(g, x)
+    g = gcd(*w)
     if g > 1:
         reduced = [x // g for x in w]
         if all(sum(r * f for r, f in zip(reduced, gen.free)) >= 1 for gen in gens):
@@ -282,13 +279,6 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
         if sum(wi * fi for wi, fi in zip(w, gen.free)) < 1:
             raise FiniteFiberError("no strictly positive grading exists")
     return tuple(w)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GradedMonoid:

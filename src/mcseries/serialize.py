@@ -94,9 +94,11 @@ def ring_from_json(obj) -> KRingSpec:
             exp, c = _as(list, row, "replacement term", 2)
             pairs = [_as(list, x, "replacement factor", 2)
                      for x in _as(list, exp, "replacement monomial")]
-            replacement.append((tuple((str(n), _as(int, e, "exponent")) for n, e in pairs),
+            replacement.append((tuple((_as(str, n, "replacement factor name"),
+                                       _as(int, e, "exponent")) for n, e in pairs),
                                 _as(int, c, "replacement coefficient")))
-        rules.append(ReductionRule(str(_need(r, "symbol", "reduction")),
+        symbol = _as(str, _need(r, "symbol", "reduction"), "reduction symbol")
+        rules.append(ReductionRule(symbol,
                                    _as(int, _need(r, "power", "reduction"), "reduction power"),
                                    tuple(replacement)))
     return KRingSpec(gens, rules, bool(obj.get("a1_homotopy", False)))
@@ -153,11 +155,12 @@ def monoid_from_json(obj) -> GradedMonoid:
                  for row in _as(list, obj.get("relations", []), "relations")]
     if gens and isinstance(gens[0], str):
         # short form: generators are the ambient basis in order
-        names = tuple(str(n) for n in gens)
+        names = tuple(_as(str, n, "monoid generator name") for n in gens)
         group = AbelianGroupPresentation(len(names), relations)
         elements = tuple(group.basis_images())
     else:
-        names = tuple(str(_need(g, "name", "monoid generator")) for g in gens)
+        names = tuple(_as(str, _need(g, "name", "monoid generator"), "monoid generator name")
+                      for g in gens)
         ambient = _as(int, _need(obj, "ambient_generators", "monoid"),
                       "ambient_generators")
         group = AbelianGroupPresentation(ambient, relations)
@@ -256,7 +259,9 @@ def fan_from_json(obj) -> Fan:
     cones = [_ints(c, "maximal cone")
              for c in _as(list, _need(obj, "maximal_cones", "fan"), "maximal_cones")]
     names = obj.get("ray_names")
-    fan = Fan(rays, cones, None if names is None else _as(list, names, "ray_names"))
+    if names is not None:
+        names = [_as(str, s, "ray name") for s in _as(list, names, "ray_names")]
+    fan = Fan(rays, cones, names)
     if "dim" in obj and _as(int, obj["dim"], "dim") != fan.dim:
         raise SchemaError(f"fan says dim={obj['dim']} but rays live in"
                           f" dimension {fan.dim}")

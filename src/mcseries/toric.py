@@ -1,18 +1,16 @@
 """Complete rational fans, orbit-closure class monoids, and the toric
 product formula for motivic Chow series.
 
-A Fan validates on construction: primitive distinct rays, strongly convex
-maximal cones that pairwise meet in common faces, and completeness.  When
-every maximal cone has n linearly independent rays (is simplicial), one
-criterion settles all of it without a linear program (De Loera, Rambau and
-Santos, *Triangulations*, 4.5): every wall lies on exactly two cones, with
-their opposite rays on opposite sides, and one generic point lies in exactly
-one cone.  Other fans, and simplicial ones that fail it, take exact LP
-witnesses for convexity and for each pair of cones, then the facet test:
-full-dimensional cones, every wall on exactly two cones.
-
-A simplicial cone's k-faces are its k-subsets of rays.  Other cones test
-the span of each rank-k subset of their rays by an LP witness.
+A Fan validates on construction, by one criterion built from determinant
+signs alone (De Loera, Rambau and Santos, *Triangulations*, 4.5): every
+maximal cone is full-dimensional and strongly convex, every wall lies on
+exactly two cones, on opposite sides, and a generic point lies in at most
+one cone.  Crossing a wall swaps one cone for the other, so then every
+generic point lies in exactly one cone: the cones cover the space and meet
+in common faces.  A simplicial cone's facets drop one ray; another cone's
+are spanned by the (n-1)-subsets of its rays that leave all of them on one
+side.  Its lower faces are the spans of ray subsets that equal the
+intersection of the facets holding them.
 
 Class groups of orbit closures are presented by the divisor-of-character
 relations on one-higher-dimensional orbit closures; the relation coefficient
@@ -36,7 +34,7 @@ from .monoid import (
     max_terms_from_env,
     positive_grading,
 )
-from .intlinalg import det, feasible_point, identity_matrix, kernel_basis, smith_decomposition
+from .intlinalg import det, identity_matrix, kernel_basis, smith_decomposition
 from .series import RationalSeries, TruncatedSeries
 
 __all__ = [
@@ -55,30 +53,12 @@ __all__ = [
 ]
 
 
-def _separable(rays, zero, pos, neg=()) -> bool:
-    """Whether some functional vanishes on the rays indexed by zero, is >= 1
-    on those in pos and <= -1 on those in neg: the exact witness that zero
-    spans a face of a cone, or that two cones meet in their common face.
-
-    The LP runs in coordinates of the integer kernel of the zero rays, so
-    only the strict inequalities reach the elimination.
-    """
-    basis = (kernel_basis([rays[i] for i in zero]) if zero
-             else identity_matrix(len(rays[0])))
-
-    def coords(i, sign):
-        return tuple(sign * sum(b * x for b, x in zip(col, rays[i])) for col in basis)
-
-    cons = [(coords(i, 1), 1) for i in pos] + [(coords(i, -1), 1) for i in neg]
-    return feasible_point(len(basis), cons, "fan validation") is not None
-
-
 class Fan:
     """Complete rational polyhedral fan given by primitive rays and maximal
     cones (tuples of ray indices)."""
 
     __slots__ = ("dim", "rays", "maximal_cones", "ray_names", "_simplicial",
-                 "_face_cache")
+                 "_facets", "_face_cache")
 
     def __init__(self, rays, maximal_cones, ray_names=None):
         rays = tuple(tuple(int(x) for x in v) for v in rays)
@@ -123,65 +103,99 @@ class Fan:
                 raise FanError("ray names must be one distinct name per ray")
         self.ray_names = ray_names
         self._face_cache: dict[int, tuple] = {}
-        # n independent rays: strongly convex and full-dimensional
-        dets = {c: det([list(rays[i]) for i in c]) for c in cones if len(c) == n}
-        self._simplicial = frozenset(c for c, d in dets.items() if d)
-        if len(self._simplicial) < len(cones) or not self._certify(dets):
-            self._validate_cones()
-            self._validate_complete()
+        self._facets: dict[tuple, tuple] = {}
+        self._validate()
 
     # -- validation -------------------------------------------------------
 
-    def _certify(self, dets) -> bool:
-        """Whether the simplicial maximal cones form a complete fan: every
-        wall on two cones with opposite rays on opposite sides, and a generic
-        point in exactly one cone.  On False the general checks name the fault."""
-        n = self.dim
-        owners: dict[tuple, list] = {}
-        for k, c in enumerate(self.maximal_cones):
-            for j in range(n):
-                # c[j]'s side: det(wall rays, c[j]) is det(c) after n-1-j row swaps
-                owners.setdefault(c[:j] + c[j + 1:], []).append(
-                    (k, (dets[c] > 0) == ((n - 1 - j) % 2 == 0)))
-        if any(len(o) != 2 or o[0][1] == o[1][1] for o in owners.values()):
-            return False
-        walls = [[list(self.rays[i]) for i in w] for w in owners]
-        # det(wall rays, g(s)) is a nonzero polynomial of degree < n in s,
-        # so few points g(s) = (1, s, .., s^(n-1)) lie on a wall's hyperplane
+    def _validate(self):
+        """Every cone's facets, then the criterion of the module docstring."""
+        n, cones = self.dim, self.maximal_cones
+        # n independent rays: strongly convex and full-dimensional
+        dets = {c: det([list(self.rays[i]) for i in c]) for c in cones if len(c) == n}
+        self._simplicial = frozenset(c for c, d in dets.items() if d)
+        walls: dict[tuple, tuple] = {}  # wall -> (orienting rays, [(cone, side)])
+        for k, c in enumerate(cones):
+            if c in self._simplicial:
+                # c[j]'s side: det(wall rays, c[j]) is det(c) after n-1-j row
+                # swaps; dropping the last ray first gives bitmask order
+                facets = [(c[:j] + c[j + 1:], c[:j] + c[j + 1:],
+                           (dets[c] > 0) == ((n - 1 - j) % 2 == 0))
+                          for j in reversed(range(n))]
+            else:
+                facets = self._general_facets(c)
+            self._facets[c] = tuple(f for f, _, _ in facets)
+            for f, t, side in facets:
+                walls.setdefault(f, (t, []))[1].append((k, side))
+        rows = [[list(self.rays[i]) for i in t] for t, _ in walls.values()]
+        # det(orienting rays, g(s)) is a nonzero polynomial of degree < n in
+        # s, so few points g(s) = (1, s, .., s^(n-1)) lie on a wall's hyperplane
         for s in count(1):
-            at_g = [det(rows + [[s ** i for i in range(n)]]) for rows in walls]
+            at_g = [det(r + [[s ** i for i in range(n)]]) for r in rows]
             if all(at_g):
                 break
-        # g(s) lies in a cone when it is on the opposite ray's side of each wall
-        agree = Counter(k for o, value in zip(owners.values(), at_g)
-                        for k, side in o if side == (value > 0))
-        return list(agree.values()).count(n) == 1
+        # g(s) lies in a cone when it is on the cone's side of each facet
+        agree = Counter(k for (_, owners), value in zip(walls.values(), at_g)
+                        for k, side in owners if side == (value > 0))
+        holders = [c for k, c in enumerate(cones) if agree[k] == len(self._facets[c])]
+        if len(holders) > 1:
+            raise FanError(f"cones {holders[0]} and {holders[1]} do not meet"
+                           " in a common face")
+        for f, (_, owners) in walls.items():
+            if len(owners) != 2:
+                raise FanError(f"wall {f} lies on {len(owners)} maximal cone(s);"
+                               " a complete fan pairs every wall (incomplete fan)")
+            (k1, side1), (k2, side2) = owners
+            if side1 == side2:
+                raise FanError(f"cones {cones[k1]} and {cones[k2]} do not meet"
+                               " in a common face")
 
-    def _validate_cones(self):
-        for c in self.maximal_cones:
-            if c not in self._simplicial and not _separable(self.rays, (), c):
-                raise FanError(f"cone {c} is not strongly convex")
-        # a witness >= 1 on c1's own rays, <= -1 on c2's and zero on the
-        # shared ones makes their intersection the common face
-        for c1, c2 in combinations(self.maximal_cones, 2):
-            shared = sorted(set(c1) & set(c2))
-            if not _separable(self.rays, shared, [i for i in c1 if i not in shared],
-                              [i for i in c2 if i not in shared]):
-                raise FanError(f"cones {c1} and {c2} do not meet in a common face")
-
-    def _faces(self, cone, k) -> list[tuple]:
-        """The k-faces of a maximal cone, as ray-index tuples ordered by their
-        bitmasks of positions in the cone.  A face holds every cone ray in its
-        span, so the candidates are the spans of k-subsets of rank k."""
-        if cone in self._simplicial:
-            return list(combinations(cone, k))
+    def _candidates(self, cone, k):
+        """The k-subsets of a cone's rays, once their count is within the cap."""
         candidates, cap = comb(len(cone), k), max_terms_from_env()
         if candidates > cap:
             raise EnumerationLimitError(
                 f"fan validation of cone {cone} needs {candidates} candidate"
                 f" {k}-faces, over the cap of {cap}; raise MCS_MAX_TERMS")
+        return combinations(cone, k)
+
+    def _general_facets(self, cone) -> list[tuple]:
+        """(facet, orienting rays, side) for each facet of a cone that is not
+        simplicial, in bitmask order.  An independent (n-1)-subset t spans a
+        facet when the signs of det(t rays, r) over the cone's rays r never
+        disagree; the facet holds the rays r of sign zero, and the first such
+        t in lexicographic order orients it for every cone on it."""
+        seen, facets = [], []
+        for t in self._candidates(cone, self.dim - 1):
+            if any(s.issuperset(t) for s in seen):
+                continue
+            rows = [list(self.rays[i]) for i in t]
+            signs = [det(rows + [list(self.rays[i])]) for i in cone]
+            if not any(signs):
+                continue
+            zero = {i for i, sign in zip(cone, signs) if not sign}
+            seen.append(zero)
+            if min(signs) >= 0 or max(signs) <= 0:
+                facets.append((tuple(sorted(zero)), t, max(signs) > 0))
+        if not seen:
+            raise FanError(f"maximal cone {cone} is not full-dimensional"
+                           " (incomplete fan)")
+        # the facets of a full-dimensional cone meet in its lineality space
+        if set(cone).intersection(*(set(f) for f, _, _ in facets)):
+            raise FanError(f"cone {cone} is not strongly convex")
+        return sorted(facets, key=lambda f: sum(1 << cone.index(i) for i in f[0]))
+
+    def _faces(self, cone, k) -> list[tuple]:
+        """The k-faces of a maximal cone, as ray-index tuples ordered by their
+        bitmasks of positions in the cone.  A face holds every cone ray in its
+        span, so the candidates are the spans of k-subsets of rank k; a span
+        is a face when it is the intersection of the facets that hold it."""
+        if k == self.dim - 1:
+            return list(self._facets[cone])
+        if cone in self._simplicial:
+            return list(combinations(cone, k))
         spans: list[set] = []
-        for t in combinations(cone, k):
+        for t in self._candidates(cone, k):
             if any(s.issuperset(t) for s in spans):
                 continue
             normals = (kernel_basis([self.rays[i] for i in t]) if t
@@ -189,24 +203,9 @@ class Fan:
             if len(normals) == self.dim - k:
                 spans.append({i for i in cone if not any(
                     sum(b * x for b, x in zip(col, self.rays[i])) for col in normals)})
-        return sorted((tuple(sorted(s)) for s in spans if _separable(
-            self.rays, sorted(s), [i for i in cone if i not in s])),
-            key=lambda f: sum(1 << cone.index(i) for i in f))
-
-    def _validate_complete(self):
-        n = self.dim
-        for c in self.maximal_cones:
-            if c not in self._simplicial and kernel_basis([self.rays[i] for i in c]):
-                raise FanError(f"maximal cone {c} is not full-dimensional"
-                               " (incomplete fan)")
-        # with pairwise common faces, paired walls leave no boundary: the
-        # cones cover the space, and their facet graph is connected
-        facet_owners = Counter(f for c in self.maximal_cones for f in self._faces(c, n - 1))
-        for f, owners in facet_owners.items():
-            if owners != 2:
-                raise FanError(
-                    f"wall {f} lies on {owners} maximal cone(s); a"
-                    " complete fan pairs every wall (incomplete fan)")
+        return sorted((tuple(sorted(s)) for s in spans if s == set(cone).intersection(
+                           *(f for f in self._facets[cone] if s.issubset(f)))),
+                      key=lambda f: sum(1 << cone.index(i) for i in f))
 
     # -- queries ----------------------------------------------------------
 

@@ -103,6 +103,12 @@ class TestToric:
         assert main(["toric", "--fan", str(path), "--p", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_ray_names_must_be_strings(self, tmp_path, capsys):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(dict(P2_FAN, ray_names=[None, True, 2.5])))
+        assert main(["toric", "--fan", str(path), "--p", "1"]) == 2
+        assert "ray name must be a string, got None" in capsys.readouterr().err
+
     def test_bad_cycle_dimension(self, fan_file, capsys):
         path = fan_file(projective_space_fan(2), "p2")
         assert main(["toric", "--fan", path, "--p", "7"]) == 2
@@ -417,10 +423,12 @@ class TestBadShapes:
         ("toric", _set(P2_FAN, ["maximal_cones", 2, 1], True)),
         ("expand", _set(SERIES, ["denominator", 0, "coeff", "terms", 0,
                                  "coeff"], 2.5)),
+        # names are JSON strings, never str() of the value
+        ("expand", _set(SERIES, ["monoid", "generators", 0, "name"], 1)),
     ], ids=["cones-null", "rays-int", "ray-names-int", "denominator-int",
             "numerator-int", "generators-int", "factor-free-null",
             "factor-terms-int", "ray-float", "cone-index-str",
-            "cone-index-bool", "coeff-float"])
+            "cone-index-bool", "coeff-float", "generator-name-int"])
     def test_exit_2(self, cmd, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

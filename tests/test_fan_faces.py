@@ -10,11 +10,16 @@ Hypothesis draws star subdivisions of P^2, P^3 and P^1 x P^2 and products
 of those; the face fan of the 3-cube covers the non-simplicial path.  The
 benchmark's fans must stay far below the work cap of the elimination LP.
 
-Fans of simplicial cones are certified by wall signs and one covering
-count, with no LP; the tests at the end check that the certificate accepts
-every family above as the general LP path does, that bad fans fail it and
-keep the general path's message, and that it runs no LP or Smith form.
+Every fan is validated by determinant signs alone: facets, paired walls
+and one covering count.  The tests at the end keep the earlier pairwise-LP
+validator as an oracle and check that both accept the families above, that
+they accept the same perturbations of valid fans, that bad fans are named by
+exact messages, and that validation runs no LP or Smith form.
 """
+
+from collections import Counter
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,55 +215,148 @@ def test_benchmark_fans_stay_far_below_the_lp_cap(monkeypatch):
             chow_presentation(fan, p)
 
 
-# -- the simplicial certificate -------------------------------------------
+# -- one validation for every fan ----------------------------------------
 
 
-def certificate(fan):
-    return fan._certify({c: det([list(fan.rays[i]) for i in c])
-                         for c in fan.maximal_cones})
+def oracle_accepts(rays, cones):
+    """The earlier pairwise-LP validator: the structure checks of Fan, a
+    convexity witness per cone, a common-face witness per pair of cones, and
+    every wall of a full-dimensional cone on exactly two cones."""
+    n = len(rays[0])
+    rays = [tuple(v) for v in rays]
+    cones = [tuple(sorted(set(c))) for c in cones]
+    if (len(set(rays)) < len(rays) or any(gcd(*v) != 1 for v in rays)
+            or len(set(cones)) < len(cones)
+            or any(set(a) < set(b) for a in cones for b in cones)):
+        return False
+
+    def witness(zero, pos, neg=()):
+        # a functional zero on zero, >= 1 on pos and <= -1 on neg
+        cons = [(rays[i], 0) for i in zero]
+        cons += [(tuple(-x for x in rays[i]), 0) for i in zero]
+        cons += [(rays[i], 1) for i in pos]
+        cons += [(tuple(-x for x in rays[i]), 1) for i in neg]
+        return feasible_point(n, cons) is not None
+
+    if not all(witness((), c) for c in cones):
+        return False
+    for c1, c2 in combinations(cones, 2):
+        shared = set(c1) & set(c2)
+        if not witness(shared, [i for i in c1 if i not in shared],
+                       [i for i in c2 if i not in shared]):
+            return False
+    walls = Counter()
+    for c in cones:
+        if smith_decomposition([list(rays[i]) for i in c]).rank < n:
+            return False
+        for k in range(len(c)):
+            for wall in combinations(c, k):
+                rank = smith_decomposition([list(rays[i]) for i in wall]).rank
+                if rank == n - 1 and reference_is_face(rays, c, set(wall)):
+                    walls[wall] += 1
+    return all(owners == 2 for owners in walls.values())
 
 
-def assert_both_paths_accept(fan):
+def assert_accepted(fan):
     assert len(fan._simplicial) == len(fan.maximal_cones)
-    assert certificate(fan)
-    fan._validate_cones()
-    fan._validate_complete()
-
-
-def unvalidated(rays, cones):
-    fan = Fan.__new__(Fan)
-    fan.dim, fan.rays = len(rays[0]), tuple(map(tuple, rays))
-    fan.maximal_cones = tuple(tuple(sorted(c)) for c in cones)
-    return fan
+    assert Fan(fan.rays, fan.maximal_cones) == fan
+    assert oracle_accepts(fan.rays, fan.maximal_cones)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(subdivisions())
 def test_certificate_accepts_star_subdivisions(fan):
-    assert_both_paths_accept(fan)
+    assert_accepted(fan)
 
 
 @settings(max_examples=6, derandomize=True, deadline=None, database=None)
 @given(subdivisions(("P2",), 2), subdivisions(("P2",), 2))
 def test_certificate_accepts_products_of_subdivisions(f1, f2):
-    assert_both_paths_accept(product_fan(f1, f2))
+    assert_accepted(product_fan(f1, f2))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_certificate_accepts_projective_spaces_and_cube_products(k):
-    assert_both_paths_accept(projective_space_fan(k))
+    assert_accepted(projective_space_fan(k))
     fan = projective_space_fan(1)
     for _ in range(k - 1):
         fan = product_fan(fan, projective_space_fan(1))
-    assert_both_paths_accept(fan)
+    assert_accepted(fan)
 
 
 P3 = projective_space_fan(3)
+CUBE = cube_face_fan(3)
+
+
+def split_cube():
+    """The 3-cube face fan with the square cone x = 1 split along a diagonal."""
+    return Fan(CUBE.rays, CUBE.maximal_cones[1:] + ((0, 2, 6), (0, 4, 6)))
+
+
+PERTURBED_BASES = {
+    "P2": lambda: projective_space_fan(2),
+    "P3": lambda: projective_space_fan(3),
+    "P2 blown up": lambda: blowup_at_fixed_point(projective_space_fan(2), (0, 1)),
+    "P3 blown up": lambda: blowup_at_fixed_point(P3, P3.maximal_cones[0]),
+    "F2": lambda: hirzebruch_fan(2),
+    "P1xP2": BASES["P1xP2"],
+    "2-cube": lambda: cube_face_fan(2),
+    "3-cube": lambda: CUBE,
+    "split 3-cube": split_cube,
+}
+
+
+@st.composite
+def perturbed_fans(draw):
+    """Rays and cones of a valid fan after one perturbation that mostly, but
+    not always, leaves no fan."""
+    fan = PERTURBED_BASES[draw(st.sampled_from(sorted(PERTURBED_BASES)))]()
+    n, rays, cones = fan.dim, list(fan.rays), [list(c) for c in fan.maximal_cones]
+    index = st.integers(0, len(cones) - 1)
+    kind = draw(st.sampled_from(["drop cone", "add ray", "overlap", "drop ray",
+                                 "negate", "subdivide"]))
+    if kind == "drop cone":
+        del cones[draw(index)]
+    elif kind == "add ray":
+        c = cones[draw(index)]
+        c.append(draw(st.sampled_from([i for i in range(len(rays)) if i not in c])))
+    elif kind == "overlap":
+        cones.append(draw(st.lists(st.integers(0, len(rays) - 1), min_size=n,
+                                   max_size=n, unique=True)))
+    elif kind == "drop ray":
+        c = cones[draw(index)]
+        del c[draw(st.integers(0, len(c) - 1))]
+    elif kind == "negate":
+        j = draw(st.integers(0, len(rays) - 1))
+        rays[j] = tuple(-x for x in rays[j])
+    else:
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        v = tuple(x // gcd(*v) for x in v)
+        if v not in rays:
+            rays.append(v)
+        j = rays.index(v)
+        c = cones.pop(draw(index))
+        cones += [[i for i in c if i != drop] + [j] for drop in c]
+    return rays, cones
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(perturbed_fans())
+def test_fan_accepts_exactly_what_the_pairwise_lp_oracle_accepts(data):
+    rays, cones = data
+    try:
+        Fan(rays, cones)
+    except FanError:
+        assert not oracle_accepts(rays, cones)
+    else:
+        assert oracle_accepts(rays, cones)
+
+
 BAD_SIMPLICIAL_FANS = {
     # a wall on three cones
     "overlap": ([(1, 0), (0, 1), (-1, -1), (2, 1)],
                 [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)],
-                "cones (0, 1) and (0, 3) do not meet in a common face"),
+                "cones (0, 1) and (1, 3) do not meet in a common face"),
     # every wall paired with opposite sides, but a generic point is covered twice
     "winding-2": ([(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
                   [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)],
@@ -272,21 +370,43 @@ BAD_SIMPLICIAL_FANS = {
                 " every wall (incomplete fan)"),
     # (0, 4, 5) reaches into the interiors of (0, 1, 3) and (0, 2, 3)
     "extra": (P3.rays + ((0, 1, -3), (0, -3, 1)), P3.maximal_cones + ((0, 4, 5),),
-              "cones (0, 2, 3) and (0, 4, 5) do not meet in a common face"),
+              "wall (0, 4) lies on 1 maximal cone(s); a complete fan pairs"
+              " every wall (incomplete fan)"),
+}
+BAD_NON_SIMPLICIAL_FANS = {
+    "cube-missing": (CUBE.rays, CUBE.maximal_cones[1:],
+                     "wall (0, 4) lies on 1 maximal cone(s); a complete fan"
+                     " pairs every wall (incomplete fan)"),
+    # ray (1, 1, 0) on the edge (0, 4), listed by only one of its two cones
+    "cube-edge-ray": (CUBE.rays + ((1, 1, 0),),
+                      ((0, 2, 4, 6, 8),) + CUBE.maximal_cones[1:],
+                      "wall (0, 4, 8) lies on 1 maximal cone(s); a complete"
+                      " fan pairs every wall (incomplete fan)"),
+    # two half-planes: the x-axis lies on the only facet of each
+    "half-planes": ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1, 2), (0, 1, 3)],
+                    "cone (0, 1, 2) is not strongly convex"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_SIMPLICIAL_FANS))
-def test_bad_simplicial_fans_fail_the_certificate_with_the_old_message(name):
-    rays, cones, message = BAD_SIMPLICIAL_FANS[name]
-    assert not certificate(unvalidated(rays, cones))
+def assert_rejected(rays, cones, message):
+    assert not oracle_accepts(rays, cones)
     with pytest.raises(FanError) as err:
         Fan(rays, cones)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name", sorted(BAD_SIMPLICIAL_FANS))
+def test_bad_simplicial_fans_fail_the_certificate_with_the_old_message(name):
+    assert_rejected(*BAD_SIMPLICIAL_FANS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NON_SIMPLICIAL_FANS))
+def test_bad_non_simplicial_fans_are_rejected_with_exact_messages(name):
+    assert_rejected(*BAD_NON_SIMPLICIAL_FANS[name])
+
+
 def test_winding_pentagon_fails_only_the_covering_count():
-    rays, cones, _ = BAD_SIMPLICIAL_FANS["winding-2"]
+    rays, cones, message = BAD_SIMPLICIAL_FANS["winding-2"]
     walls = {}
     for c in cones:
         for j in range(2):
@@ -297,10 +417,13 @@ def test_winding_pentagon_fails_only_the_covering_count():
         o1, o2 = (next(i for i in c if i != w) for c in (c1, c2))
         side = [det([list(rays[w]), list(rays[o])]) for o in (o1, o2)]
         assert side[0] * side[1] < 0
-    assert not certificate(unvalidated(rays, cones))
+    # so the cones named, (0, 2) and (1, 4), share no wall: they are the two
+    # that hold the generic point
+    assert_rejected(rays, cones, message)
 
 
 def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
+    assert not hasattr(toric, "feasible_point")
     calls = {"feasible_point": 0, "smith_decomposition": 0}
 
     def counting(name, module):
@@ -317,10 +440,11 @@ def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
     blown_up = blowup_at_fixed_point(P3, P3.maximal_cones[0])
     for module in (intlinalg, toric):
         for name in calls:
-            monkeypatch.setattr(module, name, counting(name, module))
-    for fan in (p1_5, blown_up):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, module))
+    for fan in (p1_5, blown_up, CUBE, split_cube()):
         Fan(fan.rays, fan.maximal_cones, fan.ray_names)
     assert calls == {"feasible_point": 0, "smith_decomposition": 0}
-    # the counters do see the general path
-    cube_face_fan(3)
+    # the counters do see the grading LP and the class presentation
+    chow_presentation(CUBE, 1)
     assert calls["feasible_point"] > 0 and calls["smith_decomposition"] > 0

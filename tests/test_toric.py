@@ -81,8 +81,16 @@ def test_overlapping_cones_rejected():
 
 
 def test_cone_with_a_line_rejected():
-    with pytest.raises(FanError, match="strongly convex"):
-        Fan([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1), (2, 3)])
+    # cone (0, 1) is the line itself; each cone of the second fan is a
+    # half-plane, whose boundary line lies on its only facet
+    rays = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    with pytest.raises(FanError) as err:
+        Fan(rays, [(0, 1), (2, 3)])
+    assert str(err.value) == ("maximal cone (0, 1) is not full-dimensional"
+                              " (incomplete fan)")
+    with pytest.raises(FanError) as err:
+        Fan(rays, [(0, 1, 2), (0, 1, 3)])
+    assert str(err.value) == "cone (0, 1, 2) is not strongly convex"
 
 
 def test_contained_maximal_cone_rejected():
