@@ -437,6 +437,13 @@ def cmd_specialize(args) -> int:
 # argument wiring
 
 
+def degree_bound(text: str) -> int:
+    """The type of every --truncate option: an int >= 0."""
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("pretty", "json"), default="pretty",
                    help="output as readable text or as JSON")
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--fan", required=True, metavar="FAN_JSON")
     t.add_argument("--p", required=True, type=int,
                    help="cycle dimension of the orbit closures")
-    t.add_argument("--truncate", type=int, default=0, metavar="N",
+    t.add_argument("--truncate", type=degree_bound, default=0, metavar="N",
                    help="also print the expansion up to degree N")
     _add_output_flags(t)
     t.set_defaults(func=cmd_toric)
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("colinear",
                        help="blow-up of the plane at r colinear points")
     c.add_argument("--r", required=True, type=int, help="number of points (>= 2)")
-    c.add_argument("--truncate", type=int, default=0, metavar="N")
+    c.add_argument("--truncate", type=degree_bound, default=0, metavar="N")
     c.add_argument("--compare", metavar="FAN_JSON",
                    help="report the first coefficient differing from this fan's"
                         " series (requires --r 3 and --truncate)")
@@ -483,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                               " by the points' series")
     vl.add_argument("--curve", default="p1", metavar="NAME")
     vl.add_argument("--remove", required=True, type=int, metavar="R")
-    vl.add_argument("--truncate", type=int, default=8, metavar="N")
+    vl.add_argument("--truncate", type=degree_bound, default=8, metavar="N")
     vl.set_defaults(func=cmd_verify_localization)
 
     vp = vsub.add_parser("product",
@@ -491,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                               " external product of the factors' series")
     vp.add_argument("--fanA", required=True, metavar="FAN_JSON")
     vp.add_argument("--fanB", required=True, metavar="FAN_JSON")
-    vp.add_argument("--truncate", type=int, default=6, metavar="N")
+    vp.add_argument("--truncate", type=degree_bound, default=6, metavar="N")
     vp.set_defaults(func=cmd_verify_product)
 
     ve = vsub.add_parser("eq1",
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--n", required=True, type=int)
     ve.add_argument("--denominator", required=True, metavar="EXPR",
                     help="product of factors like \"(1-t)^4\" or \"(1-L t)\"")
-    ve.add_argument("--truncate", type=int, default=8, metavar="N")
+    ve.add_argument("--truncate", type=degree_bound, default=8, metavar="N")
     ve.add_argument("--specialize", action="append", default=[],
                     metavar="NAME=VALUE")
     ve.set_defaults(func=cmd_verify_eq1)
@@ -509,12 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="point series of a fan is 1/(1-t)^chi with chi"
                               " the number of maximal cones")
     vm.add_argument("--fan", required=True, metavar="FAN_JSON")
-    vm.add_argument("--truncate", type=int, default=8, metavar="N")
+    vm.add_argument("--truncate", type=degree_bound, default=8, metavar="N")
     vm.set_defaults(func=cmd_verify_macdonald)
 
     e = sub.add_parser("expand", help="expand a series JSON file")
     e.add_argument("--series", required=True, metavar="SERIES_JSON")
-    e.add_argument("--truncate", required=True, type=int, metavar="N")
+    e.add_argument("--truncate", required=True, type=degree_bound, metavar="N")
     _add_output_flags(e)
     e.set_defaults(func=cmd_expand)
 

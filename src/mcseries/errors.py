@@ -13,7 +13,7 @@ class MCSError(Exception):
 
 
 class LPLimitError(MCSError):
-    """A linear program exceeded the elimination work cap."""
+    """A linear program exceeded the simplex pivot cap."""
 
 
 # coefficient rings

@@ -255,121 +255,114 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility / optimization by Fourier-Motzkin elimination
+# exact linear feasibility / optimization by the simplex method
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]  # sum(coeffs * x) >= rhs
-
-# An elimination step can square the constraint count, so a step that would
-# create more constraints than this aborts instead.  In the package only the
-# grading LP of monoid.positive_grading runs here: benchmark gradings stay at
-# 10 constraints a step and those of the test fans below 1000; the gradings
-# of the 4-cube face fan and of a product of two twice blown-up planes reach
-# 9,695 and 15,300, and millions one step later.
-MAX_STEP_CONSTRAINTS = 5000
+# Bland's rule makes the simplex finite, not polynomial, so a run that would
+# pass this many pivots aborts instead.  Only the grading LP of
+# monoid.positive_grading runs here: benchmark gradings take at most 12 pivots,
+# the 4-cube face fan and a product of two twice blown-up planes 28.
+MAX_PIVOTS = 5000
 
 
-def _as_constraints(cons) -> list[Constraint]:
-    out = []
-    for coeffs, rhs in cons:
-        out.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
-    return out
+def _simplex(num_vars: int, cons, objective, stage: str
+             ) -> list[Fraction] | None:
+    """A point of {x : sum(c*x) >= rhs for cons}, or None when it is empty.
 
+    Each constraint becomes a slack s_i = c.x - rhs >= 0; x is free and enters
+    from the highest index down, and an x_j that meets no slack row stays 0.
+    One artificial variable serves as phase 1 when a slack is negative.
+    Phase 2 prices columns lexicographically over the rows (objective, x_0,
+    .., x_{n-1}).  Pivots follow Bland's rule, so every run ends.
+    """
+    # basic[i] = tab[i][0] + sum(tab[i][k] * nonbasic[k-1]).  Variable j < art
+    # is x_j, art + 1 + i the slack of row i and -1 the objective; art is the
+    # least sign-constrained index, so Bland's rule drops it once it can be 0.
+    art = num_vars
+    nonbasic = list(range(num_vars))
+    tab = [[-rhs, *coeffs] for coeffs, rhs in cons]
+    basic = [art + 1 + i for i in range(len(tab))]
+    if objective is not None:
+        basic.append(-1)
+        tab.append([0, *objective])
+    pivots = 0
 
-def _dedupe(cons: list[Constraint]) -> list[Constraint]:
-    seen: dict[tuple[Fraction, ...], Fraction] = {}
-    order: list[tuple[Fraction, ...]] = []
-    for coeffs, rhs in cons:
-        scale = next((abs(c) for c in coeffs if c), None)
-        if scale is None:
-            if rhs > 0:
-                # ground contradiction; keep it so the caller sees infeasibility
-                key = coeffs
-                if key not in seen or rhs > seen[key]:
-                    if key not in seen:
-                        order.append(key)
-                    seen[key] = rhs
-            continue
-        key = tuple(c / scale for c in coeffs)
-        val = rhs / scale
-        if key not in seen:
-            order.append(key)
-            seen[key] = val
-        elif val > seen[key]:
-            seen[key] = val
-    return [(k, seen[k]) for k in order]
+    def pivot(r: int, c: int) -> None:
+        nonlocal pivots
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise LPLimitError(f"{stage} gave up: the simplex would make pivot"
+                               f" {pivots}, over the cap of {MAX_PIVOTS}")
+        p = tab[r][c]
+        # unit pivots keep integer entries integers
+        inv = -p if p in (1, -1) else Fraction(-1) / p
+        tab[r][c] = -1
+        tab[r] = row = [v * inv for v in tab[r]]
+        for i, other in enumerate(tab):
+            f = other[c]
+            if f and i != r:
+                other[c] = 0
+                for k, v in enumerate(row):
+                    if v:
+                        other[k] += f * v
+        basic[r], nonbasic[c - 1] = nonbasic[c - 1], basic[r]
+
+    def leaving(c: int) -> int | None:
+        # least ratio over the sign-constrained rows, ties to the least index
+        ratios = [(Fraction(tab[i][0]) / -tab[i][c], b, i)
+                  for i, b in enumerate(basic) if b >= art and tab[i][c] < 0]
+        return min(ratios)[2] if ratios else None
+
+    def entering(rows: list[int]) -> int | None:
+        # the least slack whose column is lexicographically negative
+        cols = [c for c, v in enumerate(nonbasic, 1) if v > art
+                and next((tab[r][c] for r in rows if tab[r][c]), 0) < 0]
+        return min(cols, key=lambda c: nonbasic[c - 1], default=None)
+
+    for j in range(num_vars, 0, -1):
+        r = next((i for i, b in enumerate(basic) if b > art and tab[i][j]), None)
+        if r is not None:
+            pivot(r, j)
+    nonbasic.append(art)
+    tab = [row + [int(b > art)] for row, b in zip(tab, basic)]
+    negative = [(tab[i][0], b, i) for i, b in enumerate(basic)
+                if b > art and tab[i][0] < 0]
+    if negative:
+        pivot(min(negative)[2], len(nonbasic))
+        rows = [basic.index(art)]
+        while art in basic and (c := entering(rows)) is not None:
+            pivot(leaving(c), c)
+        if art in basic:
+            return None
+    # the artificial variable is nonbasic at 0 now, and entering() skips it
+    if objective is not None:
+        rows = [basic.index(v) for v in range(-1, num_vars) if v in basic]
+        while (c := entering(rows)) is not None and (r := leaving(c)) is not None:
+            pivot(r, c)
+    return [Fraction(tab[basic.index(j)][0]) if j in basic else Fraction(0)
+            for j in range(num_vars)]
 
 
 def feasible_point(num_vars: int, cons,
                    stage: str = "linear program") -> list[Fraction] | None:
     """A rational point satisfying all constraints sum(c*x) >= rhs, or None.
 
-    Deterministic: eliminates the highest-index variable first and picks the
-    max lower bound (else min(0, upper bound)) while back-substituting.
-    Raises LPLimitError, naming the stage, when an elimination step would
-    create more than MAX_STEP_CONSTRAINTS constraints.
-    """
-    cur = _as_constraints(cons)
-    layers: list[list[Constraint]] = []
-    for k in range(num_vars - 1, -1, -1):
-        cur = _dedupe(cur)
-        layers.append(cur)
-        pos = [c for c in cur if c[0][k] > 0]
-        neg = [c for c in cur if c[0][k] < 0]
-        new = [c for c in cur if c[0][k] == 0]
-        if len(pos) * len(neg) > MAX_STEP_CONSTRAINTS:
-            raise LPLimitError(
-                f"{stage} gave up: an elimination step would create"
-                f" {len(pos) * len(neg)} constraints (cap {MAX_STEP_CONSTRAINTS})")
-        for cp in pos:
-            a = cp[0][k]
-            for cn in neg:
-                c = -cn[0][k]
-                coeffs = tuple(a * cn[0][j] + c * cp[0][j] for j in range(num_vars))
-                new.append((coeffs, a * cn[1] + c * cp[1]))
-        cur = new
-    for coeffs, rhs in cur:
-        if rhs > 0:
-            return None
-    point = [Fraction(0)] * num_vars
-    for k in range(num_vars):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for coeffs, rhs in layers[num_vars - 1 - k]:
-            a = coeffs[k]
-            if a == 0:
-                continue
-            rest = sum((coeffs[j] * point[j] for j in range(k)), Fraction(0))
-            if a > 0:
-                bound = (rhs - rest) / a
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = (rest - rhs) / (-a)
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            point[k] = lo
-        elif hi is not None:
-            point[k] = min(hi, Fraction(0))
-    return point
+    Deterministic: phase 1 of the simplex.  Raises LPLimitError, naming the
+    stage, past MAX_PIVOTS pivots."""
+    return _simplex(num_vars, cons, None, stage)
 
 
 def minimize_linear(num_vars: int, objective, cons, stage: str = "linear program"
                     ) -> tuple[Fraction, list[Fraction]] | None:
     """Minimize objective . x over {x : cons}, exactly.
 
-    Returns (optimal value, an optimal point), or None when infeasible.
-    Precondition: the objective is bounded below on the feasible set (true for
-    every caller here, where the objective is a sum of constrained-positive
-    forms); otherwise the returned point is merely feasible.
+    Returns (optimal value, an optimal point), or None when infeasible.  The
+    point is the lexicographically least optimal one with x_j = 0 wherever
+    column j is a combination of the later columns, as Fourier-Motzkin
+    back-substitution picks it.  Precondition: the objective is a positive
+    combination of the constraint forms, as for every caller here; otherwise
+    the point is merely feasible.  Raises LPLimitError past MAX_PIVOTS pivots.
     """
-    obj = [Fraction(c) for c in objective]
-    aug = [((Fraction(0),) + tuple(Fraction(c) for c in coeffs), Fraction(rhs))
-           for coeffs, rhs in cons]
-    # z - objective . x >= 0 with z as variable 0; z is eliminated last, so
-    # back-substitution assigns it its max lower bound, which is the minimum
-    aug.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0)))
-    point = feasible_point(num_vars + 1, aug, stage)
+    point = _simplex(num_vars, cons, objective, stage)
     if point is None:
         return None
-    xs = point[1:]
-    value = sum((obj[i] * xs[i] for i in range(num_vars)), Fraction(0))
-    return value, xs
+    return sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0)), point

@@ -246,8 +246,8 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     Raises FiniteFiberError when none exists (then degree fibers would be
     infinite and series over the monoid are meaningless).  Among feasible
     functionals we take one minimizing the total degree of the generator
-    list, exactly; ties are settled by the deterministic back-substitution
-    of the rational optimizer.
+    list, exactly; ties go to the lexicographically least optimal point of
+    the simplex in intlinalg.minimize_linear.
     """
     gens = list(generators)
     for g in gens:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mcseries import intlinalg
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
@@ -142,20 +143,23 @@ class TestToric:
         assert main(argv) == 2
         assert main(argv + ["--format", "json"]) == 0
 
-    def test_lp_cap_exits_2_naming_the_stage(self, tmp_path, capsys):
-        # face fan of the 4-cube: its rank-12 divisor grading LP would make
-        # 10^7 constraints in one elimination step
-        rays = [[1 - 2 * (k >> j & 1) for j in range(4)] for k in range(16)]
-        cones = [[i for i, v in enumerate(rays) if v[axis] == sign]
-                 for axis in range(4) for sign in (1, -1)]
-        path = tmp_path / "cube4.json"
-        path.write_text(json.dumps({"dim": 4, "rays": rays,
-                                    "maximal_cones": cones}))
-        assert main(["toric", "--fan", str(path), "--p", "3"]) == 2
+    def test_cube4_divisor_series_finishes(self, capsys):
+        # face fan of the 4-cube: Fourier-Motzkin elimination gave up on its
+        # rank-12 divisor grading LP; the simplex solves it far below its cap
+        cube4 = str(ROOT / "fans" / "cube4.json")
+        assert main(["toric", "--fan", cube4, "--p", "3"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("MC_3 = 1/(")
+        assert first.count("(1 - r") == 16
+
+    def test_lp_cap_exits_2_naming_the_stage(self, capsys, monkeypatch):
+        monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 5)
+        cube4 = str(ROOT / "fans" / "cube4.json")
+        assert main(["toric", "--fan", cube4, "--p", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: grading gave up:")
-        assert "constraints (cap" in captured.err
+        assert "over the cap of 5" in captured.err
 
     @staticmethod
     def _many_ray_plane_fan(path, count):
@@ -452,6 +456,26 @@ class TestArgHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "toric" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["toric", "--fan", "FAN", "--p", "1"],
+        ["colinear", "--r", "3"],
+        ["verify", "localization", "--remove", "2"],
+        ["verify", "product", "--fanA", "FAN", "--fanB", "FAN"],
+        ["verify", "eq1", "--n", "2", "--denominator", "(1-t)^3"],
+        ["verify", "macdonald", "--fan", "FAN"],
+        ["expand", "--series", "SERIES"],
+    ], ids=["toric", "colinear", "localization", "product", "eq1",
+            "macdonald", "expand"])
+    def test_negative_truncate_is_rejected_before_any_output(self, argv,
+                                                             capsys):
+        paths = {"FAN": str(ROOT / "fans" / "p2.json"),
+                 "SERIES": str(ROOT / "tests" / "golden" / "series.json")}
+        argv = [paths.get(a, a) for a in argv]
+        assert main(argv + ["--truncate", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--truncate: must be >= 0, got -1" in captured.err
 
 
 class TestDeepNesting:

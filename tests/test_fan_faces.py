@@ -24,7 +24,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcseries import intlinalg, toric
+from mcseries import intlinalg, monoid, toric
 from mcseries.errors import FanError
 from mcseries.intlinalg import (
     det,
@@ -201,8 +201,7 @@ def test_star_pentagon_is_rejected_by_the_pairwise_check():
 def test_benchmark_fans_stay_far_below_the_lp_cap(monkeypatch):
     # a fiftieth of the cap still validates and grades every fan family of
     # the fan benchmark at every p
-    monkeypatch.setattr(intlinalg, "MAX_STEP_CONSTRAINTS",
-                        intlinalg.MAX_STEP_CONSTRAINTS // 50)
+    monkeypatch.setattr(intlinalg, "MAX_PIVOTS", intlinalg.MAX_PIVOTS // 50)
     p1 = projective_space_fan(1)
     p1_4 = product_fan(product_fan(p1, p1), product_fan(p1, p1))
     p3 = projective_space_fan(3)
@@ -424,7 +423,7 @@ def test_winding_pentagon_fails_only_the_covering_count():
 
 def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
     assert not hasattr(toric, "feasible_point")
-    calls = {"feasible_point": 0, "smith_decomposition": 0}
+    calls = {"feasible_point": 0, "minimize_linear": 0, "smith_decomposition": 0}
 
     def counting(name, module):
         inner = getattr(module, name)
@@ -438,13 +437,14 @@ def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
     for _ in range(4):
         p1_5 = product_fan(p1_5, p1)
     blown_up = blowup_at_fixed_point(P3, P3.maximal_cones[0])
-    for module in (intlinalg, toric):
+    for module in (intlinalg, monoid, toric):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, module))
     for fan in (p1_5, blown_up, CUBE, split_cube()):
         Fan(fan.rays, fan.maximal_cones, fan.ray_names)
-    assert calls == {"feasible_point": 0, "smith_decomposition": 0}
+    assert calls == {"feasible_point": 0, "minimize_linear": 0,
+                     "smith_decomposition": 0}
     # the counters do see the grading LP and the class presentation
     chow_presentation(CUBE, 1)
-    assert calls["feasible_point"] > 0 and calls["smith_decomposition"] > 0
+    assert calls["minimize_linear"] > 0 and calls["smith_decomposition"] > 0

@@ -1,14 +1,18 @@
-"""Exact linear algebra: Smith normal form contract, kernels, rational LP."""
+"""Exact linear algebra: Smith normal form contract, kernels, rational LP.
+
+The simplex of feasible_point and minimize_linear is checked against the
+Fourier-Motzkin elimination it replaced, kept below as a reference.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcseries import intlinalg
 from mcseries.errors import LPLimitError
 from mcseries.intlinalg import (
-    MAX_STEP_CONSTRAINTS,
     det,
     feasible_point,
     identity_matrix,
@@ -176,24 +180,205 @@ def test_minimize_deterministic():
     assert a == b
 
 
-def _bounds_on_last_variable(k):
-    """k lower and k upper bounds on x_1, pairwise distinct directions."""
-    return ([((j, 1), 0) for j in range(k)]
-            + [((j, -1), -10) for j in range(k)])
+def _unit_rows(n):
+    # x_j >= 1 for each j: one pivot per variable, and no phase 1
+    return [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
 
 
-def test_elimination_step_over_the_cap_raises_naming_the_stage():
-    assert 71 * 71 > MAX_STEP_CONSTRAINTS
-    with pytest.raises(LPLimitError, match=r"^fan validation gave up: an"
-                       r" elimination step would create 5041 constraints"):
-        feasible_point(2, _bounds_on_last_variable(71), "fan validation")
-    with pytest.raises(LPLimitError, match="^grading gave up"):
-        minimize_linear(2, (1, 1), _bounds_on_last_variable(71), "grading")
+def test_pivot_cap_raises_naming_the_stage_the_count_and_the_cap(monkeypatch):
+    monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 2)
+    with pytest.raises(LPLimitError, match=r"^fan validation gave up: the"
+                       r" simplex would make pivot 3, over the cap of 2$"):
+        feasible_point(3, _unit_rows(3), "fan validation")
+    with pytest.raises(LPLimitError, match="^grading gave up: .* cap of 2$"):
+        minimize_linear(3, (1, 1, 1), _unit_rows(3), "grading")
 
 
-def test_cap_counts_the_products_of_one_step(monkeypatch):
-    monkeypatch.setattr(intlinalg, "MAX_STEP_CONSTRAINTS", 3)
-    assert feasible_point(2, _bounds_on_last_variable(1)) is not None
-    with pytest.raises(LPLimitError, match="would create 4 constraints"
-                       r" \(cap 3\)"):
-        feasible_point(2, _bounds_on_last_variable(2))
+def test_cap_counts_every_pivot(monkeypatch):
+    monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 3)
+    assert feasible_point(3, _unit_rows(3)) is not None
+    with pytest.raises(LPLimitError, match="pivot 4, over the cap of 3"):
+        feasible_point(4, _unit_rows(4))
+    # x >= 1 enters with its row, x >= 2 then needs the artificial variable
+    # and one phase-1 pivot: three in all
+    assert feasible_point(1, [((1,), 1), ((1,), 2)]) == [2]
+    monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 2)
+    with pytest.raises(LPLimitError, match="pivot 3"):
+        feasible_point(1, [((1,), 1), ((1,), 2)])
+
+
+# -- the Fourier-Motzkin elimination the simplex replaced, as a reference ----
+
+Constraint = tuple[tuple[Fraction, ...], Fraction]  # sum(coeffs * x) >= rhs
+
+# An elimination step can square the constraint count, so a step that would
+# create more constraints than this aborts instead.
+MAX_STEP_CONSTRAINTS = 5000
+
+
+def _as_constraints(cons) -> list[Constraint]:
+    out = []
+    for coeffs, rhs in cons:
+        out.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
+    return out
+
+
+def _dedupe(cons: list[Constraint]) -> list[Constraint]:
+    seen: dict[tuple[Fraction, ...], Fraction] = {}
+    order: list[tuple[Fraction, ...]] = []
+    for coeffs, rhs in cons:
+        scale = next((abs(c) for c in coeffs if c), None)
+        if scale is None:
+            if rhs > 0:
+                # ground contradiction; keep it so the caller sees infeasibility
+                key = coeffs
+                if key not in seen or rhs > seen[key]:
+                    if key not in seen:
+                        order.append(key)
+                    seen[key] = rhs
+            continue
+        key = tuple(c / scale for c in coeffs)
+        val = rhs / scale
+        if key not in seen:
+            order.append(key)
+            seen[key] = val
+        elif val > seen[key]:
+            seen[key] = val
+    return [(k, seen[k]) for k in order]
+
+
+def reference_feasible_point(num_vars: int, cons,
+                             stage: str = "linear program") -> list[Fraction] | None:
+    """A rational point satisfying all constraints sum(c*x) >= rhs, or None.
+
+    Deterministic: eliminates the highest-index variable first and picks the
+    max lower bound (else min(0, upper bound)) while back-substituting.
+    Raises LPLimitError, naming the stage, when an elimination step would
+    create more than MAX_STEP_CONSTRAINTS constraints.
+    """
+    cur = _as_constraints(cons)
+    layers: list[list[Constraint]] = []
+    for k in range(num_vars - 1, -1, -1):
+        cur = _dedupe(cur)
+        layers.append(cur)
+        pos = [c for c in cur if c[0][k] > 0]
+        neg = [c for c in cur if c[0][k] < 0]
+        new = [c for c in cur if c[0][k] == 0]
+        if len(pos) * len(neg) > MAX_STEP_CONSTRAINTS:
+            raise LPLimitError(
+                f"{stage} gave up: an elimination step would create"
+                f" {len(pos) * len(neg)} constraints (cap {MAX_STEP_CONSTRAINTS})")
+        for cp in pos:
+            a = cp[0][k]
+            for cn in neg:
+                c = -cn[0][k]
+                coeffs = tuple(a * cn[0][j] + c * cp[0][j] for j in range(num_vars))
+                new.append((coeffs, a * cn[1] + c * cp[1]))
+        cur = new
+    for coeffs, rhs in cur:
+        if rhs > 0:
+            return None
+    point = [Fraction(0)] * num_vars
+    for k in range(num_vars):
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        for coeffs, rhs in layers[num_vars - 1 - k]:
+            a = coeffs[k]
+            if a == 0:
+                continue
+            rest = sum((coeffs[j] * point[j] for j in range(k)), Fraction(0))
+            if a > 0:
+                bound = (rhs - rest) / a
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                bound = (rest - rhs) / (-a)
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None:
+            point[k] = lo
+        elif hi is not None:
+            point[k] = min(hi, Fraction(0))
+    return point
+
+
+def reference_minimize_linear(num_vars: int, objective, cons,
+                              stage: str = "linear program"
+                              ) -> tuple[Fraction, list[Fraction]] | None:
+    """Minimize objective . x over {x : cons}, exactly.
+
+    Returns (optimal value, an optimal point), or None when infeasible.
+    Precondition: the objective is bounded below on the feasible set (true for
+    every caller here, where the objective is a sum of constrained-positive
+    forms); otherwise the returned point is merely feasible.
+    """
+    obj = [Fraction(c) for c in objective]
+    aug = [((Fraction(0),) + tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+           for coeffs, rhs in cons]
+    # z - objective . x >= 0 with z as variable 0; z is eliminated last, so
+    # back-substitution assigns it its max lower bound, which is the minimum
+    aug.append(((Fraction(1),) + tuple(-c for c in obj), Fraction(0)))
+    point = reference_feasible_point(num_vars + 1, aug, stage)
+    if point is None:
+        return None
+    xs = point[1:]
+    value = sum((obj[i] * xs[i] for i in range(num_vars)), Fraction(0))
+    return value, xs
+
+
+@st.composite
+def grading_lps(draw):
+    """(n, objective, rows): rows f.x >= 1 and a positive combination of the
+    rows as objective, as monoid.positive_grading builds them, with columns
+    that repeat, scale or add up other columns, and optionally a column y
+    bounded only by the pair 2g.x + y >= 1, 2g.x - y >= 1 of equal weight,
+    whose optimal values then form an interval."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    for j in range(1, n):
+        kind = draw(st.sampled_from(("free", "free", "copy", "scale", "sum")))
+        a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+        for row in rows:
+            if kind == "copy":
+                row[j] = row[a]
+            elif kind == "scale":
+                row[j] = -2 * row[a]
+            elif kind == "sum":
+                row[j] = row[a] + row[b]
+    weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        g, y = draw(st.integers(0, k - 1)), draw(st.integers(0, n))
+        pair = [[2 * v for v in rows[g]] for _ in range(2)]
+        rows = [row[:y] + [0] + row[y:] for row in rows]
+        rows += [row[:y] + [sign] + row[y:] for row, sign in zip(pair, (1, -1))]
+        weights += [draw(st.integers(1, 3))] * 2
+        n += 1
+    objective = [sum(w * row[j] for w, row in zip(weights, rows))
+                 for j in range(n)]
+    order = draw(st.permutations(range(len(rows))))
+    return n, objective, [(tuple(rows[i]), 1) for i in order]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(grading_lps())
+def test_grading_lps_get_the_point_elimination_gave(lp):
+    n, objective, cons = lp
+    try:
+        expected = reference_minimize_linear(n, objective, cons)
+    except LPLimitError:
+        return
+    assert minimize_linear(n, objective, cons) == expected
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                       st.integers(-2, 2)), max_size=6))))
+def test_feasible_point_is_none_exactly_when_elimination_finds_none(lp):
+    n, cons = lp
+    point = feasible_point(n, cons)
+    assert (point is None) == (reference_feasible_point(n, cons) is None)
+    if point is not None:
+        for coeffs, rhs in cons:
+            assert sum(c * x for c, x in zip(coeffs, point)) >= rhs

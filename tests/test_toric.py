@@ -155,6 +155,22 @@ def test_singular_wall_index_two_still_collapses_points():
         assert f.coefficient(d * t) == comb(3 + d - 1, d)
 
 
+def test_four_folds_whose_grading_lp_blew_up_under_elimination():
+    # Fourier-Motzkin elimination gave up on a grading LP of each of these:
+    # the product of two twice blown-up planes at p=2 (36,080 constraints in
+    # one step) and the face fan of the 4-cube at p=3 (9,695)
+    p2 = projective_space_fan(2)
+    b = blowup_at_fixed_point(p2, p2.maximal_cones[0])
+    b = blowup_at_fixed_point(b, b.maximal_cones[0])
+    rays = [[1 - 2 * (k >> j & 1) for j in range(4)] for k in range(16)]
+    cube4 = Fan(rays, [[i for i, v in enumerate(rays) if v[axis] == sign]
+                       for axis in range(4) for sign in (1, -1)])
+    for fan in (product_fan(b, b), cube4):
+        for p in range(fan.dim + 1):
+            mono = chow_presentation(fan, p).monoid
+            assert all(mono.degree(g) >= 1 for g in mono.generators), p
+
+
 def test_line_classes_in_p3_collapse_to_z():
     fan = projective_space_fan(3)
     chow = chow_presentation(fan, 1)
