@@ -206,8 +206,7 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int, cap: int):
     fan_series = mc_series_toric(fan, 1, ring=col.ring, chow=chow)
 
     grp = col.monoid.group
-    col_basis = tuple(grp.project([1 if i == j else 0 for i in range(4)])
-                      for j in range(4))
+    col_basis = tuple(grp.basis_images())
 
     col_terms = {express_in_basis(e, col_basis): c
                  for e, c in col.expand(truncate, max_terms=cap).terms}

@@ -159,14 +159,9 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
             vi[k] -= q * vj[k]
 
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = _find_pivot(d, t)
-        if piv is None:
-            break
-        while True:
-            piv = _find_pivot(d, t)
-            i, j = piv  # type: ignore[misc]
+    while t < min(m, n) and (piv := _find_pivot(d, t)) is not None:
+        while True:  # each round pivots on the smallest entry left
+            i, j = piv
             if i != t:
                 row_swap(t, i)
             if j != t:
@@ -186,19 +181,16 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
                         col_add(j, t, -q)
                     if d[t][j]:
                         clean = False
-            if not clean:
-                continue
-            # pivot must divide the whole remaining submatrix before moving on,
-            # otherwise pull the offending row up and reduce again
-            p = d[t][t]
-            pulled = False
-            for i in range(t + 1, m):
-                if any(d[i][j] % p for j in range(t + 1, n)):
-                    row_add(t, i, 1)
-                    pulled = True
+            if clean:
+                # pivot must divide the whole remaining submatrix before moving
+                # on, otherwise pull the offending row up and reduce again
+                p = d[t][t]
+                pulled = next((i for i in range(t + 1, m)
+                               if any(d[i][j] % p for j in range(t + 1, n))), None)
+                if pulled is None:
                     break
-            if not pulled:
-                break
+                row_add(t, pulled, 1)
+            piv = _find_pivot(d, t)
         if d[t][t] < 0:
             row_neg(t)
         t += 1
@@ -239,7 +231,7 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
     if n == 0:
         return [] if all(x == 0 for x in b) else None
     dec = smith_decomposition(a)
-    y = mat_vec([list(r) for r in dec.U], b)
+    y = mat_vec(dec.U, b)
     r = dec.rank
     z = [0] * n
     for i in range(min(m, n)):
@@ -251,7 +243,7 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
     for i in range(r, m):
         if y[i] != 0:
             return None
-    return mat_vec([list(row) for row in dec.V], z)
+    return mat_vec(dec.V, z)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class AbelianGroupPresentation:
         v = [int(x) for x in vec]
         if len(v) != self.num_generators:
             raise ValueError("ambient vector has wrong length")
-        y = mat_vec([list(r) for r in self._u], v)
+        y = mat_vec(self._u, v)
         free = tuple(y[i] for i in self._free_pos)
         torsion = tuple(y[i] % d for i, d in zip(self._torsion_pos, self.invariants))
         return MonoidElement(free, torsion, self.invariants)
@@ -206,7 +206,7 @@ class AbelianGroupPresentation:
             y[pos] = val
         for pos, val in zip(self._free_pos, e.free):
             y[pos] = val
-        return mat_vec([list(r) for r in self._uinv], y)
+        return mat_vec(self._uinv, y)
 
     @property
     def zero(self) -> MonoidElement:

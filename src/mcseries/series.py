@@ -17,7 +17,7 @@ truncation bound or report consistency up to it, never prove it outright.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
@@ -97,7 +97,9 @@ class _Terms:
             raise ValueError(self._range_error)
 
     def coefficient(self, e: MonoidElement) -> KElement:
-        for e2, c in self.terms:
+        d = self.monoid.degree(e)
+        lo = bisect_left(self._degrees, d)
+        for e2, c in self.terms[lo:bisect_right(self._degrees, d, lo)]:
             if e2 == e:
                 return c
         return self.ring.zero
@@ -660,13 +662,8 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
     otherwise LocalizationMismatch.
     """
     mc_x._check(mc_y)
-    remaining = {}
-    order = []
-    for c, a, e in mc_x.factors:
-        key = (a.sort_key(), c.terms)
-        remaining[key] = (c, a, remaining[key][2] + e) if key in remaining else (c, a, e)
-        if key not in order:
-            order.append(key)
+    # the factors of a RationalSeries are already merged by this key
+    remaining = {(a.sort_key(), c.terms): (c, a, e) for c, a, e in mc_x.factors}
     leftover_y = []
     for c, a, e in mc_y.factors:
         key = (a.sort_key(), c.terms)
@@ -681,7 +678,7 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
         num = num * binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a) ** e
     if not mc_y.numerator.is_one():
         num = _divide_polynomial(num, mc_y.numerator)
-    q_factors = [remaining[k] for k in order if remaining[k][2] > 0]
+    q_factors = [f for f in remaining.values() if f[2] > 0]
     return RationalSeries(mc_x.ring, mc_x.monoid, num, q_factors)
 
 

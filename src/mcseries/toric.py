@@ -14,15 +14,17 @@ intersection of the facets holding them.
 
 Class groups of orbit closures are presented by the divisor-of-character
 relations on one-higher-dimensional orbit closures; the relation coefficient
-along a wall divides by an exact lattice index, the product of Smith
-invariants, never a floating determinant.
+along a wall divides by an exact lattice index, never a floating determinant:
+the gcd of the pairings of the new ray with a basis of the characters
+orthogonal to the lower cone, which are the ray's coordinates in the free
+quotient of N by that cone's saturated lattice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, count
-from math import comb, gcd, prod
+from math import comb, gcd
 
 from .errors import BlowupError, DimensionError, EnumerationLimitError, FanError
 from .kring import KRingSpec, class_projective_space, standard_ring
@@ -34,7 +36,7 @@ from .monoid import (
     max_terms_from_env,
     positive_grading,
 )
-from .intlinalg import det, identity_matrix, kernel_basis, smith_decomposition
+from .intlinalg import det, identity_matrix, kernel_basis
 from .series import RationalSeries, TruncatedSeries
 
 __all__ = [
@@ -234,15 +236,6 @@ class Fan:
 # orbit-closure class monoids
 
 
-def _saturation_basis(rows) -> list[list[int]]:
-    """Basis of the saturated sublattice spanned by the rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    dec = smith_decomposition(rows)
-    return [list(dec.Vinv[i]) for i in range(dec.rank)]
-
-
 class OrbitClassMonoid:
     """Effective classes of p-dimensional orbit closures, with the class map.
 
@@ -279,7 +272,9 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
 
     Its order along V(sigma), for a cone sigma on tau, is <m, v>/q with v a
     ray of sigma outside tau and q the index of N_tau + Zv in the saturated
-    N_sigma: the product of the Smith invariants of [basis of N_tau; v].
+    N_sigma: the gcd of <m, v> over the basis m.  N_tau is saturated, so
+    that basis is a Z-basis of the dual of the free group N/N_tau, and the
+    pairings are the coordinates of the image of v there.
     """
     n = fan.dim
     if not 0 <= p <= n:
@@ -291,22 +286,18 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         for tau in fan.cones_of_dim(n - p - 1):
             tau_rows = [fan.rays[i] for i in tau]
             perp = kernel_basis(tau_rows) if tau_rows else identity_matrix(n)
-            tau_basis = _saturation_basis(tau_rows)
             rels = [[0] * len(gen_cones) for _ in perp]
             for sigma in gen_cones:
                 if not set(tau) <= set(sigma):
                     continue
                 v = next(fan.rays[i] for i in sigma if i not in tau)
-                q = prod(smith_decomposition(tau_basis + [list(v)]).invariants)
-                for rel, m in zip(rels, perp):
-                    pairing = sum(mi * vi for mi, vi in zip(m, v))
-                    assert pairing % q == 0, "wall pairing must be divisible by the index"
+                pairings = [sum(mi * vi for mi, vi in zip(m, v)) for m in perp]
+                q = gcd(*pairings)
+                for rel, pairing in zip(rels, pairings):
                     rel[index[sigma]] = pairing // q
             relations += [tuple(rel) for rel in rels if any(rel)]
     group = AbelianGroupPresentation(len(gen_cones), relations)
-    class_of = {c: group.project([1 if j == index[c] else 0
-                                  for j in range(len(gen_cones))])
-                for c in gen_cones}
+    class_of = dict(zip(gen_cones, group.basis_images()))
     distinct: list[MonoidElement] = []
     first_cone: list[tuple] = []
     for c in gen_cones:

@@ -1,8 +1,8 @@
 """Fan faces and wall relations against the LP and saturation references.
 
 Simplicial maximal cones take their faces from ray subsets, without a
-linear program, and chow_presentation divides each wall pairing by one
-Smith form per wall.  The references below are the earlier routes, kept
+linear program, and chow_presentation divides each wall pairing by the gcd
+of the wall's pairings.  The references below are the earlier routes, kept
 here as oracles: a rank and an LP witness (each zero ray passed as a pair of
 inequalities) on every ray subset, and a wall coefficient from two
 saturations, integer coordinates and a determinant for every character.

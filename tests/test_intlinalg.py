@@ -6,9 +6,10 @@ Fourier-Motzkin elimination it replaced, kept below as a reference.
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcseries import intlinalg
 from mcseries.errors import LPLimitError
@@ -134,6 +135,41 @@ def test_kernel_basis():
         assert mat_vec(a, x) == [0]
     assert kernel_basis([[1, 0], [0, 1]]) == []
     assert len(kernel_basis([[0, 0]])) == 2
+
+
+@st.composite
+def walls(draw):
+    """Rows of rank k < n <= 4 and a vector v outside their span: v is c*w
+    plus a combination of the rows, and the factor c drives the index of the
+    wall past 2."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(vector, min_size=k, max_size=k)
+                .filter(lambda rows: smith_decomposition(rows).rank == k))
+    w = draw(vector.filter(lambda w: smith_decomposition(rows + [w]).rank == k + 1))
+    c = draw(st.integers(1, 6))
+    a = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return rows, [c * x + sum(ai * r[j] for ai, r in zip(a, rows))
+                  for j, x in enumerate(w)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(walls())
+@example(([[1, 0]], [2, 3]))
+@example(([[1, 1, 0]], [0, 0, 6]))
+@example(([[2, 4, 0], [0, 0, 3]], [1, 7, 5]))
+def test_wall_index_is_the_gcd_of_the_pairings_with_the_kernel_basis(wall):
+    """chow_presentation divides each wall pairing by the gcd of the
+    pairings of v with the integer kernel basis of tau's rows.  It equals
+    the index of N_tau + Zv in its saturation, the product of the Smith
+    invariants of [saturation basis of N_tau; v]."""
+    rows, v = wall
+    dec = smith_decomposition(rows)
+    saturated = [list(dec.Vinv[i]) for i in range(dec.rank)]
+    index = prod(smith_decomposition(saturated + [v]).invariants)
+    pairings = [sum(m * x for m, x in zip(col, v)) for col in kernel_basis(rows)]
+    assert gcd(*pairings) == index
 
 
 def test_solve_integer():

@@ -23,6 +23,7 @@ from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
+    MonoidElement,
     MonoidHom,
     free_graded_monoid,
 )
@@ -111,6 +112,30 @@ def test_geometric_expansion_with_ring_coefficient():
     got = f.expand(5)
     for d in range(6):
         assert got.coefficient(d * t) == L ** d
+
+
+def test_coefficient_compares_only_the_classes_of_its_degree(monkeypatch):
+    """A lookup bisects the sorted term degrees, so verify macdonald, which
+    looks up every degree, stays linear in --truncate."""
+    mono = t_monoid()
+    t = mono.generator_named("t")
+    long = RationalSeries(R, mono, None, [(R.one, t, 2)]).expand(2000)
+    plane = free_graded_monoid(("x", "y"))
+    x, y = plane.generator_named("x"), plane.generator_named("y")
+    square = RationalSeries(R, plane, None, [(R.one, x, 1), (R.one, y, 1)]).expand(30)
+    compared = []
+    eq = MonoidElement.__eq__
+    monkeypatch.setattr(MonoidElement, "__eq__",
+                        lambda a, b: compared.append(a) or eq(a, b))
+    assert long.coefficient(1000 * t) == 1001
+    assert len(compared) == 1
+    for e, c in square.terms:
+        compared.clear()
+        assert square.coefficient(e) == c
+        assert len(compared) <= plane.degree(e) + 1
+    assert square.coefficient(20 * x + 11 * y) == R.zero
+    assert long.coefficient(2001 * t) == R.zero
+    assert long.coefficient(mono.zero) == R.one
 
 
 # ---------------------------------------------------------------------------
