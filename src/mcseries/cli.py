@@ -5,8 +5,8 @@ blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input.  Output is deterministic: identical inputs give identical bytes.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms an
-expansion or a monoid enumeration may accumulate before the run aborts with
-exit code 2.
+expansion, a monoid enumeration or a face enumeration may accumulate; past it
+the run aborts with exit code 2 and a message naming the stage.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 import sys
 from math import comb
 
-from .errors import MCSError, SeriesMismatch
+from .errors import EnumerationLimitError, MCSError, SeriesMismatch
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
@@ -133,7 +133,7 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
         power = int(m.group(2) or 1)
-        factors.append((factor, power))
+        factors.append((coeff, alpha, power))
         degree += power * factor.degree()
         pos = m.end()
     if text[pos:].replace("*", " ").strip() or not factors:
@@ -141,8 +141,8 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
     if degree >= truncation:
         raise SeriesMismatch("denominator degree reaches the truncation bound")
     poly = MonoidPolynomial.one(ring, monoid)
-    for factor, power in factors:
-        poly = poly * factor ** power
+    for coeff, alpha, power in factors:
+        poly = poly * binomial_factor_polynomial(ring, monoid, coeff, alpha, power)
     return poly
 
 
@@ -156,7 +156,7 @@ def cmd_toric(args) -> int:
     f = _apply_specializations(mc_series_toric(fan, args.p, chow=chow), args.specialize)
     e = None
     if args.truncate > 0:
-        e = f.expand(args.truncate, max_terms=max_terms_from_env())
+        e = f.expand(args.truncate)
 
     def doc():
         out = {"command": "toric", "p": args.p, "rational": series_to_json(f),
@@ -186,7 +186,7 @@ def _class_in_h_e(coords) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _compare_colinear(col: RationalSeries, fan, truncate: int, cap: int):
+def _compare_colinear(col: RationalSeries, fan, truncate: int):
     """First coefficient disagreement between the colinear series and the fan's
     divisor series, both rewritten in the common basis (H, E1, E2, E3)."""
     chow = chow_presentation(fan, 1)
@@ -209,9 +209,9 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int, cap: int):
     col_basis = tuple(grp.basis_images())
 
     col_terms = {express_in_basis(e, col_basis): c
-                 for e, c in col.expand(truncate, max_terms=cap).terms}
+                 for e, c in col.expand(truncate).terms}
     fan_terms = {express_in_basis(e, fan_basis): c
-                 for e, c in fan_series.expand(truncate, max_terms=cap).terms}
+                 for e, c in fan_series.expand(truncate).terms}
 
     def degrees(v):
         ce = sum((x * b for x, b in zip(v, col_basis)), col.monoid.zero)
@@ -236,7 +236,7 @@ def cmd_colinear(args) -> int:
     f = _apply_specializations(colinear_mc_series(args.r), args.specialize)
     e = None
     if args.truncate > 0:
-        e = f.expand(args.truncate, max_terms=max_terms_from_env())
+        e = f.expand(args.truncate)
     compare_doc = compare_line = None
     if args.compare:
         if args.r != 3:
@@ -245,7 +245,7 @@ def cmd_colinear(args) -> int:
         if args.truncate <= 0:
             raise MCSError("--compare needs --truncate > 0")
         fan = fan_from_json(_load_json(args.compare))
-        hit = _compare_colinear(f, fan, args.truncate, max_terms_from_env())
+        hit = _compare_colinear(f, fan, args.truncate)
         if hit is None:
             msg = (f"no differing coefficient up to degree {args.truncate}"
                    " in both gradings")
@@ -303,10 +303,9 @@ def cmd_verify_localization(args) -> int:
         closed = RationalSeries(ring, zx.monoid, closed, [])
     print(f"closed path:   {closed}")
     print(f"quotient path: {quotient}")
-    cap = max_terms_from_env()
     same_form = quotient == closed
-    hit = _first_difference(quotient.expand(args.truncate, max_terms=cap),
-                            closed.expand(args.truncate, max_terms=cap))
+    hit = _first_difference(quotient.expand(args.truncate),
+                            closed.expand(args.truncate))
     if same_form and hit is None:
         print(f"PASS (identical rational forms; expansions agree to degree"
               f" {args.truncate})")
@@ -349,9 +348,8 @@ def cmd_verify_product(args) -> int:
     pushed = pushforward(ext, phi)
     print(f"external product: {pushed}")
     print(f"product fan:      {direct}")
-    cap = max_terms_from_env()
-    hit = _first_difference(pushed.expand(args.truncate, max_terms=cap),
-                            direct.expand(args.truncate, max_terms=cap))
+    hit = _first_difference(pushed.expand(args.truncate),
+                            direct.expand(args.truncate))
     if hit is None:
         print(f"PASS (expansions agree to degree {args.truncate})")
         return 0
@@ -392,7 +390,7 @@ def cmd_verify_macdonald(args) -> int:
               f" {chi} (one per maximal cone)")
         return 1
     pt = mc0.factors[0][1]
-    e = mc0.expand(args.truncate, max_terms=max_terms_from_env())
+    e = mc0.expand(args.truncate)
     for d in range(args.truncate + 1):
         want = comb(chi + d - 1, d)
         got = e.coefficient(d * pt)
@@ -410,13 +408,13 @@ def cmd_verify_macdonald(args) -> int:
 
 def cmd_expand(args) -> int:
     f = series_from_json(_load_json(args.series))
-    cap = max_terms_from_env()
     if isinstance(f, RationalSeries):
-        out = f.expand(args.truncate, max_terms=cap)
+        out = f.expand(args.truncate)
     else:
         out = f.as_series(args.truncate)
-    if len(out.terms) > cap:
-        raise MCSError(f"expansion exceeds {cap} terms; raise MCS_MAX_TERMS")
+        if len(out.terms) > (cap := max_terms_from_env()):
+            raise EnumerationLimitError(f"series file to degree {args.truncate}",
+                                        len(out.terms), cap)
     _emit(args, lambda: {"command": "expand", "series": series_to_json(out)},
           lambda: [str(out)])
     return 0

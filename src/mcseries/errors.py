@@ -35,7 +35,13 @@ class FiniteFiberError(MCSError):
 
 
 class EnumerationLimitError(MCSError):
-    """Element enumeration exceeded the configured term cap."""
+    """A stage's count of terms, elements or candidates passed the term cap.
+    Every cap message is built here and names the stage, the count and the
+    cap."""
+
+    def __init__(self, stage: str, count: int, cap: int, unit: str = "terms"):
+        super().__init__(f"{stage}: {count} {unit}, over the cap of {cap};"
+                         " raise MCS_MAX_TERMS")
 
 
 # series

@@ -125,8 +125,8 @@ def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
             if st.punctures < 2:
                 raise UnsupportedStratum(
                     "no closed factor for a one-punctured rational base")
-            b = binomial_factor_polynomial(ring, monoid, ring.one, st.fiber_class)
-            numerator = numerator * b ** (st.punctures - 2)
+            numerator = numerator * binomial_factor_polynomial(
+                ring, monoid, ring.one, st.fiber_class, st.punctures - 2)
     return RationalSeries(ring, monoid, result.numerator * numerator,
                           result.factors)
 

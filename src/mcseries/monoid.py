@@ -338,7 +338,7 @@ class GradedMonoid:
 
     # -- enumeration
 
-    def _enumerate(self, bound: int, max_terms: int | None) -> dict:
+    def _enumerate(self, bound: int) -> dict:
         """Packed key -> (degree, word) for every element of degree <= bound.
 
         Breadth-first from zero, generators in order; each element keeps the
@@ -349,7 +349,7 @@ class GradedMonoid:
         """
         if self._enum_cache is not None and self._enum_cache[0] >= bound:
             return self._enum_cache[1]
-        cap = max_terms if max_terms is not None else max_terms_from_env()
+        cap = max_terms_from_env()
         plus = self.group.packed_adder()
         gens = [g.packed() for g in self.generators]
         degs = [self.degree(g) for g in self.generators]
@@ -373,7 +373,8 @@ class GradedMonoid:
                     found[e2] = (d, tuple(w2))
                     if len(found) > cap:
                         raise EnumerationLimitError(
-                            f"more than {cap} elements below degree {bound}")
+                            f"monoid enumeration to degree {bound}",
+                            len(found), cap, "elements")
                     nxt.append(e2)
             frontier = nxt
         self._enum_cache = (bound, found)
@@ -384,9 +385,9 @@ class GradedMonoid:
             raise ValueError("element is not in the monoid's group")
         return e.packed()
 
-    def elements_up_to(self, bound: int, max_terms: int | None = None):
+    def elements_up_to(self, bound: int):
         """All monoid elements of degree <= bound as (element, degree) pairs."""
-        found = self._enumerate(max(bound, 0), max_terms)
+        found = self._enumerate(max(bound, 0))
         out = sorted((dw[0], key) for key, dw in found.items() if dw[0] <= bound)
         return [(self.group.unpack(key), d) for d, key in out]
 
@@ -397,7 +398,7 @@ class GradedMonoid:
         if d < 0:
             raise ValueError("element has negative degree; not in the monoid")
         try:
-            return self._enumerate(d, None)[key][1]
+            return self._enumerate(d)[key][1]
         except KeyError:
             raise ValueError("element is not a sum of monoid generators") from None
 
@@ -411,7 +412,7 @@ class GradedMonoid:
             return False
         if d == 0:
             return e.is_zero()
-        return e.packed() in self._enumerate(d, None)
+        return e.packed() in self._enumerate(d)
 
     def _format_word(self, word) -> str:
         parts = []
@@ -434,7 +435,7 @@ class GradedMonoid:
             return []
         keys = [self._key(e) for e in elements]
         bound = max(self.degree(e) for e in elements)
-        found = self._enumerate(max(bound, 0), None)
+        found = self._enumerate(max(bound, 0))
         try:
             return [self._format_word(found[k][1]) for k in keys]
         except KeyError:

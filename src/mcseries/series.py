@@ -38,6 +38,7 @@ from .monoid import (
     MonoidHom,
     direct_sum,
     free_graded_monoid,
+    max_terms_from_env,
 )
 
 __all__ = [
@@ -187,19 +188,6 @@ class MonoidPolynomial(_Terms):
     def degree(self) -> int:
         """Max degree of a term; -1 for the zero polynomial."""
         return self._degrees[-1] if self._degrees else -1
-
-    def __pow__(self, k: int) -> "MonoidPolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MonoidPolynomial.one(self.ring, self.monoid)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def scale(self, c) -> "MonoidPolynomial":
         c = _coerce_coeff(self.ring, c)
@@ -414,13 +402,13 @@ class RationalSeries:
     def __hash__(self):
         return hash((self.ring, self.monoid, self.numerator, self.factors))
 
-    def expand(self, truncation: int, max_terms: int | None = None) -> TruncatedSeries:
-        return rational_expand(self, truncation, max_terms)
+    def expand(self, truncation: int) -> TruncatedSeries:
+        return rational_expand(self, truncation)
 
     def denominator_polynomial(self) -> MonoidPolynomial:
         out = MonoidPolynomial.one(self.ring, self.monoid)
         for c, alpha, e in self.factors:
-            out = out * binomial_factor_polynomial(self.ring, self.monoid, c, alpha) ** e
+            out = out * binomial_factor_polynomial(self.ring, self.monoid, c, alpha, e)
         return out
 
     def specialize(self, s: Specialization) -> "RationalSeries":
@@ -447,16 +435,20 @@ class RationalSeries:
         return f"<rational {self}>"
 
 
-def binomial_factor_polynomial(ring, monoid, c, alpha) -> MonoidPolynomial:
-    """The polynomial 1 - c*t^alpha."""
-    c = _coerce_coeff(ring, c)
-    acc = {monoid.zero: ring.one}
-    acc[alpha] = acc.get(alpha, ring.zero) - c
+def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPolynomial:
+    """The polynomial (1 - c*t^alpha)^e, written in one pass as the sum of
+    C(e, i) (-c)^i t^(i*alpha) over i <= e; the K-ring is commutative."""
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    step = -_coerce_coeff(ring, c)
+    acc, cls, power, binom = {}, monoid.zero, ring.one, 1
+    for i in range(e + 1):
+        acc[cls] = acc.get(cls, ring.zero) + binom * power
+        cls, power, binom = cls + alpha, power * step, binom * (e - i) // (i + 1)
     return MonoidPolynomial(ring, monoid, acc)
 
 
-def rational_expand(f: RationalSeries, truncation: int,
-                    max_terms: int | None = None) -> TruncatedSeries:
+def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     """Expand numerator / product of binomials exactly up to the bound.
 
     Dividing by (1 - c*t^alpha)^k = sum_i p_i t^(i*alpha) is one pass over
@@ -469,8 +461,8 @@ def rational_expand(f: RationalSeries, truncation: int,
     MonoidElement.packed) until the end, and coefficients stay Python ints
     while the numerator and every c are integers.
 
-    When max_terms is given, the running term count is checked as each new
-    term appears; exceeding it raises EnumerationLimitError.
+    The running term count is checked as each new term appears; passing
+    the MCS_MAX_TERMS cap raises EnumerationLimitError.
     """
     if truncation < 0:
         raise ValueError("negative truncation bound")
@@ -478,11 +470,8 @@ def rational_expand(f: RationalSeries, truncation: int,
     plus = monoid.group.packed_adder()
     as_int = (all(c.is_integer() for _, c in f.numerator.terms)
               and all(c.is_integer() for c, _, _ in f.factors))
-    cap = max_terms if max_terms is not None else float("inf")
-
-    def over_cap():
-        return EnumerationLimitError(
-            f"expansion exceeds {max_terms} terms; raise MCS_MAX_TERMS")
+    cap = max_terms_from_env()
+    stage = f"expansion to degree {truncation}"
 
     # degree -> {packed class: nonzero coefficient}
     buckets: dict[int, dict[tuple[int, ...], object]] = {}
@@ -492,7 +481,7 @@ def rational_expand(f: RationalSeries, truncation: int,
             buckets.setdefault(d, {})[e.packed()] = c.as_integer() if as_int else c
             count += 1
     if count > cap:
-        raise over_cap()
+        raise EnumerationLimitError(stage, count, cap)
     for c, alpha, e in f.factors:
         if alpha.is_zero():
             raise ZeroClassFactor("denominator factor at the zero class")
@@ -536,7 +525,7 @@ def rational_expand(f: RationalSeries, truncation: int,
                             dst[key2] = inc
                             count += 1
                             if count > cap:
-                                raise over_cap()
+                                raise EnumerationLimitError(stage, count, cap)
                             continue
                         new = old + inc
                         if new == 0:
@@ -675,7 +664,7 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
             leftover_y.append((c, a, e - cancel))
     num = mc_x.numerator
     for c, a, e in leftover_y:
-        num = num * binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a) ** e
+        num = num * binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a, e)
     if not mc_y.numerator.is_one():
         num = _divide_polynomial(num, mc_y.numerator)
     q_factors = [f for f in remaining.values() if f[2] > 0]
@@ -726,5 +715,5 @@ def punctured_p1_zeta(punctures: int, ring: KRingSpec | None = None):
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
     if punctures >= 2:
-        return binomial_factor_polynomial(ring, monoid, ring.one, t) ** (punctures - 2)
+        return binomial_factor_polynomial(ring, monoid, ring.one, t, punctures - 2)
     return RationalSeries(ring, monoid, None, [(ring.one, t, 2 - punctures)])

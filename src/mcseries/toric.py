@@ -152,13 +152,13 @@ class Fan:
                 raise FanError(f"cones {cones[k1]} and {cones[k2]} do not meet"
                                " in a common face")
 
-    def _candidates(self, cone, k):
-        """The k-subsets of a cone's rays, once their count is within the cap."""
+    def _candidates(self, cone, k, stage):
+        """The k-subsets of a cone's rays, once their count is within the cap;
+        stage names the caller in the cap message."""
         candidates, cap = comb(len(cone), k), max_terms_from_env()
         if candidates > cap:
-            raise EnumerationLimitError(
-                f"fan validation of cone {cone} needs {candidates} candidate"
-                f" {k}-faces, over the cap of {cap}; raise MCS_MAX_TERMS")
+            raise EnumerationLimitError(f"{stage} of cone {cone}", candidates,
+                                        cap, f"candidate {k}-faces")
         return combinations(cone, k)
 
     def _general_facets(self, cone) -> list[tuple]:
@@ -168,7 +168,7 @@ class Fan:
         disagree; the facet holds the rays r of sign zero, and the first such
         t in lexicographic order orients it for every cone on it."""
         seen, facets = [], []
-        for t in self._candidates(cone, self.dim - 1):
+        for t in self._candidates(cone, self.dim - 1, "fan validation"):
             if any(s.issuperset(t) for s in seen):
                 continue
             rows = [list(self.rays[i]) for i in t]
@@ -194,10 +194,11 @@ class Fan:
         is a face when it is the intersection of the facets that hold it."""
         if k == self.dim - 1:
             return list(self._facets[cone])
+        candidates = self._candidates(cone, k, "face enumeration")
         if cone in self._simplicial:
-            return list(combinations(cone, k))
+            return list(candidates)
         spans: list[set] = []
-        for t in self._candidates(cone, k):
+        for t in candidates:
             if any(s.issuperset(t) for s in spans):
                 continue
             normals = (kernel_basis([self.rays[i] for i in t]) if t
@@ -356,8 +357,7 @@ def pn_divisor_series(n: int, truncation: int,
         total += count
         if total > cap:
             raise EnumerationLimitError(
-                f"divisor series of P^{n} needs {total} terms by degree {d},"
-                f" over the cap of {cap}; raise MCS_MAX_TERMS")
+                f"divisor series of P^{n} to degree {d}", total, cap)
         count = count * (n + d + 1) // (d + 1)
     if ring is None:
         ring = standard_ring()

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from mcseries import intlinalg
+from mcseries import cli, intlinalg
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
-from mcseries.series import MonoidPolynomial, curve_zeta
+from mcseries.series import _Terms, curve_zeta
 from mcseries.toric import (
     mc_series_toric,
     product_fan,
@@ -118,7 +118,9 @@ class TestToric:
         monkeypatch.setenv("MCS_MAX_TERMS", "5")
         path = fan_file(three_point_blowup_fan(), "gp")
         assert main(["toric", "--fan", path, "--p", "1", "--truncate", "6"]) == 2
-        assert "MCS_MAX_TERMS" in capsys.readouterr().err or True
+        err = capsys.readouterr().err
+        assert "expansion" in err and "over the cap of 5" in err
+        assert "MCS_MAX_TERMS" in err
 
     def test_bad_cap_value(self, fan_file, capsys, monkeypatch):
         monkeypatch.setenv("MCS_MAX_TERMS", "many")
@@ -187,7 +189,7 @@ class TestToric:
         monkeypatch.setenv("MCS_MAX_TERMS", "500")
         assert main(["toric", "--fan", path, "--p", "0", "--truncate", "2"]) == 2
         err = capsys.readouterr().err
-        assert "fan validation" in err
+        assert "face enumeration" in err
         assert "780" in err and "cap of 500" in err
 
 
@@ -240,6 +242,22 @@ class TestVerify:
                      "--remove", str(remove), "--truncate", "8"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_localization_power_is_written_in_one_pass(self, capsys,
+                                                      monkeypatch):
+        # (1 - t)^3998 comes from the binomial theorem; repeated squaring
+        # made 25 products of growing big-int polynomials
+        calls = []
+
+        def counted(self, other):
+            calls.append(other)
+            return product(self, other)
+        product = _Terms.__mul__
+        monkeypatch.setattr(_Terms, "__mul__", counted)
+        assert main(["verify", "localization", "--curve", "p1",
+                     "--remove", "4000", "--truncate", "2"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert len(calls) <= 3
+
     def test_localization_unknown_curve(self, capsys):
         assert main(["verify", "localization", "--curve", "p2",
                      "--remove", "2"]) == 2
@@ -278,9 +296,12 @@ class TestVerify:
 
     def test_eq1_rejects_the_degree_before_any_power(self, capsys,
                                                       monkeypatch):
-        def no_power(self, k):
-            raise AssertionError("denominator power built")
-        monkeypatch.setattr(MonoidPolynomial, "__pow__", no_power)
+        def no_power(ring, monoid, c, alpha, e=1):
+            if e != 1:
+                raise AssertionError("denominator power built")
+            return binomial(ring, monoid, c, alpha)
+        binomial = cli.binomial_factor_polynomial
+        monkeypatch.setattr(cli, "binomial_factor_polynomial", no_power)
         assert main(["verify", "eq1", "--n", "1", "--truncate", "4",
                      "--denominator", "(1-t)^3000"]) == 2
         assert "denominator degree reaches the truncation bound" in (
@@ -393,6 +414,49 @@ class TestExpandSpecialize:
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,
                          "--assign", bad]) == 2, bad
+
+
+class TestTermCap:
+    """Each MCS_MAX_TERMS cap exits 2 with one message naming the stage, the
+    count it reached and the cap."""
+
+    @pytest.fixture
+    def inputs(self, fan_file, zeta_file, tmp_path):
+        series = tmp_path / "expanded.json"
+        series.write_text(json.dumps(series_to_json(curve_zeta(0).expand(3))))
+        plane40 = TestToric._many_ray_plane_fan(tmp_path / "plane40.json", 40)
+        return {"GP": fan_file(three_point_blowup_fan(), "gp"),
+                "P8": fan_file(projective_space_fan(8), "p8"),
+                "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file}
+
+    @pytest.mark.parametrize("cap, argv, stage_and_count", [
+        # a rational series file is capped inside its expansion
+        ("3", ["expand", "--series", "ZETA", "--truncate", "3"],
+         "expansion to degree 3: 4 terms"),
+        # printing the six generator words enumerates seven classes
+        ("3", ["toric", "--fan", "GP", "--p", "1"],
+         "monoid enumeration to degree 1: 4 elements"),
+        ("30", ["toric", "--fan", "PLANE40", "--p", "1"],
+         f"fan validation of cone {tuple(range(40))}: 40 candidate 1-faces"),
+        # every cone of P^8 is simplicial, with C(8, 4) = 70 faces of dim 4
+        ("50", ["toric", "--fan", "P8", "--p", "4"],
+         "face enumeration of cone (1, 2, 3, 4, 5, 6, 7, 8):"
+         " 70 candidate 4-faces"),
+        ("6187", ["verify", "eq1", "--n", "4", "--denominator", "(1-t)^5",
+                  "--truncate", "12", "--specialize", "L=1"],
+         "divisor series of P^4 to degree 12: 6188 terms"),
+        ("3", ["expand", "--series", "SERIES", "--truncate", "3"],
+         "series file to degree 3: 4 terms"),
+    ], ids=["expansion", "monoid-enumeration", "fan-validation",
+            "simplicial-faces", "divisor-series", "series-file"])
+    def test_exit_2_naming_stage_count_and_cap(self, cap, argv, stage_and_count,
+                                               inputs, capsys, monkeypatch):
+        monkeypatch.setenv("MCS_MAX_TERMS", cap)
+        assert main([inputs.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {stage_and_count}, over the cap of"
+                                f" {cap}; raise MCS_MAX_TERMS\n")
 
 
 ROOT = Path(__file__).resolve().parent.parent

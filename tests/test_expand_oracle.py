@@ -140,31 +140,37 @@ def _line():
     return RationalSeries(R, m, None, [(R.one, m.generator_named("t"), 1)])
 
 
-def test_cap_admits_exactly_max_terms():
+def test_cap_admits_exactly_max_terms(monkeypatch):
     # 1/(1-t) to degree 9 has exactly ten terms
-    assert len(rational_expand(_line(), 9, max_terms=10).terms) == 10
+    monkeypatch.setenv("MCS_MAX_TERMS", "10")
+    assert len(rational_expand(_line(), 9).terms) == 10
 
 
-def test_cap_rejects_one_term_more():
+def test_cap_rejects_one_term_more(monkeypatch):
+    monkeypatch.setenv("MCS_MAX_TERMS", "9")
     with pytest.raises(EnumerationLimitError,
-                       match="expansion exceeds 9 terms; raise MCS_MAX_TERMS"):
-        rational_expand(_line(), 9, max_terms=9)
+                       match="^expansion to degree 9: 10 terms, over the cap"
+                             " of 9; raise MCS_MAX_TERMS$"):
+        rational_expand(_line(), 9)
 
 
-def test_cap_stops_before_the_factor_is_done():
+def test_cap_stops_before_the_factor_is_done(monkeypatch):
     # a whole pass over this factor would make 10^9 terms
-    with pytest.raises(EnumerationLimitError):
-        rational_expand(_line(), 10 ** 9, max_terms=100)
+    monkeypatch.setenv("MCS_MAX_TERMS", "100")
+    with pytest.raises(EnumerationLimitError, match=": 101 terms"):
+        rational_expand(_line(), 10 ** 9)
 
 
-def test_cap_counts_numerator_terms():
+def test_cap_counts_numerator_terms(monkeypatch):
     m = MONOIDS["free1"]
     t = m.generator_named("t")
     num = MonoidPolynomial(R, m, {k * t: R.one for k in range(5)})
     f = RationalSeries(R, m, num, [])
-    assert len(rational_expand(f, 9, max_terms=5).terms) == 5
-    with pytest.raises(EnumerationLimitError):
-        rational_expand(f, 9, max_terms=4)
+    monkeypatch.setenv("MCS_MAX_TERMS", "5")
+    assert len(rational_expand(f, 9).terms) == 5
+    monkeypatch.setenv("MCS_MAX_TERMS", "4")
+    with pytest.raises(EnumerationLimitError, match=": 5 terms"):
+        rational_expand(f, 9)
 
 
 def test_negative_truncation_rejected():

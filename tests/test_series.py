@@ -452,16 +452,23 @@ def test_series_context_mismatches():
         f3 + TruncatedSeries.one(r2, z.monoid, 3)
 
 
-def test_polynomial_power_is_repeated_product():
-    mono = t_monoid()
-    t = mono.generator_named("t")
-    p = MonoidPolynomial(R, mono, {mono.zero: 1, t: -L, 2 * t: 3})
-    assert p ** 0 == MonoidPolynomial.one(R, mono)
-    assert p ** 1 == p
-    assert p ** 3 == p * p * p
-    assert p ** 4 == p * p * p * p
+def test_binomial_power_is_repeated_product():
+    # Z + Z/2: a and b have degree 1 and differ by the class of order two,
+    # whose powers fold back onto the zero class
+    group = AbelianGroupPresentation(2, ((2, -2),))
+    mono = GradedMonoid(group, ("a", "b"), group.basis_images())
+    a, b = mono.generators
+    assert mono.degree(2 * a) == 2 and (b - a).torsion == (1,)
+    eps = R.generator("eps")
+    for alpha in (mono.zero, 2 * a, b, b - a):
+        for c in (1, L, 2 - L, eps, 0):
+            factor = binomial_factor_polynomial(R, mono, c, alpha)
+            product = MonoidPolynomial.one(R, mono)
+            for e in range(7):
+                assert binomial_factor_polynomial(R, mono, c, alpha, e) == product
+                product = product * factor
     with pytest.raises(ValueError):
-        p ** -1
+        binomial_factor_polynomial(R, mono, 1, a, -1)
 
 
 def test_truncated_as_series_keeps_terms_up_to_n():
