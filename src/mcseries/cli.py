@@ -5,8 +5,9 @@ blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input.  Output is deterministic: identical inputs give identical bytes.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms an
-expansion, a monoid enumeration or a face enumeration may accumulate; past it
-the run aborts with exit code 2 and a message naming the stage.
+expansion, a monoid enumeration, a face enumeration or a relation matrix may
+accumulate; past it the run aborts with exit code 2 and a message naming the
+stage.
 """
 
 from __future__ import annotations

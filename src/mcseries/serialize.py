@@ -177,9 +177,26 @@ def monoid_from_json(obj) -> GradedMonoid:
 # series
 
 
+class _TermRows(list):
+    """The rows {"class", "coeff"} of a series term list, with the (class,
+    coefficient) pairs they were made from, so that json_text can write
+    every row from one template.  To json.dumps it is a plain list."""
+
+    __slots__ = ("pairs",)
+
+
 def _terms_to_json(terms) -> list:
-    return [{"class": monoid_element_to_json(e), "coeff": element_to_json(c)}
-            for e, c in terms]
+    """One row per term.  Equal coefficients share one coefficient dict, as
+    KElement is immutable: the document holds one dict per distinct
+    coefficient, not one per term."""
+    terms = tuple(terms)
+    coeffs: dict[KElement, dict] = {}
+    rows = _TermRows(
+        {"class": monoid_element_to_json(e),
+         "coeff": coeffs.get(c) or coeffs.setdefault(c, element_to_json(c))}
+        for e, c in terms)
+    rows.pairs = terms
+    return rows
 
 
 def _terms_from_json(ring, monoid, rows, kind):
@@ -323,7 +340,13 @@ def json_text(value) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, for a
     value built from dicts with str keys, lists, str, int, bool and None;
     anything else raises TypeError.  With indent set, json.dumps always runs
-    its pure-Python encoder; this writer leans on the C string escaper."""
+    its pure-Python encoder; this writer leans on the C string escaper.
+
+    The term rows of a series (the lists _terms_to_json makes) all sit at
+    one indent, so each row is one template filled with its class
+    coordinates and its coefficient's text.  That text is written once per
+    distinct coefficient of the list: the rows were made from the list's
+    (class, coefficient) pairs, and equal coefficients share one dict."""
     out: list[str] = []
     _write(value, out, "\n")
     return "".join(out)
@@ -357,6 +380,9 @@ def _write(value, out: list[str], newline: str) -> None:
         if not value:
             out.append("[]")
             return
+        if type(value) is _TermRows:
+            _write_terms(value, out, newline)
+            return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -373,3 +399,26 @@ def _write(value, out: list[str], newline: str) -> None:
         out.append(newline + "]")
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _write_terms(rows: _TermRows, out: list[str], newline: str) -> None:
+    """The rows of a term list at the indent of newline, as _write would
+    give them."""
+    row, cls, coord = (newline + "  " * k for k in (1, 2, 3))
+    between = "," + coord + "  "
+    texts: dict[KElement, str] = {}
+    sep = "[" + row
+    for doc, (e, c) in zip(rows, rows.pairs):
+        text = texts.get(c)
+        if text is None:
+            piece: list[str] = []
+            _write(doc["coeff"], piece, cls)
+            text = texts[c] = "".join(piece)
+        free = (f"[{coord}  {between.join(map(int.__repr__, e.free))}{coord}]"
+                if e.free else "[]")
+        torsion = (f"[{coord}  {between.join(map(int.__repr__, e.torsion))}{coord}]"
+                   if e.torsion else "[]")
+        out.append(f'{sep}{{{cls}"class": {{{coord}"free": {free},'
+                   f'{coord}"torsion": {torsion}{cls}}},{cls}"coeff": {text}{row}}}')
+        sep = "," + row
+    out.append(newline + "]")

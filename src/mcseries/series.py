@@ -209,12 +209,14 @@ class MonoidPolynomial(_Terms):
         return f"<poly {self}>"
 
 
-def _coeff_str(c: KElement, word: str) -> str:
-    """Render coefficient times monomial word; word '1' means the unit class."""
-    if len(c.terms) > 1:
-        body = f"({c})"
-        return body if word == "1" else f"{body}*{word}"
-    text = str(c)
+def _coeff_text(c: KElement) -> str:
+    """The coefficient as it stands before a word: parenthesized when it
+    has more than one term."""
+    return f"({c})" if len(c.terms) > 1 else str(c)
+
+
+def _times_word(text: str, word: str) -> str:
+    """Coefficient text times monomial word; word '1' means the unit class."""
     if word == "1":
         return text
     if text == "1":
@@ -224,14 +226,24 @@ def _coeff_str(c: KElement, word: str) -> str:
     return f"{text}*{word}"
 
 
+def _coeff_str(c: KElement, word: str) -> str:
+    """Render coefficient times monomial word; word '1' means the unit class."""
+    return _times_word(_coeff_text(c), word)
+
+
 def _terms_str(monoid: GradedMonoid, terms, words=None) -> str:
     """Signed sum of terms; words are the terms' class words when the
-    caller has rendered them already."""
+    caller has rendered them already.  Each distinct coefficient's text is
+    made once per call."""
     if words is None:
         words = monoid.format_elements(e for e, _ in terms)
+    texts: dict[KElement, str] = {}
     pieces = []
     for (_, c), word in zip(terms, words):
-        body = _coeff_str(c, word)
+        text = texts.get(c)
+        if text is None:
+            text = texts[c] = _coeff_text(c)
+        body = _times_word(text, word)
         if not pieces:
             pieces.append(body)
         elif body.startswith("-"):
@@ -459,7 +471,9 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     passes with k = 1; past K, one pass with k = 1 and one with k = e - 1,
     so the time stops growing with e.  Classes are packed int keys (see
     MonoidElement.packed) until the end, and coefficients stay Python ints
-    while the numerator and every c are integers.
+    while the numerator and every c are integers.  Integer coefficients
+    become one KElement per distinct value, shared by every term that has
+    it; KElement is immutable, so sharing is safe.
 
     The running term count is checked as each new term appears; passing
     the MCS_MAX_TERMS cap raises EnumerationLimitError.
@@ -534,11 +548,13 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
                         else:
                             dst[key2] = new
     unpack = monoid.group.unpack
-    to_ring = ring.from_int if as_int else (lambda x: x)
+    shared: dict[int, KElement] = {}
     terms, degrees = [], []
     for d in sorted(buckets):
         for key, v in sorted(buckets[d].items()):
-            terms.append((unpack(key), to_ring(v)))
+            if as_int:
+                v = shared.get(v) or shared.setdefault(v, ring.from_int(v))
+            terms.append((unpack(key), v))
             degrees.append(d)
     return TruncatedSeries._from_sorted(ring, monoid, truncation, terms, degrees)
 

@@ -284,7 +284,16 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     index = {c: i for i, c in enumerate(gen_cones)}
     relations = []
     if n - p - 1 >= 0:
-        for tau in fan.cones_of_dim(n - p - 1):
+        taus = fan.cones_of_dim(n - p - 1)
+        # each tau gives p + 1 dense rows over the generators, one per basis
+        # vector of its perp; their entries are counted before any is made.
+        # For p = n - 1 the one tau is the zero cone and the rows are the
+        # ray matrix transposed, no larger than the fan itself.
+        entries, cap = len(gen_cones) * len(taus) * (p + 1), max_terms_from_env()
+        if p < n - 1 and entries > cap:
+            raise EnumerationLimitError(f"relation matrix of {p}-cycles",
+                                        entries, cap, "entries")
+        for tau in taus:
             tau_rows = [fan.rays[i] for i in tau]
             perp = kernel_basis(tau_rows) if tau_rows else identity_matrix(n)
             rels = [[0] * len(gen_cones) for _ in perp]

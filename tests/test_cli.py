@@ -427,6 +427,7 @@ class TestTermCap:
         plane40 = TestToric._many_ray_plane_fan(tmp_path / "plane40.json", 40)
         return {"GP": fan_file(three_point_blowup_fan(), "gp"),
                 "P8": fan_file(projective_space_fan(8), "p8"),
+                "P16": fan_file(projective_space_fan(16), "p16"),
                 "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file}
 
     @pytest.mark.parametrize("cap, argv, stage_and_count", [
@@ -447,12 +448,19 @@ class TestTermCap:
          "divisor series of P^4 to degree 12: 6188 terms"),
         ("3", ["expand", "--series", "SERIES", "--truncate", "3"],
          "series file to degree 3: 4 terms"),
+        # C(17, 8) generators times C(17, 7) taus times 9 perp rows: the
+        # dense matrix would not fit in memory
+        ("1000000", ["toric", "--fan", "P16", "--p", "8"],
+         "relation matrix of 8-cycles: 4255027920 entries"),
     ], ids=["expansion", "monoid-enumeration", "fan-validation",
-            "simplicial-faces", "divisor-series", "series-file"])
+            "simplicial-faces", "divisor-series", "series-file",
+            "relation-matrix"])
     def test_exit_2_naming_stage_count_and_cap(self, cap, argv, stage_and_count,
                                                inputs, capsys, monkeypatch):
         monkeypatch.setenv("MCS_MAX_TERMS", cap)
+        start = time.perf_counter()
         assert main([inputs.get(a, a) for a in argv]) == 2
+        assert time.perf_counter() - start < 10
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {stage_and_count}, over the cap of"

@@ -3,7 +3,8 @@
 The oracle is the standard library: json_text must give the same text as
 json.dumps(value, indent=2, sort_keys=True) on every JSON value built from
 dicts with str keys, lists, str, int, bool and None, and must refuse
-anything else rather than guess a rendering.
+anything else rather than guess a rendering.  Series documents, whose term
+rows json_text writes from one template, are checked the same way.
 """
 
 import json
@@ -11,7 +12,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcseries.serialize import json_text
+from mcseries.kring import standard_ring
+from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
+from mcseries.serialize import json_text, series_from_json, series_to_json
+from mcseries.series import MonoidPolynomial, RationalSeries, TruncatedSeries
 
 # quotes, backslashes and control characters next to arbitrary code points,
 # non-ASCII ones included
@@ -41,3 +45,60 @@ def test_matches_json_dumps(value):
 def test_refuses_what_it_cannot_write_exactly(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+RING = standard_ring(("a1", "a2"))
+Z_Z2 = AbelianGroupPresentation(2, ((2, -2),))
+Z3 = AbelianGroupPresentation(1, ((3,),))
+MONOIDS = [
+    free_graded_monoid(()),            # rank 0: the zero class only
+    GradedMonoid(Z3, (), ()),          # rank 0 with torsion classes
+    free_graded_monoid(("t",)),
+    free_graded_monoid(("u", "v")),
+    GradedMonoid(Z_Z2, ("a", "b"), Z_Z2.basis_images()),  # Z + Z/2
+]
+# coefficients that repeat, big and negative ones, and elements of several
+# terms with exponents
+COEFFS = st.one_of(
+    st.sampled_from([1, -1, 3, -2]),
+    st.integers(min_value=-10**100, max_value=10**100),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(RING.generators)),
+                    st.integers(min_value=-10**100, max_value=10**100),
+                    min_size=1, max_size=4).map(RING.element))
+
+
+@st.composite
+def series(draw):
+    monoid = draw(st.sampled_from(MONOIDS))
+    basis = monoid.generators or monoid.group.basis_images()
+
+    def cls():
+        return sum((draw(st.integers(0, 3)) * g for g in basis), monoid.zero)
+
+    def terms(min_size=0):
+        return {cls(): draw(COEFFS)
+                for _ in range(draw(st.integers(min_size, 12)))}
+
+    kind = draw(st.sampled_from(["truncated", "polynomial", "rational"]))
+    if kind == "polynomial":
+        return MonoidPolynomial(RING, monoid, terms())
+    if kind == "truncated":
+        top = 3 * sum(max(monoid.degree(g), 0) for g in basis)
+        return TruncatedSeries(RING, monoid, top, terms())
+    factors = []
+    for _ in range(draw(st.integers(1, 3)) if monoid.generators else 0):
+        alpha = cls()
+        if monoid.degree(alpha) >= 1:
+            factors.append((draw(COEFFS), alpha, draw(st.integers(1, 3))))
+    num = MonoidPolynomial(RING, monoid, terms(min_size=1))
+    f = RationalSeries(RING, monoid, None if num.is_zero() else num, factors)
+    return f.expand(4) if draw(st.booleans()) else f
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(series())
+def test_series_documents_match_json_dumps(f):
+    doc = series_to_json(f)
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # the term rows are a real list to the C encoder, too
+    assert series_from_json(json.loads(json.dumps(doc))) == f

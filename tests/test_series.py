@@ -31,6 +31,7 @@ from mcseries.series import (
     MonoidPolynomial,
     RationalSeries,
     TruncatedSeries,
+    _coeff_str,
     binomial_factor_polynomial,
     certify_rational,
     curve_zeta,
@@ -469,6 +470,28 @@ def test_binomial_power_is_repeated_product():
                 product = product * factor
     with pytest.raises(ValueError):
         binomial_factor_polynomial(R, mono, 1, a, -1)
+
+
+def test_str_renders_every_term_with_coeff_str():
+    # the text of each distinct coefficient is made once per call; the
+    # result must be what rendering every term on its own gives
+    z = curve_zeta(2)
+    t = z.monoid.generator_named("t")
+    multi = z.expand(3).coefficient(3 * t)
+    assert len(multi.terms) > 1 and any(any(exp) for exp, _ in multi.terms)
+    coeffs = [1, -1, 3, -2, multi]
+    for shift in range(5):
+        terms = {k * t: coeffs[(k + shift) % 5] for k in range(16)}
+        poly = MonoidPolynomial(z.ring, z.monoid, terms)
+        words = z.monoid.format_elements(e for e, _ in poly.terms)
+        bodies = [_coeff_str(c, w) for (_, c), w in zip(poly.terms, words)]
+        text = " ".join(bodies[:1] + [f"- {b[1:]}" if b.startswith("-")
+                                      else f"+ {b}" for b in bodies[1:]])
+        assert str(poly) == text
+        assert str(TruncatedSeries(z.ring, z.monoid, 15, terms)) == (
+            f"{text} + O(degree 16)")
+        assert str(RationalSeries(z.ring, z.monoid, poly, z.factors)) == (
+            f"({text})/((1 - t)*(1 - L*t))")
 
 
 def test_truncated_as_series_keeps_terms_up_to_n():
