@@ -1,10 +1,12 @@
 """Exact integer matrix algebra and rational linear programming.
 
 Everything works over Python ints and Fractions; no floats enter anywhere.
-The Smith normal form tracks all four transform matrices so callers can move
-between ambient coordinates of a presentation and its canonical coordinates.
-Pivot selection is pinned (smallest absolute value, then lowest row, then
-lowest column) so U and V are reproducible across runs.
+The Smith normal form keeps the row transforms U and U^-1 always, and the
+column transforms V and V^-1 unless the caller leaves them out (keep_v=False);
+U and U^-1 move between ambient coordinates of a presentation and its
+canonical coordinates.  Pivot selection is pinned (smallest absolute value,
+then lowest row, then lowest column) whichever transforms are kept, so U, D
+and V are reproducible across runs and the same with or without V.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form.
 
     Uinv and Vinv are the exact inverses, maintained during the reduction.
+    A call with keep_v=False builds neither V nor Vinv; both are () then,
+    and U, D and Uinv are those of the full call.
     """
 
     U: tuple[tuple[int, ...], ...]
@@ -97,17 +101,22 @@ class SmithDecomposition:
 
 
 def _find_pivot(d: Matrix, t: int) -> tuple[int, int] | None:
+    """The smallest nonzero entry of d[t:][t:], the lowest row then the
+    lowest column on ties; the first unit in row-major order is that entry."""
     best: tuple[int, int, int] | None = None
     for i in range(t, len(d)):
         row = d[i]
         for j in range(t, len(row)):
             v = abs(row[j])
             if v and (best is None or v < best[0]):
+                if v == 1:
+                    return i, j
                 best = (v, i, j)
     return None if best is None else (best[1], best[2])
 
 
-def smith_decomposition(a: Matrix) -> SmithDecomposition:
+def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
+    """The Smith decomposition of a; keep_v=False leaves V and Vinv out."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -115,8 +124,8 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
     d = [list(row) for row in a]
     u = identity_matrix(m)
     uinv = identity_matrix(m)
-    v = identity_matrix(n)
-    vinv = identity_matrix(n)
+    v = identity_matrix(n) if keep_v else []
+    vinv = identity_matrix(n) if keep_v else []
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -144,19 +153,21 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
     def col_swap(i: int, j: int) -> None:
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        if keep_v:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(j: int, i: int, q: int) -> None:
         # col j += q * col i
         for r in d:
             r[j] += q * r[i]
-        for r in v:
-            r[j] += q * r[i]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(n):
-            vi[k] -= q * vj[k]
+        if keep_v:
+            for r in v:
+                r[j] += q * r[i]
+            vi, vj = vinv[i], vinv[j]
+            for k in range(n):
+                vi[k] -= q * vj[k]
 
     t = 0
     while t < min(m, n) and (piv := _find_pivot(d, t)) is not None:
@@ -183,8 +194,11 @@ def smith_decomposition(a: Matrix) -> SmithDecomposition:
                         clean = False
             if clean:
                 # pivot must divide the whole remaining submatrix before moving
-                # on, otherwise pull the offending row up and reduce again
+                # on, otherwise pull the offending row up and reduce again;
+                # a unit divides everything
                 p = d[t][t]
+                if p == 1 or p == -1:
+                    break
                 pulled = next((i for i in range(t + 1, m)
                                if any(d[i][j] % p for j in range(t + 1, n))), None)
                 if pulled is None:

@@ -149,7 +149,7 @@ class AbelianGroupPresentation:
         self.relations = rels
         if rels:
             cols = [[rels[j][i] for j in range(len(rels))] for i in range(m)]
-            dec = smith_decomposition(cols)
+            dec = smith_decomposition(cols, keep_v=False)
             diag = list(dec.diagonal)
             u = [list(row) for row in dec.U]
             uinv = [list(row) for row in dec.Uinv]
@@ -232,12 +232,15 @@ class AbelianGroupPresentation:
         return add_packed
 
     def basis_images(self) -> list[MonoidElement]:
-        out = []
-        for j in range(self.num_generators):
-            vec = [0] * self.num_generators
-            vec[j] = 1
-            out.append(self.project(vec))
-        return out
+        """project of each unit vector: column j of U, read at the free and
+        torsion positions."""
+        u, moduli = self._u, self.invariants
+        free = [u[i] for i in self._free_pos]
+        torsion = [u[i] for i in self._torsion_pos]
+        return [MonoidElement(tuple(row[j] for row in free),
+                              tuple(row[j] % d for row, d in zip(torsion, moduli)),
+                              moduli)
+                for j in range(self.num_generators)]
 
 
 def positive_grading(generators, rank: int) -> tuple[int, ...]:
@@ -431,10 +434,15 @@ class GradedMonoid:
         """format_element of each element, from one enumeration up to the
         largest degree among them."""
         elements = list(elements)
+        return self._format_up_to(
+            elements, max((self.degree(e) for e in elements), default=0))
+
+    def _format_up_to(self, elements, bound: int) -> list[str]:
+        """format_elements of elements whose degrees are at most bound, for
+        callers that hold the degrees already."""
         if not elements:
             return []
         keys = [self._key(e) for e in elements]
-        bound = max(self.degree(e) for e in elements)
         found = self._enumerate(max(bound, 0))
         try:
             return [self._format_word(found[k][1]) for k in keys]

@@ -203,7 +203,7 @@ class MonoidPolynomial(_Terms):
         return hash((self.ring, self.monoid, self.terms))
 
     def __str__(self):
-        return _terms_str(self.monoid, self.terms) or "0"
+        return _terms_str(self) or "0"
 
     def __repr__(self):
         return f"<poly {self}>"
@@ -231,15 +231,16 @@ def _coeff_str(c: KElement, word: str) -> str:
     return _times_word(_coeff_text(c), word)
 
 
-def _terms_str(monoid: GradedMonoid, terms, words=None) -> str:
-    """Signed sum of terms; words are the terms' class words when the
-    caller has rendered them already.  Each distinct coefficient's text is
-    made once per call."""
+def _terms_str(poly: _Terms, words=None) -> str:
+    """Signed sum of poly's terms; words are the terms' class words when
+    the caller has rendered them already.  Each distinct coefficient's text
+    is made once per call."""
     if words is None:
-        words = monoid.format_elements(e for e, _ in terms)
+        words = poly.monoid._format_up_to(
+            [e for e, _ in poly.terms], poly._degrees[-1] if poly._degrees else 0)
     texts: dict[KElement, str] = {}
     pieces = []
-    for (_, c), word in zip(terms, words):
+    for (_, c), word in zip(poly.terms, words):
         text = texts.get(c)
         if text is None:
             text = texts[c] = _coeff_text(c)
@@ -302,7 +303,7 @@ class TruncatedSeries(_Terms):
         return hash((self.ring, self.monoid, self.truncation, self.terms))
 
     def __str__(self):
-        body = _terms_str(self.monoid, self.terms) or "0"
+        body = _terms_str(self) or "0"
         return f"{body} + O(degree {self.truncation + 1})"
 
     def __repr__(self):
@@ -431,7 +432,7 @@ class RationalSeries:
         num_terms = self.numerator.terms
         words = self.monoid.format_elements(
             [e for e, _ in num_terms] + [alpha for _, alpha, _ in self.factors])
-        num = _terms_str(self.monoid, num_terms, words) or "0"
+        num = _terms_str(self.numerator, words) or "0"
         if not self.factors:
             return num
         parts = []

@@ -466,6 +466,23 @@ class TestTermCap:
         assert captured.err == (f"error: {stage_and_count}, over the cap of"
                                 f" {cap}; raise MCS_MAX_TERMS\n")
 
+    @pytest.mark.parametrize("k, n, p", [(7, 1, 1), (7, 1, 3), (1, 10, 5)],
+                             ids=["p1^7-p1", "p1^7-p3", "p10-p5"])
+    def test_relation_matrix_under_the_cap_is_reduced_quickly(
+            self, k, n, p, fan_file, capsys):
+        # (P^n)^k under the default cap: 448 x 1344 relation entries for
+        # (P^1)^7 at p=1 and 462 x 1980 for P^10 at p=5.  The Smith form of
+        # the class group keeps no column transform.
+        fan = projective_space_fan(n)
+        for _ in range(k - 1):
+            fan = product_fan(fan, projective_space_fan(n))
+        path = fan_file(fan, "power")
+        start = time.perf_counter()
+        assert main(["toric", "--fan", path, "--p", str(p),
+                     "--truncate", "2"]) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out.startswith(f"MC_{p} = ")
+
 
 ROOT = Path(__file__).resolve().parent.parent
 P2_FAN = json.loads((ROOT / "fans" / "p2.json").read_text())

@@ -1,12 +1,14 @@
 """Exact linear algebra: Smith normal form contract, kernels, rational LP.
 
 The simplex of feasible_point and minimize_linear is checked against the
-Fourier-Motzkin elimination it replaced, kept below as a reference.
+Fourier-Motzkin elimination it replaced, and smith_decomposition against the
+reduction that always kept V and Vinv; both are kept below as references.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -418,3 +420,137 @@ def test_feasible_point_is_none_exactly_when_elimination_finds_none(lp):
     if point is not None:
         for coeffs, rhs in cons:
             assert sum(c * x for c, x in zip(coeffs, point)) >= rhs
+
+
+# -- the Smith form that always updated V and Vinv, as a reference ------------
+# It scanned the whole submatrix for every pivot and checked divisibility
+# after unit pivots too; the shortcuts must not change U, D or V.
+
+
+def reference_find_pivot(d, t):
+    """The smallest nonzero entry of d[t:][t:], found by a full scan."""
+    best = None
+    for i in range(t, len(d)):
+        for j in range(t, len(d[i])):
+            x = abs(d[i][j])
+            if x and (best is None or x < best[0]):
+                best = (x, i, j)
+    return None if best is None else (best[1], best[2])
+
+
+def reference_smith_decomposition(a):
+    """(U, D, V, Uinv, Vinv) as tuples of tuples."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u, uinv = identity_matrix(m), identity_matrix(m)
+    v, vinv = identity_matrix(n), identity_matrix(n)
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, q):
+        for k in range(n):
+            d[i][k] += q * d[j][k]
+        for k in range(m):
+            u[i][k] += q * u[j][k]
+        for r in uinv:
+            r[j] -= q * r[i]
+
+    def col_swap(i, j):
+        for r in d + v:
+            r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_add(j, i, q):
+        for r in d + v:
+            r[j] += q * r[i]
+        for k in range(n):
+            vinv[i][k] -= q * vinv[j][k]
+
+    t = 0
+    while t < min(m, n) and (piv := reference_find_pivot(d, t)) is not None:
+        while True:
+            i, j = piv
+            if i != t:
+                row_swap(t, i)
+            if j != t:
+                col_swap(t, j)
+            clean = True
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    if q:
+                        row_add(i, t, -q)
+                    if d[i][t]:
+                        clean = False
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    if q:
+                        col_add(j, t, -q)
+                    if d[t][j]:
+                        clean = False
+            if clean:
+                p = d[t][t]
+                pulled = next((i for i in range(t + 1, m)
+                               if any(d[i][j] % p for j in range(t + 1, n))), None)
+                if pulled is None:
+                    break
+                row_add(t, pulled, 1)
+            piv = reference_find_pivot(d, t)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+            for r in uinv:
+                r[t] = -r[t]
+        t += 1
+    return tuple(tuple(tuple(row) for row in mat) for mat in (u, d, v, uinv, vinv))
+
+
+@st.composite
+def smith_inputs(draw):
+    """Wide (like relation matrices), tall and square integer matrices, with
+    zero rows and columns, and a common factor or unit-free entries so that
+    non-unit pivots and the divisibility pull-up occur."""
+    short, long = draw(st.integers(0, 4)), draw(st.integers(0, 10))
+    m, n = draw(st.sampled_from([(short, long), (long, short), (short, short)]))
+    factor = draw(st.sampled_from([1, 1, 2, 6]))
+    entries = draw(st.sampled_from([st.integers(-4, 4),
+                                    st.sampled_from([0, 0, 2, -2, 3, -3, 4, 9])]))
+    a = [[factor * draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, 9), max_size=2)):
+        if i < m:
+            a[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, 9), max_size=2)):
+        if j < n:
+            for row in a:
+                row[j] = 0
+    return a
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(smith_inputs())
+@example([[2, 0], [0, 3]])           # pull-up of a non-unit pivot
+@example([[2, 3, 1], [0, 0, 0]])     # a unit after a smaller-index 2
+@example([[0, 4, 0, 6, 0, 10]])      # one wide row with a common factor
+def test_smith_decomposition_matches_the_reference_with_and_without_v(a):
+    u, d, v, uinv, vinv = reference_smith_decomposition(a)
+    find_pivot = intlinalg._find_pivot
+
+    def checked_pivot(m, t):
+        # every pivot on the way must be the full scan's, or the
+        # reduction could loop instead of failing
+        piv = find_pivot(m, t)
+        assert piv == reference_find_pivot(m, t)
+        return piv
+
+    with mock.patch.object(intlinalg, "_find_pivot", checked_pivot):
+        full = smith_decomposition(a)
+        lean = smith_decomposition(a, keep_v=False)
+    assert (full.U, full.D, full.V, full.Uinv, full.Vinv) == (u, d, v, uinv, vinv)
+    assert (lean.U, lean.D, lean.Uinv) == (u, d, uinv)
+    assert lean.V == () and lean.Vinv == ()

@@ -77,6 +77,23 @@ def test_project_lift_roundtrip():
         assert group.project(group.lift(e)) == e
 
 
+def test_basis_images_are_the_projections_of_the_unit_vectors():
+    # basis_images reads column j of U; project multiplies U by e_j and
+    # reduces the torsion rows into [0, d)
+    rng = random.Random(13)
+    with_torsion = 0
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        scale = rng.choice((2, 3, 6))
+        rels = [[rng.randint(-3, 3) * rng.choice((1, scale)) for _ in range(m)]
+                for _ in range(rng.randint(0, m + 2))]
+        group = AbelianGroupPresentation(m, rels)
+        with_torsion += bool(group.invariants)
+        units = [[int(i == j) for i in range(m)] for j in range(m)]
+        assert group.basis_images() == [group.project(e) for e in units]
+    assert with_torsion > 100
+
+
 def test_positive_grading_simple():
     z = free_graded_monoid(("t",))
     assert z.grading == (1,)
