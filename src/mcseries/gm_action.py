@@ -4,7 +4,8 @@ A stratification is supplied as data: fixed components carry their own
 series, one-dimensional orbit families are recorded by what they sweep
 (orbit closure class over a point, or a fiber class over a rational curve
 with punctures).  assemble_mc is a pure fold multiplying the known factor
-of each stratum; it never infers strata from a group action.
+of each stratum into one numerator and one factor list; it never infers
+strata from a group action.
 
 The punctured-base family only has a closed factor over a rational curve:
 (1 - t^beta)^(r-2) for r >= 2 punctures.  Anything else is rejected rather
@@ -92,8 +93,7 @@ class GmDecomposition:
             elif isinstance(st, (OrbitFamilyOverPoint, OrbitFamilyOverPuncturedLine)):
                 beta = (st.orbit_class if isinstance(st, OrbitFamilyOverPoint)
                         else st.fiber_class)
-                if (beta.moduli != monoid.group.invariants
-                        or len(beta.free) != monoid.group.rank):
+                if beta not in monoid.group:
                     raise ValueError("stratum class is not in the monoid")
             else:
                 raise TypeError(f"not a stratum: {st!r}")
@@ -112,23 +112,22 @@ def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
     """
     ring, monoid = decomp.ring, decomp.monoid
     numerator = MonoidPolynomial.one(ring, monoid)
-    result = RationalSeries(ring, monoid)
+    factors = []
     for st in decomp.strata:
         if st.cycle_dimension != p:
             continue
         if isinstance(st, FixedComponentStratum):
-            result = result * st.series
+            numerator = numerator * st.series.numerator
+            factors += st.series.factors
         elif isinstance(st, OrbitFamilyOverPoint):
-            result = result * RationalSeries(ring, monoid, None,
-                                             [(ring.one, st.orbit_class, 1)])
+            factors.append((ring.one, st.orbit_class, 1))
         else:
             if st.punctures < 2:
                 raise UnsupportedStratum(
                     "no closed factor for a one-punctured rational base")
             numerator = numerator * binomial_factor_polynomial(
                 ring, monoid, ring.one, st.fiber_class, st.punctures - 2)
-    return RationalSeries(ring, monoid, result.numerator * numerator,
-                          result.factors)
+    return RationalSeries(ring, monoid, numerator, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Everything works over Python ints and Fractions; no floats enter anywhere.
 The Smith normal form keeps the row transforms U and U^-1 always, and the
-column transforms V and V^-1 unless the caller leaves them out (keep_v=False);
-U and U^-1 move between ambient coordinates of a presentation and its
-canonical coordinates.  Pivot selection is pinned (smallest absolute value,
+column transform V unless the caller leaves it out (keep_v=False); U and
+U^-1 move between ambient coordinates of a presentation and its canonical
+coordinates.  Pivot selection is pinned (smallest absolute value,
 then lowest row, then lowest column) whichever transforms are kept, so U, D
 and V are reproducible across runs and the same with or without V.
 """
@@ -75,16 +75,15 @@ def det(a: Matrix) -> int:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form.
 
-    Uinv and Vinv are the exact inverses, maintained during the reduction.
-    A call with keep_v=False builds neither V nor Vinv; both are () then,
-    and U, D and Uinv are those of the full call.
+    Uinv is the exact inverse of U, maintained during the reduction.  A call
+    with keep_v=False does not build V; it is () then, and U, D and Uinv are
+    those of the full call.
     """
 
     U: tuple[tuple[int, ...], ...]
     D: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
     Uinv: tuple[tuple[int, ...], ...]
-    Vinv: tuple[tuple[int, ...], ...]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -116,7 +115,7 @@ def _find_pivot(d: Matrix, t: int) -> tuple[int, int] | None:
 
 
 def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
-    """The Smith decomposition of a; keep_v=False leaves V and Vinv out."""
+    """The Smith decomposition of a; keep_v=False leaves V out."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -125,7 +124,6 @@ def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
     u = identity_matrix(m)
     uinv = identity_matrix(m)
     v = identity_matrix(n) if keep_v else []
-    vinv = identity_matrix(n) if keep_v else []
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -156,18 +154,14 @@ def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
         if keep_v:
             for r in v:
                 r[i], r[j] = r[j], r[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(j: int, i: int, q: int) -> None:
-        # col j += q * col i
-        for r in d:
+        # col j += q * col i; i is the pivot column t, zero above row t
+        for r in d[i:]:
             r[j] += q * r[i]
         if keep_v:
             for r in v:
                 r[j] += q * r[i]
-            vi, vj = vinv[i], vinv[j]
-            for k in range(n):
-                vi[k] -= q * vj[k]
 
     t = 0
     while t < min(m, n) and (piv := _find_pivot(d, t)) is not None:
@@ -210,14 +204,14 @@ def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
         t += 1
 
     freeze = lambda mat: tuple(tuple(row) for row in mat)
-    return SmithDecomposition(freeze(u), freeze(d), freeze(v), freeze(uinv), freeze(vinv))
+    return SmithDecomposition(freeze(u), freeze(d), freeze(v), freeze(uinv))
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U @ a @ V == D in Smith normal form, as lists.
 
     Public helper with its own tests; the package itself calls
-    smith_decomposition, which also keeps the inverse transforms."""
+    smith_decomposition, which also keeps U^-1."""
     dec = smith_decomposition(a)
     unfreeze = lambda mat: [list(row) for row in mat]
     return unfreeze(dec.U), unfreeze(dec.D), unfreeze(dec.V)

@@ -5,7 +5,10 @@ abelian group.  Elements are kept in canonical coordinates derived from the
 Smith normal form of the relation matrix: a free part (one coordinate per
 infinite cyclic factor) plus torsion residues reduced into [0, d_i).  Words
 over the generators that agree modulo the relations therefore canonicalize to
-the identical element.
+the identical element.  The coordinates are made in one place, the
+constructor of AbelianGroupPresentation, which keeps two matrices: the
+projection from ambient vectors to canonical coordinates and the lift from
+canonical coordinates back to an ambient vector.
 
 The grading is an integer functional on the free part that is >= 1 on every
 generator.  Its existence is exactly what certifies that each graded piece
@@ -21,10 +24,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import EnumerationLimitError, FiniteFiberError, MCSError
 from .intlinalg import (
+    identity_matrix,
     kernel_basis,
     mat_vec,
     minimize_linear,
@@ -128,14 +132,18 @@ class MonoidElement:
 class AbelianGroupPresentation:
     """Z^m modulo the subgroup spanned by integer relation rows.
 
-    Canonical coordinates come from U in the Smith decomposition of the
-    matrix whose columns are the relations; the free rows of U get a
-    deterministic sign normalization so that the first generator touching
-    each free coordinate has a positive entry there.
+    Canonical coordinates come from the Smith decomposition U A V = D of
+    the matrix A whose columns are the relations.  Two matrices are kept:
+    the projection, the rows of U at the free and then the torsion positions
+    of D (the packed-key order), and the lift, the matching columns of U^-1.
+    An ambient vector v has coordinates projection @ v, torsion reduced mod
+    its invariant, and lift @ y is an ambient vector with coordinates y.
+    Each free row of the projection is sign-normalized, together with its
+    lift column, so that its first nonzero entry is positive.
     """
 
     __slots__ = ("num_generators", "relations", "invariants", "rank",
-                 "_torsion_pos", "_free_pos", "_u", "_uinv", "_hash")
+                 "_projection", "_lift", "_hash")
 
     def __init__(self, num_generators: int, relations=()):
         m = int(num_generators)
@@ -148,30 +156,25 @@ class AbelianGroupPresentation:
         self.num_generators = m
         self.relations = rels
         if rels:
-            cols = [[rels[j][i] for j in range(len(rels))] for i in range(m)]
-            dec = smith_decomposition(cols, keep_v=False)
-            diag = list(dec.diagonal)
-            u = [list(row) for row in dec.U]
-            uinv = [list(row) for row in dec.Uinv]
+            dec = smith_decomposition([list(col) for col in zip(*rels)], keep_v=False)
+            diag, u, uinv = dec.diagonal, dec.U, dec.Uinv
         else:
-            diag = []
-            u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            uinv = [row[:] for row in u]
-        nonzero = [d for d in diag if d]
-        s = len(nonzero)
-        self._torsion_pos = tuple(i for i in range(s) if diag[i] > 1)
-        self.invariants = tuple(diag[i] for i in self._torsion_pos)
-        self._free_pos = tuple(range(s, m))
+            diag, u = (), identity_matrix(m)
+            uinv = u
+        s = sum(1 for d in diag if d)
+        torsion_pos = [i for i in range(s) if diag[i] > 1]
+        keep = [*range(s, m), *torsion_pos]
         self.rank = m - s
-        # sign normalization of the free coordinates against the basis images
-        for i in self._free_pos:
-            lead = next((u[i][j] for j in range(m) if u[i][j]), 0)
-            if lead < 0:
-                u[i] = [-x for x in u[i]]
-                for row in uinv:
+        self.invariants = tuple(diag[i] for i in torsion_pos)
+        proj = [u[i] for i in keep]
+        lift = [[row[i] for i in keep] for row in uinv]
+        for i in range(self.rank):
+            if next(x for x in proj[i] if x) < 0:
+                proj[i] = [-x for x in proj[i]]
+                for row in lift:
                     row[i] = -row[i]
-        self._u = tuple(tuple(row) for row in u)
-        self._uinv = tuple(tuple(row) for row in uinv)
+        self._projection = tuple(tuple(row) for row in proj)
+        self._lift = tuple(tuple(row) for row in lift)
         self._hash = hash((m, rels))
 
     def __eq__(self, other):
@@ -187,26 +190,28 @@ class AbelianGroupPresentation:
         tors = f" x Z/{list(self.invariants)}" if self.invariants else ""
         return f"<group Z^{self.rank}{tors} on {self.num_generators} generators>"
 
+    def __contains__(self, e: MonoidElement) -> bool:
+        """Whether e has this group's rank and torsion moduli."""
+        return e.moduli == self.invariants and len(e.free) == self.rank
+
+    def _element(self, y) -> MonoidElement:
+        """The element with coordinates y, torsion not yet reduced."""
+        r = self.rank
+        return MonoidElement(tuple(y[:r]), tuple(
+            x % d for x, d in zip(y[r:], self.invariants)), self.invariants)
+
     def project(self, vec) -> MonoidElement:
         """Canonical coordinates of an ambient integer vector."""
         v = [int(x) for x in vec]
         if len(v) != self.num_generators:
             raise ValueError("ambient vector has wrong length")
-        y = mat_vec(self._u, v)
-        free = tuple(y[i] for i in self._free_pos)
-        torsion = tuple(y[i] % d for i, d in zip(self._torsion_pos, self.invariants))
-        return MonoidElement(free, torsion, self.invariants)
+        return self._element(mat_vec(self._projection, v))
 
     def lift(self, e: MonoidElement) -> list[int]:
         """Some ambient vector projecting to e."""
-        if e.moduli != self.invariants or len(e.free) != self.rank:
+        if e not in self:
             raise ValueError("element not in this group")
-        y = [0] * self.num_generators
-        for pos, val in zip(self._torsion_pos, e.torsion):
-            y[pos] = val
-        for pos, val in zip(self._free_pos, e.free):
-            y[pos] = val
-        return mat_vec(self._uinv, y)
+        return mat_vec(self._lift, e.packed())
 
     @property
     def zero(self) -> MonoidElement:
@@ -232,14 +237,9 @@ class AbelianGroupPresentation:
         return add_packed
 
     def basis_images(self) -> list[MonoidElement]:
-        """project of each unit vector: column j of U, read at the free and
-        torsion positions."""
-        u, moduli = self._u, self.invariants
-        free = [u[i] for i in self._free_pos]
-        torsion = [u[i] for i in self._torsion_pos]
-        return [MonoidElement(tuple(row[j] for row in free),
-                              tuple(row[j] % d for row, d in zip(torsion, moduli)),
-                              moduli)
+        """project of each unit vector: column j of the projection."""
+        rows = self._projection
+        return [self._element([row[j] for row in rows])
                 for j in range(self.num_generators)]
 
 
@@ -298,7 +298,7 @@ class GradedMonoid:
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         for g in gens:
-            if g.moduli != group.invariants or len(g.free) != group.rank:
+            if g not in group:
                 raise ValueError("generator not in the given group")
         self.group = group
         self.names = names
@@ -384,7 +384,7 @@ class GradedMonoid:
         return found
 
     def _key(self, e: MonoidElement) -> tuple[int, ...]:
-        if e.moduli != self.group.invariants or len(e.free) != self.group.rank:
+        if e not in self.group:
             raise ValueError("element is not in the monoid's group")
         return e.packed()
 
@@ -406,7 +406,7 @@ class GradedMonoid:
             raise ValueError("element is not a sum of monoid generators") from None
 
     def contains(self, e: MonoidElement) -> bool:
-        if e.moduli != self.group.invariants or len(e.free) != self.group.rank:
+        if e not in self.group:
             return False
         if e in self.generators:
             return True
@@ -503,7 +503,7 @@ class MonoidHom:
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator required")
         for img in images:
-            if img.moduli != target.group.invariants or len(img.free) != target.group.rank:
+            if img not in target.group:
                 raise ValueError("image not in the target group")
         self.source = source
         self.target = target
@@ -583,17 +583,15 @@ def direct_sum(a: GradedMonoid, b: GradedMonoid):
     else:
         names = a.names + b.names
 
-    # pull the blockwise grading through the new canonical coordinates
-    phi = [0] * (m1 + m2)
-    for i, pos in enumerate(a.group._free_pos):
-        for k in range(m1):
-            phi[k] += a.grading[i] * a.group._u[pos][k]
-    for i, pos in enumerate(b.group._free_pos):
-        for k in range(m2):
-            phi[m1 + k] += b.grading[i] * b.group._u[pos][k]
-    grading = tuple(
-        sum(phi[k] * group._uinv[k][pos] for k in range(m1 + m2))
-        for pos in group._free_pos)
+    # the blockwise degree of each ambient unit vector, read on the lift of
+    # each free unit coordinate of the sum
+    phi = ([a.degree(g) for g in a.group.basis_images()]
+           + [b.degree(g) for g in b.group.basis_images()])
+    width = group.rank + len(group.invariants)
+    grading = []
+    for i in range(group.rank):
+        unit = group.unpack(tuple(int(i == j) for j in range(width)))
+        grading.append(sum(map(mul, phi, group.lift(unit))))
 
     total = GradedMonoid(group, names, tuple(gens_a) + tuple(gens_b), grading)
     inj1 = MonoidHom(a, total, gens_a, check=False)

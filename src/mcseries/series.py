@@ -88,7 +88,7 @@ class _Terms:
             c = _coerce_coeff(ring, c)
             if c.is_zero():
                 continue
-            if e.moduli != monoid.group.invariants or len(e.free) != monoid.group.rank:
+            if e not in monoid.group:
                 raise ValueError("term class is not in the series monoid")
             items.append((monoid.degree(e), e, c))
         items.sort(key=lambda t: (t[0], t[1].sort_key()))
@@ -366,7 +366,6 @@ class RationalSeries:
             raise SeriesMismatch("numerator context differs from the series")
         self.numerator = numerator
         merged: dict[tuple, tuple[KElement, MonoidElement, int]] = {}
-        order: list[tuple] = []
         for c, alpha, e in factors:
             c = _coerce_coeff(ring, c)
             e = int(e)
@@ -385,9 +384,8 @@ class RationalSeries:
                 c0, a0, e0 = merged[key]
                 merged[key] = (c0, a0, e0 + e)
             else:
-                order.append(key)
                 merged[key] = (c, alpha, e)
-        facs = [merged[k] for k in order]
+        facs = list(merged.values())
         facs.sort(key=lambda f: (monoid.degree(f[1]), f[1].sort_key(), f[0].terms, f[2]))
         self.factors = tuple(facs)
 

@@ -43,6 +43,8 @@ from mcseries.toric import (
     projective_space_fan,
 )
 
+from test_intlinalg import reference_smith_decomposition
+
 
 def reference_is_face(rays, cone, subset):
     cons = []
@@ -68,8 +70,9 @@ def reference_cones(fan):
 
 
 def _saturation_basis(rows):
-    dec = smith_decomposition([list(r) for r in rows])
-    return [list(dec.Vinv[i]) for i in range(dec.rank)]
+    rows = [list(r) for r in rows]
+    vinv = reference_smith_decomposition(rows)[4]
+    return [list(vinv[i]) for i in range(smith_decomposition(rows).rank)]
 
 
 def reference_wall_coefficient(rays, sigma, tau, m):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcseries.errors import EnumerationLimitError, FiniteFiberError, MCSError
 from mcseries.monoid import (
@@ -302,3 +303,131 @@ def test_element_arithmetic_validation():
         MonoidElement((0,), (1,), ())
     with pytest.raises(ValueError):
         MonoidElement((0,), (3,), (2,))
+
+
+# -- the projection and the lift --------------------------------------------
+
+
+def random_presentation(rng, m, scale):
+    """Z^m modulo up to m + 1 random rows, each entry scaled by 1 or scale,
+    so that many of them have torsion."""
+    rels = [[rng.randint(-3, 3) * rng.choice((1, scale)) for _ in range(m)]
+            for _ in range(rng.randint(0, m + 1))]
+    return AbelianGroupPresentation(m, rels)
+
+
+def random_element(rng, group):
+    return MonoidElement(tuple(rng.randint(-5, 5) for _ in range(group.rank)),
+                         tuple(rng.randrange(d) for d in group.invariants),
+                         group.invariants)
+
+
+def test_project_of_lift_is_the_identity():
+    rng = random.Random(17)
+    with_torsion = 0
+    for _ in range(300):
+        group = random_presentation(rng, rng.randint(0, 6), rng.choice((2, 3, 6)))
+        with_torsion += bool(group.invariants)
+        images = group.basis_images()
+        combos = []
+        for _ in range(5):
+            acc = group.zero
+            for img in images:
+                acc = acc + rng.randint(-4, 4) * img
+            combos.append(acc)
+        for e in images + combos + [random_element(rng, group) for _ in range(5)]:
+            assert e in group
+            x = group.lift(e)
+            assert len(x) == group.num_generators
+            assert group.project(x) == e
+    assert with_torsion > 100
+
+
+def test_lift_rejects_an_element_of_another_group():
+    group = AbelianGroupPresentation(2, ((2, -2),))
+    for e in (MonoidElement((1,)), MonoidElement((1, 0), (1,), (2,)),
+              MonoidElement((1,), (1,), (3,))):
+        assert e not in group
+        with pytest.raises(ValueError, match="element not in this group"):
+            group.lift(e)
+
+
+def test_presentation_on_no_generators():
+    for group in (AbelianGroupPresentation(0), AbelianGroupPresentation(0, [()])):
+        assert (group.rank, group.invariants) == (0, ())
+        assert group.basis_images() == []
+        assert group.project([]) == group.zero
+        assert group.lift(group.zero) == []
+        assert group.zero in group
+
+
+def test_presentation_without_relations_is_the_identity():
+    group = AbelianGroupPresentation(3)
+    for v in ([0, 0, 0], [1, -2, 5], [-7, 0, 3]):
+        e = group.project(v)
+        assert e == MonoidElement(tuple(v))
+        assert group.lift(e) == v
+
+
+def test_presentation_of_rank_zero_with_torsion():
+    # Z^2 / <(2, 0), (0, 3)> is Z/6
+    group = AbelianGroupPresentation(2, ((2, 0), (0, 3)))
+    assert (group.rank, group.invariants) == (0, (6,))
+    b1, b2 = group.basis_images()
+    assert b1.free == b2.free == ()
+    assert not b1.is_zero() and (2 * b1).is_zero()
+    assert not b2.is_zero() and (3 * b2).is_zero()
+    elements = [MonoidElement((), (t,), (6,)) for t in range(6)]
+    assert {(k * (b1 + b2)).torsion for k in range(6)} == {(t,) for t in range(6)}
+    for e in elements:
+        assert group.project(group.lift(e)) == e
+
+
+@st.composite
+def torsion_monoids(draw):
+    """A monoid in Z^m modulo relations that are all multiples of d >= 2,
+    so the group has torsion and rank >= 1; generators have non-negative,
+    nonzero free parts and any torsion residues."""
+    m = draw(st.integers(2, 5))
+    d = draw(st.sampled_from((2, 3, 4, 6)))
+    entries = st.integers(-3, 3)
+    first = draw(st.lists(entries, min_size=m, max_size=m).filter(any))
+    rest = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                         max_size=m - 2))
+    group = AbelianGroupPresentation(m, [[d * x for x in row] for row in [first] + rest])
+    free = st.lists(st.integers(0, 2), min_size=group.rank,
+                    max_size=group.rank).filter(any)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        torsion = tuple(draw(st.integers(0, q - 1)) for q in group.invariants)
+        gens.append(MonoidElement(tuple(draw(free)), torsion, group.invariants))
+    gens = list(dict.fromkeys(gens))
+    names = [f"g{i}" for i in range(len(gens))]
+    return GradedMonoid(group, names, gens)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(torsion_monoids(), torsion_monoids(), st.randoms(use_true_random=False))
+def test_direct_sum_grading_restricts_to_each_summand(a, b, rng):
+    assert a.group.invariants and b.group.invariants
+    total, inj1, inj2 = direct_sum(a, b)
+    for mono, inj in ((a, inj1), (b, inj2)):
+        for g, img in zip(mono.generators, inj.images):
+            assert img in total.group
+            assert total.degree(img) == mono.degree(g)
+    m1, m2 = a.group.num_generators, b.group.num_generators
+    for _ in range(5):
+        x = [rng.randint(-4, 4) for _ in range(m1)]
+        y = [rng.randint(-4, 4) for _ in range(m2)]
+        assert (total.degree(total.group.project(x + y))
+                == a.degree(a.group.project(x)) + b.degree(b.group.project(y)))
+
+
+def test_direct_sum_with_the_monoid_on_no_generators():
+    a = free_graded_monoid(())
+    b = blowup_monoid()
+    total, inj1, inj2 = direct_sum(a, b)
+    assert total.names == b.names and inj1.images == ()
+    assert total.grading == b.grading
+    for g, img in zip(b.generators, inj2.images):
+        assert total.degree(img) == b.degree(g)
