@@ -86,7 +86,6 @@ from .toric import (
     OrbitClassMonoid,
     blowup_at_fixed_point,
     chow_presentation,
-    degree_class,
     hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
@@ -112,10 +111,10 @@ __all__ = [
     "rational_expand", "pushforward",
     "external_product", "localize_quotient", "curve_zeta",
     "punctured_p1_zeta",
-    "Fan", "OrbitClassMonoid", "chow_presentation",
-    "degree_class", "mc_series_toric", "pn_divisor_series",
-    "projective_space_fan", "product_fan", "blowup_at_fixed_point",
-    "hirzebruch_fan", "three_point_blowup_fan", "weighted_p112_fan",
+    "Fan", "OrbitClassMonoid", "chow_presentation", "mc_series_toric",
+    "pn_divisor_series", "projective_space_fan", "product_fan",
+    "blowup_at_fixed_point", "hirzebruch_fan", "three_point_blowup_fan",
+    "weighted_p112_fan",
     "FixedComponentStratum", "OrbitFamilyOverPoint",
     "OrbitFamilyOverPuncturedLine", "GmDecomposition", "assemble_mc",
     "colinear_blowup_data", "colinear_mc_series",

@@ -4,10 +4,9 @@ Subcommands compute orbit-class series from fan files, assemble the colinear
 blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input.  Output is deterministic: identical inputs give identical bytes.
-The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms an
-expansion, a monoid enumeration, a face enumeration or a relation matrix may
-accumulate; past it the run aborts with exit code 2 and a message naming the
-stage.
+The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms,
+elements, candidate faces or matrix entries a stage may make; past it the run
+aborts with exit code 2 and a message naming the stage.
 """
 
 from __future__ import annotations

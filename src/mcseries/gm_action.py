@@ -16,9 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedStratum
+from .errors import EnumerationLimitError, UnsupportedStratum
 from .kring import KRingSpec, standard_ring
-from .monoid import AbelianGroupPresentation, GradedMonoid, MonoidElement
+from .monoid import (
+    AbelianGroupPresentation,
+    GradedMonoid,
+    MonoidElement,
+    max_terms_from_env,
+)
 from .series import MonoidPolynomial, RationalSeries, binomial_factor_polynomial
 
 __all__ = [
@@ -141,16 +146,19 @@ def colinear_blowup_data(r: int, ring: KRingSpec | None = None) -> GmDecompositi
     t0 = H - sum E_i (the moved line) and s_i = E_i.  Strata: the fixed line
     t0 with series 1/(1-t0), a family over each point with class H - E_i,
     each punctured exceptional curve with class E_i, and a family over the
-    line minus the r base points with fiber class H.
+    line minus the r base points with fiber class H.  The (r+1)^2
+    coordinates of the basis classes are counted against MCS_MAX_TERMS first.
     """
     if r < 2:
         raise UnsupportedStratum(
             "colinear stratification needs at least two centers")
+    if (r + 1) ** 2 > (cap := max_terms_from_env()):
+        raise EnumerationLimitError(f"colinear blow-up at {r} points",
+                                    (r + 1) ** 2, cap, "class coordinates")
     if ring is None:
         ring = standard_ring(a1_homotopy=True)
     group = AbelianGroupPresentation(r + 1)
-    h = group.project([1] + [0] * r)
-    e = [group.project([0] * (i + 1) + [1] + [0] * (r - i - 1)) for i in range(r)]
+    h, *e = group.basis_images()
     t0 = group.project([1] + [-1] * r)
     names = ("t0",) + tuple(f"s{i}" for i in range(1, r + 1))
     monoid = GradedMonoid(group, names, (t0,) + tuple(e))

@@ -23,24 +23,8 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in mat_mul")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
-
-
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    """The transpose of a.  Public helper for callers and tests; the
-    package itself has no caller."""
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def det(a: Matrix) -> int:
@@ -205,16 +189,6 @@ def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
 
     freeze = lambda mat: tuple(tuple(row) for row in mat)
     return SmithDecomposition(freeze(u), freeze(d), freeze(v), freeze(uinv))
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U @ a @ V == D in Smith normal form, as lists.
-
-    Public helper with its own tests; the package itself calls
-    smith_decomposition, which also keeps U^-1."""
-    dec = smith_decomposition(a)
-    unfreeze = lambda mat: [list(row) for row in mat]
-    return unfreeze(dec.U), unfreeze(dec.D), unfreeze(dec.V)
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:

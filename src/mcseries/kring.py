@@ -346,23 +346,6 @@ class Specialization:
         self.assignments = norm
         self.carry_unassigned = carry_unassigned
 
-    def __call__(self, a: KElement) -> KElement:
-        return specialize(a, self)
-
-    def compose(self, after: "Specialization") -> "Specialization":
-        """The map 'apply self, then after'."""
-        if after.spec != self.spec:
-            raise SpecMismatch("composition across different specs")
-        names = set(self.assignments) | set(after.assignments)
-        merged = {}
-        for name in names:
-            image = self.assignments.get(name)
-            if image is None:
-                image = self.spec.generator(name)
-            merged[name] = specialize(image, after)
-        carry = self.carry_unassigned and after.carry_unassigned
-        return Specialization(self.spec, merged, carry_unassigned=carry)
-
 
 def specialize(a: KElement, s: Specialization) -> KElement:
     """Apply the ring map s to a.  Raises MissingAssignment in strict mode.
@@ -425,10 +408,3 @@ def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
         raw[tuple(vec)] = raw.get(tuple(vec), 0) + 1
     return spec.element(raw)
 
-
-def class_torus(k: int, spec: KRingSpec | None = None) -> KElement:
-    """(L - 1)**k, the class of a k-dimensional split torus."""
-    if k < 0:
-        raise ValueError("negative dimension")
-    spec = spec or standard_ring()
-    return (spec.generator("L") - spec.one) ** k

@@ -120,12 +120,10 @@ class MonoidElement:
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
 
-    def sort_key(self):
-        return (self.free, self.torsion)
-
     def packed(self) -> tuple[int, ...]:
         """Free part then torsion residues as one int tuple.  Within one
-        group, packed keys order exactly as sort_key does."""
+        group the free parts have one length, so packed keys order the
+        elements by free part, then by torsion."""
         return self.free + self.torsion
 
 
@@ -545,9 +543,6 @@ class MonoidHom:
             if k:
                 acc = acc + k * img
         return acc
-
-    def __call__(self, e: MonoidElement) -> MonoidElement:
-        return self.apply(e)
 
     def grading_compatible(self) -> bool:
         return all(self.target.degree(img) >= 1 for img in self.images)

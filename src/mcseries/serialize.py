@@ -11,15 +11,20 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import MCSError
+from .errors import EnumerationLimitError, MCSError
 from .gm_action import (
     FixedComponentStratum,
     GmDecomposition,
     OrbitFamilyOverPoint,
     OrbitFamilyOverPuncturedLine,
 )
-from .kring import KElement, KRingSpec, ReductionRule
-from .monoid import AbelianGroupPresentation, GradedMonoid, MonoidElement
+from .kring import EPS_SQUARE_RULE, KElement, KRingSpec, ReductionRule
+from .monoid import (
+    AbelianGroupPresentation,
+    GradedMonoid,
+    MonoidElement,
+    max_terms_from_env,
+)
 from .series import MonoidPolynomial, RationalSeries, TruncatedSeries
 from .toric import Fan
 
@@ -73,8 +78,7 @@ def ring_to_json(spec: KRingSpec) -> dict:
     out: dict = {"generators": list(spec.generators)}
     if spec.a1_homotopy:
         out["a1_homotopy"] = True
-    rules = [r for r in spec.reductions if r.symbol != "eps" or r.power != 2
-             or r.replacement != (((), 1),)]
+    rules = [r for r in spec.reductions if r != EPS_SQUARE_RULE]
     if rules:
         out["reductions"] = [
             {"symbol": r.symbol, "power": r.power,
@@ -153,17 +157,22 @@ def monoid_from_json(obj) -> GradedMonoid:
     gens = _as(list, _need(obj, "generators", "monoid"), "monoid generators")
     relations = [_ints(row, "relation")
                  for row in _as(list, obj.get("relations", []), "relations")]
-    if gens and isinstance(gens[0], str):
-        # short form: generators are the ambient basis in order
+    short = gens and isinstance(gens[0], str)  # the ambient basis, in order
+    if short:
         names = tuple(_as(str, n, "monoid generator name") for n in gens)
-        group = AbelianGroupPresentation(len(names), relations)
-        elements = tuple(group.basis_images())
+        m = len(names)
     else:
         names = tuple(_as(str, _need(g, "name", "monoid generator"), "monoid generator name")
                       for g in gens)
-        ambient = _as(int, _need(obj, "ambient_generators", "monoid"),
-                      "ambient_generators")
-        group = AbelianGroupPresentation(ambient, relations)
+        m = _as(int, _need(obj, "ambient_generators", "monoid"), "ambient_generators")
+    # the group keeps two m x m matrices, even without relations
+    if m > 0 and m * m > (cap := max_terms_from_env()):
+        raise EnumerationLimitError(f"monoid on {m} ambient generators", m * m,
+                                    cap, "matrix entries")
+    group = AbelianGroupPresentation(m, relations)
+    if short:
+        elements = tuple(group.basis_images())
+    else:
         elements = tuple(
             group.project(_ints(_need(g, "ambient", "monoid generator"), "ambient"))
             for g in gens)

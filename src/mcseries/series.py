@@ -91,7 +91,7 @@ class _Terms:
             if e not in monoid.group:
                 raise ValueError("term class is not in the series monoid")
             items.append((monoid.degree(e), e, c))
-        items.sort(key=lambda t: (t[0], t[1].sort_key()))
+        items.sort(key=lambda t: (t[0], t[1].packed()))
         self.terms = tuple((e, c) for _, e, c in items)
         self._degrees = tuple(d for d, _, _ in items)
         if items and (self._degrees[0] < 0 or self._degrees[-1] > self._bound()):
@@ -107,6 +107,16 @@ class _Terms:
 
     def is_monic(self) -> bool:
         return self.coefficient(self.monoid.zero).is_one()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Terms):
+            return NotImplemented
+        return (type(self) is type(other) and self.ring == other.ring
+                and self.monoid == other.monoid
+                and self._bound() == other._bound() and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((type(self), self.ring, self.monoid, self._bound(), self.terms))
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -174,10 +184,6 @@ class MonoidPolynomial(_Terms):
     def one(cls, ring, monoid):
         return cls(ring, monoid, {monoid.zero: ring.one})
 
-    @classmethod
-    def zero(cls, ring, monoid):
-        return cls(ring, monoid, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -192,15 +198,6 @@ class MonoidPolynomial(_Terms):
     def scale(self, c) -> "MonoidPolynomial":
         c = _coerce_coeff(self.ring, c)
         return self._like({e: c * c2 for e, c2 in self.terms})
-
-    def __eq__(self, other):
-        if not isinstance(other, MonoidPolynomial):
-            return NotImplemented
-        return (self.ring == other.ring and self.monoid == other.monoid
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.monoid, self.terms))
 
     def __str__(self):
         return _terms_str(self) or "0"
@@ -224,11 +221,6 @@ def _times_word(text: str, word: str) -> str:
     if text == "-1":
         return f"-{word}"
     return f"{text}*{word}"
-
-
-def _coeff_str(c: KElement, word: str) -> str:
-    """Render coefficient times monomial word; word '1' means the unit class."""
-    return _times_word(_coeff_text(c), word)
 
 
 def _terms_str(poly: _Terms, words=None) -> str:
@@ -275,10 +267,6 @@ class TruncatedSeries(_Terms):
         return self.truncation
 
     @classmethod
-    def one(cls, ring, monoid, truncation):
-        return cls(ring, monoid, truncation, {monoid.zero: ring.one})
-
-    @classmethod
     def _from_sorted(cls, ring, monoid, truncation, terms, degrees):
         """Series from terms already checked, nonzero and in term order,
         with their degrees."""
@@ -292,15 +280,6 @@ class TruncatedSeries(_Terms):
         if self.truncation != other.truncation:
             raise SeriesMismatch(
                 f"truncation bounds differ: {self.truncation} vs {other.truncation}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.ring == other.ring and self.monoid == other.monoid
-                and self.truncation == other.truncation and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.monoid, self.truncation, self.terms))
 
     def __str__(self):
         body = _terms_str(self) or "0"
@@ -379,14 +358,14 @@ class RationalSeries:
                 raise ZeroClassFactor("denominator class has non-positive degree")
             if not monoid.contains(alpha):
                 raise ZeroClassFactor("denominator class is not effective")
-            key = (alpha.sort_key(), c.terms)
+            key = (alpha, c)
             if key in merged:
                 c0, a0, e0 = merged[key]
                 merged[key] = (c0, a0, e0 + e)
             else:
                 merged[key] = (c, alpha, e)
         facs = list(merged.values())
-        facs.sort(key=lambda f: (monoid.degree(f[1]), f[1].sort_key(), f[0].terms, f[2]))
+        facs.sort(key=lambda f: (monoid.degree(f[1]), f[1].packed(), f[0].terms, f[2]))
         self.factors = tuple(facs)
 
     def is_monic(self) -> bool:
@@ -435,7 +414,7 @@ class RationalSeries:
             return num
         parts = []
         for (c, alpha, e), word in zip(self.factors, words[len(num_terms):]):
-            binom = f"(1 - {_coeff_str(c, word)})"
+            binom = f"(1 - {_times_word(_coeff_text(c), word)})"
             parts.append(binom if e == 1 else f"{binom}^{e}")
         den = "*".join(parts) if len(parts) == 1 else f"({'*'.join(parts)})"
         if self.numerator.is_one():
@@ -448,9 +427,12 @@ class RationalSeries:
 
 def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPolynomial:
     """The polynomial (1 - c*t^alpha)^e, written in one pass as the sum of
-    C(e, i) (-c)^i t^(i*alpha) over i <= e; the K-ring is commutative."""
+    C(e, i) (-c)^i t^(i*alpha) over i <= e; the K-ring is commutative.
+    Its e + 1 terms are counted against the MCS_MAX_TERMS cap first."""
     if e < 0:
         raise ValueError("negative power of a polynomial")
+    if e + 1 > (cap := max_terms_from_env()):
+        raise EnumerationLimitError(f"binomial power {e}", e + 1, cap)
     step = -_coerce_coeff(ring, c)
     acc, cls, power, binom = {}, monoid.zero, ring.one, 1
     for i in range(e + 1):
@@ -639,7 +621,7 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
     den_tail = [(e, c) for e, c in den.terms if not e.is_zero()]
     while rest:
         d, e, c = min(((monoid.degree(e), e, c) for e, c in rest.items()),
-                      key=lambda t: (t[0], t[1].sort_key()))
+                      key=lambda t: (t[0], t[1].packed()))
         if d > bound:
             raise LocalizationMismatch(
                 "quotient is not a polynomial of numerator-bounded degree")
@@ -667,10 +649,10 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
     """
     mc_x._check(mc_y)
     # the factors of a RationalSeries are already merged by this key
-    remaining = {(a.sort_key(), c.terms): (c, a, e) for c, a, e in mc_x.factors}
+    remaining = {(a, c): (c, a, e) for c, a, e in mc_x.factors}
     leftover_y = []
     for c, a, e in mc_y.factors:
-        key = (a.sort_key(), c.terms)
+        key = (a, c)
         have = remaining.get(key, (c, a, 0))[2]
         cancel = min(have, e)
         if cancel:
@@ -690,17 +672,16 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
 # curve zeta functions
 
 
-def curve_zeta(genus: int, ring: KRingSpec | None = None,
-               symbol_prefix: str = "a") -> RationalSeries:
+def curve_zeta(genus: int, ring: KRingSpec | None = None) -> RationalSeries:
     """Motivic zeta of a smooth projective curve over the monoid Z_{>=0}.
 
     Genus 0 is exact: 1/((1-t)(1-L t)).  For genus g >= 1 the numerator is
-    the generic monic polynomial 1 + a_1 t + ... + a_{2g} t^{2g} in fresh
-    free symbols; callers pin the symbols down by specializing.
+    the generic monic polynomial 1 + a1 t + ... + a{2g} t^{2g} in the free
+    symbols a1 .. a{2g}; callers pin the symbols down by specializing.
     """
     if genus < 0:
         raise ValueError("negative genus")
-    symbols = tuple(f"{symbol_prefix}{i}" for i in range(1, 2 * genus + 1))
+    symbols = tuple(f"a{i}" for i in range(1, 2 * genus + 1))
     if ring is None:
         ring = standard_ring(symbols=symbols)
     for name in symbols:

@@ -34,7 +34,6 @@ from .monoid import (
     MonoidElement,
     free_graded_monoid,
     max_terms_from_env,
-    positive_grading,
 )
 from .intlinalg import det, identity_matrix, kernel_basis
 from .series import RationalSeries, TruncatedSeries
@@ -43,7 +42,6 @@ __all__ = [
     "Fan",
     "OrbitClassMonoid",
     "chow_presentation",
-    "degree_class",
     "mc_series_toric",
     "pn_divisor_series",
     "projective_space_fan",
@@ -288,7 +286,7 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         # each tau gives p + 1 dense rows over the generators, one per basis
         # vector of its perp; their entries are counted before any is made.
         # For p = n - 1 the one tau is the zero cone and the rows are the
-        # ray matrix transposed, no larger than the fan itself.
+        # columns of the ray matrix, no larger than the fan itself.
         entries, cap = len(gen_cones) * len(taus) * (p + 1), max_terms_from_env()
         if p < n - 1 and entries > cap:
             raise EnumerationLimitError(f"relation matrix of {p}-cycles",
@@ -321,32 +319,24 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     else:
         names = tuple(f"c{i}" for i in range(len(distinct)))
     # FiniteFiberError from here signals a fan with no projective grading
-    grading = positive_grading(distinct, group.rank)
-    monoid = GradedMonoid(group, names, tuple(distinct), grading=grading)
+    monoid = GradedMonoid(group, names, tuple(distinct))
     assumptions = ("orbit classes taken up to rational equivalence;"
                    " assumed to coincide with algebraic equivalence"
                    " on complete toric varieties",)
     return OrbitClassMonoid(p, fan, monoid, gen_cones, class_of, assumptions)
 
 
-def degree_class(fan: Fan, cone, p: int,
-                 chow: OrbitClassMonoid | None = None) -> MonoidElement:
-    """Class of the orbit closure of the cone in the p-cycle class monoid."""
-    if chow is None:
-        chow = chow_presentation(fan, p)
-    elif chow.fan != fan or chow.p != p:
-        raise DimensionError("class table belongs to a different fan or p")
-    return chow.class_of(cone)
-
-
 def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None,
                     chow: OrbitClassMonoid | None = None) -> RationalSeries:
     """Product over (n-p)-cones of 1/(1 - t^class): the series counting
-    effective sums of p-dimensional orbit closures by class."""
+    effective sums of p-dimensional orbit closures by class.  A chow given
+    must be the class table of this fan and p, else DimensionError."""
     if ring is None:
         ring = standard_ring()
     if chow is None:
         chow = chow_presentation(fan, p)
+    elif chow.fan != fan or chow.p != p:
+        raise DimensionError("class table belongs to a different fan or p")
     factors = [(ring.one, chow.class_of(c), 1) for c in chow.cones]
     return RationalSeries(ring, chow.monoid, None, factors)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from mcseries.gm_action import colinear_mc_series
-from mcseries.intlinalg import det, mat_mul, smith_decomposition
+from mcseries.intlinalg import det, smith_decomposition
 from mcseries.kring import Specialization, standard_ring
 from mcseries.monoid import MonoidHom, express_in_basis, free_graded_monoid
 from mcseries.series import (
@@ -34,6 +34,7 @@ from mcseries.toric import (
     projective_space_fan,
     three_point_blowup_fan,
 )
+from test_intlinalg import mat_mul
 
 R = standard_ring()
 RA = standard_ring(a1_homotopy=True)
@@ -82,8 +83,8 @@ def test_criterion_2_three_point_blowup_form():
                 assert t[i] + s[j] == t[j] + s[i]
         f = mc_series_toric(fan, 1)
         assert f.numerator.is_one()
-        assert sorted(fc[1].sort_key() for fc in f.factors) == sorted(
-            g.sort_key() for g in t + s)
+        assert sorted(fc[1].packed() for fc in f.factors) == sorted(
+            g.packed() for g in t + s)
         assert all(c.is_one() and e == 1 for c, _, e in f.factors)
         # substituting t_i = t0*s_i: in the basis (t0, s1, s2, s3) with
         # t0 = t1 - s1, the six factor classes become t0+s_i and s_i

@@ -425,10 +425,18 @@ class TestTermCap:
         series = tmp_path / "expanded.json"
         series.write_text(json.dumps(series_to_json(curve_zeta(0).expand(3))))
         plane40 = TestToric._many_ray_plane_fan(tmp_path / "plane40.json", 40)
+        # under 200 bytes: one generator in a group on 100,000 ambient generators
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "kind": "rational", "ring": {"generators": ["L", "eps"]},
+            "monoid": {"ambient_generators": 100000,
+                       "generators": [{"name": "t", "ambient": [1]}]},
+            "denominator": []}))
         return {"GP": fan_file(three_point_blowup_fan(), "gp"),
                 "P8": fan_file(projective_space_fan(8), "p8"),
                 "P16": fan_file(projective_space_fan(16), "p16"),
-                "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file}
+                "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file,
+                "WIDE": str(wide)}
 
     @pytest.mark.parametrize("cap, argv, stage_and_count", [
         # a rational series file is capped inside its expansion
@@ -452,9 +460,20 @@ class TestTermCap:
         # dense matrix would not fit in memory
         ("1000000", ["toric", "--fan", "P16", "--p", "8"],
          "relation matrix of 8-cycles: 4255027920 entries"),
+        # (1 - t)^1999998 is counted before any of its terms is made
+        ("1000000", ["verify", "localization", "--curve", "p1", "--remove",
+                     "2000000", "--truncate", "2"],
+         "binomial power 1999998: 1999999 terms"),
+        # the class group Z^100001 would keep two dense 100001^2 matrices
+        ("1000000", ["colinear", "--r", "100000", "--truncate", "1",
+                     "--format", "json"],
+         "colinear blow-up at 100000 points: 10000200001 class coordinates"),
+        ("1000000", ["expand", "--series", "WIDE", "--truncate", "2"],
+         "monoid on 100000 ambient generators: 10000000000 matrix entries"),
     ], ids=["expansion", "monoid-enumeration", "fan-validation",
             "simplicial-faces", "divisor-series", "series-file",
-            "relation-matrix"])
+            "relation-matrix", "binomial-power", "colinear-classes",
+            "series-file-monoid"])
     def test_exit_2_naming_stage_count_and_cap(self, cap, argv, stage_and_count,
                                                inputs, capsys, monkeypatch):
         monkeypatch.setenv("MCS_MAX_TERMS", cap)

@@ -32,7 +32,6 @@ from mcseries.intlinalg import (
     kernel_basis,
     smith_decomposition,
     solve_integer,
-    transpose,
 )
 from mcseries.toric import (
     Fan,
@@ -79,7 +78,7 @@ def reference_wall_coefficient(rays, sigma, tau, m):
     v = next(rays[i] for i in sigma if i not in tau)
     tau_basis = _saturation_basis([rays[i] for i in tau]) if tau else []
     sigma_basis = _saturation_basis([rays[i] for i in sigma])
-    coords = [solve_integer(transpose(sigma_basis), list(vec))
+    coords = [solve_integer([list(c) for c in zip(*sigma_basis)], list(vec))
               for vec in tau_basis + [list(v)]]
     q = abs(det(coords))
     pairing = sum(mi * vi for mi, vi in zip(m, v))

@@ -3,7 +3,7 @@ and the cross-check against the torus-orbit product route."""
 
 import pytest
 
-from mcseries.errors import UnsupportedStratum
+from mcseries.errors import EnumerationLimitError, UnsupportedStratum
 from mcseries.gm_action import (
     FixedComponentStratum,
     GmDecomposition,
@@ -95,6 +95,17 @@ def test_colinear_strata_inventory_r3():
 def test_colinear_rejects_single_center():
     with pytest.raises(UnsupportedStratum):
         colinear_blowup_data(1)
+
+
+def test_colinear_class_coordinates_are_capped(monkeypatch):
+    # Z^(r+1) is presented by (r+1) x (r+1) matrices, counted first
+    monkeypatch.setenv("MCS_MAX_TERMS", "15")
+    with pytest.raises(EnumerationLimitError, match=(
+            "^colinear blow-up at 3 points: 16 class coordinates, over the"
+            " cap of 15;")):
+        colinear_blowup_data(3)
+    monkeypatch.setenv("MCS_MAX_TERMS", "16")
+    assert len(colinear_blowup_data(3).strata) == 8
 
 
 # ---------------------------------------------------------------------------

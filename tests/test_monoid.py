@@ -66,7 +66,7 @@ def test_blowup_presentation_rank_four():
     assert imgs[0] + imgs[4] == imgs[1] + imgs[3]  # L1 + E2 = L2 + E1
     assert imgs[0] + imgs[5] == imgs[2] + imgs[3]  # L1 + E3 = L3 + E1
     assert imgs[1] + imgs[5] == imgs[2] + imgs[4]  # dependent third relation
-    assert len({img.sort_key() for img in imgs}) == 6
+    assert len(set(imgs)) == 6
 
 
 def test_project_lift_roundtrip():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mcseries.errors import EnumerationLimitError
 from mcseries.gm_action import colinear_blowup_data, colinear_mc_series
 from mcseries.kring import KRingSpec, ReductionRule, standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
@@ -108,6 +109,23 @@ class TestMonoid:
         assert m.group.rank == 3
         assert (m.generator_named("u1") + m.generator_named("u4")
                 == m.generator_named("u2") + m.generator_named("u3"))
+
+    def test_ambient_group_is_capped_in_both_forms(self, monkeypatch):
+        # a group keeps two m x m matrices: m^2 is counted before it is made
+        short = {"generators": ["u", "v"]}
+        full = {"ambient_generators": 2,
+                "generators": [{"name": "u", "ambient": [1, 0]}]}
+        monkeypatch.setenv("MCS_MAX_TERMS", "3")
+        for obj in (short, full):
+            with pytest.raises(EnumerationLimitError, match=(
+                    "^monoid on 2 ambient generators: 4 matrix entries, over"
+                    " the cap of 3;")):
+                monoid_from_json(obj)
+        with pytest.raises(ValueError, match="negative generator count"):
+            monoid_from_json(dict(full, ambient_generators=-5))
+        monkeypatch.setenv("MCS_MAX_TERMS", "4")
+        assert monoid_from_json(short) == free_graded_monoid(("u", "v"))
+        assert monoid_from_json(full).group.num_generators == 2
 
     def test_elements(self):
         chow = chow_presentation(three_point_blowup_fan(), 1)

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from mcseries.errors import (
+    EnumerationLimitError,
     LocalizationMismatch,
     NotMonic,
     PushforwardError,
@@ -31,7 +32,8 @@ from mcseries.series import (
     MonoidPolynomial,
     RationalSeries,
     TruncatedSeries,
-    _coeff_str,
+    _coeff_text,
+    _times_word,
     binomial_factor_polynomial,
     certify_rational,
     curve_zeta,
@@ -67,7 +69,7 @@ def test_convolution_identity_series_times_denominator_is_one():
     n = 6
     f = z.expand(n)
     den = z.denominator_polynomial()
-    assert f * den.as_series(n) == TruncatedSeries.one(R, z.monoid, n)
+    assert f * den.as_series(n) == MonoidPolynomial.one(R, z.monoid).as_series(n)
 
 
 def test_denominator_polynomial_matches_hand_product():
@@ -331,7 +333,7 @@ def test_pushforward_scales_truncation_by_degree_ratio():
 def test_pushforward_rejects_degree_collapsing_map():
     two = free_graded_monoid(("x", "y"))
     phi = MonoidHom(two, two, (two.generator_named("x"), two.zero))
-    f = TruncatedSeries.one(R, two, 3)
+    f = MonoidPolynomial.one(R, two).as_series(3)
     with pytest.raises(PushforwardError):
         pushforward(f, phi)
 
@@ -445,12 +447,12 @@ def test_series_context_mismatches():
     f3, f4 = z.expand(3), z.expand(4)
     with pytest.raises(SeriesMismatch):
         f3 + f4
-    other = TruncatedSeries.one(R, free_graded_monoid(("u",)), 3)
+    other = MonoidPolynomial.one(R, free_graded_monoid(("u",))).as_series(3)
     with pytest.raises(SeriesMismatch):
         f3 * other
     r2 = standard_ring(a1_homotopy=True)
     with pytest.raises(SpecMismatch):
-        f3 + TruncatedSeries.one(r2, z.monoid, 3)
+        f3 + MonoidPolynomial.one(r2, z.monoid).as_series(3)
 
 
 def test_binomial_power_is_repeated_product():
@@ -472,6 +474,17 @@ def test_binomial_power_is_repeated_product():
         binomial_factor_polynomial(R, mono, 1, a, -1)
 
 
+def test_binomial_power_is_capped(monkeypatch):
+    # the e + 1 terms of (1 - t)^e are counted before any is made
+    mono = free_graded_monoid(("t",))
+    t = mono.generator_named("t")
+    monkeypatch.setenv("MCS_MAX_TERMS", "3")
+    with pytest.raises(EnumerationLimitError, match=(
+            "^binomial power 3: 4 terms, over the cap of 3;")):
+        binomial_factor_polynomial(R, mono, 1, t, 3)
+    assert len(binomial_factor_polynomial(R, mono, 1, t, 2).terms) == 3
+
+
 def test_str_renders_every_term_with_coeff_str():
     # the text of each distinct coefficient is made once per call; the
     # result must be what rendering every term on its own gives
@@ -484,7 +497,8 @@ def test_str_renders_every_term_with_coeff_str():
         terms = {k * t: coeffs[(k + shift) % 5] for k in range(16)}
         poly = MonoidPolynomial(z.ring, z.monoid, terms)
         words = z.monoid.format_elements(e for e, _ in poly.terms)
-        bodies = [_coeff_str(c, w) for (_, c), w in zip(poly.terms, words)]
+        bodies = [_times_word(_coeff_text(c), w)
+                  for (_, c), w in zip(poly.terms, words)]
         text = " ".join(bodies[:1] + [f"- {b[1:]}" if b.startswith("-")
                                       else f"+ {b}" for b in bodies[1:]])
         assert str(poly) == text

@@ -19,7 +19,6 @@ from mcseries.toric import (
     Fan,
     blowup_at_fixed_point,
     chow_presentation,
-    degree_class,
     hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
@@ -185,7 +184,7 @@ def test_metadata_records_equivalence_assumption():
 
 
 # ---------------------------------------------------------------------------
-# degree_class
+# classes of orbit closures
 
 
 def test_degree_class_on_gp_rays():
@@ -193,19 +192,32 @@ def test_degree_class_on_gp_rays():
     chow = chow_presentation(fan, 1)
     mono = chow.monoid
     ray_index = {v: i for i, v in enumerate(fan.rays)}
-    assert degree_class(fan, (ray_index[(1, 1)],), 1, chow) == mono.generator_named("s1")
-    assert degree_class(fan, (ray_index[(-1, -1)],), 1, chow) == mono.generator_named("t1")
-    assert degree_class(fan, (ray_index[(1, 0)],), 1, chow) == mono.generator_named("t2")
+    assert chow.class_of((ray_index[(1, 1)],)) == mono.generator_named("s1")
+    assert chow.class_of((ray_index[(-1, -1)],)) == mono.generator_named("t1")
+    assert chow.class_of((ray_index[(1, 0)],)) == mono.generator_named("t2")
 
 
 def test_degree_class_dimension_errors():
     fan = projective_space_fan(2)
+    chow = chow_presentation(fan, 1)
     with pytest.raises(DimensionError):
-        degree_class(fan, (0, 1), 1)  # a 2-cone is not a curve class
+        chow.class_of((0, 1))  # a 2-cone is not a curve class
     with pytest.raises(DimensionError):
-        degree_class(fan, (0, 2, 1), 1)
+        chow.class_of((0, 2, 1))
     with pytest.raises(DimensionError):
         chow_presentation(fan, 3)
+
+
+@pytest.mark.parametrize("other, q", [(hirzebruch_fan(1), 1),
+                                      (projective_space_fan(2), 0)],
+                         ids=["other-fan", "other-p"])
+def test_class_table_of_another_fan_or_p_is_rejected(other, q):
+    # the series would otherwise be the other table's, silently
+    fan = projective_space_fan(2)
+    with pytest.raises(DimensionError, match="different fan or p"):
+        mc_series_toric(fan, 1, chow=chow_presentation(other, q))
+    assert (mc_series_toric(fan, 1, chow=chow_presentation(fan, 1))
+            == mc_series_toric(fan, 1))
 
 
 def test_degree_class_additive_through_canonicalize():
