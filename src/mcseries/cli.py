@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from math import comb
+from operator import mul
 
 from .errors import EnumerationLimitError, MCSError, SeriesMismatch
 from .gm_action import colinear_mc_series
@@ -48,7 +49,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise MCSError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error or an oversized integer
         raise MCSError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise MCSError(f"{path} nests arrays or objects too deeply to read")
@@ -205,23 +206,23 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int):
     fan_basis = (h, s["s1"], s["s2"], s["s3"])
     fan_series = mc_series_toric(fan, 1, ring=col.ring, chow=chow)
 
-    grp = col.monoid.group
-    col_basis = tuple(grp.basis_images())
+    col_basis = col.monoid.group.basis_images()
 
-    col_terms = {express_in_basis(e, col_basis): c
-                 for e, c in col.expand(truncate).terms}
-    fan_terms = {express_in_basis(e, fan_basis): c
-                 for e, c in fan_series.expand(truncate).terms}
+    def in_basis(series, basis):
+        terms = series.expand(truncate).terms
+        return dict(zip(express_in_basis([e for e, _ in terms], basis),
+                        (c for _, c in terms)))
 
-    def degrees(v):
-        ce = sum((x * b for x, b in zip(v, col_basis)), col.monoid.zero)
-        fe = sum((x * b for x, b in zip(v, fan_basis)), m.zero)
-        return col.monoid.degree(ce), m.degree(fe)
+    col_terms = in_basis(col, col_basis)
+    fan_terms = in_basis(fan_series, fan_basis)
+    # degrees are linear: the degree of sum v_i b_i is sum v_i deg(b_i)
+    col_degs = [col.monoid.degree(b) for b in col_basis]
+    fan_degs = [m.degree(b) for b in fan_basis]
 
     zero = col.ring.zero
     comparable = []
     for v in set(col_terms) | set(fan_terms):
-        dc, df = degrees(v)
+        dc, df = sum(map(mul, v, col_degs)), sum(map(mul, v, fan_degs))
         if dc <= truncate and df <= truncate:
             comparable.append((dc, v))
     for _, v in sorted(comparable):

@@ -55,6 +55,28 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def left_inverse(columns, dim: int) -> tuple[Matrix, int] | None:
+    """(M, p) with p > 0 and M @ A == p * I for the matrix A whose columns
+    are the given vectors of length dim, or None when they are linearly
+    dependent; by fraction-free Gauss-Jordan elimination (Bareiss) of
+    [A | I], whose divisions are exact."""
+    k = len(columns)
+    rows = [[col[i] for col in columns] + [int(i == j) for j in range(dim)]
+            for i in range(dim)]
+    prev = 1
+    for c in range(k):
+        t = next((i for i in range(c, dim) if rows[i][c]), None)
+        if t is None:
+            return None
+        rows[c], rows[t] = rows[t], rows[c]
+        top, p = rows[c], rows[c][c]
+        rows = [[(x * p - row[c] * y) // prev for x, y in zip(row, top)]
+                if i != c else row for i, row in enumerate(rows)]
+        prev = p
+    s = 1 if prev > 0 else -1
+    return [[s * x for x in row[k:]] for row in rows[:k]], s * prev
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form.

@@ -13,9 +13,12 @@ canonical coordinates back to an ambient vector.
 The grading is an integer functional on the free part that is >= 1 on every
 generator.  Its existence is exactly what certifies that each graded piece
 {elements of degree <= N} is finite, so series truncation makes sense.  We
-find it by exact rational optimization (no floats), minimizing the total
-degree of the generator list, which reproduces the hand-computed gradings of
-the worked examples and is deterministic.
+find it by exact rational optimization (no floats), see positive_grading.
+
+A class is written as a word in the generators.  When their free parts are
+linearly independent, as for the colinear blow-up, the word is unique: its
+coordinates, read off a left inverse solved for once per monoid.  Otherwise
+(every toric monoid) it is the first word a breadth-first enumeration finds.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .errors import EnumerationLimitError, FiniteFiberError, MCSError
 from .intlinalg import (
     identity_matrix,
     kernel_basis,
+    left_inverse,
     mat_vec,
     minimize_linear,
     smith_decomposition,
-    solve_integer,
 )
 
 __all__ = [
@@ -245,10 +248,11 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     """Integer functional on the free part with value >= 1 on each generator.
 
     Raises FiniteFiberError when none exists (then degree fibers would be
-    infinite and series over the monoid are meaningless).  Among feasible
-    functionals we take one minimizing the total degree of the generator
-    list, exactly; ties go to the lexicographically least optimal point of
-    the simplex in intlinalg.minimize_linear.
+    infinite and series over the monoid are meaningless).  The total degree
+    of the generator list is minimized over rational functionals, and the
+    lexicographically least optimal point of intlinalg.minimize_linear is
+    scaled to integers, which can exceed the integral minimum: one 9-ray
+    surface, in other ray coordinates, gets total degree 22 for 11.
     """
     gens = list(generators)
     for g in gens:
@@ -282,10 +286,38 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _coordinate_solver(vectors, rank: int, moduli):
+    """Function from a packed key to its unique integer coordinates in
+    vectors, None when it is no integer combination of them; None itself
+    when their free parts are linearly dependent."""
+    inverse = left_inverse([v.free for v in vectors], rank)
+    if inverse is None:
+        return None
+    inv, p = inverse
+    # check the coordinates by summing the vectors; a square F has F @ M ==
+    # p * I, so there the free rows hold already
+    first = rank if len(vectors) == rank else 0
+    packed = [v.packed() for v in vectors]
+    rows = [[v[i] for v in packed] for i in range(first, rank + len(moduli))]
+
+    def coordinates(key):
+        w = [sum(map(mul, row, key)) for row in inv]
+        if p > 1:
+            if any(x % p for x in w):
+                return None
+            w = [x // p for x in w]
+        s = [sum(map(mul, row, w)) for row in rows]
+        s[rank - first:] = [x % d for x, d in zip(s[rank - first:], moduli)]
+        return tuple(w) if tuple(s) == key[first:] else None
+
+    return coordinates
+
+
 class GradedMonoid:
     """Named generators inside a presented group, graded positively."""
 
-    __slots__ = ("group", "names", "generators", "grading", "_enum_cache", "_by_name")
+    __slots__ = ("group", "names", "generators", "grading", "_enum_cache",
+                 "_solve", "_by_name")
 
     def __init__(self, group: AbelianGroupPresentation, names, generators,
                  grading: tuple[int, ...] | None = None):
@@ -312,6 +344,7 @@ class GradedMonoid:
                     raise FiniteFiberError("given grading is not positive on generators")
         self.grading = grading
         self._enum_cache: tuple[int, dict] | None = None
+        self._solve = None  # built by _words at the first query
         self._by_name = {n: g for n, g in zip(names, gens)}
 
     def __eq__(self, other):
@@ -392,28 +425,36 @@ class GradedMonoid:
         out = sorted((dw[0], key) for key, dw in found.items() if dw[0] <= bound)
         return [(self.group.unpack(key), d) for d, key in out]
 
+    def _words(self, keys, bound: int) -> list:
+        """The word_for of each packed key, None where it is not in the
+        monoid; bound is at least the degree of each member."""
+        if self._solve is None:
+            self._solve = _coordinate_solver(
+                self.generators, self.group.rank, self.group.invariants) or False
+        if self._solve:
+            return [w if w is not None and min(w, default=0) >= 0 else None
+                    for w in map(self._solve, keys)]
+        found = self._enumerate(max(bound, 0))
+        return [found[k][1] if k in found else None for k in keys]
+
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
-        """A representative generator word for an effective element."""
-        key = self._key(e)
+        """The word of an element of the monoid: its coordinates, from a
+        solver built once per monoid, when the generators have linearly
+        independent free parts, else the BFS-first word of the enumeration."""
         d = self.degree(e)
         if d < 0:
             raise ValueError("element has negative degree; not in the monoid")
-        try:
-            return self._enumerate(d)[key][1]
-        except KeyError:
-            raise ValueError("element is not a sum of monoid generators") from None
+        word = self._words([self._key(e)], d)[0]
+        if word is None:
+            raise ValueError("element is not a sum of monoid generators")
+        return word
 
     def contains(self, e: MonoidElement) -> bool:
         if e not in self.group:
             return False
         if e in self.generators:
             return True
-        d = self.degree(e)
-        if d < 0:
-            return False
-        if d == 0:
-            return e.is_zero()
-        return e.packed() in self._enumerate(d)
+        return self._words([e.packed()], self.degree(e))[0] is not None
 
     def _format_word(self, word) -> str:
         parts = []
@@ -429,8 +470,8 @@ class GradedMonoid:
         return self._format_word(self.word_for(e))
 
     def format_elements(self, elements) -> list[str]:
-        """format_element of each element, from one enumeration up to the
-        largest degree among them."""
+        """format_element of each element; the words come from one solver or
+        one enumeration up to the largest degree among them."""
         elements = list(elements)
         return self._format_up_to(
             elements, max((self.degree(e) for e in elements), default=0))
@@ -438,14 +479,10 @@ class GradedMonoid:
     def _format_up_to(self, elements, bound: int) -> list[str]:
         """format_elements of elements whose degrees are at most bound, for
         callers that hold the degrees already."""
-        if not elements:
-            return []
-        keys = [self._key(e) for e in elements]
-        found = self._enumerate(max(bound, 0))
-        try:
-            return [self._format_word(found[k][1]) for k in keys]
-        except KeyError:
-            raise ValueError("element is not a sum of monoid generators") from None
+        words = self._words([self._key(e) for e in elements], bound)
+        if None in words:
+            raise ValueError("element is not a sum of monoid generators")
+        return [self._format_word(w) for w in words]
 
 
 def canonicalize(exponents, monoid: GradedMonoid) -> MonoidElement:
@@ -469,21 +506,18 @@ def free_graded_monoid(names) -> GradedMonoid:
     return GradedMonoid(group, names, group.basis_images())
 
 
-def express_in_basis(e: MonoidElement, basis) -> tuple[int, ...]:
-    """Integer coordinates of e in a free basis of the group.
-
-    Requires a torsion-free element and an actual basis (unique solution);
-    raises ValueError when no integer solution exists.
-    """
+def express_in_basis(elements, basis) -> list[tuple[int, ...]]:
+    """Integer coordinates of each element in a nonempty basis of its group,
+    solved for once.  Raises ValueError when the basis has linearly
+    dependent free parts or an element is no integer combination of it."""
     basis = list(basis)
-    if any(e.torsion) or any(any(b.torsion) for b in basis):
-        raise ValueError("express_in_basis handles torsion-free parts only")
-    rank = len(e.free)
-    mat = [[b.free[i] for b in basis] for i in range(rank)]
-    sol = solve_integer(mat, list(e.free))
-    if sol is None:
+    solve = _coordinate_solver(basis, len(basis[0].free), basis[0].moduli)
+    if solve is None:
+        raise ValueError("basis has linearly dependent free parts")
+    out = [solve(e.packed()) for e in elements]
+    if None in out:
         raise ValueError("element is not an integer combination of the basis")
-    return tuple(sol)
+    return out
 
 
 class MonoidHom:

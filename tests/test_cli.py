@@ -13,6 +13,7 @@ import pytest
 from mcseries import cli, intlinalg
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
+from mcseries.monoid import GradedMonoid
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
 from mcseries.series import _Terms, curve_zeta
 from mcseries.toric import (
@@ -96,6 +97,18 @@ class TestToric:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         assert main(["toric", "--fan", str(path), "--p", "1"]) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no limit on integer digits before Python 3.11")
+    def test_oversized_integer_names_the_file(self, tmp_path, capsys):
+        # json.load rejects an integer of more than 4,300 digits with a
+        # ValueError that is no JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text('{"rays": [[1' + "0" * 5000 + ', 0], [0, 1]],'
+                        ' "maximal_cones": [[0, 1]]}')
+        assert main(["toric", "--fan", str(path), "--p", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "4300 digits" in err
 
     def test_incomplete_fan(self, tmp_path, capsys):
         path = tmp_path / "half.json"
@@ -215,6 +228,41 @@ class TestColinear:
         assert doc["compare"] == {"differs": True, "class": [1, -1, -1, -1],
                                   "colinear_coefficient": "1",
                                   "fan_coefficient": "0"}
+
+    def test_r12_words_without_enumerating(self, capsys, monkeypatch):
+        # the colinear generators are a basis, so words are coordinates: the
+        # numerator (1 - t^H)^10 reaches degree 130, and an enumeration of
+        # the monoid that far would pass a cap of 5,000 elements
+        def no_enumeration(self, bound):
+            raise AssertionError(f"enumerated the monoid to degree {bound}")
+
+        monkeypatch.setattr(GradedMonoid, "_enumerate", no_enumeration)
+        monkeypatch.setenv("MCS_MAX_TERMS", "5000")
+        assert main(["colinear", "--r", "12", "--truncate", "4"]) == 0
+        h = "t0*" + "*".join(f"s{i}" for i in range(1, 13))
+        assert f"MC_1 = (1 - 10*{h} + " in capsys.readouterr().out
+
+    def test_compare_solves_once_per_basis(self, fan_file, capsys, monkeypatch):
+        # one Smith form for the fan's class group, and one left inverse for
+        # each of the two bases and for the colinear monoid, whatever the
+        # number of terms compared
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (intlinalg.smith_decomposition, intlinalg.left_inverse):
+            for name, module in list(sys.modules.items()):
+                if (name.startswith("mcseries")
+                        and getattr(module, fn.__name__, None) is fn):
+                    monkeypatch.setattr(module, fn.__name__, counted(fn))
+        path = fan_file(three_point_blowup_fan(), "gp")
+        assert main(["colinear", "--r", "3", "--truncate", "4",
+                     "--compare", path]) == 0
+        assert sorted(calls) == ["left_inverse"] * 3 + ["smith_decomposition"]
 
     def test_r_below_two(self, capsys):
         assert main(["colinear", "--r", "1"]) == 2

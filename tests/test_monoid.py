@@ -3,9 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mcseries.errors import EnumerationLimitError, FiniteFiberError, MCSError
+from mcseries.gm_action import colinear_mc_series
+from mcseries.intlinalg import smith_decomposition
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -288,10 +290,12 @@ def test_express_in_basis():
     t1 = m.generator_named("t1")
     s1, s2, s3 = (m.generator_named(n) for n in ("s1", "s2", "s3"))
     t0 = t1 - s1
-    coords = express_in_basis(t1, [t0, s1, s2, s3])
-    assert coords == (1, 1, 0, 0)
-    with pytest.raises(ValueError):
-        express_in_basis(t1, [2 * t0, 2 * s1, 2 * s2, 2 * s3])
+    coords = express_in_basis([t1, s3, t1 + s2], [t0, s1, s2, s3])
+    assert coords == [(1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0)]
+    with pytest.raises(ValueError, match="not an integer combination"):
+        express_in_basis([t1], [2 * t0, 2 * s1, 2 * s2, 2 * s3])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        express_in_basis([t1], [t0, t1, s1, s2, s3])
 
 
 def test_element_arithmetic_validation():
@@ -431,3 +435,97 @@ def test_direct_sum_with_the_monoid_on_no_generators():
     assert total.grading == b.grading
     for g, img in zip(b.generators, inj2.images):
         assert total.degree(img) == b.degree(g)
+
+
+# -- words and membership from coordinates -----------------------------------
+
+
+@st.composite
+def independent_monoids(draw, square, torsion):
+    """A monoid in Z^rank x (torsion or no torsion) whose generators have
+    linearly independent free parts: rank of them when square, fewer
+    otherwise.  The first free part is scaled by 1, 2 or 3, so that some
+    classes have fractional coordinates."""
+    rank = draw(st.integers(1, 4) if square else st.integers(2, 4))
+    k = rank if square else draw(st.integers(1, rank - 1))
+    moduli = draw(st.lists(st.sampled_from((2, 3, 4)), min_size=1,
+                           max_size=2)) if torsion else []
+    q = len(moduli)
+    group = AbelianGroupPresentation(
+        rank + q, [[0] * rank + [d * (i == j) for j in range(q)]
+                   for i, d in enumerate(moduli)])
+    # free parts of positive coordinate sum admit a positive grading
+    free = st.lists(st.integers(-1, 3), min_size=rank,
+                    max_size=rank).filter(lambda f: sum(f) >= 1)
+    frees = draw(st.lists(free, min_size=k, max_size=k))
+    assume(smith_decomposition([list(row) for row in zip(*frees)]).rank == k)
+    scale = draw(st.sampled_from((1, 2, 3)))
+    frees[0] = [scale * x for x in frees[0]]
+    gens = [MonoidElement(tuple(f), tuple(draw(st.integers(0, d - 1))
+                                          for d in group.invariants),
+                          group.invariants) for f in frees]
+    return GradedMonoid(group, [f"g{i}" for i in range(k)], gens)
+
+
+def _combination(m, word):
+    return sum((c * g for c, g in zip(word, m.generators)), m.zero)
+
+
+def _check_against_bfs(m, bound, outside=()):
+    """word_for, contains and format_elements against the BFS table of the
+    enumeration to bound; each element of outside must be no member."""
+    table = m._enumerate(bound)
+    members = [m.group.unpack(key) for key in table]
+    assert [m.word_for(e) for e in members] == [w for _, w in table.values()]
+    assert all(m.contains(e) for e in members)
+    assert m.format_elements(members) == [m._format_word(w)
+                                          for _, w in table.values()]
+    for e in outside:
+        assert e.packed() not in m._enumerate(max(m.degree(e), 0))
+        assert not m.contains(e)
+        with pytest.raises(ValueError, match="not a sum of monoid generators"
+                                             "|negative degree"):
+            m.word_for(e)
+        with pytest.raises(ValueError, match="not a sum of monoid generators"):
+            m.format_elements([e])
+    assert m._solve  # the words came from coordinates
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "k<rank"])
+@pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion"])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_coordinate_words_match_bfs(square, torsion, data):
+    m = data.draw(independent_monoids(square, torsion))
+    k = len(m.generators)
+    word = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    outside = []
+    if k > 1:  # a negative coordinate
+        outside.append(_combination(m, word[:-1] + [-1]))
+    g = m.generators[0]
+    if all(x % 2 == 0 for x in g.free):  # coordinate 1/2 on the first
+        outside.append(MonoidElement(tuple(x // 2 for x in g.free),
+                                     g.torsion, g.moduli))
+    if torsion:  # the right free part with the wrong torsion
+        e = _combination(m, word)
+        outside.append(MonoidElement(e.free, tuple(
+            (t + 1) % d for t, d in zip(e.torsion, e.moduli)), e.moduli))
+    if not square:  # a unit vector outside the span of the free parts
+        rank, frees = m.group.rank, [list(h.free) for h in m.generators]
+        for i in range(rank):
+            unit = [int(i == j) for j in range(rank)]
+            if smith_decomposition([list(row) for row in zip(*frees, unit)]
+                                   ).rank > k:
+                outside.append(m.group.unpack(tuple(unit) + m.zero.torsion))
+    _check_against_bfs(m, 3 * max(m.degree(g) for g in m.generators), outside)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_colinear_words_match_bfs_to_the_numerator_degree(r):
+    f = colinear_mc_series(r)
+    m = f.monoid
+    # the numerator (1 - t^H)^(r-2) has top class (r - 2)H, whose
+    # coordinates are all r - 2; taking r - 1 more E_1 leaves s1 at -1
+    top = max(f.numerator.terms, key=lambda t: m.degree(t[0]))[0]
+    assert m.word_for(top) == (r - 2,) * (r + 1)
+    _check_against_bfs(m, m.degree(top), [top - (r - 1) * m.generators[1]])
