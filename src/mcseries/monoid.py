@@ -8,7 +8,9 @@ over the generators that agree modulo the relations therefore canonicalize to
 the identical element.  The coordinates are made in one place, the
 constructor of AbelianGroupPresentation, which keeps two matrices: the
 projection from ambient vectors to canonical coordinates and the lift from
-canonical coordinates back to an ambient vector.
+canonical coordinates back to an ambient vector.  Series keep each class
+as its packed key (MonoidElement.packed) from expansion to output, and
+unpack a MonoidElement only for a library caller.
 
 The grading is an integer functional on the free part that is >= 1 on every
 generator.  Its existence is exactly what certifies that each graded piece
@@ -195,18 +197,12 @@ class AbelianGroupPresentation:
         """Whether e has this group's rank and torsion moduli."""
         return e.moduli == self.invariants and len(e.free) == self.rank
 
-    def _element(self, y) -> MonoidElement:
-        """The element with coordinates y, torsion not yet reduced."""
-        r = self.rank
-        return MonoidElement(tuple(y[:r]), tuple(
-            x % d for x, d in zip(y[r:], self.invariants)), self.invariants)
-
     def project(self, vec) -> MonoidElement:
         """Canonical coordinates of an ambient integer vector."""
         v = [int(x) for x in vec]
         if len(v) != self.num_generators:
             raise ValueError("ambient vector has wrong length")
-        return self._element(mat_vec(self._projection, v))
+        return self.unpack(mat_vec(self._projection, v))
 
     def lift(self, e: MonoidElement) -> list[int]:
         """Some ambient vector projecting to e."""
@@ -216,12 +212,14 @@ class AbelianGroupPresentation:
 
     @property
     def zero(self) -> MonoidElement:
-        return MonoidElement((0,) * self.rank,
-                             tuple(0 for _ in self.invariants), self.invariants)
+        return self.unpack((0,) * (self.rank + len(self.invariants)))
 
     def unpack(self, key) -> MonoidElement:
-        """The element whose packed key is key."""
-        return MonoidElement(key[:self.rank], key[self.rank:], self.invariants)
+        """The element with packed coordinates key (free part, then torsion),
+        torsion reduced; series unpack a class only for a library caller."""
+        r = self.rank
+        return MonoidElement(tuple(key[:r]), tuple(
+            x % d for x, d in zip(key[r:], self.invariants)), self.invariants)
 
     def packed_adder(self):
         """Function summing two packed keys of this group."""
@@ -240,7 +238,7 @@ class AbelianGroupPresentation:
     def basis_images(self) -> list[MonoidElement]:
         """project of each unit vector: column j of the projection."""
         rows = self._projection
-        return [self._element([row[j] for row in rows])
+        return [self.unpack([row[j] for row in rows])
                 for j in range(self.num_generators)]
 
 
@@ -414,11 +412,6 @@ class GradedMonoid:
         self._enum_cache = (bound, found)
         return found
 
-    def _key(self, e: MonoidElement) -> tuple[int, ...]:
-        if e not in self.group:
-            raise ValueError("element is not in the monoid's group")
-        return e.packed()
-
     def elements_up_to(self, bound: int):
         """All monoid elements of degree <= bound as (element, degree) pairs."""
         found = self._enumerate(max(bound, 0))
@@ -444,7 +437,9 @@ class GradedMonoid:
         d = self.degree(e)
         if d < 0:
             raise ValueError("element has negative degree; not in the monoid")
-        word = self._words([self._key(e)], d)[0]
+        if e not in self.group:
+            raise ValueError("element is not in the monoid's group")
+        word = self._words([e.packed()], d)[0]
         if word is None:
             raise ValueError("element is not a sum of monoid generators")
         return word
@@ -473,13 +468,15 @@ class GradedMonoid:
         """format_element of each element; the words come from one solver or
         one enumeration up to the largest degree among them."""
         elements = list(elements)
-        return self._format_up_to(
-            elements, max((self.degree(e) for e in elements), default=0))
+        if not all(e in self.group for e in elements):
+            raise ValueError("element is not in the monoid's group")
+        return self._format_keys([e.packed() for e in elements],
+                                 max(map(self.degree, elements), default=0))
 
-    def _format_up_to(self, elements, bound: int) -> list[str]:
-        """format_elements of elements whose degrees are at most bound, for
-        callers that hold the degrees already."""
-        words = self._words([self._key(e) for e in elements], bound)
+    def _format_keys(self, keys, bound: int) -> list[str]:
+        """The words of packed keys whose degrees are at most bound, for
+        callers that hold keys and degrees already, as series do."""
+        words = self._words(keys, bound)
         if None in words:
             raise ValueError("element is not a sum of monoid generators")
         return [self._format_word(w) for w in words]

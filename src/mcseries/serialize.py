@@ -187,25 +187,20 @@ def monoid_from_json(obj) -> GradedMonoid:
 
 
 class _TermRows(list):
-    """The rows {"class", "coeff"} of a series term list, with the (class,
-    coefficient) pairs they were made from, so that json_text can write
-    every row from one template.  To json.dumps it is a plain list."""
-
-    __slots__ = ("pairs",)
+    """The rows {"class", "coeff"} of a series term list, which json_text
+    writes from one template.  To json.dumps it is a plain list."""
 
 
-def _terms_to_json(terms) -> list:
-    """One row per term.  Equal coefficients share one coefficient dict, as
-    KElement is immutable: the document holds one dict per distinct
-    coefficient, not one per term."""
-    terms = tuple(terms)
+def _terms_to_json(poly) -> list:
+    """One row per term of poly, its class coordinates sliced from the
+    packed key.  Equal coefficients share one coefficient dict, as KElement
+    is immutable: one dict per distinct coefficient, not one per term."""
+    r = poly.monoid.group.rank
     coeffs: dict[KElement, dict] = {}
-    rows = _TermRows(
-        {"class": monoid_element_to_json(e),
+    return _TermRows(
+        {"class": {"free": list(k[:r]), "torsion": list(k[r:])},
          "coeff": coeffs.get(c) or coeffs.setdefault(c, element_to_json(c))}
-        for e, c in terms)
-    rows.pairs = terms
-    return rows
+        for k, c in zip(poly.keys, poly.coeffs))
 
 
 def _terms_from_json(ring, monoid, rows, kind):
@@ -221,15 +216,15 @@ def series_to_json(f) -> dict:
     if isinstance(f, TruncatedSeries):
         return {"kind": "truncated", "ring": ring_to_json(f.ring),
                 "monoid": monoid_to_json(f.monoid),
-                "truncation": f.truncation, "terms": _terms_to_json(f.terms)}
+                "truncation": f.truncation, "terms": _terms_to_json(f)}
     if isinstance(f, MonoidPolynomial):
         return {"kind": "polynomial", "ring": ring_to_json(f.ring),
                 "monoid": monoid_to_json(f.monoid),
-                "terms": _terms_to_json(f.terms)}
+                "terms": _terms_to_json(f)}
     if isinstance(f, RationalSeries):
         return {"kind": "rational", "ring": ring_to_json(f.ring),
                 "monoid": monoid_to_json(f.monoid),
-                "numerator": _terms_to_json(f.numerator.terms),
+                "numerator": _terms_to_json(f.numerator),
                 "denominator": [{"class": monoid_element_to_json(a),
                                  "coeff": element_to_json(c), "power": e}
                                 for c, a, e in f.factors]}
@@ -351,11 +346,11 @@ def json_text(value) -> str:
     anything else raises TypeError.  With indent set, json.dumps always runs
     its pure-Python encoder; this writer leans on the C string escaper.
 
-    The term rows of a series (the lists _terms_to_json makes) all sit at
-    one indent, so each row is one template filled with its class
-    coordinates and its coefficient's text.  That text is written once per
-    distinct coefficient of the list: the rows were made from the list's
-    (class, coefficient) pairs, and equal coefficients share one dict."""
+    The term rows of a series (the lists _terms_to_json makes from packed
+    class keys) all sit at one indent, so each row is one template filled
+    with its class coordinates and its coefficient's text.  That text is
+    written once per distinct coefficient of the list, as equal
+    coefficients share one dict."""
     out: list[str] = []
     _write(value, out, "\n")
     return "".join(out)
@@ -415,18 +410,19 @@ def _write_terms(rows: _TermRows, out: list[str], newline: str) -> None:
     give them."""
     row, cls, coord = (newline + "  " * k for k in (1, 2, 3))
     between = "," + coord + "  "
-    texts: dict[KElement, str] = {}
+    texts: dict[int, str] = {}  # by id of the shared coefficient dict
     sep = "[" + row
-    for doc, (e, c) in zip(rows, rows.pairs):
-        text = texts.get(c)
+    for doc in rows:
+        coeff, klass = doc["coeff"], doc["class"]
+        text = texts.get(id(coeff))
         if text is None:
             piece: list[str] = []
-            _write(doc["coeff"], piece, cls)
-            text = texts[c] = "".join(piece)
-        free = (f"[{coord}  {between.join(map(int.__repr__, e.free))}{coord}]"
-                if e.free else "[]")
-        torsion = (f"[{coord}  {between.join(map(int.__repr__, e.torsion))}{coord}]"
-                   if e.torsion else "[]")
+            _write(coeff, piece, cls)
+            text = texts[id(coeff)] = "".join(piece)
+        free = (f"[{coord}  {between.join(map(int.__repr__, klass['free']))}{coord}]"
+                if klass["free"] else "[]")
+        torsion = (f"[{coord}  {between.join(map(int.__repr__, klass['torsion']))}{coord}]"
+                   if klass["torsion"] else "[]")
         out.append(f'{sep}{{{cls}"class": {{{coord}"free": {free},'
                    f'{coord}"torsion": {torsion}{cls}}},{cls}"coeff": {text}{row}}}')
         sep = "," + row

@@ -18,13 +18,18 @@ truncation bound or report consistency up to it, never prove it outright.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
+from math import floor, lgamma, log
+from operator import mul
 
 from .errors import (
     EnumerationLimitError,
     LocalizationMismatch,
+    MCSError,
     NotMonic,
     PushforwardError,
     SeriesMismatch,
@@ -67,42 +72,66 @@ def _coerce_coeff(ring: KRingSpec, c) -> KElement:
     raise TypeError(f"bad coefficient {c!r}")
 
 
-class _Terms:
-    """Finitely many nonzero terms (class, coefficient), ordered by degree and
-    then class, with their degrees; the core of MonoidPolynomial and
-    TruncatedSeries.
+class _TermView(Sequence):
+    """The (MonoidElement, coefficient) pairs of a term list, read-only;
+    each class is unpacked from its packed key when it is read."""
 
-    A subclass supplies _like(mapping), a same-kind object with the given
-    terms, and _bound(), the largest degree a term (of a product too) may
-    have.  _noun and _range_error word its error messages.
+    def __init__(self, poly: "_Terms"):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._poly.monoid.group.unpack(self._poly.keys[i]), self._poly.coeffs[i]
+
+
+class _Terms:
+    """Finitely many nonzero terms, ordered by degree and then packed class
+    key (MonoidElement.packed): parallel tuples keys, coeffs and _degrees.
+    The core of MonoidPolynomial and TruncatedSeries; _bound() is the
+    largest degree a term (of a product too) may have, and _noun and
+    _range_error word the error messages of a subclass.
     """
 
-    __slots__ = ("ring", "monoid", "terms", "_degrees")
+    __slots__ = ("ring", "monoid", "keys", "coeffs", "_degrees")
 
     def __init__(self, ring: KRingSpec, monoid: GradedMonoid, terms=()):
-        self.ring = ring
-        self.monoid = monoid
-        mapping = dict(terms) if not isinstance(terms, dict) else terms
-        items = []
-        for e, c in mapping.items():
-            c = _coerce_coeff(ring, c)
-            if c.is_zero():
-                continue
-            if e not in monoid.group:
-                raise ValueError("term class is not in the series monoid")
-            items.append((monoid.degree(e), e, c))
-        items.sort(key=lambda t: (t[0], t[1].packed()))
-        self.terms = tuple((e, c) for _, e, c in items)
-        self._degrees = tuple(d for d, _, _ in items)
+        self.ring, self.monoid = ring, monoid
+        keyed = {}
+        for e, c in dict(terms).items():
+            if not (c := _coerce_coeff(ring, c)).is_zero():
+                if e not in monoid.group:
+                    raise ValueError("term class is not in the series monoid")
+                keyed[e.packed()] = c
+        self._fill(keyed)
+
+    def _fill(self, keyed):
+        """Set the terms to the nonzero ones of {packed key: KElement}."""
+        items = sorted((sum(map(mul, self.monoid.grading, k)), k, c)
+                       for k, c in keyed.items() if not c.is_zero())
+        self._degrees, self.keys, self.coeffs = zip(*items) if items else ((), (), ())
         if items and (self._degrees[0] < 0 or self._degrees[-1] > self._bound()):
             raise ValueError(self._range_error)
+        return self
+
+    def _like(self, keyed):
+        """A same-kind copy whose terms are the nonzero ones of keyed."""
+        return copy(self)._fill(keyed)
+
+    @property
+    def terms(self) -> _TermView:
+        return _TermView(self)
 
     def coefficient(self, e: MonoidElement) -> KElement:
-        d = self.monoid.degree(e)
+        d, key = self.monoid.degree(e), e.packed()
         lo = bisect_left(self._degrees, d)
-        for e2, c in self.terms[lo:bisect_right(self._degrees, d, lo)]:
-            if e2 == e:
-                return c
+        hi = bisect_right(self._degrees, d, lo)
+        i = bisect_left(self.keys, key, lo, hi)
+        if i < hi and self.keys[i] == key and e in self.monoid.group:
+            return self.coeffs[i]
         return self.ring.zero
 
     def is_monic(self) -> bool:
@@ -112,11 +141,12 @@ class _Terms:
         if not isinstance(other, _Terms):
             return NotImplemented
         return (type(self) is type(other) and self.ring == other.ring
-                and self.monoid == other.monoid
-                and self._bound() == other._bound() and self.terms == other.terms)
+                and self.monoid == other.monoid and self._bound() == other._bound()
+                and self.keys == other.keys and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((type(self), self.ring, self.monoid, self._bound(), self.terms))
+        return hash((type(self), self.ring, self.monoid, self._bound(),
+                     self.keys, self.coeffs))
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -126,33 +156,30 @@ class _Terms:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) + c
+        acc = dict(zip(self.keys, self.coeffs))
+        for k, c in zip(other.keys, other.coeffs):
+            acc[k] = acc.get(k, self.ring.zero) + c
         return self._like(acc)
 
     def __sub__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, self.ring.zero) - c
-        return self._like(acc)
+        return self + other._like({k: -c for k, c in zip(other.keys, other.coeffs)})
 
     def __mul__(self, other):
         self._check(other)
         top = self._bound()
-        acc: dict[MonoidElement, KElement] = {}
-        for (e1, c1), d1 in zip(self.terms, self._degrees):
-            for (e2, c2), d2 in zip(other.terms, other._degrees):
+        plus = self.monoid.group.packed_adder()
+        acc: dict[tuple[int, ...], KElement] = {}
+        for k1, c1, d1 in zip(self.keys, self.coeffs, self._degrees):
+            for k2, c2, d2 in zip(other.keys, other.coeffs, other._degrees):
                 if d1 + d2 > top:
                     break  # other's terms are sorted by degree
-                e = e1 + e2
+                k = plus(k1, k2)
                 c = c1 * c2
-                acc[e] = acc[e] + c if e in acc else c
+                acc[k] = acc[k] + c if k in acc else c
         return self._like(acc)
 
     def specialize(self, s: Specialization):
-        return self._like({e: specialize(c, s) for e, c in self.terms})
+        return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
 
     def as_series(self, n: int) -> "TruncatedSeries":
         """The terms of degree <= n as a series truncated at n; n may not
@@ -163,8 +190,8 @@ class _Terms:
         if n < 0:
             raise ValueError("negative truncation bound")
         k = bisect_right(self._degrees, n)
-        return TruncatedSeries._from_sorted(self.ring, self.monoid, n,
-                                            self.terms[:k], self._degrees[:k])
+        return TruncatedSeries._from_sorted(self.ring, self.monoid, n, self.keys[:k],
+                                            self.coeffs[:k], self._degrees[:k])
 
 
 class MonoidPolynomial(_Terms):
@@ -174,9 +201,6 @@ class MonoidPolynomial(_Terms):
     _noun = "polynomials"
     _range_error = "polynomial term of negative degree"
 
-    def _like(self, mapping) -> "MonoidPolynomial":
-        return MonoidPolynomial(self.ring, self.monoid, mapping)
-
     def _bound(self):
         return float("inf")
 
@@ -185,11 +209,10 @@ class MonoidPolynomial(_Terms):
         return cls(ring, monoid, {monoid.zero: ring.one})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def is_one(self) -> bool:
-        return (len(self.terms) == 1 and self.terms[0][0].is_zero()
-                and self.terms[0][1].is_one())
+        return len(self.keys) == 1 and not any(self.keys[0]) and self.coeffs[0].is_one()
 
     def degree(self) -> int:
         """Max degree of a term; -1 for the zero polynomial."""
@@ -197,7 +220,7 @@ class MonoidPolynomial(_Terms):
 
     def scale(self, c) -> "MonoidPolynomial":
         c = _coerce_coeff(self.ring, c)
-        return self._like({e: c * c2 for e, c2 in self.terms})
+        return self._like({k: c * c2 for k, c2 in zip(self.keys, self.coeffs)})
 
     def __str__(self):
         return _terms_str(self) or "0"
@@ -228,11 +251,11 @@ def _terms_str(poly: _Terms, words=None) -> str:
     the caller has rendered them already.  Each distinct coefficient's text
     is made once per call."""
     if words is None:
-        words = poly.monoid._format_up_to(
-            [e for e, _ in poly.terms], poly._degrees[-1] if poly._degrees else 0)
+        words = poly.monoid._format_keys(
+            poly.keys, poly._degrees[-1] if poly._degrees else 0)
     texts: dict[KElement, str] = {}
     pieces = []
-    for (_, c), word in zip(poly.terms, words):
+    for c, word in zip(poly.coeffs, words):
         text = texts.get(c)
         if text is None:
             text = texts[c] = _coeff_text(c)
@@ -260,19 +283,16 @@ class TruncatedSeries(_Terms):
         self.truncation = int(truncation)
         super().__init__(ring, monoid, terms)
 
-    def _like(self, mapping) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, self.monoid, self.truncation, mapping)
-
     def _bound(self):
         return self.truncation
 
     @classmethod
-    def _from_sorted(cls, ring, monoid, truncation, terms, degrees):
-        """Series from terms already checked, nonzero and in term order,
-        with their degrees."""
+    def _from_sorted(cls, ring, monoid, truncation, keys, coeffs, degrees):
+        """Series from packed keys already checked and in term order, with
+        their nonzero coefficients and their degrees."""
         out = cls.__new__(cls)
         out.ring, out.monoid, out.truncation = ring, monoid, truncation
-        out.terms, out._degrees = tuple(terms), tuple(degrees)
+        out.keys, out.coeffs, out._degrees = tuple(keys), tuple(coeffs), tuple(degrees)
         return out
 
     def _check(self, other):
@@ -324,9 +344,10 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
         raise SeriesMismatch("denominator degree reaches the truncation bound")
     bound = g.degree() if numerator_degree is None else int(numerator_degree)
     h = f * g.as_series(f.truncation)
-    for (e, c), d in zip(h.terms, h._degrees):
+    for k, c, d in zip(h.keys, h.coeffs, h._degrees):
         if d > bound:
-            return RationalityVerdict(False, f.truncation, bound, d, e, c)
+            return RationalityVerdict(False, f.truncation, bound, d,
+                                      f.monoid.group.unpack(k), c)
     return RationalityVerdict(True, f.truncation, bound)
 
 
@@ -425,14 +446,30 @@ class RationalSeries:
         return f"<rational {self}>"
 
 
+# the most decimal digits of an int that Python converts to text by default
+MAX_COEFFICIENT_DIGITS = 4300
+
+
+def _binomial_digits(e: int) -> int:
+    """Decimal digits of C(e, e // 2), the largest of the C(e, i), from the
+    log-gamma function: no big integer is made."""
+    k = e // 2
+    return floor((lgamma(e + 1) - lgamma(k + 1) - lgamma(e - k + 1)) / log(10)) + 1
+
+
 def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPolynomial:
     """The polynomial (1 - c*t^alpha)^e, written in one pass as the sum of
     C(e, i) (-c)^i t^(i*alpha) over i <= e; the K-ring is commutative.
-    Its e + 1 terms are counted against the MCS_MAX_TERMS cap first."""
+    Before any term is made, its e + 1 terms are counted against the
+    MCS_MAX_TERMS cap, and the digits of C(e, e // 2) against
+    MAX_COEFFICIENT_DIGITS, so that every coefficient can be printed."""
     if e < 0:
         raise ValueError("negative power of a polynomial")
     if e + 1 > (cap := max_terms_from_env()):
         raise EnumerationLimitError(f"binomial power {e}", e + 1, cap)
+    if (digits := _binomial_digits(e)) > MAX_COEFFICIENT_DIGITS:
+        raise MCSError(f"binomial power {e}: C({e}, {e // 2}) has {digits} digits,"
+                       f" over the limit of {MAX_COEFFICIENT_DIGITS}")
     step = -_coerce_coeff(ring, c)
     acc, cls, power, binom = {}, monoid.zero, ring.one, 1
     for i in range(e + 1):
@@ -451,10 +488,11 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     only as far as a push needs them.  A factor of exponent e <= K takes e
     passes with k = 1; past K, one pass with k = 1 and one with k = e - 1,
     so the time stops growing with e.  Classes are packed int keys (see
-    MonoidElement.packed) until the end, and coefficients stay Python ints
-    while the numerator and every c are integers.  Integer coefficients
-    become one KElement per distinct value, shared by every term that has
-    it; KElement is immutable, so sharing is safe.
+    MonoidElement.packed) throughout, and the result keeps them: no
+    MonoidElement is made unless a caller reads its terms.  Coefficients
+    stay Python ints while the numerator and every c are integers.  Integer
+    coefficients become one KElement per distinct value, shared by every
+    term that has it; KElement is immutable, so sharing is safe.
 
     The running term count is checked as each new term appears; passing
     the MCS_MAX_TERMS cap raises EnumerationLimitError.
@@ -463,7 +501,7 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
         raise ValueError("negative truncation bound")
     monoid, ring = f.monoid, f.ring
     plus = monoid.group.packed_adder()
-    as_int = (all(c.is_integer() for _, c in f.numerator.terms)
+    as_int = (all(c.is_integer() for c in f.numerator.coeffs)
               and all(c.is_integer() for c, _, _ in f.factors))
     cap = max_terms_from_env()
     stage = f"expansion to degree {truncation}"
@@ -471,9 +509,9 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     # degree -> {packed class: nonzero coefficient}
     buckets: dict[int, dict[tuple[int, ...], object]] = {}
     count = 0
-    for (e, c), d in zip(f.numerator.terms, f.numerator._degrees):
+    for key, c, d in zip(f.numerator.keys, f.numerator.coeffs, f.numerator._degrees):
         if d <= truncation:
-            buckets.setdefault(d, {})[e.packed()] = c.as_integer() if as_int else c
+            buckets.setdefault(d, {})[key] = c.as_integer() if as_int else c
             count += 1
     if count > cap:
         raise EnumerationLimitError(stage, count, cap)
@@ -528,16 +566,12 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
                             count -= 1
                         else:
                             dst[key2] = new
-    unpack = monoid.group.unpack
-    shared: dict[int, KElement] = {}
-    terms, degrees = [], []
-    for d in sorted(buckets):
-        for key, v in sorted(buckets[d].items()):
-            if as_int:
-                v = shared.get(v) or shared.setdefault(v, ring.from_int(v))
-            terms.append((unpack(key), v))
-            degrees.append(d)
-    return TruncatedSeries._from_sorted(ring, monoid, truncation, terms, degrees)
+    items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
+    degrees, keys, coeffs = zip(*items) if items else ((), (), ())
+    if as_int:
+        shared: dict[int, KElement] = {}
+        coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
+    return TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -553,33 +587,25 @@ def pushforward(f, phi: MonoidHom):
     """
     if not phi.grading_compatible():
         raise PushforwardError("homomorphism does not respect the gradings")
-    if isinstance(f, MonoidPolynomial):
-        if f.monoid != phi.source:
-            raise PushforwardError("polynomial lives on a different monoid")
-        acc: dict[MonoidElement, KElement] = {}
-        for e, c in f.terms:
-            img = phi.apply(e)
-            acc[img] = acc.get(img, f.ring.zero) + c
-        return MonoidPolynomial(f.ring, phi.target, acc)
-    if isinstance(f, TruncatedSeries):
-        if f.monoid != phi.source:
-            raise PushforwardError("series lives on a different monoid")
-        ratio = phi.degree_ratio()  # 0 when the source has no generators
-        bound = (f.truncation * ratio.denominator // ratio.numerator if ratio
-                 else f.truncation)
-        acc = {}
-        for e, c in f.terms:
-            img = phi.apply(e)
-            if phi.target.degree(img) <= bound:
-                acc[img] = acc.get(img, f.ring.zero) + c
-        return TruncatedSeries(f.ring, phi.target, bound, acc)
+    if not isinstance(f, (_Terms, RationalSeries)):
+        raise TypeError(f"cannot push forward {type(f).__name__}")
+    if f.monoid != phi.source:
+        noun = "polynomial" if isinstance(f, MonoidPolynomial) else "series"
+        raise PushforwardError(f"{noun} lives on a different monoid")
     if isinstance(f, RationalSeries):
-        if f.monoid != phi.source:
-            raise PushforwardError("series lives on a different monoid")
-        num = pushforward(f.numerator, phi)
         facs = [(c, phi.apply(a), e) for c, a, e in f.factors]
-        return RationalSeries(f.ring, phi.target, num, facs)
-    raise TypeError(f"cannot push forward {type(f).__name__}")
+        return RationalSeries(f.ring, phi.target, pushforward(f.numerator, phi), facs)
+    bound, ratio = f._bound(), phi.degree_ratio()  # 0 when the source has no generators
+    if isinstance(f, TruncatedSeries) and ratio:
+        bound = f.truncation * ratio.denominator // ratio.numerator
+    acc: dict[MonoidElement, KElement] = {}
+    for e, c in f.terms:
+        img = phi.apply(e)
+        if phi.target.degree(img) <= bound:
+            acc[img] = acc.get(img, f.ring.zero) + c
+    if isinstance(f, TruncatedSeries):
+        return TruncatedSeries(f.ring, phi.target, bound, acc)
+    return MonoidPolynomial(f.ring, phi.target, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -614,27 +640,26 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
         raise NotMonic("division requires a monic divisor")
     if num.is_zero():
         return num
-    bound = num.degree()
-    ring, monoid = num.ring, num.monoid
-    rest = {e: c for e, c in num.terms}
-    quotient: dict[MonoidElement, KElement] = {}
-    den_tail = [(e, c) for e, c in den.terms if not e.is_zero()]
+    bound, zero = num.degree(), num.ring.zero
+    grading, plus = num.monoid.grading, num.monoid.group.packed_adder()
+    rest = dict(zip(num.keys, num.coeffs))
+    quotient: dict[tuple[int, ...], KElement] = {}
+    den_tail = [(k, c) for k, c in zip(den.keys, den.coeffs) if any(k)]
     while rest:
-        d, e, c = min(((monoid.degree(e), e, c) for e, c in rest.items()),
-                      key=lambda t: (t[0], t[1].packed()))
+        d, k = min((sum(map(mul, grading, k)), k) for k in rest)
         if d > bound:
             raise LocalizationMismatch(
                 "quotient is not a polynomial of numerator-bounded degree")
-        quotient[e] = quotient.get(e, ring.zero) + c
-        del rest[e]
-        for e2, c2 in den_tail:
-            e3 = e + e2
-            c3 = rest.get(e3, ring.zero) - c * c2
+        c = rest.pop(k)
+        quotient[k] = quotient.get(k, zero) + c
+        for k2, c2 in den_tail:
+            k3 = plus(k, k2)
+            c3 = rest.get(k3, zero) - c * c2
             if c3.is_zero():
-                rest.pop(e3, None)
+                rest.pop(k3, None)
             else:
-                rest[e3] = c3
-    q = MonoidPolynomial(ring, monoid, quotient)
+                rest[k3] = c3
+    q = num._like(quotient)
     if not (q * den == num):
         raise LocalizationMismatch("division left a nonzero remainder")
     return q

@@ -306,6 +306,21 @@ class TestVerify:
         assert "PASS" in capsys.readouterr().out
         assert len(calls) <= 3
 
+    @pytest.mark.parametrize("remove, digits", [("20000", 6018), ("200000", 60203)])
+    def test_localization_coefficients_past_the_digit_limit(self, remove, digits,
+                                                             capsys):
+        # C(e, e // 2) of (1 - t)^e, e = remove - 2, has more digits than
+        # Python prints; the limit is checked before any coefficient is made
+        e = int(remove) - 2
+        start = time.perf_counter()
+        assert main(["verify", "localization", "--curve", "p1",
+                     "--remove", remove, "--truncate", "2"]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: binomial power {e}: C({e}, {e // 2}) has"
+                                f" {digits} digits, over the limit of 4300\n")
+
     def test_localization_unknown_curve(self, capsys):
         assert main(["verify", "localization", "--curve", "p2",
                      "--remove", "2"]) == 2

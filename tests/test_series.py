@@ -14,6 +14,7 @@ import pytest
 from mcseries.errors import (
     EnumerationLimitError,
     LocalizationMismatch,
+    MCSError,
     NotMonic,
     PushforwardError,
     SeriesMismatch,
@@ -24,14 +25,15 @@ from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
-    MonoidElement,
     MonoidHom,
     free_graded_monoid,
 )
 from mcseries.series import (
+    MAX_COEFFICIENT_DIGITS,
     MonoidPolynomial,
     RationalSeries,
     TruncatedSeries,
+    _binomial_digits,
     _coeff_text,
     _times_word,
     binomial_factor_polynomial,
@@ -117,9 +119,19 @@ def test_geometric_expansion_with_ring_coefficient():
         assert got.coefficient(d * t) == L ** d
 
 
-def test_coefficient_compares_only_the_classes_of_its_degree(monkeypatch):
+class _ReadCounting(tuple):
+    """A tuple that records each index read, by bisect too."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_coefficient_compares_only_the_classes_of_its_degree():
     """A lookup bisects the sorted term degrees, so verify macdonald, which
-    looks up every degree, stays linear in --truncate."""
+    looks up every degree, stays linear in --truncate.  The terms are
+    packed class keys, so the classes compared are the keys read: each
+    has the degree looked up."""
     mono = t_monoid()
     t = mono.generator_named("t")
     long = RationalSeries(R, mono, None, [(R.one, t, 2)]).expand(2000)
@@ -127,15 +139,15 @@ def test_coefficient_compares_only_the_classes_of_its_degree(monkeypatch):
     x, y = plane.generator_named("x"), plane.generator_named("y")
     square = RationalSeries(R, plane, None, [(R.one, x, 1), (R.one, y, 1)]).expand(30)
     compared = []
-    eq = MonoidElement.__eq__
-    monkeypatch.setattr(MonoidElement, "__eq__",
-                        lambda a, b: compared.append(a) or eq(a, b))
+    for f in (long, square):
+        f.keys = _ReadCounting(f.keys)
+        f.keys.reads = compared
     assert long.coefficient(1000 * t) == 1001
-    assert len(compared) == 1
+    assert set(compared) == {1000}
     for e, c in square.terms:
         compared.clear()
         assert square.coefficient(e) == c
-        assert len(compared) <= plane.degree(e) + 1
+        assert {square._degrees[i] for i in compared} == {plane.degree(e)}
     assert square.coefficient(20 * x + 11 * y) == R.zero
     assert long.coefficient(2001 * t) == R.zero
     assert long.coefficient(mono.zero) == R.one
@@ -483,6 +495,26 @@ def test_binomial_power_is_capped(monkeypatch):
             "^binomial power 3: 4 terms, over the cap of 3;")):
         binomial_factor_polynomial(R, mono, 1, t, 3)
     assert len(binomial_factor_polynomial(R, mono, 1, t, 2).terms) == 3
+
+
+def test_binomial_digits_are_exact_where_they_decide():
+    # the log-gamma digit count of C(e, e // 2) against the integer itself,
+    # made by its own recurrence: exact for small e and around the limit,
+    # which C(14292, 7146), of 4301 digits, is the first to pass
+    mono = free_graded_monoid(("t",))
+    t = mono.generator_named("t")
+    x = 1
+    for e in range(14400):
+        if e:
+            x = x * e // (e - (e - 1) // 2 if e % 2 else e // 2)
+        if e < 200 or e > 14200:
+            n = _binomial_digits(e)
+            assert 10 ** (n - 1) <= x < 10 ** n, e
+    assert _binomial_digits(14291) == MAX_COEFFICIENT_DIGITS
+    with pytest.raises(MCSError, match=(
+            r"^binomial power 14292: C\(14292, 7146\) has 4301 digits,"
+            " over the limit of 4300$")):
+        binomial_factor_polynomial(R, mono, 1, t, 14292)
 
 
 def test_str_renders_every_term_with_coeff_str():
