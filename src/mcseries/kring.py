@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import MissingAssignment, SpecMismatch
 
@@ -124,8 +125,39 @@ class KRingSpec:
                 continue
             for exp2, c2 in self._reduce_monomial(tuple(exp)):
                 acc[exp2] = acc.get(exp2, 0) + coeff * c2
-        terms = tuple(sorted((e, c) for e, c in acc.items() if c))
-        return KElement(self, terms)
+        return self.from_reduced(acc)
+
+    def from_reduced(self, raw: dict[ExpVec, int]) -> "KElement":
+        """The element of raw, whose exponent vectors no rule rewrites (the
+        terms of elements, or vectors with fewer powers than theirs): its
+        zero coefficients dropped and its terms sorted, with no reduction."""
+        return KElement(self, tuple(sorted(item for item in raw.items() if item[1])))
+
+    def sum_of_products(self, pairs) -> "KElement":
+        """The sum of a * b over the (a, b) pairs of elements, accumulated
+        in one raw {exponent vector: int} dict and made an element once.
+        An integer factor scales the other's terms, which keeps them
+        reduced; two others multiply term by term, and then the sum is
+        reduced once: reduction is linear, so that reducing the sum gives
+        the sum of the reduced products."""
+        raw: dict[ExpVec, int] = {}
+        reduce = False
+        for a, b in pairs:
+            ta, tb = a.terms, b.terms
+            if len(tb) == 1 and not any(tb[0][0]):
+                n, terms = tb[0][1], ta
+            elif len(ta) == 1 and not any(ta[0][0]):
+                n, terms = ta[0][1], tb
+            else:
+                reduce = True
+                for e1, c1 in ta:
+                    for e2, c2 in tb:
+                        e = tuple(map(add, e1, e2))
+                        raw[e] = raw.get(e, 0) + c1 * c2
+                continue
+            for e, c in terms:
+                raw[e] = raw.get(e, 0) + n * c
+        return self.element(raw) if reduce else self.from_reduced(raw)
 
     def from_int(self, n: int) -> "KElement":
         zero = (0,) * len(self.generators)
@@ -138,6 +170,12 @@ class KRingSpec:
     @property
     def one(self) -> "KElement":
         return self.from_int(1)
+
+    def rewrites(self, name: str) -> bool:
+        """Whether reduction changes powers of the generator: a rule on it,
+        or the homotopy quotient for L."""
+        gi = self.index(name)
+        return gi in self._compiled or self.a1_homotopy and name == "L"
 
     def generator(self, name: str) -> "KElement":
         vec = [0] * len(self.generators)
@@ -226,7 +264,7 @@ class KElement:
         acc = dict(self.terms)
         for exp, c in other.terms:
             acc[exp] = acc.get(exp, 0) + c
-        return KElement(self.spec, tuple(sorted((e, c) for e, c in acc.items() if c)))
+        return self.spec.from_reduced(acc)
 
     __radd__ = __add__
 
@@ -250,12 +288,7 @@ class KElement:
             return self._scaled(other.as_integer())
         if self.is_integer():
             return other._scaled(self.as_integer())
-        raw: dict[ExpVec, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                raw[exp] = raw.get(exp, 0) + c1 * c2
-        return self.spec.element(raw)
+        return self.spec.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -350,10 +383,13 @@ class Specialization:
 def specialize(a: KElement, s: Specialization) -> KElement:
     """Apply the ring map s to a.  Raises MissingAssignment in strict mode.
 
-    One pass over the terms into a single raw dict, reduced once at the
-    end.  An integer image v scales a term's coefficient by v**e and clears
+    One pass over the terms into a single raw dict, reading each term at
+    the assigned positions only, and in strict mode at the unassigned ones
+    too.  An integer image v scales a term's coefficient by v**e and clears
     that exponent; an unassigned generator stays in the exponent vector;
-    any other image is raised to each power e once per call."""
+    any other image is raised to each power e once per call.  With integer
+    images only, the result needs no reduction: clearing exponents of a
+    reduced vector leaves it reduced."""
     if a.spec != s.spec:
         raise SpecMismatch("element and specialization use different specs")
     spec = a.spec
@@ -364,47 +400,52 @@ def specialize(a: KElement, s: Specialization) -> KElement:
             ints[spec.index(name)] = image.as_integer()
         else:
             images[spec.index(name)] = image
+    unassigned = () if s.carry_unassigned else tuple(
+        gi for gi in range(len(spec.generators)) if gi not in ints and gi not in images)
+    scales = tuple(ints.items())
     powers: dict[tuple[int, int], KElement] = {}
     raw: dict[ExpVec, int] = {}
     for exp, coeff in a.terms:
-        rest = list(exp)
-        factor = None
-        for gi, e in enumerate(exp):
-            if e == 0:
-                continue
-            if gi in ints:
-                coeff *= ints[gi] ** e
-            elif gi in images:
-                power = powers.get((gi, e))
-                if power is None:
-                    power = powers[(gi, e)] = images[gi] ** e
-                factor = power if factor is None else factor * power
-            elif s.carry_unassigned:
-                continue
-            else:
+        for gi in unassigned:
+            if exp[gi]:
                 raise MissingAssignment(
                     f"no assignment for generator {spec.generators[gi]!r}")
-            rest[gi] = 0
-        rest = tuple(rest)
-        if factor is None:
-            raw[rest] = raw.get(rest, 0) + coeff
-            continue
-        for e2, c2 in factor.terms:
-            key = tuple(x + y for x, y in zip(rest, e2))
-            raw[key] = raw.get(key, 0) + coeff * c2
-    return spec.element(raw)
+        rest = exp
+        for gi, v in scales:
+            if e := exp[gi]:
+                coeff *= v ** e
+                rest = rest[:gi] + (0,) + rest[gi + 1:]
+        if images:
+            factor = None
+            for gi, image in images.items():
+                if e := exp[gi]:
+                    power = powers.get((gi, e))
+                    if power is None:
+                        power = powers[(gi, e)] = image ** e
+                    factor = power if factor is None else factor * power
+                    rest = rest[:gi] + (0,) + rest[gi + 1:]
+            if factor is not None:
+                for e2, c2 in factor.terms:
+                    key = tuple(x + y for x, y in zip(rest, e2))
+                    raw[key] = raw.get(key, 0) + coeff * c2
+                continue
+        raw[rest] = raw.get(rest, 0) + coeff
+    return spec.element(raw) if images else spec.from_reduced(raw)
 
 
 def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
-    """1 + L + ... + L**n, the class of n-dimensional projective space."""
+    """1 + L + ... + L**n, the class of n-dimensional projective space.
+
+    Its n + 1 terms are written in order of the power of L, so that its
+    prefixes are the classes of the smaller projective spaces.  Only a
+    ring that rewrites L, by a rule or by the homotopy quotient, sends the
+    monomials through reduction."""
     if n < 0:
         raise ValueError("negative dimension")
     spec = spec or standard_ring()
     li = spec.index("L")
-    raw = {}
-    for i in range(n + 1):
-        vec = [0] * len(spec.generators)
-        vec[li] = i
-        raw[tuple(vec)] = raw.get(tuple(vec), 0) + 1
-    return spec.element(raw)
-
+    zero = (0,) * len(spec.generators)
+    powers = [zero[:li] + (i,) + zero[li + 1:] for i in range(n + 1)]
+    if spec.rewrites("L"):
+        return spec.element(dict.fromkeys(powers, 1))
+    return KElement(spec, tuple((e, 1) for e in powers))

@@ -165,18 +165,50 @@ class _Terms:
         return self + other._like({k: -c for k, c in zip(other.keys, other.coeffs)})
 
     def __mul__(self, other):
+        """The product, collected from every degree _product yields."""
         self._check(other)
-        top = self._bound()
+        return self._like({k: c for _, keys, coeffs in self._product(other)
+                           for k, c in zip(keys, coeffs)})
+
+    def _groups(self):
+        """[(degree, [(key, coefficient)])] with the degrees increasing."""
+        out = []
+        for k, c, d in zip(self.keys, self.coeffs, self._degrees):
+            if not out or out[-1][0] != d:
+                out.append((d, []))
+            out[-1][1].append((k, c))
+        return out
+
+    def _product(self, other):
+        """Yield (degree, keys, coefficients) of the nonzero terms of
+        self * other up to the bound, one degree at a time in increasing
+        order, the keys sorted.  Only degrees that are sums of a degree of
+        each side are visited.  Each class of a degree collects its
+        coefficient pairs and sums their products with one
+        KRingSpec.sum_of_products call."""
+        top, spec = self._bound(), self.ring
         plus = self.monoid.group.packed_adder()
-        acc: dict[tuple[int, ...], KElement] = {}
-        for k1, c1, d1 in zip(self.keys, self.coeffs, self._degrees):
-            for k2, c2, d2 in zip(other.keys, other.coeffs, other._degrees):
+        pairs: dict[int, list] = {}  # degree -> [(group of self, group of other)]
+        right = other._groups()
+        for d1, g1 in self._groups():
+            for d2, g2 in right:
                 if d1 + d2 > top:
-                    break  # other's terms are sorted by degree
-                k = plus(k1, k2)
-                c = c1 * c2
-                acc[k] = acc[k] + c if k in acc else c
-        return self._like(acc)
+                    break
+                pairs.setdefault(d1 + d2, []).append((g1, g2))
+        for d in sorted(pairs):
+            acc: dict[tuple[int, ...], list] = {}
+            for g1, g2 in pairs[d]:
+                for k1, c1 in g1:
+                    for k2, c2 in g2:
+                        acc.setdefault(plus(k1, k2), []).append((c1, c2))
+            keys, coeffs = [], []
+            for k in sorted(acc):
+                c = spec.sum_of_products(acc[k])
+                if c.terms:
+                    keys.append(k)
+                    coeffs.append(c)
+            if keys:
+                yield d, keys, coeffs
 
     def specialize(self, s: Specialization):
         return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
@@ -330,9 +362,11 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
                      numerator_degree: int | None = None) -> RationalityVerdict:
     """Semi-decide whether f equals (polynomial of bounded degree) / g.
 
-    Computes f*g up to the truncation bound; a nonzero term of degree above
-    the claimed numerator degree (default: deg g) refutes the claim and is
-    reported as a witness.  Otherwise the claim is consistent to the bound.
+    Reads f*g one degree at a time up to the truncation bound; the first
+    nonzero term of degree above the claimed numerator degree (default:
+    deg g) refutes the claim and is reported as a witness, the same term
+    the full product would give first.  No degree past the witness is
+    computed.  Otherwise the claim is consistent to the bound.
     """
     if f.ring != g.ring:
         raise SpecMismatch("series and denominator over different ring specs")
@@ -343,11 +377,10 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
     if g.degree() >= f.truncation:
         raise SeriesMismatch("denominator degree reaches the truncation bound")
     bound = g.degree() if numerator_degree is None else int(numerator_degree)
-    h = f * g.as_series(f.truncation)
-    for k, c, d in zip(h.keys, h.coeffs, h._degrees):
+    for d, keys, coeffs in f._product(g.as_series(f.truncation)):
         if d > bound:
             return RationalityVerdict(False, f.truncation, bound, d,
-                                      f.monoid.group.unpack(k), c)
+                                      f.monoid.group.unpack(keys[0]), coeffs[0])
     return RationalityVerdict(True, f.truncation, bound)
 
 

@@ -27,7 +27,7 @@ from itertools import combinations, count
 from math import comb, gcd
 
 from .errors import BlowupError, DimensionError, EnumerationLimitError, FanError
-from .kring import KRingSpec, class_projective_space, standard_ring
+from .kring import KElement, KRingSpec, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -347,24 +347,32 @@ def pn_divisor_series(n: int, truncation: int,
     hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1).
 
     The coefficients have binom(n+d,d) terms each; their total is checked
-    against the MCS_MAX_TERMS cap before any of them is built."""
+    against the MCS_MAX_TERMS cap before any of them is built.  The top
+    coefficient 1 + L + ... + L^M is written once, and each lower one is a
+    prefix of its terms, sharing their pairs.  Only a ring that rewrites L,
+    by a rule or by the homotopy quotient (where the coefficients reduce
+    to the integers binom(n+d,d)), builds each coefficient on its own."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
     cap = max_terms_from_env()
-    total, count = 0, 1  # count = binom(n+d, d)
+    counts, total = [], 0  # counts[d] = binom(n+d, d)
     for d in range(truncation + 1):
-        total += count
+        counts.append(comb(n + d, d))
+        total += counts[-1]
         if total > cap:
             raise EnumerationLimitError(
                 f"divisor series of P^{n} to degree {d}", total, cap)
-        count = count * (n + d + 1) // (d + 1)
     if ring is None:
         ring = standard_ring()
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
-    terms = {d * t: class_projective_space(comb(n + d, d) - 1, ring)
-             for d in range(truncation + 1)}
-    return TruncatedSeries(ring, monoid, truncation, terms)
+    if ring.rewrites("L"):
+        coeffs = [class_projective_space(c - 1, ring) for c in counts]
+    else:
+        top = class_projective_space(counts[-1] - 1, ring).terms
+        coeffs = [KElement(ring, top[:c]) for c in counts]
+    return TruncatedSeries(ring, monoid, truncation,
+                           {d * t: c for d, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,29 @@ class TestVerify:
         for bad in ("", "t^2", "(2-t)", "(1-q)", "(1-t", "(1-t)^"):
             assert main(["verify", "eq1", "--n", "2", "--truncate", "4",
                          "--denominator", bad]) == 2, bad
+
+    # stdout past the benchmark's eq1 grid, pinned by its sha256: the
+    # divisor series of P^6 (30,207 bytes), degree 60, degree 170 at L = 1,
+    # a refuting L factor, and the non-integer image L = eps
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--n", "6", "--denominator", "(1-t)^7", "--truncate", "14"], 1,
+         "a63980500f4e588e9e3ec721f2e9df3de80240c0c0f7f2bc43258a68f70fbad5"),
+        (["--n", "3", "--denominator", "(1-t)^4", "--truncate", "60"], 1,
+         "0e5cb392f6db21c572889985791c8df3bddd8f3f411382ad112e07af338aac39"),
+        (["--n", "2", "--denominator", "(1-t)^3", "--truncate", "170",
+          "--specialize", "L=1"], 0,
+         "7aa45f90f47f493bddf87cd0f5eae827c6025f040be8ac87aa766d1ec09f0ada"),
+        (["--n", "2", "--denominator", "(1-L*t)(1-t)^2", "--truncate", "5"], 1,
+         "ef76af02c4c6761e9559ae4303552f02a217f05d171b8ee4324fcd6175ade342"),
+        (["--n", "2", "--denominator", "(1-t)^3", "--truncate", "5",
+          "--specialize", "L=eps"], 1,
+         "032d63dff26d651bd7a993b3f8cafae3a02e2c42668516ce02fd27e3418639b0"),
+    ], ids=["p6-deg14", "p3-deg60", "p2-deg170-L1", "L-factor", "L-eps"])
+    def test_eq1_pinned_output(self, argv, code, digest, capsys):
+        assert main(["verify", "eq1", *argv]) == code
+        captured = capsys.readouterr()
+        assert sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err == ""
 
     def test_macdonald_builders(self, fan_file, capsys):
         for name, fan in [("p2", projective_space_fan(2)),

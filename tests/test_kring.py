@@ -15,6 +15,7 @@ from mcseries.kring import (
     specialize,
     standard_ring,
 )
+from mcseries.serialize import ring_from_json
 
 STD = standard_ring()
 A1 = standard_ring(a1_homotopy=True)
@@ -37,6 +38,22 @@ def test_projective_space_classes():
     assert str(class_projective_space(2, STD)) == "1 + L + L^2"
     with pytest.raises(ValueError):
         class_projective_space(-1, STD)
+
+
+def test_projective_space_is_the_reduced_sum_of_powers():
+    # L^3 -> 2*L - 1, read from JSON: only such a ring reduces the powers
+    rule_on_l = ring_from_json({
+        "generators": ["L", "eps"],
+        "reductions": [{"symbol": "L", "power": 3,
+                        "replacement": [[[["L", 1]], 2], [[], -1]]}]})
+    assert rule_on_l.rewrites("L") and A1.rewrites("L")
+    assert STD.rewrites("eps") and not STD.rewrites("L")
+    L = rule_on_l.generator("L")
+    assert class_projective_space(3, rule_on_l) == 3 * L + L * L
+    for spec in (STD, A1, rule_on_l):
+        for n in range(8):
+            raw = {(i, 0): 1 for i in range(n + 1)}
+            assert class_projective_space(n, spec).terms == spec.element(raw).terms
 
 
 def test_torus_classes():

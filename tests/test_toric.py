@@ -14,6 +14,7 @@ import pytest
 from mcseries.errors import BlowupError, DimensionError, FanError
 from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import MonoidHom, canonicalize, free_graded_monoid
+from mcseries.serialize import ring_from_json
 from mcseries.series import curve_zeta, pushforward, rational_expand
 from mcseries.toric import (
     Fan,
@@ -365,6 +366,41 @@ def test_pn_divisor_series_coefficients():
     for d in range(5):
         assert f.coefficient(d * t) == class_projective_space(comb(d + 2, 2) - 1, R)
     assert f.coefficient(t) == R.one + R.generator("L") + R.generator("L") ** 2
+
+
+# L^3 -> 2*L - 1: a ring whose rule rewrites L
+L_RULE_RING = ring_from_json({
+    "generators": ["L", "eps"],
+    "reductions": [{"symbol": "L", "power": 3,
+                    "replacement": [[[["L", 1]], 2], [[], -1]]}]})
+
+
+def test_pn_divisor_series_is_integer_under_a1():
+    a1 = standard_ring(a1_homotopy=True)
+    f = pn_divisor_series(3, 6, a1)
+    t = f.monoid.generator_named("t")
+    for d in range(7):
+        c = f.coefficient(d * t)
+        assert c.is_integer() and c.as_integer() == comb(3 + d, d)
+
+
+@pytest.mark.parametrize("ring", [R, standard_ring(symbols=("x",)),
+                                  standard_ring(a1_homotopy=True), L_RULE_RING],
+                         ids=["standard", "free-symbol", "a1", "rule-on-L"])
+def test_pn_divisor_coefficients_are_projective_space_classes(ring):
+    f = pn_divisor_series(3, 5, ring)
+    t = f.monoid.generator_named("t")
+    for d in range(6):
+        want = class_projective_space(comb(3 + d, d) - 1, ring)
+        assert f.coefficient(d * t).terms == want.terms
+
+
+def test_pn_divisor_coefficients_share_the_top_terms():
+    f = pn_divisor_series(2, 4)
+    top = f.coeffs[-1].terms
+    assert len(top) == comb(6, 4)
+    for c in f.coeffs:
+        assert all(p is q for p, q in zip(c.terms, top))
 
 
 def test_p1_divisor_series_is_the_genus0_zeta():
