@@ -7,23 +7,7 @@ arithmetic is integer-exact; coefficients live in a small computable quotient
 of the K-ring of varieties.
 """
 
-from .errors import (
-    BlowupError,
-    DimensionError,
-    EnumerationLimitError,
-    FanError,
-    FiniteFiberError,
-    LocalizationMismatch,
-    LPLimitError,
-    MCSError,
-    MissingAssignment,
-    NotMonic,
-    PushforwardError,
-    SeriesMismatch,
-    SpecMismatch,
-    UnsupportedStratum,
-    ZeroClassFactor,
-)
+from .errors import EnumerationLimitError, MCSError
 from .gm_action import (
     FixedComponentStratum,
     GmDecomposition,
@@ -36,7 +20,6 @@ from .gm_action import (
 from .kring import (
     KElement,
     KRingSpec,
-    ReductionRule,
     Specialization,
     class_projective_space,
     specialize,
@@ -98,11 +81,8 @@ from .toric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MCSError", "SpecMismatch", "MissingAssignment", "FiniteFiberError",
-    "EnumerationLimitError", "SeriesMismatch", "ZeroClassFactor", "NotMonic",
-    "PushforwardError", "LocalizationMismatch", "FanError", "BlowupError",
-    "DimensionError", "UnsupportedStratum", "LPLimitError",
-    "KRingSpec", "KElement", "ReductionRule", "Specialization",
+    "MCSError", "EnumerationLimitError",
+    "KRingSpec", "KElement", "Specialization",
     "standard_ring", "specialize", "class_projective_space",
     "AbelianGroupPresentation", "GradedMonoid", "MonoidElement", "MonoidHom",
     "free_graded_monoid", "direct_sum", "express_in_basis",

@@ -19,7 +19,7 @@ import sys
 from math import comb
 from operator import mul
 
-from .errors import EnumerationLimitError, MCSError, SeriesMismatch
+from .errors import EnumerationLimitError, MCSError
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
@@ -96,6 +96,15 @@ _FACTOR = re.compile(r"\(\s*1\s*-\s*([^()]+?)\s*\)\s*(?:\^\s*(\d+))?")
 _ATOM = re.compile(r"\s*\*?\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?)")
 
 
+def _integer(digits: str) -> int:
+    """The int a run of digits in a denominator spells; a run longer than
+    Python converts is bad input."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise MCSError(str(exc)) from None
+
+
 def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
     coeff = ring.one
     alpha = monoid.zero
@@ -106,9 +115,9 @@ def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
             break
         pos = m.end()
         if m.group(1):
-            coeff = coeff * ring.from_int(int(m.group(1)))
+            coeff = coeff * ring.from_int(_integer(m.group(1)))
             continue
-        name, exp = m.group(2), int(m.group(3) or 1)
+        name, exp = m.group(2), _integer(m.group(3) or "1")
         if name in monoid.names:
             alpha = alpha + exp * monoid.generator_named(name)
         elif name in ring.generators:
@@ -133,14 +142,14 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
-        power = int(m.group(2) or 1)
+        power = _integer(m.group(2) or "1")
         factors.append((coeff, alpha, power))
         degree += power * factor.degree()
         pos = m.end()
     if text[pos:].replace("*", " ").strip() or not factors:
         raise MCSError(f"cannot parse denominator {text!r}")
     if degree >= truncation:
-        raise SeriesMismatch("denominator degree reaches the truncation bound")
+        raise MCSError("denominator degree reaches the truncation bound")
     poly = MonoidPolynomial.one(ring, monoid)
     for coeff, alpha, power in factors:
         poly = poly * binomial_factor_polynomial(ring, monoid, coeff, alpha, power)
@@ -545,9 +554,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MCSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

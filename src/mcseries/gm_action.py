@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitError, UnsupportedStratum
+from .errors import EnumerationLimitError, MCSError
 from .kring import KRingSpec, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
@@ -46,7 +46,7 @@ class FixedComponentStratum:
 
     def __post_init__(self):
         if not self.series.is_monic():
-            raise ValueError("fixed component series must be monic")
+            raise MCSError("fixed component series must be monic")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class OrbitFamilyOverPoint:
 
     def __post_init__(self):
         if self.orbit_class.is_zero():
-            raise ValueError("orbit family must sweep a nonzero class")
+            raise MCSError("orbit family must sweep a nonzero class")
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class OrbitFamilyOverPuncturedLine:
 
     def __post_init__(self):
         if self.punctures < 1:
-            raise ValueError("a punctured base needs at least one puncture")
+            raise MCSError("a punctured base needs at least one puncture")
         if self.fiber_class.is_zero():
-            raise ValueError("fiber class must be nonzero")
+            raise MCSError("fiber class must be nonzero")
 
 
 GmStratum = (FixedComponentStratum | OrbitFamilyOverPoint
@@ -94,12 +94,12 @@ class GmDecomposition:
         for st in strata:
             if isinstance(st, FixedComponentStratum):
                 if st.series.monoid != monoid or st.series.ring != ring:
-                    raise ValueError("fixed component series lives elsewhere")
+                    raise MCSError("fixed component series lives elsewhere")
             elif isinstance(st, (OrbitFamilyOverPoint, OrbitFamilyOverPuncturedLine)):
                 beta = (st.orbit_class if isinstance(st, OrbitFamilyOverPoint)
                         else st.fiber_class)
                 if beta not in monoid.group:
-                    raise ValueError("stratum class is not in the monoid")
+                    raise MCSError("stratum class is not in the monoid")
             else:
                 raise TypeError(f"not a stratum: {st!r}")
         self.strata = strata
@@ -128,7 +128,7 @@ def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
             factors.append((ring.one, st.orbit_class, 1))
         else:
             if st.punctures < 2:
-                raise UnsupportedStratum(
+                raise MCSError(
                     "no closed factor for a one-punctured rational base")
             numerator = numerator * binomial_factor_polynomial(
                 ring, monoid, ring.one, st.fiber_class, st.punctures - 2)
@@ -150,7 +150,7 @@ def colinear_blowup_data(r: int, ring: KRingSpec | None = None) -> GmDecompositi
     coordinates of the basis classes are counted against MCS_MAX_TERMS first.
     """
     if r < 2:
-        raise UnsupportedStratum(
+        raise MCSError(
             "colinear stratification needs at least two centers")
     if (r + 1) ** 2 > (cap := max_terms_from_env()):
         raise EnumerationLimitError(f"colinear blow-up at {r} points",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LPLimitError
+from .errors import MCSError
 
 Matrix = list[list[int]]
 
@@ -286,8 +286,8 @@ def _simplex(num_vars: int, cons, objective, stage: str
         nonlocal pivots
         pivots += 1
         if pivots > MAX_PIVOTS:
-            raise LPLimitError(f"{stage} gave up: the simplex would make pivot"
-                               f" {pivots}, over the cap of {MAX_PIVOTS}")
+            raise MCSError(f"{stage} gave up: the simplex would make pivot"
+                           f" {pivots}, over the cap of {MAX_PIVOTS}")
         p = tab[r][c]
         # unit pivots keep integer entries integers
         inv = -p if p in (1, -1) else Fraction(-1) / p
@@ -342,7 +342,7 @@ def feasible_point(num_vars: int, cons,
                    stage: str = "linear program") -> list[Fraction] | None:
     """A rational point satisfying all constraints sum(c*x) >= rhs, or None.
 
-    Deterministic: phase 1 of the simplex.  Raises LPLimitError, naming the
+    Deterministic: phase 1 of the simplex.  Raises MCSError, naming the
     stage, past MAX_PIVOTS pivots."""
     return _simplex(num_vars, cons, None, stage)
 
@@ -356,7 +356,7 @@ def minimize_linear(num_vars: int, objective, cons, stage: str = "linear program
     column j is a combination of the later columns, as Fourier-Motzkin
     back-substitution picks it.  Precondition: the objective is a positive
     combination of the constraint forms, as for every caller here; otherwise
-    the point is merely feasible.  Raises LPLimitError past MAX_PIVOTS pivots.
+    the point is merely feasible.  Raises MCSError past MAX_PIVOTS pivots.
     """
     point = _simplex(num_vars, cons, objective, stage)
     if point is None:

@@ -1,13 +1,13 @@
 """Computable quotients of cycle-class rings.
 
-A ring spec fixes an ordered list of polynomial generators over the integers
-together with reduction rules that realize the quotient we can compute in:
+A ring spec fixes an ordered list of polynomial generators over the
+integers, which are of three kinds:
 
 * ``L`` is reserved for the class of the affine line.  With the homotopy
   quotient active, ``L`` is replaced by 1 eagerly at construction time, which
   is what collapses classes down to Euler-characteristic-like integers.
-* ``eps`` is reserved for the sign class with ``eps**2 == 1`` (the rule is
-  installed automatically whenever the generator is present).
+* ``eps`` is reserved for the sign class with ``eps**2 == 1``: its exponent
+  is kept mod 2.
 * any further names are free symbols, e.g. numerator coefficients of a
   genus-g curve zeta function.
 
@@ -19,79 +19,35 @@ forms are equal, so hashing and dict keying are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .errors import MissingAssignment, SpecMismatch
+from .errors import MCSError
 
 ExpVec = tuple[int, ...]
 Terms = tuple[tuple[ExpVec, int], ...]
 
 
-@dataclass(frozen=True)
-class ReductionRule:
-    """Rewrite symbol**power into a polynomial of lower degree in symbol.
-
-    ``replacement`` is a tuple of (exponent map, coefficient) pairs where the
-    exponent map is a tuple of (name, exponent) pairs.  The replacement must
-    have degree < power in the eliminated symbol and may not use another
-    reduced generator, so rules touch disjoint single generators: rewriting
-    terminates and is confluent.
-    """
-
-    symbol: str
-    power: int
-    replacement: tuple[tuple[tuple[tuple[str, int], ...], int], ...]
-
-
-EPS_SQUARE_RULE = ReductionRule("eps", 2, (((), 1),))
-
-
 class KRingSpec:
     """Shared, immutable description of a coefficient ring."""
 
-    __slots__ = ("generators", "reductions", "a1_homotopy", "_index",
-                 "_compiled", "_reduce_cache", "_hash")
+    __slots__ = ("generators", "a1_homotopy", "_index", "_eps", "_line", "_hash")
 
-    def __init__(self, generators=("L", "eps"), reductions=(), a1_homotopy=False):
+    def __init__(self, generators=("L", "eps"), a1_homotopy=False):
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
-            raise ValueError("duplicate generator names")
+            raise MCSError("duplicate generator names")
         for name in gens:
             if not name or not name[0].isalpha():
-                raise ValueError(f"bad generator name {name!r}")
-        rules = list(reductions)
-        if "eps" in gens and not any(r.symbol == "eps" for r in rules):
-            rules.append(EPS_SQUARE_RULE)
-        for rule in rules:
-            if rule.symbol not in gens:
-                raise ValueError(f"reduction for unknown generator {rule.symbol!r}")
-            if rule.power < 1:
-                raise ValueError("reduction power must be >= 1")
+                raise MCSError(f"bad generator name {name!r}")
+        index = {g: i for i, g in enumerate(gens)}
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "reductions", tuple(rules))
         object.__setattr__(self, "a1_homotopy", bool(a1_homotopy))
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(gens)})
-        compiled = {}
-        reduced = {self._index[rule.symbol] for rule in rules}
-        for rule in rules:
-            gi = self._index[rule.symbol]
-            terms = []
-            for exp_map, coeff in rule.replacement:
-                vec = [0] * len(gens)
-                for name, e in exp_map:
-                    vec[self._index[name]] = e
-                if vec[gi] >= rule.power:
-                    raise ValueError("replacement does not lower the degree")
-                if any(vec[j] for j in reduced if j != gi):
-                    raise ValueError("replacement uses another reduced generator")
-                terms.append((tuple(vec), coeff))
-            compiled[gi] = (rule.power, tuple(terms))
-        object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_reduce_cache", {})
-        object.__setattr__(self, "_hash",
-                           hash((gens, self.reductions, self.a1_homotopy)))
+        object.__setattr__(self, "_index", index)
+        # the positions element() reduces: eps mod 2, L to 0 under A^1
+        object.__setattr__(self, "_eps", index.get("eps"))
+        object.__setattr__(self, "_line", index.get("L") if a1_homotopy else None)
+        object.__setattr__(self, "_hash", hash((gens, self.a1_homotopy)))
 
     def __setattr__(self, name, value):
         raise AttributeError("KRingSpec is immutable")
@@ -100,7 +56,6 @@ class KRingSpec:
         if not isinstance(other, KRingSpec):
             return NotImplemented
         return (self.generators == other.generators
-                and self.reductions == other.reductions
                 and self.a1_homotopy == other.a1_homotopy)
 
     def __hash__(self):
@@ -114,23 +69,30 @@ class KRingSpec:
         try:
             return self._index[name]
         except KeyError:
-            raise SpecMismatch(f"generator {name!r} not in {self!r}") from None
+            raise MCSError(f"generator {name!r} not in {self!r}") from None
 
     # -- construction helpers
 
     def element(self, raw: dict[ExpVec, int]) -> "KElement":
+        """The element of raw, each exponent vector reduced in one pass: the
+        eps exponent taken mod 2 and, under the homotopy quotient, the L
+        exponent set to 0.  A vector that is already reduced is kept."""
+        eps, line = self._eps, self._line
         acc: dict[ExpVec, int] = {}
         for exp, coeff in raw.items():
             if coeff == 0:
                 continue
-            for exp2, c2 in self._reduce_monomial(tuple(exp)):
-                acc[exp2] = acc.get(exp2, 0) + coeff * c2
+            if eps is not None and exp[eps] > 1:
+                exp = exp[:eps] + (exp[eps] & 1,) + exp[eps + 1:]
+            if line is not None and exp[line]:
+                exp = exp[:line] + (0,) + exp[line + 1:]
+            acc[exp] = acc.get(exp, 0) + coeff
         return self.from_reduced(acc)
 
     def from_reduced(self, raw: dict[ExpVec, int]) -> "KElement":
-        """The element of raw, whose exponent vectors no rule rewrites (the
-        terms of elements, or vectors with fewer powers than theirs): its
-        zero coefficients dropped and its terms sorted, with no reduction."""
+        """The element of raw, whose exponent vectors are already reduced
+        (the terms of elements, or vectors with fewer powers than theirs):
+        its zero coefficients dropped and its terms sorted."""
         return KElement(self, tuple(sorted(item for item in raw.items() if item[1])))
 
     def sum_of_products(self, pairs) -> "KElement":
@@ -171,43 +133,10 @@ class KRingSpec:
     def one(self) -> "KElement":
         return self.from_int(1)
 
-    def rewrites(self, name: str) -> bool:
-        """Whether reduction changes powers of the generator: a rule on it,
-        or the homotopy quotient for L."""
-        gi = self.index(name)
-        return gi in self._compiled or self.a1_homotopy and name == "L"
-
     def generator(self, name: str) -> "KElement":
         vec = [0] * len(self.generators)
         vec[self.index(name)] = 1
         return self.element({tuple(vec): 1})
-
-    def _reduce_monomial(self, exp: ExpVec) -> Terms:
-        """Rewrite one monomial into canonical terms under all active rules."""
-        cached = self._reduce_cache.get(exp)
-        if cached is not None:
-            return cached
-        work = exp
-        if self.a1_homotopy and "L" in self._index:
-            li = self._index["L"]
-            if work[li]:
-                work = work[:li] + (0,) + work[li + 1:]
-        result: Terms | None = None
-        for gi, (power, repl) in self._compiled.items():
-            if work[gi] >= power:
-                base = list(work)
-                base[gi] -= power
-                acc: dict[ExpVec, int] = {}
-                for rexp, rcoeff in repl:
-                    merged = tuple(b + r for b, r in zip(base, rexp))
-                    for exp2, c2 in self._reduce_monomial(merged):
-                        acc[exp2] = acc.get(exp2, 0) + rcoeff * c2
-                result = tuple(sorted((e, c) for e, c in acc.items() if c))
-                break
-        if result is None:
-            result = ((work, 1),)
-        self._reduce_cache[exp] = result
-        return result
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +173,7 @@ class KElement:
             return 0
         if self.is_integer():
             return self.terms[0][1]
-        raise MissingAssignment(f"{self} is not an integer")
+        raise MCSError(f"{self} is not an integer")
 
     # -- arithmetic
 
@@ -253,7 +182,7 @@ class KElement:
             return self.spec.from_int(other)
         if isinstance(other, KElement):
             if other.spec != self.spec:
-                raise SpecMismatch(f"{self.spec!r} vs {other.spec!r}")
+                raise MCSError(f"{self.spec!r} vs {other.spec!r}")
             return other
         return NotImplemented  # type: ignore[return-value]
 
@@ -360,7 +289,7 @@ class Specialization:
 
     Generators without an assignment are carried over unchanged when
     ``carry_unassigned`` is true (the default); otherwise meeting one in an
-    element raises MissingAssignment.
+    element raises MCSError.
     """
 
     __slots__ = ("spec", "assignments", "carry_unassigned")
@@ -374,14 +303,14 @@ class Specialization:
             if isinstance(value, int):
                 value = spec.from_int(value)
             elif value.spec != spec:
-                raise SpecMismatch("assignments must land in the same spec")
+                raise MCSError("assignments must land in the same spec")
             norm[name] = value
         self.assignments = norm
         self.carry_unassigned = carry_unassigned
 
 
 def specialize(a: KElement, s: Specialization) -> KElement:
-    """Apply the ring map s to a.  Raises MissingAssignment in strict mode.
+    """Apply the ring map s to a.  Raises MCSError in strict mode.
 
     One pass over the terms into a single raw dict, reading each term at
     the assigned positions only, and in strict mode at the unassigned ones
@@ -391,7 +320,7 @@ def specialize(a: KElement, s: Specialization) -> KElement:
     images only, the result needs no reduction: clearing exponents of a
     reduced vector leaves it reduced."""
     if a.spec != s.spec:
-        raise SpecMismatch("element and specialization use different specs")
+        raise MCSError("element and specialization use different specs")
     spec = a.spec
     ints: dict[int, int] = {}
     images: dict[int, KElement] = {}
@@ -408,7 +337,7 @@ def specialize(a: KElement, s: Specialization) -> KElement:
     for exp, coeff in a.terms:
         for gi in unassigned:
             if exp[gi]:
-                raise MissingAssignment(
+                raise MCSError(
                     f"no assignment for generator {spec.generators[gi]!r}")
         rest = exp
         for gi, v in scales:
@@ -437,15 +366,14 @@ def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
     """1 + L + ... + L**n, the class of n-dimensional projective space.
 
     Its n + 1 terms are written in order of the power of L, so that its
-    prefixes are the classes of the smaller projective spaces.  Only a
-    ring that rewrites L, by a rule or by the homotopy quotient, sends the
-    monomials through reduction."""
+    prefixes are the classes of the smaller projective spaces.  Under the
+    homotopy quotient it is the integer n + 1."""
     if n < 0:
         raise ValueError("negative dimension")
     spec = spec or standard_ring()
     li = spec.index("L")
+    if spec.a1_homotopy:
+        return spec.from_int(n + 1)
     zero = (0,) * len(spec.generators)
     powers = [zero[:li] + (i,) + zero[li + 1:] for i in range(n + 1)]
-    if spec.rewrites("L"):
-        return spec.element(dict.fromkeys(powers, 1))
     return KElement(spec, tuple((e, 1) for e in powers))

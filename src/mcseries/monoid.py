@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .errors import EnumerationLimitError, FiniteFiberError, MCSError
+from .errors import EnumerationLimitError, MCSError
 from .intlinalg import (
     identity_matrix,
     kernel_basis,
@@ -85,14 +85,14 @@ class MonoidElement:
 
     def __post_init__(self):
         if len(self.torsion) != len(self.moduli):
-            raise ValueError("torsion/moduli length mismatch")
+            raise MCSError("torsion/moduli length mismatch")
         for t, d in zip(self.torsion, self.moduli):
             if d < 2 or not (0 <= t < d):
-                raise ValueError("torsion residue out of range")
+                raise MCSError("torsion residue out of range")
 
     def _check(self, other: "MonoidElement") -> None:
         if self.moduli != other.moduli or len(self.free) != len(other.free):
-            raise ValueError("elements from different groups")
+            raise MCSError("elements from different groups")
 
     def __add__(self, other: "MonoidElement") -> "MonoidElement":
         self._check(other)
@@ -151,11 +151,11 @@ class AbelianGroupPresentation:
     def __init__(self, num_generators: int, relations=()):
         m = int(num_generators)
         if m < 0:
-            raise ValueError("negative generator count")
+            raise MCSError("negative generator count")
         rels = tuple(tuple(int(x) for x in row) for row in relations)
         for row in rels:
             if len(row) != m:
-                raise ValueError("relation length differs from generator count")
+                raise MCSError("relation length differs from generator count")
         self.num_generators = m
         self.relations = rels
         if rels:
@@ -201,7 +201,7 @@ class AbelianGroupPresentation:
         """Canonical coordinates of an ambient integer vector."""
         v = [int(x) for x in vec]
         if len(v) != self.num_generators:
-            raise ValueError("ambient vector has wrong length")
+            raise MCSError("ambient vector has wrong length")
         return self.unpack(mat_vec(self._projection, v))
 
     def lift(self, e: MonoidElement) -> list[int]:
@@ -245,7 +245,7 @@ class AbelianGroupPresentation:
 def positive_grading(generators, rank: int) -> tuple[int, ...]:
     """Integer functional on the free part with value >= 1 on each generator.
 
-    Raises FiniteFiberError when none exists (then degree fibers would be
+    Raises MCSError when none exists (then degree fibers would be
     infinite and series over the monoid are meaningless).  The total degree
     of the generator list is minimized over rational functionals, and the
     lexicographically least optimal point of intlinalg.minimize_linear is
@@ -255,10 +255,10 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     gens = list(generators)
     for g in gens:
         if not any(g.free) and any(g.torsion):
-            raise FiniteFiberError(
+            raise MCSError(
                 "generator of finite order admits no positive grading")
         if g.is_zero():
-            raise FiniteFiberError("zero generator admits no positive grading")
+            raise MCSError("zero generator admits no positive grading")
     if rank == 0:
         return ()
     seen = []
@@ -269,7 +269,7 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     objective = [sum(g.free[i] for g in gens) for i in range(rank)]
     result = minimize_linear(rank, objective, cons, "grading")
     if result is None:
-        raise FiniteFiberError("no strictly positive grading exists")
+        raise MCSError("no strictly positive grading exists")
     _, point = result
     denom = lcm(*(x.denominator for x in point))
     w = [int(x * denom) for x in point]
@@ -280,7 +280,7 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
             w = reduced
     for gen in gens:
         if sum(wi * fi for wi, fi in zip(w, gen.free)) < 1:
-            raise FiniteFiberError("no strictly positive grading exists")
+            raise MCSError("no strictly positive grading exists")
     return tuple(w)
 
 
@@ -322,12 +322,12 @@ class GradedMonoid:
         names = tuple(names)
         gens = tuple(generators)
         if len(names) != len(gens):
-            raise ValueError("one name per generator required")
+            raise MCSError("one name per generator required")
         if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
+            raise MCSError("duplicate generator names")
         for g in gens:
             if g not in group:
-                raise ValueError("generator not in the given group")
+                raise MCSError("generator not in the given group")
         self.group = group
         self.names = names
         self.generators = gens
@@ -336,10 +336,10 @@ class GradedMonoid:
         else:
             grading = tuple(int(x) for x in grading)
             if len(grading) != group.rank:
-                raise ValueError("grading length differs from group rank")
+                raise MCSError("grading length differs from group rank")
             for g in gens:
                 if sum(w * f for w, f in zip(grading, g.free)) < 1:
-                    raise FiniteFiberError("given grading is not positive on generators")
+                    raise MCSError("given grading is not positive on generators")
         self.grading = grading
         self._enum_cache: tuple[int, dict] | None = None
         self._solve = None  # built by _words at the first query
@@ -436,12 +436,12 @@ class GradedMonoid:
         independent free parts, else the BFS-first word of the enumeration."""
         d = self.degree(e)
         if d < 0:
-            raise ValueError("element has negative degree; not in the monoid")
+            raise MCSError("element has negative degree; not in the monoid")
         if e not in self.group:
-            raise ValueError("element is not in the monoid's group")
+            raise MCSError("element is not in the monoid's group")
         word = self._words([e.packed()], d)[0]
         if word is None:
-            raise ValueError("element is not a sum of monoid generators")
+            raise MCSError("element is not a sum of monoid generators")
         return word
 
     def contains(self, e: MonoidElement) -> bool:
@@ -469,7 +469,7 @@ class GradedMonoid:
         one enumeration up to the largest degree among them."""
         elements = list(elements)
         if not all(e in self.group for e in elements):
-            raise ValueError("element is not in the monoid's group")
+            raise MCSError("element is not in the monoid's group")
         return self._format_keys([e.packed() for e in elements],
                                  max(map(self.degree, elements), default=0))
 
@@ -478,7 +478,7 @@ class GradedMonoid:
         callers that hold keys and degrees already, as series do."""
         words = self._words(keys, bound)
         if None in words:
-            raise ValueError("element is not a sum of monoid generators")
+            raise MCSError("element is not a sum of monoid generators")
         return [self._format_word(w) for w in words]
 
 
@@ -505,15 +505,15 @@ def free_graded_monoid(names) -> GradedMonoid:
 
 def express_in_basis(elements, basis) -> list[tuple[int, ...]]:
     """Integer coordinates of each element in a nonempty basis of its group,
-    solved for once.  Raises ValueError when the basis has linearly
+    solved for once.  Raises MCSError when the basis has linearly
     dependent free parts or an element is no integer combination of it."""
     basis = list(basis)
     solve = _coordinate_solver(basis, len(basis[0].free), basis[0].moduli)
     if solve is None:
-        raise ValueError("basis has linearly dependent free parts")
+        raise MCSError("basis has linearly dependent free parts")
     out = [solve(e.packed()) for e in elements]
     if None in out:
-        raise ValueError("element is not an integer combination of the basis")
+        raise MCSError("element is not an integer combination of the basis")
     return out
 
 

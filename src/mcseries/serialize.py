@@ -18,7 +18,7 @@ from .gm_action import (
     OrbitFamilyOverPoint,
     OrbitFamilyOverPuncturedLine,
 )
-from .kring import EPS_SQUARE_RULE, KElement, KRingSpec, ReductionRule
+from .kring import KElement, KRingSpec
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -40,13 +40,9 @@ __all__ = [
 ]
 
 
-class SchemaError(MCSError):
-    """Malformed or inconsistent JSON input."""
-
-
 def _need(obj, key, kind):
     if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{kind} JSON needs a {key!r} field")
+        raise MCSError(f"{kind} JSON needs a {key!r} field")
     return obj[key]
 
 
@@ -56,14 +52,14 @@ _SHAPES = {list: "an array", dict: "an object", str: "a string", int: "an intege
 def _as(shape, value, what, size=None):
     """value when it is a JSON integer (not a bool, a float or a string), or
     a list, dict or str (of the given size, if any); anything else is a
-    SchemaError naming what."""
+    MCSError naming what."""
     if shape is int:
         if type(value) is int:
             return value
     elif isinstance(value, shape) and (size is None or len(value) == size):
         return value
     of = "" if size is None else f" of length {size}"
-    raise SchemaError(f"{what} must be {_SHAPES[shape]}{of}, got {value!r:.60}")
+    raise MCSError(f"{what} must be {_SHAPES[shape]}{of}, got {value!r:.60}")
 
 
 def _ints(value, what) -> tuple[int, ...]:
@@ -78,34 +74,16 @@ def ring_to_json(spec: KRingSpec) -> dict:
     out: dict = {"generators": list(spec.generators)}
     if spec.a1_homotopy:
         out["a1_homotopy"] = True
-    rules = [r for r in spec.reductions if r != EPS_SQUARE_RULE]
-    if rules:
-        out["reductions"] = [
-            {"symbol": r.symbol, "power": r.power,
-             "replacement": [[[list(p) for p in exp], c]
-                             for exp, c in r.replacement]}
-            for r in rules]
     return out
 
 
 def ring_from_json(obj) -> KRingSpec:
     gens = tuple(_as(str, g, "ring generator")
                  for g in _as(list, _need(obj, "generators", "ring"), "ring generators"))
-    rules = []
-    for r in _as(list, obj.get("reductions", []), "ring reductions"):
-        replacement = []
-        for row in _as(list, _need(r, "replacement", "reduction"), "replacement"):
-            exp, c = _as(list, row, "replacement term", 2)
-            pairs = [_as(list, x, "replacement factor", 2)
-                     for x in _as(list, exp, "replacement monomial")]
-            replacement.append((tuple((_as(str, n, "replacement factor name"),
-                                       _as(int, e, "exponent")) for n, e in pairs),
-                                _as(int, c, "replacement coefficient")))
-        symbol = _as(str, _need(r, "symbol", "reduction"), "reduction symbol")
-        rules.append(ReductionRule(symbol,
-                                   _as(int, _need(r, "power", "reduction"), "reduction power"),
-                                   tuple(replacement)))
-    return KRingSpec(gens, rules, bool(obj.get("a1_homotopy", False)))
+    if "reductions" in obj:
+        raise MCSError("ring field 'reductions' is not supported: a ring is L, eps"
+                       " and free symbols, with eps^2 = 1 and, under a1_homotopy, L = 1")
+    return KRingSpec(gens, bool(obj.get("a1_homotopy", False)))
 
 
 def element_to_json(x: KElement) -> dict:
@@ -122,7 +100,9 @@ def element_from_json(ring: KRingSpec, obj) -> KElement:
         coeff = _as(int, _need(term, "coeff", "ring element term"), "coefficient")
         vec = [0] * len(ring.generators)
         for name, e in _as(dict, term.get("exp", {}), "exponents").items():
-            vec[ring.index(name)] = _as(int, e, "exponent")
+            if _as(int, e, "exponent") < 0:
+                raise MCSError(f"exponent of {name!r} must be >= 0, got {e}")
+            vec[ring.index(name)] = e
         key = tuple(vec)
         raw[key] = raw.get(key, 0) + coeff
     return ring.element(raw)
@@ -232,6 +212,8 @@ def series_to_json(f) -> dict:
 
 
 def series_from_json(obj):
+    """The series obj encodes; a coefficient, summed over duplicate terms,
+    too wide to print is an MCSError naming the stage "series JSON"."""
     ring = ring_from_json(_need(obj, "ring", "series"))
     monoid = monoid_from_json(_need(obj, "monoid", "series"))
     kind = obj.get("kind")
@@ -241,14 +223,14 @@ def series_from_json(obj):
     if kind == "truncated":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
                                  "series term")
-        return TruncatedSeries(ring, monoid,
-                               _as(int, _need(obj, "truncation", "series"), "truncation"),
-                               terms)
-    if kind == "polynomial":
+        out = TruncatedSeries(ring, monoid,
+                              _as(int, _need(obj, "truncation", "series"), "truncation"),
+                              terms)
+    elif kind == "polynomial":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
                                  "polynomial term")
-        return MonoidPolynomial(ring, monoid, terms)
-    if kind == "rational":
+        out = MonoidPolynomial(ring, monoid, terms)
+    elif kind == "rational":
         num = MonoidPolynomial(ring, monoid,
                                _terms_from_json(ring, monoid,
                                                 obj.get("numerator", []),
@@ -261,8 +243,11 @@ def series_from_json(obj):
             factors.append((element_from_json(ring, _need(row, "coeff", "factor")),
                             monoid_element_from_json(monoid, _need(row, "class", "factor")),
                             _as(int, row.get("power", 1), "factor power")))
-        return RationalSeries(ring, monoid, num, factors)
-    raise SchemaError(f"unknown series kind {kind!r}")
+        out = RationalSeries(ring, monoid, num, factors)
+    else:
+        raise MCSError(f"unknown series kind {kind!r}")
+    out.check_digits("series JSON")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +269,8 @@ def fan_from_json(obj) -> Fan:
         names = [_as(str, s, "ray name") for s in _as(list, names, "ray_names")]
     fan = Fan(rays, cones, names)
     if "dim" in obj and _as(int, obj["dim"], "dim") != fan.dim:
-        raise SchemaError(f"fan says dim={obj['dim']} but rays live in"
-                          f" dimension {fan.dim}")
+        raise MCSError(f"fan says dim={obj['dim']} but rays live in"
+                       f" dimension {fan.dim}")
     return fan
 
 
@@ -332,7 +317,7 @@ def decomposition_from_json(obj) -> GmDecomposition:
                 monoid_element_from_json(monoid, _need(row, "fiber_class", "stratum")),
                 p))
         else:
-            raise SchemaError(f"unknown stratum kind {kind!r}")
+            raise MCSError(f"unknown stratum kind {kind!r}")
     return GmDecomposition(monoid, strata, ring)
 
 

@@ -22,20 +22,10 @@ from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
-from math import floor, lgamma, log
+from math import floor, lgamma, log, log10
 from operator import mul
 
-from .errors import (
-    EnumerationLimitError,
-    LocalizationMismatch,
-    MCSError,
-    NotMonic,
-    PushforwardError,
-    SeriesMismatch,
-    SpecMismatch,
-    ZeroClassFactor,
-)
+from .errors import EnumerationLimitError, MCSError
 from .kring import KElement, KRingSpec, Specialization, specialize, standard_ring
 from .monoid import (
     GradedMonoid,
@@ -67,7 +57,7 @@ def _coerce_coeff(ring: KRingSpec, c) -> KElement:
         return ring.from_int(c)
     if isinstance(c, KElement):
         if c.spec != ring:
-            raise SpecMismatch("coefficient from a different ring spec")
+            raise MCSError("coefficient from a different ring spec")
         return c
     raise TypeError(f"bad coefficient {c!r}")
 
@@ -104,7 +94,7 @@ class _Terms:
         for e, c in dict(terms).items():
             if not (c := _coerce_coeff(ring, c)).is_zero():
                 if e not in monoid.group:
-                    raise ValueError("term class is not in the series monoid")
+                    raise MCSError("term class is not in the series monoid")
                 keyed[e.packed()] = c
         self._fill(keyed)
 
@@ -114,7 +104,7 @@ class _Terms:
                        for k, c in keyed.items() if not c.is_zero())
         self._degrees, self.keys, self.coeffs = zip(*items) if items else ((), (), ())
         if items and (self._degrees[0] < 0 or self._degrees[-1] > self._bound()):
-            raise ValueError(self._range_error)
+            raise MCSError(self._range_error)
         return self
 
     def _like(self, keyed):
@@ -150,9 +140,9 @@ class _Terms:
 
     def _check(self, other):
         if self.ring != other.ring:
-            raise SpecMismatch(f"{self._noun} over different ring specs")
+            raise MCSError(f"{self._noun} over different ring specs")
         if self.monoid != other.monoid:
-            raise SeriesMismatch(f"{self._noun} over different monoids")
+            raise MCSError(f"{self._noun} over different monoids")
 
     def __add__(self, other):
         self._check(other)
@@ -211,14 +201,20 @@ class _Terms:
                 yield d, keys, coeffs
 
     def specialize(self, s: Specialization):
-        return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
+        out = self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
+        out.check_digits("specialization")
+        return out
+
+    def check_digits(self, stage: str) -> None:
+        """Raise MCSError, naming stage, at a coefficient too wide to print."""
+        _check_digits(stage, self._degrees, self.coeffs)
 
     def as_series(self, n: int) -> "TruncatedSeries":
         """The terms of degree <= n as a series truncated at n; n may not
         exceed the bound of the data."""
         if n > self._bound():
-            raise SeriesMismatch(f"series data stops at degree {self._bound()};"
-                                 f" cannot expand to {n}")
+            raise MCSError(f"series data stops at degree {self._bound()};"
+                           f" cannot expand to {n}")
         if n < 0:
             raise ValueError("negative truncation bound")
         k = bisect_right(self._degrees, n)
@@ -311,7 +307,7 @@ class TruncatedSeries(_Terms):
     def __init__(self, ring: KRingSpec, monoid: GradedMonoid, truncation: int,
                  terms=()):
         if truncation < 0:
-            raise ValueError("negative truncation bound")
+            raise MCSError("negative truncation bound")
         self.truncation = int(truncation)
         super().__init__(ring, monoid, terms)
 
@@ -330,7 +326,7 @@ class TruncatedSeries(_Terms):
     def _check(self, other):
         super()._check(other)
         if self.truncation != other.truncation:
-            raise SeriesMismatch(
+            raise MCSError(
                 f"truncation bounds differ: {self.truncation} vs {other.truncation}")
 
     def __str__(self):
@@ -369,16 +365,17 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
     computed.  Otherwise the claim is consistent to the bound.
     """
     if f.ring != g.ring:
-        raise SpecMismatch("series and denominator over different ring specs")
+        raise MCSError("series and denominator over different ring specs")
     if f.monoid != g.monoid:
-        raise SeriesMismatch("series and denominator over different monoids")
+        raise MCSError("series and denominator over different monoids")
     if not g.is_monic():
-        raise NotMonic("candidate denominator must have constant term 1")
+        raise MCSError("candidate denominator must have constant term 1")
     if g.degree() >= f.truncation:
-        raise SeriesMismatch("denominator degree reaches the truncation bound")
+        raise MCSError("denominator degree reaches the truncation bound")
     bound = g.degree() if numerator_degree is None else int(numerator_degree)
     for d, keys, coeffs in f._product(g.as_series(f.truncation)):
         if d > bound:
+            _check_digits(f"rationality check to degree {f.truncation}", [d], coeffs[:1])
             return RationalityVerdict(False, f.truncation, bound, d,
                                       f.monoid.group.unpack(keys[0]), coeffs[0])
     return RationalityVerdict(True, f.truncation, bound)
@@ -396,22 +393,22 @@ class RationalSeries:
         if numerator is None:
             numerator = MonoidPolynomial.one(ring, monoid)
         if numerator.ring != ring or numerator.monoid != monoid:
-            raise SeriesMismatch("numerator context differs from the series")
+            raise MCSError("numerator context differs from the series")
         self.numerator = numerator
         merged: dict[tuple, tuple[KElement, MonoidElement, int]] = {}
         for c, alpha, e in factors:
             c = _coerce_coeff(ring, c)
             e = int(e)
             if e < 0:
-                raise ValueError("negative factor exponent")
+                raise MCSError("negative factor exponent")
             if e == 0 or c.is_zero():
                 continue
             if alpha.is_zero():
-                raise ZeroClassFactor("denominator factor at the zero class")
+                raise MCSError("denominator factor at the zero class")
             if monoid.degree(alpha) < 1:
-                raise ZeroClassFactor("denominator class has non-positive degree")
+                raise MCSError("denominator class has non-positive degree")
             if not monoid.contains(alpha):
-                raise ZeroClassFactor("denominator class is not effective")
+                raise MCSError("denominator class is not effective")
             key = (alpha, c)
             if key in merged:
                 c0, a0, e0 = merged[key]
@@ -427,9 +424,9 @@ class RationalSeries:
 
     def _check(self, other: "RationalSeries"):
         if self.ring != other.ring:
-            raise SpecMismatch("rational series over different ring specs")
+            raise MCSError("rational series over different ring specs")
         if self.monoid != other.monoid:
-            raise SeriesMismatch("rational series over different monoids")
+            raise MCSError("rational series over different monoids")
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         self._check(other)
@@ -456,8 +453,17 @@ class RationalSeries:
         return out
 
     def specialize(self, s: Specialization) -> "RationalSeries":
-        return RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),
-                              [(specialize(c, s), a, e) for c, a, e in self.factors])
+        out = RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),
+                             [(specialize(c, s), a, e) for c, a, e in self.factors])
+        out.check_digits("specialization")
+        return out
+
+    def check_digits(self, stage: str) -> None:
+        """_check_digits of the numerator and the factor coefficients, each
+        factor's at the degree of its class."""
+        _check_digits(stage, [*self.numerator._degrees,
+                             *(self.monoid.degree(a) for _, a, _ in self.factors)],
+                     [*self.numerator.coeffs, *(c for c, _, _ in self.factors)])
 
     def __str__(self):
         num_terms = self.numerator.terms
@@ -481,6 +487,33 @@ class RationalSeries:
 
 # the most decimal digits of an int that Python converts to text by default
 MAX_COEFFICIENT_DIGITS = 4300
+
+
+# an int of at most this many bits has at most MAX_COEFFICIENT_DIGITS digits
+_MAX_COEFFICIENT_BITS = floor(MAX_COEFFICIENT_DIGITS / log10(2))
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, counted without converting n to text."""
+    n = abs(n)
+    d = max(0, floor((n.bit_length() - 1) * log10(2)) - 1)  # below the digit count
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def _check_digits(stage: str, degrees, coeffs) -> None:
+    """Raise MCSError, naming stage, the degree, the digit count and the
+    limit, at the first of coeffs (KElements, at the matching degrees)
+    with an integer of more decimal digits than MAX_COEFFICIENT_DIGITS,
+    the most Python prints."""
+    for d, c in zip(degrees, coeffs):
+        for _, v in c.terms:
+            if (v.bit_length() > _MAX_COEFFICIENT_BITS
+                    and (digits := _decimal_digits(v)) > MAX_COEFFICIENT_DIGITS):
+                raise MCSError(f"{stage}: the coefficient at degree {d} has"
+                               f" {digits} digits, over the limit of"
+                               f" {MAX_COEFFICIENT_DIGITS}")
 
 
 def _binomial_digits(e: int) -> int:
@@ -528,7 +561,10 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     term that has it; KElement is immutable, so sharing is safe.
 
     The running term count is checked as each new term appears; passing
-    the MCS_MAX_TERMS cap raises EnumerationLimitError.
+    the MCS_MAX_TERMS cap raises EnumerationLimitError.  The finished
+    coefficients are checked against MAX_COEFFICIENT_DIGITS, so that a
+    coefficient too wide to print raises MCSError naming its degree, while
+    wide intermediate values that cancel are let be.
     """
     if truncation < 0:
         raise ValueError("negative truncation bound")
@@ -550,14 +586,17 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
         raise EnumerationLimitError(stage, count, cap)
     for c, alpha, e in f.factors:
         if alpha.is_zero():
-            raise ZeroClassFactor("denominator factor at the zero class")
+            raise MCSError("denominator factor at the zero class")
         step = monoid.degree(alpha)
         if as_int:
             c = c.as_integer()
         # up to e = K, e passes with k = 1: one pass with k = e would multiply
         # big weights by big coefficients.  Past K, a pass with k = 1 first,
         # so that a term cap trips on small coefficients, then k = e - 1.
-        for k in repeat(1, e) if e <= max(1, truncation // step) else (1, e - 1):
+        # (range, unlike repeat, takes an e past sys.maxsize, where the
+        # first pass trips the cap.)
+        for k in ((1 for _ in range(e)) if e <= max(1, truncation // step)
+                  else (1, e - 1)):
             # for i = 1..: the push weight -p_i = (-1)^(i+1) C(k, i) c^i,
             # whether it is 1, the class i*alpha and the degree i*deg(alpha)
             a = alpha.packed()
@@ -604,7 +643,11 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     if as_int:
         shared: dict[int, KElement] = {}
         coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
-    return TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
+    out = TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
+    # integer coefficients are measured once per distinct value
+    if not as_int or max(map(int.bit_length, shared), default=0) > _MAX_COEFFICIENT_BITS:
+        out.check_digits(stage)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +662,12 @@ def pushforward(f, phi: MonoidHom):
     certifies: floor(N / max_g deg_src(g)/deg_tgt(phi g)).
     """
     if not phi.grading_compatible():
-        raise PushforwardError("homomorphism does not respect the gradings")
+        raise MCSError("homomorphism does not respect the gradings")
     if not isinstance(f, (_Terms, RationalSeries)):
         raise TypeError(f"cannot push forward {type(f).__name__}")
     if f.monoid != phi.source:
         noun = "polynomial" if isinstance(f, MonoidPolynomial) else "series"
-        raise PushforwardError(f"{noun} lives on a different monoid")
+        raise MCSError(f"{noun} lives on a different monoid")
     if isinstance(f, RationalSeries):
         facs = [(c, phi.apply(a), e) for c, a, e in f.factors]
         return RationalSeries(f.ring, phi.target, pushforward(f.numerator, phi), facs)
@@ -651,9 +694,9 @@ def external_product(f, g):
     if not (truncated or isinstance(f, RationalSeries) and isinstance(g, RationalSeries)):
         raise TypeError("external_product expects two series of the same kind")
     if f.ring != g.ring:
-        raise SpecMismatch("external product across ring specs")
+        raise MCSError("external product across ring specs")
     if truncated and f.truncation != g.truncation:
-        raise SeriesMismatch("external product needs equal truncation bounds")
+        raise MCSError("external product needs equal truncation bounds")
     total, inj1, inj2 = direct_sum(f.monoid, g.monoid)
     return pushforward(f, inj1) * pushforward(g, inj2)
 
@@ -663,14 +706,14 @@ def external_product(f, g):
 
 
 def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPolynomial:
-    """Exact quotient num/den for monic den, else LocalizationMismatch.
+    """Exact quotient num/den for monic den, else MCSError.
 
     Works in degree order like power-series division; only quotients of
     degree <= deg(num) are found, which covers every quotient this engine
     produces (localizing removes strata, it never enlarges the numerator).
     """
     if not den.is_monic():
-        raise NotMonic("division requires a monic divisor")
+        raise MCSError("division requires a monic divisor")
     if num.is_zero():
         return num
     bound, zero = num.degree(), num.ring.zero
@@ -681,7 +724,7 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
     while rest:
         d, k = min((sum(map(mul, grading, k)), k) for k in rest)
         if d > bound:
-            raise LocalizationMismatch(
+            raise MCSError(
                 "quotient is not a polynomial of numerator-bounded degree")
         c = rest.pop(k)
         quotient[k] = quotient.get(k, zero) + c
@@ -694,7 +737,7 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
                 rest[k3] = c3
     q = num._like(quotient)
     if not (q * den == num):
-        raise LocalizationMismatch("division left a nonzero remainder")
+        raise MCSError("division left a nonzero remainder")
     return q
 
 
@@ -703,7 +746,7 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
 
     Shared denominator factors cancel; leftover factors of mc_y become
     numerator binomials; a non-trivial numerator of mc_y must divide exactly,
-    otherwise LocalizationMismatch.
+    otherwise MCSError.
     """
     mc_x._check(mc_y)
     # the factors of a RationalSeries are already merged by this key
@@ -743,7 +786,7 @@ def curve_zeta(genus: int, ring: KRingSpec | None = None) -> RationalSeries:
     if ring is None:
         ring = standard_ring(symbols=symbols)
     for name in symbols:
-        ring.index(name)  # raises SpecMismatch when the symbol is absent
+        ring.index(name)  # raises MCSError when the symbol is absent
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
     factors = [(ring.one, t, 1), (ring.generator("L"), t, 1)]

@@ -26,7 +26,7 @@ from collections import Counter
 from itertools import combinations, count
 from math import comb, gcd
 
-from .errors import BlowupError, DimensionError, EnumerationLimitError, FanError
+from .errors import EnumerationLimitError, MCSError
 from .kring import KElement, KRingSpec, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
@@ -63,44 +63,44 @@ class Fan:
     def __init__(self, rays, maximal_cones, ray_names=None):
         rays = tuple(tuple(int(x) for x in v) for v in rays)
         if not rays:
-            raise FanError("a fan needs at least one ray")
+            raise MCSError("a fan needs at least one ray")
         n = len(rays[0])
         self.dim = n
         for v in rays:
             if len(v) != n:
-                raise FanError("rays of mixed ambient dimension")
+                raise MCSError("rays of mixed ambient dimension")
             if not any(v):
-                raise FanError("zero vector is not a ray")
+                raise MCSError("zero vector is not a ray")
             if gcd(*v) != 1:
-                raise FanError(f"ray {v} is not primitive")
+                raise MCSError(f"ray {v} is not primitive")
         if len(set(rays)) != len(rays):
-            raise FanError("duplicate rays")
+            raise MCSError("duplicate rays")
         self.rays = rays
         cones = []
         for c in maximal_cones:
             c = tuple(sorted(set(int(i) for i in c)))
             if not c:
-                raise FanError("empty maximal cone")
+                raise MCSError("empty maximal cone")
             for i in c:
                 if not 0 <= i < len(rays):
-                    raise FanError(f"ray index {i} out of range")
+                    raise MCSError(f"ray index {i} out of range")
             cones.append(c)
         if not cones:
-            raise FanError("a complete fan needs at least one maximal cone")
+            raise MCSError("a complete fan needs at least one maximal cone")
         if len(set(cones)) != len(cones):
-            raise FanError("duplicate maximal cones")
+            raise MCSError("duplicate maximal cones")
         sets = [set(c) for c in cones]
         for c, s in zip(cones, sets):
             for c2, s2 in zip(cones, sets):
                 if s < s2:
-                    raise FanError(f"cone {c} is contained in cone {c2}")
+                    raise MCSError(f"cone {c} is contained in cone {c2}")
         self.maximal_cones = tuple(cones)
         if ray_names is None:
             ray_names = tuple(f"r{i}" for i in range(len(rays)))
         else:
             ray_names = tuple(str(s) for s in ray_names)
             if len(ray_names) != len(rays) or len(set(ray_names)) != len(rays):
-                raise FanError("ray names must be one distinct name per ray")
+                raise MCSError("ray names must be one distinct name per ray")
         self.ray_names = ray_names
         self._face_cache: dict[int, tuple] = {}
         self._facets: dict[tuple, tuple] = {}
@@ -139,15 +139,15 @@ class Fan:
                         for k, side in owners if side == (value > 0))
         holders = [c for k, c in enumerate(cones) if agree[k] == len(self._facets[c])]
         if len(holders) > 1:
-            raise FanError(f"cones {holders[0]} and {holders[1]} do not meet"
+            raise MCSError(f"cones {holders[0]} and {holders[1]} do not meet"
                            " in a common face")
         for f, (_, owners) in walls.items():
             if len(owners) != 2:
-                raise FanError(f"wall {f} lies on {len(owners)} maximal cone(s);"
+                raise MCSError(f"wall {f} lies on {len(owners)} maximal cone(s);"
                                " a complete fan pairs every wall (incomplete fan)")
             (k1, side1), (k2, side2) = owners
             if side1 == side2:
-                raise FanError(f"cones {cones[k1]} and {cones[k2]} do not meet"
+                raise MCSError(f"cones {cones[k1]} and {cones[k2]} do not meet"
                                " in a common face")
 
     def _candidates(self, cone, k, stage):
@@ -178,11 +178,11 @@ class Fan:
             if min(signs) >= 0 or max(signs) <= 0:
                 facets.append((tuple(sorted(zero)), t, max(signs) > 0))
         if not seen:
-            raise FanError(f"maximal cone {cone} is not full-dimensional"
+            raise MCSError(f"maximal cone {cone} is not full-dimensional"
                            " (incomplete fan)")
         # the facets of a full-dimensional cone meet in its lineality space
         if set(cone).intersection(*(set(f) for f, _, _ in facets)):
-            raise FanError(f"cone {cone} is not strongly convex")
+            raise MCSError(f"cone {cone} is not strongly convex")
         return sorted(facets, key=lambda f: sum(1 << cone.index(i) for i in f[0]))
 
     def _faces(self, cone, k) -> list[tuple]:
@@ -213,7 +213,7 @@ class Fan:
     def cones_of_dim(self, k: int) -> tuple[tuple[int, ...], ...]:
         """All fan cones of the given dimension, as sorted ray-index tuples."""
         if not 0 <= k <= self.dim:
-            raise DimensionError(f"no cones of dimension {k} in a {self.dim}-fan")
+            raise MCSError(f"no cones of dimension {k} in a {self.dim}-fan")
         if k not in self._face_cache:
             self._face_cache[k] = ((),) if k == 0 else tuple(sorted(
                 {f for c in self.maximal_cones for f in self._faces(c, k)}))
@@ -256,7 +256,7 @@ class OrbitClassMonoid:
     def class_of(self, cone) -> MonoidElement:
         key = tuple(sorted(cone))
         if key not in self._class_of:
-            raise DimensionError(
+            raise MCSError(
                 f"cone {key} is not a {self.fan.dim - self.p}-dimensional cone"
                 " of the fan")
         return self._class_of[key]
@@ -277,7 +277,7 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     """
     n = fan.dim
     if not 0 <= p <= n:
-        raise DimensionError(f"no {p}-cycles on a {n}-dimensional variety")
+        raise MCSError(f"no {p}-cycles on a {n}-dimensional variety")
     gen_cones = fan.cones_of_dim(n - p)
     index = {c: i for i, c in enumerate(gen_cones)}
     relations = []
@@ -318,7 +318,7 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         names = tuple(fan.ray_names[c[0]] for c in first_cone)
     else:
         names = tuple(f"c{i}" for i in range(len(distinct)))
-    # FiniteFiberError from here signals a fan with no projective grading
+    # an MCSError from here signals a fan with no projective grading
     monoid = GradedMonoid(group, names, tuple(distinct))
     assumptions = ("orbit classes taken up to rational equivalence;"
                    " assumed to coincide with algebraic equivalence"
@@ -330,13 +330,13 @@ def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None,
                     chow: OrbitClassMonoid | None = None) -> RationalSeries:
     """Product over (n-p)-cones of 1/(1 - t^class): the series counting
     effective sums of p-dimensional orbit closures by class.  A chow given
-    must be the class table of this fan and p, else DimensionError."""
+    must be the class table of this fan and p, else MCSError."""
     if ring is None:
         ring = standard_ring()
     if chow is None:
         chow = chow_presentation(fan, p)
     elif chow.fan != fan or chow.p != p:
-        raise DimensionError("class table belongs to a different fan or p")
+        raise MCSError("class table belongs to a different fan or p")
     factors = [(ring.one, chow.class_of(c), 1) for c in chow.cones]
     return RationalSeries(ring, chow.monoid, None, factors)
 
@@ -349,9 +349,8 @@ def pn_divisor_series(n: int, truncation: int,
     The coefficients have binom(n+d,d) terms each; their total is checked
     against the MCS_MAX_TERMS cap before any of them is built.  The top
     coefficient 1 + L + ... + L^M is written once, and each lower one is a
-    prefix of its terms, sharing their pairs.  Only a ring that rewrites L,
-    by a rule or by the homotopy quotient (where the coefficients reduce
-    to the integers binom(n+d,d)), builds each coefficient on its own."""
+    prefix of its terms, sharing their pairs.  Under the homotopy quotient
+    the coefficients are the integers binom(n+d,d), each built on its own."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
     cap = max_terms_from_env()
@@ -366,7 +365,7 @@ def pn_divisor_series(n: int, truncation: int,
         ring = standard_ring()
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
-    if ring.rewrites("L"):
+    if ring.a1_homotopy:
         coeffs = [class_projective_space(c - 1, ring) for c in counts]
     else:
         top = class_projective_space(counts[-1] - 1, ring).terms
@@ -382,7 +381,7 @@ def pn_divisor_series(n: int, truncation: int,
 def projective_space_fan(n: int) -> Fan:
     """Rays e_1..e_n and -(e_1+..+e_n); maximal cones all n-subsets."""
     if n < 1:
-        raise FanError("projective space fan needs n >= 1")
+        raise MCSError("projective space fan needs n >= 1")
     rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rays.append([-1] * n)
     cones = [tuple(j for j in range(n + 1) if j != i) for i in range(n + 1)]
@@ -409,10 +408,10 @@ def blowup_at_fixed_point(fan: Fan, cone, new_ray_name: str | None = None) -> Fa
     """Star subdivision at the barycenter ray of a smooth maximal cone."""
     cone = tuple(sorted(cone))
     if cone not in fan.maximal_cones:
-        raise BlowupError(f"{cone} is not a maximal cone of the fan")
+        raise MCSError(f"{cone} is not a maximal cone of the fan")
     mat = [list(fan.rays[i]) for i in cone]
     if len(cone) != fan.dim or abs(det(mat)) != 1:
-        raise BlowupError(f"cone {cone} is not smooth; blow-up undefined here")
+        raise MCSError(f"cone {cone} is not smooth; blow-up undefined here")
     new = tuple(sum(col) for col in zip(*mat))
     rays = fan.rays + (new,)
     k = len(fan.rays)
@@ -427,7 +426,7 @@ def blowup_at_fixed_point(fan: Fan, cone, new_ray_name: str | None = None) -> Fa
 def hirzebruch_fan(a: int) -> Fan:
     """Projectivized rank-2 bundle over P^1 with twist a >= 0."""
     if a < 0:
-        raise FanError("twist must be non-negative")
+        raise MCSError("twist must be non-negative")
     rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
     return Fan(rays, cones, ("f1", "s1", "f2", "s2"))

@@ -519,11 +519,16 @@ class TestTermCap:
             "monoid": {"ambient_generators": 100000,
                        "generators": [{"name": "t", "ambient": [1]}]},
             "denominator": []}))
+        # 1/(1 - t)^(10^25): more passes than itertools.repeat can count
+        doc = _over_line([_line_term(0, 1)], 1)
+        doc["denominator"][0]["power"] = 10 ** 25
+        power = tmp_path / "power.json"
+        power.write_text(json.dumps(doc))
         return {"GP": fan_file(three_point_blowup_fan(), "gp"),
                 "P8": fan_file(projective_space_fan(8), "p8"),
                 "P16": fan_file(projective_space_fan(16), "p16"),
                 "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file,
-                "WIDE": str(wide)}
+                "WIDE": str(wide), "POWER": str(power)}
 
     @pytest.mark.parametrize("cap, argv, stage_and_count", [
         # a rational series file is capped inside its expansion
@@ -557,10 +562,12 @@ class TestTermCap:
          "colinear blow-up at 100000 points: 10000200001 class coordinates"),
         ("1000000", ["expand", "--series", "WIDE", "--truncate", "2"],
          "monoid on 100000 ambient generators: 10000000000 matrix entries"),
+        ("5", ["expand", "--series", "POWER", "--truncate", "1" + "0" * 30],
+         f"expansion to degree {10 ** 30}: 6 terms"),
     ], ids=["expansion", "monoid-enumeration", "fan-validation",
             "simplicial-faces", "divisor-series", "series-file",
             "relation-matrix", "binomial-power", "colinear-classes",
-            "series-file-monoid"])
+            "series-file-monoid", "factor-power-past-maxsize"])
     def test_exit_2_naming_stage_count_and_cap(self, cap, argv, stage_and_count,
                                                inputs, capsys, monkeypatch):
         monkeypatch.setenv("MCS_MAX_TERMS", cap)
@@ -636,6 +643,126 @@ class TestBadShapes:
                 ["expand", "--series", str(path), "--truncate", "2"])
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _with_term(doc, exp):
+    """doc with a constant numerator term 3 * exp added."""
+    doc = copy.deepcopy(doc)
+    doc["numerator"].append({"class": {"free": [0], "torsion": [0]},
+                             "coeff": {"terms": [{"coeff": 3, "exp": exp}]}})
+    return doc
+
+
+class TestRingFiles:
+    """A ring is L, eps and free symbols: a negative exponent or a declared
+    reduction rule is bad input."""
+
+    @pytest.mark.parametrize("name, e", [("L", -1), ("eps", -3)], ids=["L", "eps"])
+    def test_negative_exponent_exit_2(self, name, e, tmp_path, capsys):
+        path = _write(tmp_path, _with_term(SERIES, {name: e}))
+        assert main(["expand", "--series", path, "--truncate", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: exponent of {name!r} must be >= 0, got {e}\n"
+
+    def test_reduction_rule_exit_2(self, tmp_path, capsys):
+        # u^2 -> 2u and a coefficient u^5000: rewriting one power at a time
+        # once ran past Python's recursion limit
+        doc = _with_term(SERIES, {"u": 5000})
+        doc["ring"] = {"generators": ["L", "eps", "u"],
+                       "reductions": [{"symbol": "u", "power": 2,
+                                       "replacement": [[[["u", 1]], 2]]}]}
+        start = time.perf_counter()
+        assert main(["expand", "--series", _write(tmp_path, doc),
+                     "--truncate", "2"]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ring field 'reductions' is not supported" in captured.err
+
+
+def _line_term(degree, coeff):
+    return {"class": {"free": [degree], "torsion": []},
+            "coeff": {"terms": [{"coeff": coeff, "exp": {}}]}}
+
+
+def _over_line(numerator, c):
+    """numerator / (1 - c t) over the free monoid on t."""
+    return {"kind": "rational", "ring": {"generators": ["L", "eps"]},
+            "monoid": {"generators": ["t"]}, "numerator": numerator,
+            "denominator": [dict(_line_term(1, c), power=1)]}
+
+
+class TestDigitLimit:
+    """A finished coefficient with more digits than Python prints is bad
+    input, named by its stage and degree; wide values that cancel are not."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["pretty", "json"])
+    def test_expansion_past_the_limit_exit_2(self, fmt, tmp_path, capsys):
+        # the coefficient of t^d in 1/(1 - 10^100 t) is 10^(100 d)
+        path = _write(tmp_path, _over_line([_line_term(0, 1)], 10 ** 100))
+        start = time.perf_counter()
+        assert main(["expand", "--series", path, "--truncate", "50", *fmt]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: expansion to degree 50: the coefficient at"
+                                " degree 43 has 4301 digits, over the limit of 4300\n")
+
+    def test_cancelling_wide_factor_exit_0(self, tmp_path, capsys):
+        path = _write(tmp_path, _over_line([_line_term(0, 1), _line_term(1, -10 ** 100)],
+                                           10 ** 100))
+        start = time.perf_counter()
+        assert main(["expand", "--series", path, "--truncate", "60"]) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out == "1 + O(degree 61)\n"
+
+    def test_other_stages(self, tmp_path, capsys):
+        wide = "1" + "0" * 3000
+        # (1 - 10^3000 L t)^2 specialized at L = 10^3000
+        zeta = {"kind": "rational", "ring": {"generators": ["L", "eps"]},
+                "monoid": {"generators": ["t"]}, "denominator": [
+                    dict(_line_term(1, 10 ** 3000), power=2)]}
+        zeta["denominator"][0]["coeff"]["terms"][0]["exp"] = {"L": 1}
+        assert main(["specialize", "--series", _write(tmp_path, zeta),
+                     "--assign", f"L={wide}"]) == 2
+        assert capsys.readouterr().err == ("error: specialization: the coefficient at"
+                                           " degree 1 has 6001 digits, over the"
+                                           " limit of 4300\n")
+        # the witness of (1 - 10^3000 t)^2 against P^1 has (10^3000 - 1)^2 in it
+        assert main(["verify", "eq1", "--n", "1", "--truncate", "4",
+                     "--denominator", f"(1 - {wide} t)^2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: rationality check to degree 4: the coefficient at degree 3"
+            " has 6000 digits, over the limit of 4300\n")
+        # two terms of 4,300 nines in one class sum to 4,301 digits
+        nines = int("9" * 4300)
+        doc = _over_line([_line_term(0, 1), _line_term(0, nines), _line_term(0, nines)], 1)
+        assert main(["expand", "--series", _write(tmp_path, doc),
+                     "--truncate", "2"]) == 2
+        assert capsys.readouterr().err == ("error: series JSON: the coefficient at"
+                                           " degree 0 has 4301 digits, over the"
+                                           " limit of 4300\n")
+
+
+class TestProgramDefects:
+    """Only MCSError is bad input: any other exception is a defect and
+    escapes main as a traceback, never exit code 2."""
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_defect_escapes_main(self, exc, monkeypatch):
+        def broken(obj):
+            raise exc("a defect")
+        monkeypatch.setattr(cli, "series_from_json", broken)
+        with pytest.raises(exc, match="a defect"):
+            main(["expand", "--series", str(ROOT / "tests" / "golden" / "series.json"),
+                  "--truncate", "2"])
 
 
 class TestArgHandling:

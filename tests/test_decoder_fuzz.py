@@ -2,7 +2,8 @@
 
 Hypothesis feeds arbitrary JSON values, and copies of a valid fan or series
 file with one field replaced or deleted, to the CLI.  Exit 1 means a
-verification FAIL, so a bad file must give 0 or 2 and never a traceback.
+verification FAIL, so a bad file must give 0 or 2 and never a traceback:
+main reports only MCSError as bad input, so any other exception fails here.
 """
 
 import contextlib
@@ -19,7 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 P2_FAN = json.loads((ROOT / "fans" / "p2.json").read_text())
 SERIES = json.loads((ROOT / "tests" / "golden" / "series.json").read_text())
 
+# small integers hit indices and sizes; wide ones, placed at exponents,
+# powers, moduli or coefficients, reach the arithmetic
 scalars = (st.none() | st.booleans() | st.integers(-3, 3)
+           | st.integers(-10 ** 4, 10 ** 4)
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
 json_values = st.recursive(
     scalars,

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcseries import intlinalg, monoid, toric
-from mcseries.errors import FanError
+from mcseries.errors import MCSError
 from mcseries.intlinalg import (
     det,
     feasible_point,
@@ -185,7 +185,7 @@ def test_open_walls_are_named_in_bitmask_order():
     rays = [cube.rays[p] for p in (3, 6, 1, 5, 7, 0, 4, 2)]
     cones = [[i for i, v in enumerate(rays) if v[axis] == sign]
              for axis in (0, 2) for sign in (1, -1)]
-    with pytest.raises(FanError) as err:
+    with pytest.raises(MCSError) as err:
         Fan(rays, cones)
     assert str(err.value) == ("wall (5, 6) lies on 1 maximal cone(s); a complete"
                               " fan pairs every wall (incomplete fan)")
@@ -196,7 +196,7 @@ def test_star_pentagon_is_rejected_by_the_pairwise_check():
     # cones, but neighbouring-but-one cones overlap
     rays = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
     cones = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
-    with pytest.raises(FanError, match="common face"):
+    with pytest.raises(MCSError, match="common face"):
         Fan(rays, cones)
 
 
@@ -347,7 +347,7 @@ def test_fan_accepts_exactly_what_the_pairwise_lp_oracle_accepts(data):
     rays, cones = data
     try:
         Fan(rays, cones)
-    except FanError:
+    except MCSError:
         assert not oracle_accepts(rays, cones)
     else:
         assert oracle_accepts(rays, cones)
@@ -391,7 +391,7 @@ BAD_NON_SIMPLICIAL_FANS = {
 
 def assert_rejected(rays, cones, message):
     assert not oracle_accepts(rays, cones)
-    with pytest.raises(FanError) as err:
+    with pytest.raises(MCSError) as err:
         Fan(rays, cones)
     assert str(err.value) == message
 

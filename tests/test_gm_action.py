@@ -3,7 +3,7 @@ and the cross-check against the torus-orbit product route."""
 
 import pytest
 
-from mcseries.errors import EnumerationLimitError, UnsupportedStratum
+from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.gm_action import (
     FixedComponentStratum,
     GmDecomposition,
@@ -93,7 +93,7 @@ def test_colinear_strata_inventory_r3():
 
 
 def test_colinear_rejects_single_center():
-    with pytest.raises(UnsupportedStratum):
+    with pytest.raises(MCSError, match="at least two centers"):
         colinear_blowup_data(1)
 
 
@@ -204,7 +204,7 @@ def test_punctured_stratum_with_one_puncture_rejected_at_assembly():
     mono = free_graded_monoid(("t",))
     t = mono.generator_named("t")
     decomp = GmDecomposition(mono, [OrbitFamilyOverPuncturedLine(1, t, 1)], RA)
-    with pytest.raises(UnsupportedStratum):
+    with pytest.raises(MCSError, match="one-punctured rational base"):
         assemble_mc(decomp, 1)
 
 
@@ -218,15 +218,15 @@ def test_two_punctures_contribute_trivial_numerator():
 def test_stratum_validation():
     mono = free_graded_monoid(("t",))
     t = mono.generator_named("t")
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="must sweep a nonzero class"):
         OrbitFamilyOverPoint(mono.zero, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="needs at least one puncture"):
         OrbitFamilyOverPuncturedLine(0, t, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="fiber class must be nonzero"):
         OrbitFamilyOverPuncturedLine(2, mono.zero, 1)
     two = RationalSeries(RA, mono,
                          None, [(RA.one, t, 1)]).numerator.scale(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="must be monic"):
         FixedComponentStratum(RationalSeries(RA, mono, two, ()), 1)
 
 
@@ -234,13 +234,13 @@ def test_decomposition_membership_checks():
     mono = free_graded_monoid(("t",))
     other = free_graded_monoid(("u", "v"))
     u = other.generator_named("u")
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="stratum class is not in the monoid"):
         GmDecomposition(mono, [OrbitFamilyOverPoint(u, 1)], RA)
     series_elsewhere = RationalSeries(RA, other, None, [(RA.one, u, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="series lives elsewhere"):
         GmDecomposition(mono, [FixedComponentStratum(series_elsewhere, 1)], RA)
     wrong_ring = one_factor_series(standard_ring(), mono)
-    with pytest.raises(ValueError):
+    with pytest.raises(MCSError, match="series lives elsewhere"):
         GmDecomposition(mono, [FixedComponentStratum(wrong_ring, 1)], RA)
     with pytest.raises(TypeError):
         GmDecomposition(mono, ["not a stratum"], RA)

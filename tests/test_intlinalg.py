@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcseries import intlinalg
-from mcseries.errors import LPLimitError
+from mcseries.errors import MCSError
 from mcseries.intlinalg import (
     det,
     feasible_point,
@@ -234,23 +234,23 @@ def _unit_rows(n):
 
 def test_pivot_cap_raises_naming_the_stage_the_count_and_the_cap(monkeypatch):
     monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 2)
-    with pytest.raises(LPLimitError, match=r"^fan validation gave up: the"
+    with pytest.raises(MCSError, match=r"^fan validation gave up: the"
                        r" simplex would make pivot 3, over the cap of 2$"):
         feasible_point(3, _unit_rows(3), "fan validation")
-    with pytest.raises(LPLimitError, match="^grading gave up: .* cap of 2$"):
+    with pytest.raises(MCSError, match="^grading gave up: .* cap of 2$"):
         minimize_linear(3, (1, 1, 1), _unit_rows(3), "grading")
 
 
 def test_cap_counts_every_pivot(monkeypatch):
     monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 3)
     assert feasible_point(3, _unit_rows(3)) is not None
-    with pytest.raises(LPLimitError, match="pivot 4, over the cap of 3"):
+    with pytest.raises(MCSError, match="pivot 4, over the cap of 3"):
         feasible_point(4, _unit_rows(4))
     # x >= 1 enters with its row, x >= 2 then needs the artificial variable
     # and one phase-1 pivot: three in all
     assert feasible_point(1, [((1,), 1), ((1,), 2)]) == [2]
     monkeypatch.setattr(intlinalg, "MAX_PIVOTS", 2)
-    with pytest.raises(LPLimitError, match="pivot 3"):
+    with pytest.raises(MCSError, match="pivot 3"):
         feasible_point(1, [((1,), 1), ((1,), 2)])
 
 
@@ -300,7 +300,7 @@ def reference_feasible_point(num_vars: int, cons,
 
     Deterministic: eliminates the highest-index variable first and picks the
     max lower bound (else min(0, upper bound)) while back-substituting.
-    Raises LPLimitError, naming the stage, when an elimination step would
+    Raises MCSError, naming the stage, when an elimination step would
     create more than MAX_STEP_CONSTRAINTS constraints.
     """
     cur = _as_constraints(cons)
@@ -312,7 +312,7 @@ def reference_feasible_point(num_vars: int, cons,
         neg = [c for c in cur if c[0][k] < 0]
         new = [c for c in cur if c[0][k] == 0]
         if len(pos) * len(neg) > MAX_STEP_CONSTRAINTS:
-            raise LPLimitError(
+            raise MCSError(
                 f"{stage} gave up: an elimination step would create"
                 f" {len(pos) * len(neg)} constraints (cap {MAX_STEP_CONSTRAINTS})")
         for cp in pos:
@@ -412,7 +412,7 @@ def test_grading_lps_get_the_point_elimination_gave(lp):
     n, objective, cons = lp
     try:
         expected = reference_minimize_linear(n, objective, cons)
-    except LPLimitError:
+    except MCSError:
         return
     assert minimize_linear(n, objective, cons) == expected
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from mcseries.cli import main
 from mcseries.kring import standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
-from mcseries.serialize import ring_from_json
 from mcseries.series import (
     MonoidPolynomial,
     RationalityVerdict,
@@ -26,13 +25,7 @@ from mcseries.series import (
 )
 from mcseries.toric import pn_divisor_series
 
-# u^2 -> L*u - 1: a rule that is not eps's, kept to small exponents
-RULE_RING = ring_from_json({
-    "generators": ["L", "eps", "u"],
-    "reductions": [{"symbol": "u", "power": 2,
-                    "replacement": [[[["L", 1], ["u", 1]], 1], [[], -1]]}]})
-RINGS = (standard_ring(symbols=("x",)), standard_ring(a1_homotopy=True),
-         RULE_RING)
+RINGS = (standard_ring(symbols=("x",)), standard_ring(a1_homotopy=True))
 
 LINE = free_graded_monoid(("t",))
 # Z + Z/2: a and b have degree 1 and differ by the class of order two
@@ -116,11 +109,11 @@ def test_product_matches_pairwise_reference(pair):
     assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=["free-symbol", "a1", "json-rule"])
+@pytest.mark.parametrize("ring", RINGS, ids=["free-symbol", "a1"])
 @pytest.mark.parametrize("mix", ["int*int", "int*poly", "poly*poly"])
 def test_each_coefficient_mix(ring, mix):
     a, b = TORSION.generators
-    u = ring.generator(ring.generators[-1])  # x, eps or u
+    u = ring.generator(ring.generators[-1])  # x or eps
     L = ring.generator("L")
     poly = 2 - ring.generator("eps") + L * L
     left = {TORSION.zero: 3, a: -1, b: 2} if mix != "poly*poly" else {
@@ -133,7 +126,7 @@ def test_each_coefficient_mix(ring, mix):
     assert g * f == f * g
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=["free-symbol", "a1", "json-rule"])
+@pytest.mark.parametrize("ring", RINGS, ids=["free-symbol", "a1"])
 def test_eps_squared_reduces_to_one(ring):
     t = LINE.generator_named("t")
     eps = ring.generator("eps")

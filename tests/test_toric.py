@@ -11,10 +11,9 @@ from math import comb
 
 import pytest
 
-from mcseries.errors import BlowupError, DimensionError, FanError
+from mcseries.errors import MCSError
 from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import MonoidHom, canonicalize, free_graded_monoid
-from mcseries.serialize import ring_from_json
 from mcseries.series import curve_zeta, pushforward, rational_expand
 from mcseries.toric import (
     Fan,
@@ -57,26 +56,26 @@ def test_gp_fan_is_valid():
 
 
 def test_incomplete_fan_rejected():
-    with pytest.raises(FanError, match="incomplete"):
+    with pytest.raises(MCSError, match="incomplete"):
         Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
-    with pytest.raises(FanError, match="at least one maximal cone"):
+    with pytest.raises(MCSError, match="at least one maximal cone"):
         Fan([(1, 0), (0, 1), (-1, -1)], [])
 
 
 def test_bad_ray_data_rejected():
-    with pytest.raises(FanError, match="primitive"):
+    with pytest.raises(MCSError, match="primitive"):
         Fan([(2, 0), (0, 1), (-2, -1)], [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(FanError, match="zero"):
+    with pytest.raises(MCSError, match="zero"):
         Fan([(0, 0), (0, 1)], [(0, 1)])
-    with pytest.raises(FanError, match="duplicate"):
+    with pytest.raises(MCSError, match="duplicate"):
         Fan([(1, 0), (1, 0)], [(0, 1)])
-    with pytest.raises(FanError, match="out of range"):
+    with pytest.raises(MCSError, match="out of range"):
         Fan([(1,), (-1,)], [(0, 3)])
 
 
 def test_overlapping_cones_rejected():
     # (1,1) lies inside cone((1,0),(0,1)): the intersection is not a face
-    with pytest.raises(FanError, match="common face"):
+    with pytest.raises(MCSError, match="common face"):
         Fan([(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1), (2, 3)])
 
 
@@ -84,17 +83,17 @@ def test_cone_with_a_line_rejected():
     # cone (0, 1) is the line itself; each cone of the second fan is a
     # half-plane, whose boundary line lies on its only facet
     rays = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    with pytest.raises(FanError) as err:
+    with pytest.raises(MCSError) as err:
         Fan(rays, [(0, 1), (2, 3)])
     assert str(err.value) == ("maximal cone (0, 1) is not full-dimensional"
                               " (incomplete fan)")
-    with pytest.raises(FanError) as err:
+    with pytest.raises(MCSError) as err:
         Fan(rays, [(0, 1, 2), (0, 1, 3)])
     assert str(err.value) == "cone (0, 1, 2) is not strongly convex"
 
 
 def test_contained_maximal_cone_rejected():
-    with pytest.raises(FanError, match="contained"):
+    with pytest.raises(MCSError, match="contained"):
         Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0), (1,)])
 
 
@@ -201,11 +200,11 @@ def test_degree_class_on_gp_rays():
 def test_degree_class_dimension_errors():
     fan = projective_space_fan(2)
     chow = chow_presentation(fan, 1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(MCSError, match=r"cone \(0, 1\) is not a 1-dimensional cone"):
         chow.class_of((0, 1))  # a 2-cone is not a curve class
-    with pytest.raises(DimensionError):
+    with pytest.raises(MCSError, match=r"cone \(0, 1, 2\) is not a 1-dimensional cone"):
         chow.class_of((0, 2, 1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(MCSError, match="no 3-cycles on a 2-dimensional variety"):
         chow_presentation(fan, 3)
 
 
@@ -215,7 +214,7 @@ def test_degree_class_dimension_errors():
 def test_class_table_of_another_fan_or_p_is_rejected(other, q):
     # the series would otherwise be the other table's, silently
     fan = projective_space_fan(2)
-    with pytest.raises(DimensionError, match="different fan or p"):
+    with pytest.raises(MCSError, match="different fan or p"):
         mc_series_toric(fan, 1, chow=chow_presentation(other, q))
     assert (mc_series_toric(fan, 1, chow=chow_presentation(fan, 1))
             == mc_series_toric(fan, 1))
@@ -345,9 +344,9 @@ def test_blowup_inserts_barycenter_ray():
 
 
 def test_blowup_rejects_singular_or_missing_cones():
-    with pytest.raises(BlowupError, match="not smooth"):
+    with pytest.raises(MCSError, match="not smooth"):
         blowup_at_fixed_point(weighted_p112_fan(), (0, 2))
-    with pytest.raises(BlowupError, match="not a maximal cone"):
+    with pytest.raises(MCSError, match="not a maximal cone"):
         blowup_at_fixed_point(projective_space_fan(2), (0,))
 
 
@@ -368,13 +367,6 @@ def test_pn_divisor_series_coefficients():
     assert f.coefficient(t) == R.one + R.generator("L") + R.generator("L") ** 2
 
 
-# L^3 -> 2*L - 1: a ring whose rule rewrites L
-L_RULE_RING = ring_from_json({
-    "generators": ["L", "eps"],
-    "reductions": [{"symbol": "L", "power": 3,
-                    "replacement": [[[["L", 1]], 2], [[], -1]]}]})
-
-
 def test_pn_divisor_series_is_integer_under_a1():
     a1 = standard_ring(a1_homotopy=True)
     f = pn_divisor_series(3, 6, a1)
@@ -385,8 +377,8 @@ def test_pn_divisor_series_is_integer_under_a1():
 
 
 @pytest.mark.parametrize("ring", [R, standard_ring(symbols=("x",)),
-                                  standard_ring(a1_homotopy=True), L_RULE_RING],
-                         ids=["standard", "free-symbol", "a1", "rule-on-L"])
+                                  standard_ring(a1_homotopy=True)],
+                         ids=["standard", "free-symbol", "a1"])
 def test_pn_divisor_coefficients_are_projective_space_classes(ring):
     f = pn_divisor_series(3, 5, ring)
     t = f.monoid.generator_named("t")
