@@ -25,11 +25,13 @@ from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
 from .serialize import fan_from_json, json_text, series_from_json, series_to_json
 from .series import (
+    MAX_COEFFICIENT_DIGITS,
     MonoidPolynomial,
     RationalSeries,
     TruncatedSeries,
     binomial_factor_polynomial,
     certify_rational,
+    check_printable,
     curve_zeta,
     external_product,
     localize_quotient,
@@ -79,9 +81,14 @@ def _apply_specializations(f, raw: list[str]):
     return f.specialize(Specialization(f.ring, pairs))
 
 
-def _emit(args, doc, lines) -> None:
+def _emit(args, doc, lines, *printed) -> None:
     """Print doc() as JSON or the lines(), as --format asks; only the chosen
-    output is built, so JSON runs never render class words."""
+    output is built, so JSON runs never render class words.  printed are
+    the (stage, series) pairs the output writes, None for an absent series;
+    before anything is printed, check_printable reads each of them."""
+    for stage, f in printed:
+        if f is not None:
+            check_printable(stage, f)
     if args.format == "json":
         print(json_text(doc()))
     else:
@@ -181,7 +188,8 @@ def cmd_toric(args) -> int:
             out.append(f"expansion: {e}")
         return out + [f"note: {note}" for note in chow.assumptions]
 
-    _emit(args, doc, lines)
+    _emit(args, doc, lines, ("specialization", f),
+          (f"expansion to degree {args.truncate}", e))
     return 0
 
 
@@ -285,7 +293,8 @@ def cmd_colinear(args) -> int:
             out.append(compare_line)
         return out
 
-    _emit(args, doc, lines)
+    _emit(args, doc, lines, ("specialization", f),
+          (f"expansion to degree {args.truncate}", e))
     return 0
 
 
@@ -376,6 +385,9 @@ def cmd_verify_eq1(args) -> int:
                                args.specialize)
     g = _parse_denominator(args.denominator, f.ring, f.monoid, args.truncate)
     verdict = certify_rational(f, g)
+    if not verdict.consistent:
+        check_printable(f"rationality check to degree {verdict.truncation}",
+                        verdict.witness_coeff, verdict.witness_degree)
     print(f"divisor series of P^{args.n} against denominator"
           f" {args.denominator}: {verdict}")
     if verdict.consistent:
@@ -426,7 +438,7 @@ def cmd_expand(args) -> int:
             raise EnumerationLimitError(f"series file to degree {args.truncate}",
                                         len(out.terms), cap)
     _emit(args, lambda: {"command": "expand", "series": series_to_json(out)},
-          lambda: [str(out)])
+          lambda: [str(out)], (f"expansion to degree {args.truncate}", out))
     return 0
 
 
@@ -436,7 +448,7 @@ def cmd_specialize(args) -> int:
     out = f.specialize(Specialization(f.ring, pairs,
                                       carry_unassigned=not args.strict))
     _emit(args, lambda: {"command": "specialize", "series": series_to_json(out)},
-          lambda: [str(out)])
+          lambda: [str(out)], ("specialization", out))
     return 0
 
 
@@ -444,10 +456,18 @@ def cmd_specialize(args) -> int:
 # argument wiring
 
 
+_TRUNCATE_LIMIT = 10 ** (MAX_COEFFICIENT_DIGITS - 1)
+
+
 def degree_bound(text: str) -> int:
-    """The type of every --truncate option: an int >= 0."""
+    """The type of every --truncate option: an int >= 0 with fewer than
+    MAX_COEFFICIENT_DIGITS digits, so that the degree of the O-term, one
+    more, can be printed."""
     if (n := int(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if n >= _TRUNCATE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must have fewer than {MAX_COEFFICIENT_DIGITS} digits")
     return n
 
 

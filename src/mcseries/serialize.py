@@ -212,8 +212,6 @@ def series_to_json(f) -> dict:
 
 
 def series_from_json(obj):
-    """The series obj encodes; a coefficient, summed over duplicate terms,
-    too wide to print is an MCSError naming the stage "series JSON"."""
     ring = ring_from_json(_need(obj, "ring", "series"))
     monoid = monoid_from_json(_need(obj, "monoid", "series"))
     kind = obj.get("kind")
@@ -223,14 +221,14 @@ def series_from_json(obj):
     if kind == "truncated":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
                                  "series term")
-        out = TruncatedSeries(ring, monoid,
-                              _as(int, _need(obj, "truncation", "series"), "truncation"),
-                              terms)
-    elif kind == "polynomial":
+        return TruncatedSeries(ring, monoid,
+                               _as(int, _need(obj, "truncation", "series"), "truncation"),
+                               terms)
+    if kind == "polynomial":
         terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
                                  "polynomial term")
-        out = MonoidPolynomial(ring, monoid, terms)
-    elif kind == "rational":
+        return MonoidPolynomial(ring, monoid, terms)
+    if kind == "rational":
         num = MonoidPolynomial(ring, monoid,
                                _terms_from_json(ring, monoid,
                                                 obj.get("numerator", []),
@@ -243,11 +241,8 @@ def series_from_json(obj):
             factors.append((element_from_json(ring, _need(row, "coeff", "factor")),
                             monoid_element_from_json(monoid, _need(row, "class", "factor")),
                             _as(int, row.get("power", 1), "factor power")))
-        out = RationalSeries(ring, monoid, num, factors)
-    else:
-        raise MCSError(f"unknown series kind {kind!r}")
-    out.check_digits("series JSON")
-    return out
+        return RationalSeries(ring, monoid, num, factors)
+    raise MCSError(f"unknown series kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "curve_zeta",
     "punctured_p1_zeta",
     "binomial_factor_polynomial",
+    "check_printable",
 ]
 
 
@@ -201,13 +202,7 @@ class _Terms:
                 yield d, keys, coeffs
 
     def specialize(self, s: Specialization):
-        out = self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
-        out.check_digits("specialization")
-        return out
-
-    def check_digits(self, stage: str) -> None:
-        """Raise MCSError, naming stage, at a coefficient too wide to print."""
-        _check_digits(stage, self._degrees, self.coeffs)
+        return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
 
     def as_series(self, n: int) -> "TruncatedSeries":
         """The terms of degree <= n as a series truncated at n; n may not
@@ -375,7 +370,6 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
     bound = g.degree() if numerator_degree is None else int(numerator_degree)
     for d, keys, coeffs in f._product(g.as_series(f.truncation)):
         if d > bound:
-            _check_digits(f"rationality check to degree {f.truncation}", [d], coeffs[:1])
             return RationalityVerdict(False, f.truncation, bound, d,
                                       f.monoid.group.unpack(keys[0]), coeffs[0])
     return RationalityVerdict(True, f.truncation, bound)
@@ -453,17 +447,8 @@ class RationalSeries:
         return out
 
     def specialize(self, s: Specialization) -> "RationalSeries":
-        out = RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),
-                             [(specialize(c, s), a, e) for c, a, e in self.factors])
-        out.check_digits("specialization")
-        return out
-
-    def check_digits(self, stage: str) -> None:
-        """_check_digits of the numerator and the factor coefficients, each
-        factor's at the degree of its class."""
-        _check_digits(stage, [*self.numerator._degrees,
-                             *(self.monoid.degree(a) for _, a, _ in self.factors)],
-                     [*self.numerator.coeffs, *(c for c, _, _ in self.factors)])
+        return RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),
+                              [(specialize(c, s), a, e) for c, a, e in self.factors])
 
     def __str__(self):
         num_terms = self.numerator.terms
@@ -490,30 +475,66 @@ MAX_COEFFICIENT_DIGITS = 4300
 
 
 # an int of at most this many bits has at most MAX_COEFFICIENT_DIGITS digits
-_MAX_COEFFICIENT_BITS = floor(MAX_COEFFICIENT_DIGITS / log10(2))
+_MAX_BITS = floor(MAX_COEFFICIENT_DIGITS / log10(2))
 
 
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of |n|, counted without converting n to text."""
+def _wide_digits(n: int) -> int:
+    """The decimal digits of |n| when there are more than
+    MAX_COEFFICIENT_DIGITS of them, else 0; n is not converted to text."""
+    if n.bit_length() <= _MAX_BITS:
+        return 0
     n = abs(n)
-    d = max(0, floor((n.bit_length() - 1) * log10(2)) - 1)  # below the digit count
-    while n >= 10 ** d:
+    # the digit count less 1 or 2, so 10^(d - 1) <= n past any rounding
+    d = floor((n.bit_length() - 1) * log10(2))
+    power = 10 ** (d - 1)
+    while n >= power:  # one power of ten is made, then multiplied
+        power *= 10
         d += 1
-    return d
+    return d - 1 if d - 1 > MAX_COEFFICIENT_DIGITS else 0
 
 
-def _check_digits(stage: str, degrees, coeffs) -> None:
+def _too_wide(c: KElement) -> str:
+    """What in c, the coefficient or the largest generator exponent of a
+    term, has more than MAX_COEFFICIENT_DIGITS digits, in the words of the
+    message; "" when nothing has."""
+    for exp, v in c.terms:
+        # most terms stop at the bit lengths; _wide_digits settles the rest
+        if v.bit_length() > _MAX_BITS or exp and max(exp).bit_length() > _MAX_BITS:
+            if digits := _wide_digits(v):
+                return f"{digits} digits"
+            if digits := _wide_digits(top := max(exp)):
+                name = c.spec.generators[exp.index(top)]
+                return f"an exponent of {name} with {digits} digits"
+    return ""
+
+
+def check_printable(stage: str, f, degree: int = 0) -> None:
     """Raise MCSError, naming stage, the degree, the digit count and the
-    limit, at the first of coeffs (KElements, at the matching degrees)
-    with an integer of more decimal digits than MAX_COEFFICIENT_DIGITS,
-    the most Python prints."""
-    for d, c in zip(degrees, coeffs):
-        for _, v in c.terms:
-            if (v.bit_length() > _MAX_COEFFICIENT_BITS
-                    and (digits := _decimal_digits(v)) > MAX_COEFFICIENT_DIGITS):
-                raise MCSError(f"{stage}: the coefficient at degree {d} has"
-                               f" {digits} digits, over the limit of"
-                               f" {MAX_COEFFICIENT_DIGITS}")
+    limit, at the first coefficient of f with an integer, a coefficient or
+    a generator exponent, of more decimal digits than
+    MAX_COEFFICIENT_DIGITS, the most Python converts to text; the factor
+    powers of a rational series are read too.  f is a series, a
+    polynomial, a rational series or one KElement at the given degree.
+
+    The text and JSON writers do not check: what prints f checks it first,
+    and values that are never printed, wide or not, are let be.  Each
+    distinct coefficient is read once."""
+    if isinstance(f, RationalSeries):
+        check_printable(stage, f.numerator)
+        for c, alpha, e in f.factors:
+            d = f.monoid.degree(alpha)
+            check_printable(stage, c, d)
+            if digits := _wide_digits(e):
+                raise MCSError(f"{stage}: the power of the factor at degree {d} has"
+                               f" {digits} digits, over the limit of {MAX_COEFFICIENT_DIGITS}")
+        return
+    seen: set[KElement] = set()
+    for d, c in [(degree, f)] if isinstance(f, KElement) else zip(f._degrees, f.coeffs):
+        if c not in seen:
+            seen.add(c)
+            if wide := _too_wide(c):
+                raise MCSError(f"{stage}: the coefficient at degree {d} has {wide},"
+                               f" over the limit of {MAX_COEFFICIENT_DIGITS}")
 
 
 def _binomial_digits(e: int) -> int:
@@ -561,10 +582,7 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     term that has it; KElement is immutable, so sharing is safe.
 
     The running term count is checked as each new term appears; passing
-    the MCS_MAX_TERMS cap raises EnumerationLimitError.  The finished
-    coefficients are checked against MAX_COEFFICIENT_DIGITS, so that a
-    coefficient too wide to print raises MCSError naming its degree, while
-    wide intermediate values that cancel are let be.
+    the MCS_MAX_TERMS cap raises EnumerationLimitError.
     """
     if truncation < 0:
         raise ValueError("negative truncation bound")
@@ -643,11 +661,7 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     if as_int:
         shared: dict[int, KElement] = {}
         coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
-    out = TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
-    # integer coefficients are measured once per distinct value
-    if not as_int or max(map(int.bit_length, shared), default=0) > _MAX_COEFFICIENT_BITS:
-        out.check_digits(stage)
-    return out
+    return TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -746,9 +746,52 @@ class TestDigitLimit:
         doc = _over_line([_line_term(0, 1), _line_term(0, nines), _line_term(0, nines)], 1)
         assert main(["expand", "--series", _write(tmp_path, doc),
                      "--truncate", "2"]) == 2
-        assert capsys.readouterr().err == ("error: series JSON: the coefficient at"
-                                           " degree 0 has 4301 digits, over the"
+        assert capsys.readouterr().err == ("error: expansion to degree 2: the coefficient"
+                                           " at degree 0 has 4301 digits, over the"
                                            " limit of 4300\n")
+        # two factors (1 - t)^N, N of 4,300 nines, merge into (1 - t)^(2N)
+        doc = _over_line([_line_term(0, 1)], 1)
+        doc["denominator"] = [dict(_line_term(1, 1), power=nines)] * 2
+        assert main(["specialize", "--series", _write(tmp_path, doc),
+                     "--assign", "L=1"]) == 2
+        assert capsys.readouterr().err == ("error: specialization: the power of the factor"
+                                           " at degree 1 has 4301 digits, over the"
+                                           " limit of 4300\n")
+
+    def test_wide_exponent_in_verify_eq1_exit_2(self, capsys):
+        nines = "9" * 4300
+        assert main(["verify", "eq1", "--n", "1", "--truncate", "3", "--denominator",
+                     f"(1 - L^{nines} L^{nines} t)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rationality check to degree 3: the coefficient at"
+                                " degree 2 has an exponent of L with 4301 digits, over the"
+                                " limit of 4300\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["pretty", "json"])
+    def test_wide_exponent_in_series_file_exit_2(self, fmt, tmp_path, capsys):
+        # 1/(1 - L^N t) has L^(2N) at degree 2
+        doc = _over_line([_line_term(0, 1)], 1)
+        doc["denominator"][0]["coeff"]["terms"][0]["exp"] = {"L": int("9" * 4300)}
+        assert main(["expand", "--series", _write(tmp_path, doc),
+                     "--truncate", "2", *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: expansion to degree 2: the coefficient at"
+                                " degree 2 has an exponent of L with 4301 digits, over"
+                                " the limit of 4300\n")
+
+    def test_wide_values_that_are_not_printed_exit_0(self, capsys):
+        # 1 + X + X^2 at degree 2 has 6,001 digits, but a PASS prints no
+        # coefficient
+        wide = "1" + "0" * 3000
+        assert main(["verify", "eq1", "--n", "1", "--denominator",
+                     f"(1 - t)(1 - {wide} t)", "--specialize", f"L={wide}",
+                     "--truncate", "6"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(": consistent-to-6\nPASS (consistent with a"
+                                     " numerator of degree <= 2 up to degree 6)\n")
+        assert captured.err == ""
 
 
 class TestProgramDefects:
@@ -774,6 +817,14 @@ class TestArgHandling:
 
     def test_missing_required_flag(self):
         assert main(["toric", "--p", "1"]) == 2
+
+    def test_truncate_of_4300_digits_is_rejected(self, capsys):
+        # the O-term degree, one more, would have 4301 digits
+        assert main(["expand", "--series", str(ROOT / "tests" / "golden" / "series.json"),
+                     "--truncate", "9" * 4300]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--truncate: must have fewer than 4300 digits" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

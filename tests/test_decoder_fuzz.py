@@ -21,9 +21,11 @@ P2_FAN = json.loads((ROOT / "fans" / "p2.json").read_text())
 SERIES = json.loads((ROOT / "tests" / "golden" / "series.json").read_text())
 
 # small integers hit indices and sizes; wide ones, placed at exponents,
-# powers, moduli or coefficients, reach the arithmetic
+# powers, moduli or coefficients, reach the arithmetic; those at the
+# 4,300-digit limit of Python's int-to-text conversion reach the printing
 scalars = (st.none() | st.booleans() | st.integers(-3, 3)
            | st.integers(-10 ** 4, 10 ** 4)
+           | st.sampled_from([10 ** 4300 - 1, 1 - 10 ** 4300])
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
 json_values = st.recursive(
     scalars,
