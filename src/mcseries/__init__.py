@@ -35,8 +35,6 @@ from .monoid import (
     free_graded_monoid,
 )
 from .serialize import (
-    decomposition_from_json,
-    decomposition_to_json,
     element_from_json,
     element_to_json,
     fan_from_json,
@@ -69,13 +67,11 @@ from .toric import (
     OrbitClassMonoid,
     blowup_at_fixed_point,
     chow_presentation,
-    hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
     product_fan,
     projective_space_fan,
     three_point_blowup_fan,
-    weighted_p112_fan,
 )
 
 __version__ = "0.1.0"
@@ -93,15 +89,13 @@ __all__ = [
     "punctured_p1_zeta",
     "Fan", "OrbitClassMonoid", "chow_presentation", "mc_series_toric",
     "pn_divisor_series", "projective_space_fan", "product_fan",
-    "blowup_at_fixed_point", "hirzebruch_fan", "three_point_blowup_fan",
-    "weighted_p112_fan",
+    "blowup_at_fixed_point", "three_point_blowup_fan",
     "FixedComponentStratum", "OrbitFamilyOverPoint",
     "OrbitFamilyOverPuncturedLine", "GmDecomposition", "assemble_mc",
     "colinear_blowup_data", "colinear_mc_series",
     "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
     "monoid_to_json", "monoid_from_json", "monoid_element_to_json",
     "monoid_element_from_json", "series_to_json", "series_from_json",
-    "fan_to_json", "fan_from_json", "decomposition_to_json",
-    "decomposition_from_json",
+    "fan_to_json", "fan_from_json",
     "__version__",
 ]

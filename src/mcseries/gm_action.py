@@ -76,18 +76,12 @@ class OrbitFamilyOverPuncturedLine:
             raise MCSError("fiber class must be nonzero")
 
 
-GmStratum = (FixedComponentStratum | OrbitFamilyOverPoint
-             | OrbitFamilyOverPuncturedLine)
-
-
 class GmDecomposition:
     """Strata of one decomposition, all speaking the same class monoid."""
 
     __slots__ = ("ring", "monoid", "strata")
 
-    def __init__(self, monoid: GradedMonoid, strata, ring: KRingSpec | None = None):
-        if ring is None:
-            ring = standard_ring(a1_homotopy=True)
+    def __init__(self, monoid: GradedMonoid, strata, ring: KRingSpec):
         self.ring = ring
         self.monoid = monoid
         strata = tuple(strata)
@@ -139,7 +133,7 @@ def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
 # plane blown up at r colinear points
 
 
-def colinear_blowup_data(r: int, ring: KRingSpec | None = None) -> GmDecomposition:
+def colinear_blowup_data(r: int) -> GmDecomposition:
     """Stratification of the plane blown up at r >= 2 colinear points.
 
     Classes live in Z^(r+1) with basis (H, E_1..E_r); monoid generators are
@@ -155,15 +149,14 @@ def colinear_blowup_data(r: int, ring: KRingSpec | None = None) -> GmDecompositi
     if (r + 1) ** 2 > (cap := max_terms_from_env()):
         raise EnumerationLimitError(f"colinear blow-up at {r} points",
                                     (r + 1) ** 2, cap, "class coordinates")
-    if ring is None:
-        ring = standard_ring(a1_homotopy=True)
+    ring = standard_ring(a1_homotopy=True)
     group = AbelianGroupPresentation(r + 1)
     h, *e = group.basis_images()
     t0 = group.project([1] + [-1] * r)
     names = ("t0",) + tuple(f"s{i}" for i in range(1, r + 1))
     monoid = GradedMonoid(group, names, (t0,) + tuple(e))
     fixed_line = RationalSeries(ring, monoid, None, [(ring.one, t0, 1)])
-    strata: list[GmStratum] = [FixedComponentStratum(fixed_line, 1)]
+    strata = [FixedComponentStratum(fixed_line, 1)]
     for i in range(r):
         strata.append(OrbitFamilyOverPoint(h - e[i], 1))
     for i in range(r):
@@ -172,6 +165,6 @@ def colinear_blowup_data(r: int, ring: KRingSpec | None = None) -> GmDecompositi
     return GmDecomposition(monoid, strata, ring)
 
 
-def colinear_mc_series(r: int, ring: KRingSpec | None = None) -> RationalSeries:
+def colinear_mc_series(r: int) -> RationalSeries:
     """Curve-class series of the colinear r-point blow-up, assembled."""
-    return assemble_mc(colinear_blowup_data(r, ring), 1)
+    return assemble_mc(colinear_blowup_data(r), 1)

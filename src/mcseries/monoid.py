@@ -47,7 +47,6 @@ __all__ = [
     "GradedMonoid",
     "MonoidHom",
     "positive_grading",
-    "canonicalize",
     "direct_sum",
     "express_in_basis",
     "free_graded_monoid",
@@ -412,12 +411,6 @@ class GradedMonoid:
         self._enum_cache = (bound, found)
         return found
 
-    def elements_up_to(self, bound: int):
-        """All monoid elements of degree <= bound as (element, degree) pairs."""
-        found = self._enumerate(max(bound, 0))
-        out = sorted((dw[0], key) for key, dw in found.items() if dw[0] <= bound)
-        return [(self.group.unpack(key), d) for d, key in out]
-
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
         monoid; bound is at least the degree of each member."""
@@ -480,20 +473,6 @@ class GradedMonoid:
         if None in words:
             raise MCSError("element is not a sum of monoid generators")
         return [self._format_word(w) for w in words]
-
-
-def canonicalize(exponents, monoid: GradedMonoid) -> MonoidElement:
-    """Image of a generator word; words equal modulo relations agree here."""
-    exps = list(exponents)
-    if len(exps) != len(monoid.generators):
-        raise ValueError("word length differs from generator count")
-    e = monoid.zero
-    for k, g in zip(exps, monoid.generators):
-        if k < 0:
-            raise ValueError("negative exponent in a monoid word")
-        if k:
-            e = e + k * g
-    return e
 
 
 def free_graded_monoid(names) -> GradedMonoid:

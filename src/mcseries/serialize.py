@@ -12,12 +12,6 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import EnumerationLimitError, MCSError
-from .gm_action import (
-    FixedComponentStratum,
-    GmDecomposition,
-    OrbitFamilyOverPoint,
-    OrbitFamilyOverPuncturedLine,
-)
 from .kring import KElement, KRingSpec
 from .monoid import (
     AbelianGroupPresentation,
@@ -35,7 +29,6 @@ __all__ = [
     "monoid_to_json", "monoid_from_json",
     "series_to_json", "series_from_json",
     "fan_to_json", "fan_from_json",
-    "decomposition_to_json", "decomposition_from_json",
     "json_text",
 ]
 
@@ -267,53 +260,6 @@ def fan_from_json(obj) -> Fan:
         raise MCSError(f"fan says dim={obj['dim']} but rays live in"
                        f" dimension {fan.dim}")
     return fan
-
-
-# ---------------------------------------------------------------------------
-# stratifications
-
-
-def decomposition_to_json(decomp: GmDecomposition) -> dict:
-    strata = []
-    for st in decomp.strata:
-        if isinstance(st, FixedComponentStratum):
-            strata.append({"kind": "fixed_component",
-                           "cycle_dimension": st.cycle_dimension,
-                           "series": series_to_json(st.series)})
-        elif isinstance(st, OrbitFamilyOverPoint):
-            strata.append({"kind": "orbit_family_over_point",
-                           "cycle_dimension": st.cycle_dimension,
-                           "class": monoid_element_to_json(st.orbit_class)})
-        else:
-            strata.append({"kind": "orbit_family_over_punctured_p1",
-                           "cycle_dimension": st.cycle_dimension,
-                           "punctures": st.punctures,
-                           "fiber_class": monoid_element_to_json(st.fiber_class)})
-    return {"ring": ring_to_json(decomp.ring),
-            "monoid": monoid_to_json(decomp.monoid), "strata": strata}
-
-
-def decomposition_from_json(obj) -> GmDecomposition:
-    ring = ring_from_json(_need(obj, "ring", "decomposition"))
-    monoid = monoid_from_json(_need(obj, "monoid", "decomposition"))
-    strata = []
-    for row in _as(list, _need(obj, "strata", "decomposition"), "strata"):
-        kind = _need(row, "kind", "stratum")
-        p = _as(int, _need(row, "cycle_dimension", "stratum"), "cycle_dimension")
-        if kind == "fixed_component":
-            strata.append(FixedComponentStratum(
-                series_from_json(_need(row, "series", "stratum")), p))
-        elif kind == "orbit_family_over_point":
-            strata.append(OrbitFamilyOverPoint(
-                monoid_element_from_json(monoid, _need(row, "class", "stratum")), p))
-        elif kind == "orbit_family_over_punctured_p1":
-            strata.append(OrbitFamilyOverPuncturedLine(
-                _as(int, _need(row, "punctures", "stratum"), "punctures"),
-                monoid_element_from_json(monoid, _need(row, "fiber_class", "stratum")),
-                p))
-        else:
-            raise MCSError(f"unknown stratum kind {kind!r}")
-    return GmDecomposition(monoid, strata, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -170,12 +170,12 @@ class _Terms:
             out[-1][1].append((k, c))
         return out
 
-    def _product(self, other):
+    def _product(self, other, low: int = 0):
         """Yield (degree, keys, coefficients) of the nonzero terms of
-        self * other up to the bound, one degree at a time in increasing
-        order, the keys sorted.  Only degrees that are sums of a degree of
-        each side are visited.  Each class of a degree collects its
-        coefficient pairs and sums their products with one
+        self * other from degree low up to the bound, one degree at a time
+        in increasing order, the keys sorted.  Only degrees that are sums of
+        a degree of each side are visited.  Each class of a degree collects
+        its coefficient pairs and sums their products with one
         KRingSpec.sum_of_products call."""
         top, spec = self._bound(), self.ring
         plus = self.monoid.group.packed_adder()
@@ -185,7 +185,8 @@ class _Terms:
             for d2, g2 in right:
                 if d1 + d2 > top:
                     break
-                pairs.setdefault(d1 + d2, []).append((g1, g2))
+                if d1 + d2 >= low:
+                    pairs.setdefault(d1 + d2, []).append((g1, g2))
         for d in sorted(pairs):
             acc: dict[tuple[int, ...], list] = {}
             for g1, g2 in pairs[d]:
@@ -240,10 +241,6 @@ class MonoidPolynomial(_Terms):
     def degree(self) -> int:
         """Max degree of a term; -1 for the zero polynomial."""
         return self._degrees[-1] if self._degrees else -1
-
-    def scale(self, c) -> "MonoidPolynomial":
-        c = _coerce_coeff(self.ring, c)
-        return self._like({k: c * c2 for k, c2 in zip(self.keys, self.coeffs)})
 
     def __str__(self):
         return _terms_str(self) or "0"
@@ -349,14 +346,13 @@ class RationalityVerdict:
         return f"refuted-at-degree-{self.witness_degree}"
 
 
-def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
-                     numerator_degree: int | None = None) -> RationalityVerdict:
-    """Semi-decide whether f equals (polynomial of bounded degree) / g.
+def certify_rational(f: TruncatedSeries, g: MonoidPolynomial) -> RationalityVerdict:
+    """Semi-decide whether f equals (polynomial of degree <= deg g) / g.
 
-    Reads f*g one degree at a time up to the truncation bound; the first
-    nonzero term of degree above the claimed numerator degree (default:
-    deg g) refutes the claim and is reported as a witness, the same term
-    the full product would give first.  No degree past the witness is
+    Reads f*g one degree at a time up to the truncation bound, from the
+    first degree above deg g: the first nonzero term there refutes the claim
+    and is reported as a witness, the same term the full product would give
+    first.  No degree at or below deg g, and none past the witness, is
     computed.  Otherwise the claim is consistent to the bound.
     """
     if f.ring != g.ring:
@@ -367,12 +363,13 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial,
         raise MCSError("candidate denominator must have constant term 1")
     if g.degree() >= f.truncation:
         raise MCSError("denominator degree reaches the truncation bound")
-    bound = g.degree() if numerator_degree is None else int(numerator_degree)
-    for d, keys, coeffs in f._product(g.as_series(f.truncation)):
-        if d > bound:
-            return RationalityVerdict(False, f.truncation, bound, d,
-                                      f.monoid.group.unpack(keys[0]), coeffs[0])
-    return RationalityVerdict(True, f.truncation, bound)
+    bound = g.degree()
+    hit = next(f._product(g.as_series(f.truncation), bound + 1), None)
+    if hit is None:
+        return RationalityVerdict(True, f.truncation, bound)
+    d, keys, coeffs = hit
+    return RationalityVerdict(False, f.truncation, bound, d,
+                              f.monoid.group.unpack(keys[0]), coeffs[0])
 
 
 class RationalSeries:
@@ -439,12 +436,6 @@ class RationalSeries:
 
     def expand(self, truncation: int) -> TruncatedSeries:
         return rational_expand(self, truncation)
-
-    def denominator_polynomial(self) -> MonoidPolynomial:
-        out = MonoidPolynomial.one(self.ring, self.monoid)
-        for c, alpha, e in self.factors:
-            out = out * binomial_factor_polynomial(self.ring, self.monoid, c, alpha, e)
-        return out
 
     def specialize(self, s: Specialization) -> "RationalSeries":
         return RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),

@@ -47,9 +47,7 @@ __all__ = [
     "projective_space_fan",
     "product_fan",
     "blowup_at_fixed_point",
-    "hirzebruch_fan",
     "three_point_blowup_fan",
-    "weighted_p112_fan",
 ]
 
 
@@ -243,15 +241,17 @@ class OrbitClassMonoid:
     and the assumption is carried in `assumptions` for downstream display.
     """
 
-    __slots__ = ("p", "fan", "monoid", "cones", "_class_of", "assumptions")
+    __slots__ = ("p", "fan", "monoid", "cones", "_class_of")
+    assumptions = ("orbit classes taken up to rational equivalence;"
+                   " assumed to coincide with algebraic equivalence"
+                   " on complete toric varieties",)
 
-    def __init__(self, p, fan, monoid, cones, class_of, assumptions):
+    def __init__(self, p, fan, monoid, cones, class_of):
         self.p = p
         self.fan = fan
         self.monoid = monoid
         self.cones = cones
         self._class_of = class_of
-        self.assumptions = assumptions
 
     def class_of(self, cone) -> MonoidElement:
         key = tuple(sorted(cone))
@@ -320,10 +320,7 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         names = tuple(f"c{i}" for i in range(len(distinct)))
     # an MCSError from here signals a fan with no projective grading
     monoid = GradedMonoid(group, names, tuple(distinct))
-    assumptions = ("orbit classes taken up to rational equivalence;"
-                   " assumed to coincide with algebraic equivalence"
-                   " on complete toric varieties",)
-    return OrbitClassMonoid(p, fan, monoid, gen_cones, class_of, assumptions)
+    return OrbitClassMonoid(p, fan, monoid, gen_cones, class_of)
 
 
 def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None,
@@ -404,7 +401,7 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     return Fan(rays, cones, names)
 
 
-def blowup_at_fixed_point(fan: Fan, cone, new_ray_name: str | None = None) -> Fan:
+def blowup_at_fixed_point(fan: Fan, cone) -> Fan:
     """Star subdivision at the barycenter ray of a smooth maximal cone."""
     cone = tuple(sorted(cone))
     if cone not in fan.maximal_cones:
@@ -418,18 +415,7 @@ def blowup_at_fixed_point(fan: Fan, cone, new_ray_name: str | None = None) -> Fa
     cones = [c for c in fan.maximal_cones if c != cone]
     for drop in cone:
         cones.append(tuple(sorted([i for i in cone if i != drop] + [k])))
-    if new_ray_name is None:
-        new_ray_name = f"e{k}"
-    return Fan(rays, cones, fan.ray_names + (new_ray_name,))
-
-
-def hirzebruch_fan(a: int) -> Fan:
-    """Projectivized rank-2 bundle over P^1 with twist a >= 0."""
-    if a < 0:
-        raise MCSError("twist must be non-negative")
-    rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return Fan(rays, cones, ("f1", "s1", "f2", "s2"))
+    return Fan(rays, cones, fan.ray_names + (f"e{k}",))
 
 
 def three_point_blowup_fan() -> Fan:
@@ -442,10 +428,3 @@ def three_point_blowup_fan() -> Fan:
     names = ("t2", "s1", "t3", "s2", "t1", "s3")
     cones = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
     return Fan(rays, cones, names)
-
-
-def weighted_p112_fan() -> Fan:
-    """The simplicial but singular fan with rays (1,0),(0,1),(-1,-2):
-    exercises wall coefficients with lattice index 2."""
-    return Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)],
-               ("u0", "u1", "u2"))

@@ -27,13 +27,13 @@ from mcseries.series import (
 from mcseries.toric import (
     blowup_at_fixed_point,
     chow_presentation,
-    hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
     product_fan,
     projective_space_fan,
     three_point_blowup_fan,
 )
+from _tools import hirzebruch_fan
 from test_intlinalg import mat_mul
 
 R = standard_ring()
@@ -117,8 +117,8 @@ def test_criterion_3_colinear_closed_forms():
             assert f == RationalSeries(RA, m, num, factors)
 
         # r=2 agrees with the independent toric route
-        fan = blowup_at_fixed_point(projective_space_fan(2), (0, 1), "e1")
-        fan = blowup_at_fixed_point(fan, (1, 2), "e2")
+        fan = blowup_at_fixed_point(projective_space_fan(2), (0, 1))
+        fan = blowup_at_fixed_point(fan, (1, 2))
         chow = chow_presentation(fan, 1)
         col = colinear_mc_series(2)
         images = [chow.class_of((1,)), chow.class_of((3,)), chow.class_of((4,))]

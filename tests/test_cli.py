@@ -758,6 +758,20 @@ class TestDigitLimit:
                                            " at degree 1 has 4301 digits, over the"
                                            " limit of 4300\n")
 
+    def test_wide_denominator_in_verify_eq1_exit_2(self, capsys):
+        # the claimed numerator degree is 200, so only degree 201 of the
+        # product is made: no product of 30,000- to 60,000-digit integers
+        # below it
+        wide = "1" + "0" * 300
+        start = time.perf_counter()
+        assert main(["verify", "eq1", "--n", "1", "--denominator",
+                     f"(1 - {wide} t)^200", "--truncate", "201"]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rationality check to degree 201: the coefficient at"
+                                " degree 201 has 60000 digits, over the limit of 4300\n")
+
     def test_wide_exponent_in_verify_eq1_exit_2(self, capsys):
         nines = "9" * 4300
         assert main(["verify", "eq1", "--n", "1", "--truncate", "3", "--denominator",

@@ -19,7 +19,6 @@ from mcseries.kring import standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
-    canonicalize,
     free_graded_monoid,
 )
 from mcseries.series import (
@@ -28,6 +27,8 @@ from mcseries.series import (
     TruncatedSeries,
     rational_expand,
 )
+
+from _tools import canonicalize
 
 R = standard_ring()
 L, EPS = R.generator("L"), R.generator("eps")

@@ -37,11 +37,11 @@ from mcseries.toric import (
     Fan,
     blowup_at_fixed_point,
     chow_presentation,
-    hirzebruch_fan,
     product_fan,
     projective_space_fan,
 )
 
+from _tools import hirzebruch_fan
 from test_intlinalg import reference_smith_decomposition
 
 

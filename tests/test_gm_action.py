@@ -15,7 +15,12 @@ from mcseries.gm_action import (
 )
 from mcseries.kring import standard_ring
 from mcseries.monoid import MonoidHom, free_graded_monoid
-from mcseries.series import RationalSeries, binomial_factor_polynomial, pushforward
+from mcseries.series import (
+    MonoidPolynomial,
+    RationalSeries,
+    binomial_factor_polynomial,
+    pushforward,
+)
 from mcseries.toric import (
     blowup_at_fixed_point,
     chow_presentation,
@@ -151,8 +156,8 @@ def test_assembled_expansion_is_monic_with_nonnegative_integers():
 
 
 def test_colinear_r2_equals_toric_two_point_blowup():
-    fan = blowup_at_fixed_point(projective_space_fan(2), (0, 1), "e1")
-    fan = blowup_at_fixed_point(fan, (1, 2), "e2")
+    fan = blowup_at_fixed_point(projective_space_fan(2), (0, 1))
+    fan = blowup_at_fixed_point(fan, (1, 2))
     chow = chow_presentation(fan, 1)
     toric = mc_series_toric(fan, 1, ring=RA, chow=chow)
     series = colinear_mc_series(2)
@@ -224,8 +229,7 @@ def test_stratum_validation():
         OrbitFamilyOverPuncturedLine(0, t, 1)
     with pytest.raises(MCSError, match="fiber class must be nonzero"):
         OrbitFamilyOverPuncturedLine(2, mono.zero, 1)
-    two = RationalSeries(RA, mono,
-                         None, [(RA.one, t, 1)]).numerator.scale(2)
+    two = MonoidPolynomial(RA, mono, {mono.zero: 2})
     with pytest.raises(MCSError, match="must be monic"):
         FixedComponentStratum(RationalSeries(RA, mono, two, ()), 1)
 

@@ -108,12 +108,12 @@ def gradings() -> dict:
     from mcseries.toric import (
         blowup_at_fixed_point,
         chow_presentation,
-        hirzebruch_fan,
         product_fan,
         projective_space_fan,
         three_point_blowup_fan,
-        weighted_p112_fan,
     )
+
+    from _tools import hirzebruch_fan
     fans = {}
     for fan in FANS:
         with open(os.path.join(ROOT, "fans", f"{fan}.json"),
@@ -124,7 +124,7 @@ def gradings() -> dict:
     for a in range(4):
         fans[f"hirzebruch_fan({a})"] = hirzebruch_fan(a)
     fans["three_point_blowup_fan()"] = three_point_blowup_fan()
-    fans["weighted_p112_fan()"] = weighted_p112_fan()
+    fans["weighted_p112_fan()"] = fans["fans/p112.json"]
     p1, p2 = projective_space_fan(1), projective_space_fan(2)
     fans["product_fan(P1, P1)"] = product_fan(p1, p1)
     fans["product_fan(P1, P2)"] = product_fan(p1, p2)

@@ -6,12 +6,10 @@ import json
 import pytest
 
 from mcseries.errors import EnumerationLimitError, MCSError
-from mcseries.gm_action import colinear_blowup_data, colinear_mc_series
+from mcseries.gm_action import colinear_mc_series
 from mcseries.kring import KRingSpec, standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
 from mcseries.serialize import (
-    decomposition_from_json,
-    decomposition_to_json,
     element_from_json,
     element_to_json,
     fan_from_json,
@@ -198,21 +196,3 @@ class TestFan:
     def test_invalid_fan_still_rejected(self):
         with pytest.raises(Exception, match="complete"):
             fan_from_json({"rays": [[1]], "maximal_cones": [[0]]})
-
-
-class TestDecomposition:
-    def test_roundtrip_and_reassembly(self):
-        decomp = colinear_blowup_data(3)
-        blob = json.dumps(decomposition_to_json(decomp), sort_keys=True)
-        back = decomposition_from_json(json.loads(blob))
-        assert back.monoid == decomp.monoid
-        assert back.strata == decomp.strata
-        assert json.dumps(decomposition_to_json(back), sort_keys=True) == blob
-        from mcseries.gm_action import assemble_mc
-        assert assemble_mc(back, 1) == colinear_mc_series(3)
-
-    def test_unknown_stratum_kind(self):
-        blob = decomposition_to_json(colinear_blowup_data(2))
-        blob["strata"][0]["kind"] = "mystery"
-        with pytest.raises(MCSError, match="mystery"):
-            decomposition_from_json(blob)

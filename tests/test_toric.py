@@ -13,20 +13,20 @@ import pytest
 
 from mcseries.errors import MCSError
 from mcseries.kring import Specialization, class_projective_space, standard_ring
-from mcseries.monoid import MonoidHom, canonicalize, free_graded_monoid
+from mcseries.monoid import MonoidHom, free_graded_monoid
 from mcseries.series import curve_zeta, pushforward, rational_expand
 from mcseries.toric import (
     Fan,
     blowup_at_fixed_point,
     chow_presentation,
-    hirzebruch_fan,
     mc_series_toric,
     pn_divisor_series,
     product_fan,
     projective_space_fan,
     three_point_blowup_fan,
-    weighted_p112_fan,
 )
+
+from _tools import canonicalize, fan_file, hirzebruch_fan
 
 R = standard_ring()
 
@@ -135,7 +135,7 @@ def test_gp_divisor_class_group_rank_four_with_pair_relations():
 def test_point_classes_identified_on_every_builder_fan():
     for fan in (projective_space_fan(2), projective_space_fan(3),
                 three_point_blowup_fan(), hirzebruch_fan(2),
-                weighted_p112_fan()):
+                fan_file("p112")):
         chow = chow_presentation(fan, 0)
         assert chow.monoid.group.rank == 1
         assert len(set(chow.class_of(c) for c in chow.cones)) == 1
@@ -144,7 +144,7 @@ def test_point_classes_identified_on_every_builder_fan():
 def test_singular_wall_index_two_still_collapses_points():
     # naive wall coefficients (without the index-2 division) would identify
     # one fixed point with twice another and break the count below
-    fan = weighted_p112_fan()
+    fan = fan_file("p112")
     series = mc_series_toric(fan, 0)
     assert len(series.factors) == 1
     assert series.factors[0][2] == 3
@@ -331,9 +331,9 @@ def test_product_fan_p1xp1():
 
 def test_triple_blowup_reproduces_gp_fan():
     fan = projective_space_fan(2)
-    fan = blowup_at_fixed_point(fan, (0, 1), "s1")
-    fan = blowup_at_fixed_point(fan, (1, 2), "s2")
-    fan = blowup_at_fixed_point(fan, (0, 2), "s3")
+    fan = blowup_at_fixed_point(fan, (0, 1))
+    fan = blowup_at_fixed_point(fan, (1, 2))
+    fan = blowup_at_fixed_point(fan, (0, 2))
     assert support(fan) == support(three_point_blowup_fan())
 
 
@@ -345,7 +345,7 @@ def test_blowup_inserts_barycenter_ray():
 
 def test_blowup_rejects_singular_or_missing_cones():
     with pytest.raises(MCSError, match="not smooth"):
-        blowup_at_fixed_point(weighted_p112_fan(), (0, 2))
+        blowup_at_fixed_point(fan_file("p112"), (0, 2))
     with pytest.raises(MCSError, match="not a maximal cone"):
         blowup_at_fixed_point(projective_space_fan(2), (0,))
 
