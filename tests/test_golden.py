@@ -3,8 +3,9 @@
 The files under tests/golden/ pin the output contract: the exit code and
 stdout of every README command (pretty and --format json where the command
 has it), of `toric --p P --truncate 6` for every p on every shipped fan, of
-`colinear --r 3|4 --truncate 6`, and the grading chosen for every shipped
-fan and builder.  An engine change must leave all of them unchanged.
+`colinear --r 2|3|4 --truncate 6` (r = 3 and 4 in both formats) and
+`colinear --r 3 --truncate 4 --specialize L=2`, and the grading chosen for
+every shipped fan and builder.  An engine change must leave all of them unchanged.
 
 `tests/golden/series.json` is an input, not an output: the series file that
 the README's `expand` and `specialize` commands read.  It has a torsion
@@ -78,9 +79,13 @@ def cli_cases():
             cases.append((f"toric-{fan}-p{p}",
                           ["toric", "--fan", f"fans/{fan}.json", "--p",
                            str(p), "--truncate", "6"]))
+    cases.append(("colinear-r2", ["colinear", "--r", "2", "--truncate", "6"]))
     for r in (3, 4):
-        cases.append((f"colinear-r{r}",
-                      ["colinear", "--r", str(r), "--truncate", "6"]))
+        cases += _both_formats(f"colinear-r{r}",
+                               ["colinear", "--r", str(r), "--truncate", "6"])
+    cases.append(("colinear-r3-specialize-l2",
+                  ["colinear", "--r", "3", "--truncate", "4", "--specialize",
+                   "L=2"]))
     return cases
 
 
