@@ -1,22 +1,15 @@
-"""Exact motivic Chow series for toric varieties and Gm-stratified blow-ups.
+"""Exact motivic Chow series for toric varieties and colinear blow-ups.
 
-The pipeline: build a fan (or a stratification), present the effective orbit
-classes as a graded monoid, and assemble the generating series of effective
-cycles as a rational function whose expansion is computed exactly.  All
+The pipeline: build a fan, present the effective orbit classes as a graded
+monoid, and assemble the generating series of effective cycles as a rational
+function whose expansion is computed exactly.  The plane blown up at r
+colinear points gets its series in closed form from a G_m action.  All
 arithmetic is integer-exact; coefficients live in a small computable quotient
 of the K-ring of varieties.
 """
 
 from .errors import EnumerationLimitError, MCSError
-from .gm_action import (
-    FixedComponentStratum,
-    GmDecomposition,
-    OrbitFamilyOverPoint,
-    OrbitFamilyOverPuncturedLine,
-    assemble_mc,
-    colinear_blowup_data,
-    colinear_mc_series,
-)
+from .gm_action import colinear_mc_series
 from .kring import (
     KElement,
     KRingSpec,
@@ -65,7 +58,6 @@ from .series import (
 from .toric import (
     Fan,
     OrbitClassMonoid,
-    blowup_at_fixed_point,
     chow_presentation,
     mc_series_toric,
     pn_divisor_series,
@@ -89,10 +81,7 @@ __all__ = [
     "punctured_p1_zeta",
     "Fan", "OrbitClassMonoid", "chow_presentation", "mc_series_toric",
     "pn_divisor_series", "projective_space_fan", "product_fan",
-    "blowup_at_fixed_point", "three_point_blowup_fan",
-    "FixedComponentStratum", "OrbitFamilyOverPoint",
-    "OrbitFamilyOverPuncturedLine", "GmDecomposition", "assemble_mc",
-    "colinear_blowup_data", "colinear_mc_series",
+    "three_point_blowup_fan", "colinear_mc_series",
     "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
     "monoid_to_json", "monoid_from_json", "monoid_element_to_json",
     "monoid_element_from_json", "series_to_json", "series_from_json",

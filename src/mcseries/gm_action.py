@@ -1,148 +1,45 @@
-"""Assembly of Chow series from a multiplicative-group stratification.
+"""Curve-class series of the plane blown up at r colinear points, from a
+multiplicative-group action.
 
-A stratification is supplied as data: fixed components carry their own
-series, one-dimensional orbit families are recorded by what they sweep
-(orbit closure class over a point, or a fiber class over a rational curve
-with punctures).  assemble_mc is a pure fold multiplying the known factor
-of each stratum into one numerator and one factor list; it never infers
-strata from a group action.
+Let X be P^2 blown up at r >= 2 points x_1..x_r on one line l, and let G_m
+act on P^2 by scaling towards a point p off l: it fixes p and every point
+of l, so it lifts to X.  Classes live in Z^(r+1) with basis (H, E_1..E_r).
+The effective curves of X that the action sweeps out fall into pieces
+whose series multiply:
 
-The punctured-base family only has a closed factor over a rational curve:
-(1 - t^beta)^(r-2) for r >= 2 punctures.  Anything else is rejected rather
-than approximated.
+* the fixed line, the strict transform of l, has class t0 = H - sum E_i;
+  the effective cycles on it are its multiples, series 1/(1 - t0);
+* over each point x_i sit two orbit families, each a single orbit whose
+  closure is a rigid curve: the strict transform of the line through p and
+  x_i, of class H - E_i, and the exceptional curve minus its two fixed
+  points, of class E_i; each gives 1/(1 - t^beta) for its class beta;
+* the other lines through p form one family over l minus the r points x_i,
+  with fiber class H.  Its factor is the zero-cycle series of that base in
+  the variable t^H.  In the homotopy quotient (L = 1) the class of a line
+  minus r points is 2 - r, whose zeta function is (1 - t)^(r-2): with r >= 2
+  punctures the family is the numerator (1 - t^H)^(r-2), not a denominator.
+
+So MC_1(X) = (1 - t^H)^(r-2) / ((1 - t0) prod_i (1 - t^E_i)(1 - t^(H-E_i))),
+written here from that closed form.  The monoid generators are t0 and
+s_i = E_i, which are a basis of the class group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EnumerationLimitError, MCSError
-from .kring import KRingSpec, standard_ring
-from .monoid import (
-    AbelianGroupPresentation,
-    GradedMonoid,
-    MonoidElement,
-    max_terms_from_env,
-)
-from .series import MonoidPolynomial, RationalSeries, binomial_factor_polynomial
+from .kring import standard_ring
+from .monoid import AbelianGroupPresentation, GradedMonoid, max_terms_from_env
+from .series import RationalSeries, binomial_factor_polynomial
 
-__all__ = [
-    "FixedComponentStratum",
-    "OrbitFamilyOverPoint",
-    "OrbitFamilyOverPuncturedLine",
-    "GmDecomposition",
-    "assemble_mc",
-    "colinear_blowup_data",
-    "colinear_mc_series",
-]
+__all__ = ["colinear_mc_series"]
 
 
-@dataclass(frozen=True)
-class FixedComponentStratum:
-    """A component of the fixed locus contributing its own series."""
+def colinear_mc_series(r: int) -> RationalSeries:
+    """MC_1 of the plane blown up at r >= 2 colinear points, over the ring
+    standard_ring(a1_homotopy=True), with generators named t0, s1..sr.
 
-    series: RationalSeries
-    cycle_dimension: int
-
-    def __post_init__(self):
-        if not self.series.is_monic():
-            raise MCSError("fixed component series must be monic")
-
-
-@dataclass(frozen=True)
-class OrbitFamilyOverPoint:
-    """Orbits collapsing to one point; closures sweep the given class."""
-
-    orbit_class: MonoidElement
-    cycle_dimension: int
-
-    def __post_init__(self):
-        if self.orbit_class.is_zero():
-            raise MCSError("orbit family must sweep a nonzero class")
-
-
-@dataclass(frozen=True)
-class OrbitFamilyOverPuncturedLine:
-    """A family of orbits over a rational curve minus `punctures` points."""
-
-    punctures: int
-    fiber_class: MonoidElement
-    cycle_dimension: int
-
-    def __post_init__(self):
-        if self.punctures < 1:
-            raise MCSError("a punctured base needs at least one puncture")
-        if self.fiber_class.is_zero():
-            raise MCSError("fiber class must be nonzero")
-
-
-class GmDecomposition:
-    """Strata of one decomposition, all speaking the same class monoid."""
-
-    __slots__ = ("ring", "monoid", "strata")
-
-    def __init__(self, monoid: GradedMonoid, strata, ring: KRingSpec):
-        self.ring = ring
-        self.monoid = monoid
-        strata = tuple(strata)
-        for st in strata:
-            if isinstance(st, FixedComponentStratum):
-                if st.series.monoid != monoid or st.series.ring != ring:
-                    raise MCSError("fixed component series lives elsewhere")
-            elif isinstance(st, (OrbitFamilyOverPoint, OrbitFamilyOverPuncturedLine)):
-                beta = (st.orbit_class if isinstance(st, OrbitFamilyOverPoint)
-                        else st.fiber_class)
-                if beta not in monoid.group:
-                    raise MCSError("stratum class is not in the monoid")
-            else:
-                raise TypeError(f"not a stratum: {st!r}")
-        self.strata = strata
-
-    def __repr__(self):
-        return f"<decomposition with {len(self.strata)} strata>"
-
-
-def assemble_mc(decomp: GmDecomposition, p: int) -> RationalSeries:
-    """Product of the stratum factors in cycle dimension p.
-
-    Fixed components contribute their series, orbit families over a point
-    1/(1 - t^beta), punctured-line families the numerator (1 - t^beta)^(r-2);
-    strata of other cycle dimensions contribute the factor 1.
-    """
-    ring, monoid = decomp.ring, decomp.monoid
-    numerator = MonoidPolynomial.one(ring, monoid)
-    factors = []
-    for st in decomp.strata:
-        if st.cycle_dimension != p:
-            continue
-        if isinstance(st, FixedComponentStratum):
-            numerator = numerator * st.series.numerator
-            factors += st.series.factors
-        elif isinstance(st, OrbitFamilyOverPoint):
-            factors.append((ring.one, st.orbit_class, 1))
-        else:
-            if st.punctures < 2:
-                raise MCSError(
-                    "no closed factor for a one-punctured rational base")
-            numerator = numerator * binomial_factor_polynomial(
-                ring, monoid, ring.one, st.fiber_class, st.punctures - 2)
-    return RationalSeries(ring, monoid, numerator, factors)
-
-
-# ---------------------------------------------------------------------------
-# plane blown up at r colinear points
-
-
-def colinear_blowup_data(r: int) -> GmDecomposition:
-    """Stratification of the plane blown up at r >= 2 colinear points.
-
-    Classes live in Z^(r+1) with basis (H, E_1..E_r); monoid generators are
-    t0 = H - sum E_i (the moved line) and s_i = E_i.  Strata: the fixed line
-    t0 with series 1/(1-t0), a family over each point with class H - E_i,
-    each punctured exceptional curve with class E_i, and a family over the
-    line minus the r base points with fiber class H.  The (r+1)^2
-    coordinates of the basis classes are counted against MCS_MAX_TERMS first.
-    """
+    The (r+1)^2 coordinates of the basis classes are counted against
+    MCS_MAX_TERMS first."""
     if r < 2:
         raise MCSError(
             "colinear stratification needs at least two centers")
@@ -155,16 +52,7 @@ def colinear_blowup_data(r: int) -> GmDecomposition:
     t0 = group.project([1] + [-1] * r)
     names = ("t0",) + tuple(f"s{i}" for i in range(1, r + 1))
     monoid = GradedMonoid(group, names, (t0,) + tuple(e))
-    fixed_line = RationalSeries(ring, monoid, None, [(ring.one, t0, 1)])
-    strata = [FixedComponentStratum(fixed_line, 1)]
-    for i in range(r):
-        strata.append(OrbitFamilyOverPoint(h - e[i], 1))
-    for i in range(r):
-        strata.append(OrbitFamilyOverPoint(e[i], 1))
-    strata.append(OrbitFamilyOverPuncturedLine(r, h, 1))
-    return GmDecomposition(monoid, strata, ring)
-
-
-def colinear_mc_series(r: int) -> RationalSeries:
-    """Curve-class series of the colinear r-point blow-up, assembled."""
-    return assemble_mc(colinear_blowup_data(r), 1)
+    numerator = binomial_factor_polynomial(ring, monoid, ring.one, h, r - 2)
+    classes = [t0, *e, *(h - ei for ei in e)]
+    return RationalSeries(ring, monoid, numerator,
+                          [(ring.one, beta, 1) for beta in classes])

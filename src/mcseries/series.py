@@ -410,9 +410,6 @@ class RationalSeries:
         facs.sort(key=lambda f: (monoid.degree(f[1]), f[1].packed(), f[0].terms, f[2]))
         self.factors = tuple(facs)
 
-    def is_monic(self) -> bool:
-        return self.numerator.is_monic()
-
     def _check(self, other: "RationalSeries"):
         if self.ring != other.ring:
             raise MCSError("rational series over different ring specs")

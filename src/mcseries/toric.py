@@ -46,7 +46,6 @@ __all__ = [
     "pn_divisor_series",
     "projective_space_fan",
     "product_fan",
-    "blowup_at_fixed_point",
     "three_point_blowup_fan",
 ]
 
@@ -399,23 +398,6 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     else:
         names = f1.ray_names + f2.ray_names
     return Fan(rays, cones, names)
-
-
-def blowup_at_fixed_point(fan: Fan, cone) -> Fan:
-    """Star subdivision at the barycenter ray of a smooth maximal cone."""
-    cone = tuple(sorted(cone))
-    if cone not in fan.maximal_cones:
-        raise MCSError(f"{cone} is not a maximal cone of the fan")
-    mat = [list(fan.rays[i]) for i in cone]
-    if len(cone) != fan.dim or abs(det(mat)) != 1:
-        raise MCSError(f"cone {cone} is not smooth; blow-up undefined here")
-    new = tuple(sum(col) for col in zip(*mat))
-    rays = fan.rays + (new,)
-    k = len(fan.rays)
-    cones = [c for c in fan.maximal_cones if c != cone]
-    for drop in cone:
-        cones.append(tuple(sorted([i for i in cone if i != drop] + [k])))
-    return Fan(rays, cones, fan.ray_names + (f"e{k}",))
 
 
 def three_point_blowup_fan() -> Fan:

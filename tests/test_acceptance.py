@@ -25,7 +25,6 @@ from mcseries.series import (
     pushforward,
 )
 from mcseries.toric import (
-    blowup_at_fixed_point,
     chow_presentation,
     mc_series_toric,
     pn_divisor_series,
@@ -33,7 +32,7 @@ from mcseries.toric import (
     projective_space_fan,
     three_point_blowup_fan,
 )
-from _tools import hirzebruch_fan
+from _tools import blowup_at_fixed_point, hirzebruch_fan
 from test_intlinalg import mat_mul
 
 R = standard_ring()

@@ -35,13 +35,12 @@ from mcseries.intlinalg import (
 )
 from mcseries.toric import (
     Fan,
-    blowup_at_fixed_point,
     chow_presentation,
     product_fan,
     projective_space_fan,
 )
 
-from _tools import hirzebruch_fan
+from _tools import blowup_at_fixed_point, hirzebruch_fan
 from test_intlinalg import reference_smith_decomposition
 
 

@@ -5,7 +5,8 @@ stdout of every README command (pretty and --format json where the command
 has it), of `toric --p P --truncate 6` for every p on every shipped fan, of
 `colinear --r 2|3|4 --truncate 6` (r = 3 and 4 in both formats) and
 `colinear --r 3 --truncate 4 --specialize L=2`, and the grading chosen for
-every shipped fan and builder.  An engine change must leave all of them unchanged.
+every shipped fan and builder.  An engine change must leave all of them
+unchanged.
 
 `tests/golden/series.json` is an input, not an output: the series file that
 the README's `expand` and `specialize` commands read.  It has a torsion
@@ -108,17 +109,16 @@ def gradings() -> dict:
     """Grading of every orbit-class monoid of the shipped fans and builders,
     and of the colinear builder's monoid."""
     from mcseries.errors import MCSError
-    from mcseries.gm_action import colinear_blowup_data
+    from mcseries.gm_action import colinear_mc_series
     from mcseries.serialize import fan_from_json
     from mcseries.toric import (
-        blowup_at_fixed_point,
         chow_presentation,
         product_fan,
         projective_space_fan,
         three_point_blowup_fan,
     )
 
-    from _tools import hirzebruch_fan
+    from _tools import blowup_at_fixed_point, hirzebruch_fan
     fans = {}
     for fan in FANS:
         with open(os.path.join(ROOT, "fans", f"{fan}.json"),
@@ -147,7 +147,7 @@ def gradings() -> dict:
             out[f"{label} p={p}"] = row
     for r in range(2, 7):
         out[f"colinear_blowup_data({r})"] = _grading_row(
-            colinear_blowup_data(r).monoid)
+            colinear_mc_series(r).monoid)
     return out
 
 

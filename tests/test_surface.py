@@ -14,16 +14,17 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mcseries.__path__))
 # module -> names that left it: deleted, or moved into tests/_tools.py
 GONE = {
     "serialize": ("decomposition_to_json", "decomposition_from_json"),
-    "gm_action": ("GmStratum",),
+    "gm_action": ("GmStratum", "FixedComponentStratum", "OrbitFamilyOverPoint",
+                  "OrbitFamilyOverPuncturedLine", "GmDecomposition", "assemble_mc",
+                  "colinear_blowup_data"),
     "monoid": ("canonicalize",),
-    "toric": ("hirzebruch_fan", "weighted_p112_fan"),
+    "toric": ("hirzebruch_fan", "weighted_p112_fan", "blowup_at_fixed_point"),
 }
 GONE_METHODS = (("monoid", "GradedMonoid", "elements_up_to"),
                 ("series", "MonoidPolynomial", "scale"),
-                ("series", "RationalSeries", "denominator_polynomial"))
+                ("series", "RationalSeries", "denominator_polynomial"),
+                ("series", "RationalSeries", "is_monic"))
 GONE_PARAMETERS = (("series", "certify_rational", "numerator_degree"),
-                   ("toric", "blowup_at_fixed_point", "new_ray_name"),
-                   ("gm_action", "colinear_blowup_data", "ring"),
                    ("gm_action", "colinear_mc_series", "ring"))
 
 

@@ -17,7 +17,6 @@ from mcseries.monoid import MonoidHom, free_graded_monoid
 from mcseries.series import curve_zeta, pushforward, rational_expand
 from mcseries.toric import (
     Fan,
-    blowup_at_fixed_point,
     chow_presentation,
     mc_series_toric,
     pn_divisor_series,
@@ -26,7 +25,7 @@ from mcseries.toric import (
     three_point_blowup_fan,
 )
 
-from _tools import canonicalize, fan_file, hirzebruch_fan
+from _tools import blowup_at_fixed_point, canonicalize, fan_file, hirzebruch_fan
 
 R = standard_ring()
 
