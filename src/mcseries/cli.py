@@ -21,7 +21,7 @@ from operator import mul
 
 from .errors import EnumerationLimitError, MCSError
 from .gm_action import colinear_mc_series
-from .kring import KRingSpec, Specialization, standard_ring
+from .kring import KRingSpec, Specialization
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
 from .serialize import fan_from_json, json_text, series_from_json, series_to_json
 from .series import (
@@ -38,7 +38,8 @@ from .series import (
     punctured_p1_zeta,
     pushforward,
 )
-from .toric import chow_presentation, mc_series_toric, pn_divisor_series, product_fan
+from .toric import (OrbitClassMonoid, chow_presentation, mc_series_toric,
+                    pn_divisor_series, product_fan)
 
 
 # ---------------------------------------------------------------------------
@@ -167,30 +168,32 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
 # toric / colinear
 
 
-def cmd_toric(args) -> int:
-    fan = fan_from_json(_load_json(args.fan))
-    chow = chow_presentation(fan, args.p)
-    f = _apply_specializations(mc_series_toric(fan, args.p, chow=chow), args.specialize)
-    e = None
-    if args.truncate > 0:
-        e = f.expand(args.truncate)
-
+def _emit_series(args, label, f, e, fields, notes) -> int:
+    """Print "label = f", the expansion e unless it is None, then the note
+    lines; or, with --format json, one document of fields, f and e."""
     def doc():
-        out = {"command": "toric", "p": args.p, "rational": series_to_json(f),
-               "notes": list(chow.assumptions)}
+        out = dict(fields, rational=series_to_json(f))
         if e is not None:
             out["expansion"] = series_to_json(e)
         return out
 
     def lines():
-        out = [f"MC_{args.p} = {f}"]
-        if e is not None:
-            out.append(f"expansion: {e}")
-        return out + [f"note: {note}" for note in chow.assumptions]
+        expansion = [] if e is None else [f"expansion: {e}"]
+        return [f"{label} = {f}", *expansion, *notes]
 
     _emit(args, doc, lines, ("specialization", f),
           (f"expansion to degree {args.truncate}", e))
     return 0
+
+
+def cmd_toric(args) -> int:
+    fan = fan_from_json(_load_json(args.fan))
+    f = _apply_specializations(mc_series_toric(fan, args.p), args.specialize)
+    e = f.expand(args.truncate) if args.truncate > 0 else None
+    notes = OrbitClassMonoid.assumptions
+    return _emit_series(args, f"MC_{args.p}", f, e,
+                        {"command": "toric", "p": args.p, "notes": list(notes)},
+                        [f"note: {note}" for note in notes])
 
 
 def _class_in_h_e(coords) -> str:
@@ -204,11 +207,11 @@ def _class_in_h_e(coords) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _compare_colinear(col: RationalSeries, fan, truncate: int):
-    """First coefficient disagreement between the colinear series and the fan's
-    divisor series, both rewritten in the common basis (H, E1, E2, E3)."""
-    chow = chow_presentation(fan, 1)
-    m = chow.monoid
+def _compare_colinear(col: TruncatedSeries, fan, truncate: int):
+    """First coefficient disagreement between the colinear expansion and the
+    fan's divisor series, both rewritten in the common basis (H, E1, E2, E3)."""
+    fan_series = mc_series_toric(fan, 1, ring=col.ring)
+    m = fan_series.monoid
     try:
         t = {n: m.generator_named(n) for n in ("t1", "t2", "t3")}
         s = {n: m.generator_named(n) for n in ("s1", "s2", "s3")}
@@ -221,17 +224,14 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int):
         raise MCSError("--compare fan classes do not satisfy the three-point"
                        " blow-up relations t_i s_j = t_j s_i")
     fan_basis = (h, s["s1"], s["s2"], s["s3"])
-    fan_series = mc_series_toric(fan, 1, ring=col.ring, chow=chow)
-
     col_basis = col.monoid.group.basis_images()
 
-    def in_basis(series, basis):
-        terms = series.expand(truncate).terms
+    def in_basis(terms, basis):
         return dict(zip(express_in_basis([e for e, _ in terms], basis),
                         (c for _, c in terms)))
 
-    col_terms = in_basis(col, col_basis)
-    fan_terms = in_basis(fan_series, fan_basis)
+    col_terms = in_basis(col.terms, col_basis)
+    fan_terms = in_basis(fan_series.expand(truncate).terms, fan_basis)
     # degrees are linear: the degree of sum v_i b_i is sum v_i deg(b_i)
     col_degs = [col.monoid.degree(b) for b in col_basis]
     fan_degs = [m.degree(b) for b in fan_basis]
@@ -252,50 +252,29 @@ def _compare_colinear(col: RationalSeries, fan, truncate: int):
 
 def cmd_colinear(args) -> int:
     f = _apply_specializations(colinear_mc_series(args.r), args.specialize)
-    e = None
-    if args.truncate > 0:
-        e = f.expand(args.truncate)
-    compare_doc = compare_line = None
+    e = f.expand(args.truncate) if args.truncate > 0 else None
+    fields, notes = {"command": "colinear", "r": args.r}, []
     if args.compare:
         if args.r != 3:
             raise MCSError("--compare needs --r 3: the reference basis is"
                            " (H, E1, E2, E3)")
-        if args.truncate <= 0:
+        if e is None:
             raise MCSError("--compare needs --truncate > 0")
-        fan = fan_from_json(_load_json(args.compare))
-        hit = _compare_colinear(f, fan, args.truncate)
+        hit = _compare_colinear(e, fan_from_json(_load_json(args.compare)),
+                                args.truncate)
         if hit is None:
             msg = (f"no differing coefficient up to degree {args.truncate}"
                    " in both gradings")
-            compare_doc = {"differs": False, "message": msg}
-            compare_line = f"compare: {msg}"
+            fields["compare"] = {"differs": False, "message": msg}
+            notes.append(f"compare: {msg}")
         else:
             v, a, b = hit
-            compare_doc = {"differs": True, "class": list(v),
-                           "colinear_coefficient": str(a),
-                           "fan_coefficient": str(b)}
-            compare_line = (f"compare: first differing class {_class_in_h_e(v)}:"
-                            f" colinear {a}, fan {b}")
-
-    def doc():
-        out = {"command": "colinear", "r": args.r, "rational": series_to_json(f)}
-        if e is not None:
-            out["expansion"] = series_to_json(e)
-        if compare_doc is not None:
-            out["compare"] = compare_doc
-        return out
-
-    def lines():
-        out = [f"MC_1 = {f}"]
-        if e is not None:
-            out.append(f"expansion: {e}")
-        if compare_line is not None:
-            out.append(compare_line)
-        return out
-
-    _emit(args, doc, lines, ("specialization", f),
-          (f"expansion to degree {args.truncate}", e))
-    return 0
+            fields["compare"] = {"differs": True, "class": list(v),
+                                 "colinear_coefficient": str(a),
+                                 "fan_coefficient": str(b)}
+            notes.append(f"compare: first differing class {_class_in_h_e(v)}:"
+                         f" colinear {a}, fan {b}")
+    return _emit_series(args, "MC_1", f, e, fields, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +282,14 @@ def cmd_colinear(args) -> int:
 
 
 def _first_difference(a: TruncatedSeries, b: TruncatedSeries):
+    """The FAIL witness line of the first class where a and b differ, None
+    when they agree."""
     diff = a - b
-    return diff.terms[0] if diff.terms else None
+    if not diff.terms:
+        return None
+    e, c = diff.terms[0]
+    return (f"FAIL witness: class {diff.monoid.format_element(e)},"
+            f" coefficient difference {c}")
 
 
 def cmd_verify_localization(args) -> int:
@@ -312,69 +297,47 @@ def cmd_verify_localization(args) -> int:
         raise MCSError("only --curve p1 has a catalogued closed form")
     if args.remove < 0:
         raise MCSError("--remove must be >= 0")
-    ring = standard_ring(a1_homotopy=True)
-    closed = punctured_p1_zeta(args.remove, ring)
+    closed = punctured_p1_zeta(args.remove)
+    ring = closed.ring
     zx = curve_zeta(0, ring).specialize(Specialization(ring, {"L": 1}))
     t = zx.monoid.generator_named("t")
     points = RationalSeries(ring, zx.monoid, None, [(ring.one, t, args.remove)])
     quotient = localize_quotient(zx, points)
-    if isinstance(closed, MonoidPolynomial):
-        closed = RationalSeries(ring, zx.monoid, closed, [])
     print(f"closed path:   {closed}")
     print(f"quotient path: {quotient}")
-    same_form = quotient == closed
-    hit = _first_difference(quotient.expand(args.truncate),
-                            closed.expand(args.truncate))
-    if same_form and hit is None:
+    witness = _first_difference(quotient.expand(args.truncate),
+                                closed.expand(args.truncate))
+    if quotient == closed and witness is None:
         print(f"PASS (identical rational forms; expansions agree to degree"
               f" {args.truncate})")
         return 0
-    if hit is not None:
-        e, c = hit
-        print(f"FAIL witness: class {zx.monoid.format_element(e)},"
-              f" coefficient difference {c}")
-    else:
-        print("FAIL: rational forms differ")
+    print(witness or "FAIL: rational forms differ")
     return 1
-
-
-def _generator_cones(chow):
-    seen = {}
-    for c in chow.cones:
-        cls = chow.class_of(c)
-        if cls not in seen:
-            seen[cls] = c
-    return [seen[g] for g in chow.monoid.generators]
 
 
 def cmd_verify_product(args) -> int:
     fan_a = fan_from_json(_load_json(args.fanA))
     fan_b = fan_from_json(_load_json(args.fanB))
     pa, pb = fan_a.dim - 1, fan_b.dim - 1
-    chow_a = chow_presentation(fan_a, pa)
-    chow_b = chow_presentation(fan_b, pb)
-    ext = external_product(mc_series_toric(fan_a, pa, chow=chow_a),
-                           mc_series_toric(fan_b, pb, chow=chow_b))
+    ext = external_product(mc_series_toric(fan_a, pa), mc_series_toric(fan_b, pb))
     prod = product_fan(fan_a, fan_b)
+    direct = mc_series_toric(prod, prod.dim - 1)
     chow_p = chow_presentation(prod, prod.dim - 1)
-    direct = mc_series_toric(prod, prod.dim - 1, chow=chow_p)
     # rays of the product fan list fan A's rays first, then fan B's
     off = len(fan_a.rays)
-    images = [chow_p.class_of(c) for c in _generator_cones(chow_a)]
+    images = [chow_p.class_of(c) for c in chow_presentation(fan_a, pa).generator_cones]
     images += [chow_p.class_of(tuple(i + off for i in c))
-               for c in _generator_cones(chow_b)]
+               for c in chow_presentation(fan_b, pb).generator_cones]
     phi = MonoidHom(ext.monoid, chow_p.monoid, images)
     pushed = pushforward(ext, phi)
     print(f"external product: {pushed}")
     print(f"product fan:      {direct}")
-    hit = _first_difference(pushed.expand(args.truncate),
-                            direct.expand(args.truncate))
-    if hit is None:
+    witness = _first_difference(pushed.expand(args.truncate),
+                                direct.expand(args.truncate))
+    if witness is None:
         print(f"PASS (expansions agree to degree {args.truncate})")
         return 0
-    e, c = hit
-    print(f"FAIL witness: class {chow_p.monoid.format_element(e)},"
-          f" coefficient difference {c}")
+    print(witness)
     return 1
 
 
@@ -402,8 +365,7 @@ def cmd_verify_eq1(args) -> int:
 
 def cmd_verify_macdonald(args) -> int:
     fan = fan_from_json(_load_json(args.fan))
-    chow = chow_presentation(fan, 0)
-    mc0 = mc_series_toric(fan, 0, chow=chow)
+    mc0 = mc_series_toric(fan, 0)
     chi = len(fan.maximal_cones)
     print(f"MC_0 = {mc0}")
     if (len(mc0.factors) != 1 or mc0.factors[0][2] != chi

@@ -42,7 +42,7 @@ def colinear_mc_series(r: int) -> RationalSeries:
     MCS_MAX_TERMS first."""
     if r < 2:
         raise MCSError(
-            "colinear stratification needs at least two centers")
+            "the colinear blow-up needs at least two centers")
     if (r + 1) ** 2 > (cap := max_terms_from_env()):
         raise EnumerationLimitError(f"colinear blow-up at {r} points",
                                     (r + 1) ** 2, cap, "class coordinates")

@@ -213,20 +213,9 @@ class KElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_integer():
-            return self._scaled(other.as_integer())
-        if self.is_integer():
-            return other._scaled(self.as_integer())
         return self.spec.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
-
-    def _scaled(self, n: int) -> "KElement":
-        """self * n; scaling keeps the exponent vectors, so the terms stay
-        canonical and need no reduction."""
-        if not n:
-            return self.spec.zero
-        return KElement(self.spec, tuple((e, c * n) for e, c in self.terms))
 
     def __pow__(self, n: int):
         if n < 0:

@@ -272,11 +272,10 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     _, point = result
     denom = lcm(*(x.denominator for x in point))
     w = [int(x * denom) for x in point]
+    # g divides each value w.gen >= 1, so w / g keeps every value >= 1
     g = gcd(*w)
     if g > 1:
-        reduced = [x // g for x in w]
-        if all(sum(r * f for r, f in zip(reduced, gen.free)) >= 1 for gen in gens):
-            w = reduced
+        w = [x // g for x in w]
     for gen in gens:
         if sum(wi * fi for wi, fi in zip(w, gen.free)) < 1:
             raise MCSError("no strictly positive grading exists")

@@ -18,6 +18,7 @@ truncation bound or report consistency up to it, never prove it outright.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass
@@ -386,7 +387,7 @@ class RationalSeries:
         if numerator.ring != ring or numerator.monoid != monoid:
             raise MCSError("numerator context differs from the series")
         self.numerator = numerator
-        merged: dict[tuple, tuple[KElement, MonoidElement, int]] = {}
+        merged: dict[tuple[KElement, MonoidElement], int] = {}
         for c, alpha, e in factors:
             c = _coerce_coeff(ring, c)
             e = int(e)
@@ -400,15 +401,10 @@ class RationalSeries:
                 raise MCSError("denominator class has non-positive degree")
             if not monoid.contains(alpha):
                 raise MCSError("denominator class is not effective")
-            key = (alpha, c)
-            if key in merged:
-                c0, a0, e0 = merged[key]
-                merged[key] = (c0, a0, e0 + e)
-            else:
-                merged[key] = (c, alpha, e)
-        facs = list(merged.values())
-        facs.sort(key=lambda f: (monoid.degree(f[1]), f[1].packed(), f[0].terms, f[2]))
-        self.factors = tuple(facs)
+            merged[c, alpha] = merged.get((c, alpha), 0) + e
+        self.factors = tuple(sorted(
+            ((c, alpha, e) for (c, alpha), e in merged.items()),
+            key=lambda f: (monoid.degree(f[1]), f[1].packed(), f[0].terms, f[2])))
 
     def _check(self, other: "RationalSeries"):
         if self.ring != other.ring:
@@ -591,8 +587,6 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     if count > cap:
         raise EnumerationLimitError(stage, count, cap)
     for c, alpha, e in f.factors:
-        if alpha.is_zero():
-            raise MCSError("denominator factor at the zero class")
         step = monoid.degree(alpha)
         if as_int:
             c = c.as_integer()
@@ -752,23 +746,15 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
     """
     mc_x._check(mc_y)
     # the factors of a RationalSeries are already merged by this key
-    remaining = {(a, c): (c, a, e) for c, a, e in mc_x.factors}
-    leftover_y = []
-    for c, a, e in mc_y.factors:
-        key = (a, c)
-        have = remaining.get(key, (c, a, 0))[2]
-        cancel = min(have, e)
-        if cancel:
-            remaining[key] = (c, a, have - cancel)
-        if e - cancel:
-            leftover_y.append((c, a, e - cancel))
+    x = Counter({(c, a): e for c, a, e in mc_x.factors})
+    y = Counter({(c, a): e for c, a, e in mc_y.factors})
     num = mc_x.numerator
-    for c, a, e in leftover_y:
+    for (c, a), e in (y - x).items():
         num = num * binomial_factor_polynomial(mc_x.ring, mc_x.monoid, c, a, e)
     if not mc_y.numerator.is_one():
         num = _divide_polynomial(num, mc_y.numerator)
-    q_factors = [f for f in remaining.values() if f[2] > 0]
-    return RationalSeries(mc_x.ring, mc_x.monoid, num, q_factors)
+    return RationalSeries(mc_x.ring, mc_x.monoid, num,
+                          [(c, a, e) for (c, a), e in (x - y).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -798,21 +784,17 @@ def curve_zeta(genus: int, ring: KRingSpec | None = None) -> RationalSeries:
     return RationalSeries(ring, monoid, MonoidPolynomial(ring, monoid, num), factors)
 
 
-def punctured_p1_zeta(punctures: int, ring: KRingSpec | None = None):
+def punctured_p1_zeta(punctures: int) -> RationalSeries:
     """Zero-cycle series of a rational curve minus r points, in the homotopy
-    quotient: (1-t)^(r-2), a polynomial once r >= 2.
-
-    For r < 2 the series is honestly rational, not polynomial, and the
-    rational form is returned instead: 1/(1-t) for r=1, 1/(1-t)^2 for r=0.
+    quotient: (1-t)^(r-2), a polynomial numerator once r >= 2, and
+    1/(1-t) for r=1, 1/(1-t)^2 for r=0.
     """
     if punctures < 0:
         raise ValueError("negative puncture count")
-    if ring is None:
-        ring = standard_ring(a1_homotopy=True)
-    if not ring.a1_homotopy:
-        raise ValueError("punctured-line zeta lives in the homotopy quotient")
+    ring = standard_ring(a1_homotopy=True)
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
     if punctures >= 2:
-        return binomial_factor_polynomial(ring, monoid, ring.one, t, punctures - 2)
+        return RationalSeries(ring, monoid, binomial_factor_polynomial(
+            ring, monoid, ring.one, t, punctures - 2))
     return RationalSeries(ring, monoid, None, [(ring.one, t, 2 - punctures)])

@@ -55,7 +55,7 @@ class Fan:
     cones (tuples of ray indices)."""
 
     __slots__ = ("dim", "rays", "maximal_cones", "ray_names", "_simplicial",
-                 "_facets", "_face_cache")
+                 "_facets", "_face_cache", "_class_tables")
 
     def __init__(self, rays, maximal_cones, ray_names=None):
         rays = tuple(tuple(int(x) for x in v) for v in rays)
@@ -100,6 +100,7 @@ class Fan:
                 raise MCSError("ray names must be one distinct name per ray")
         self.ray_names = ray_names
         self._face_cache: dict[int, tuple] = {}
+        self._class_tables: dict[int, OrbitClassMonoid] = {}
         self._facets: dict[tuple, tuple] = {}
         self._validate()
 
@@ -235,34 +236,38 @@ class Fan:
 class OrbitClassMonoid:
     """Effective classes of p-dimensional orbit closures, with the class map.
 
-    Classes are taken up to rational equivalence; for the complete toric
-    varieties in scope this is assumed to agree with algebraic equivalence,
-    and the assumption is carried in `assumptions` for downstream display.
+    dim is the fan's dimension: the fan caches the table, so the table
+    keeps no reference back to it.  generator_cones holds, for each monoid
+    generator in order, the first cone of that class.  Classes are taken up
+    to rational equivalence; for the complete toric varieties in scope this
+    is assumed to agree with algebraic equivalence, and the assumption is
+    carried in `assumptions` for downstream display.
     """
 
-    __slots__ = ("p", "fan", "monoid", "cones", "_class_of")
+    __slots__ = ("p", "dim", "monoid", "cones", "generator_cones", "_class_of")
     assumptions = ("orbit classes taken up to rational equivalence;"
                    " assumed to coincide with algebraic equivalence"
                    " on complete toric varieties",)
 
-    def __init__(self, p, fan, monoid, cones, class_of):
+    def __init__(self, p, dim, monoid, cones, generator_cones, class_of):
         self.p = p
-        self.fan = fan
+        self.dim = dim
         self.monoid = monoid
         self.cones = cones
+        self.generator_cones = generator_cones
         self._class_of = class_of
 
     def class_of(self, cone) -> MonoidElement:
         key = tuple(sorted(cone))
         if key not in self._class_of:
             raise MCSError(
-                f"cone {key} is not a {self.fan.dim - self.p}-dimensional cone"
+                f"cone {key} is not a {self.dim - self.p}-dimensional cone"
                 " of the fan")
         return self._class_of[key]
 
 
 def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
-    """Class monoid of p-dimensional orbit closures.
+    """Class monoid of p-dimensional orbit closures, made once per fan and p.
 
     Generators: cones of dimension n-p.  Relations: for every cone tau of
     dimension n-p-1 and every character basis vector m of the sublattice
@@ -277,6 +282,8 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     n = fan.dim
     if not 0 <= p <= n:
         raise MCSError(f"no {p}-cycles on a {n}-dimensional variety")
+    if p in fan._class_tables:
+        return fan._class_tables[p]
     gen_cones = fan.cones_of_dim(n - p)
     index = {c: i for i, c in enumerate(gen_cones)}
     relations = []
@@ -319,20 +326,17 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         names = tuple(f"c{i}" for i in range(len(distinct)))
     # an MCSError from here signals a fan with no projective grading
     monoid = GradedMonoid(group, names, tuple(distinct))
-    return OrbitClassMonoid(p, fan, monoid, gen_cones, class_of)
+    fan._class_tables[p] = OrbitClassMonoid(p, n, monoid, gen_cones,
+                                            tuple(first_cone), class_of)
+    return fan._class_tables[p]
 
 
-def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None,
-                    chow: OrbitClassMonoid | None = None) -> RationalSeries:
+def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None) -> RationalSeries:
     """Product over (n-p)-cones of 1/(1 - t^class): the series counting
-    effective sums of p-dimensional orbit closures by class.  A chow given
-    must be the class table of this fan and p, else MCSError."""
+    effective sums of p-dimensional orbit closures by class."""
     if ring is None:
         ring = standard_ring()
-    if chow is None:
-        chow = chow_presentation(fan, p)
-    elif chow.fan != fan or chow.p != p:
-        raise MCSError("class table belongs to a different fan or p")
+    chow = chow_presentation(fan, p)
     factors = [(ring.one, chow.class_of(c), 1) for c in chow.cones]
     return RationalSeries(ring, chow.monoid, None, factors)
 

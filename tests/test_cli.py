@@ -14,11 +14,12 @@ import pytest
 from mcseries import cli, intlinalg
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
-from mcseries.monoid import GradedMonoid
+from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
 from mcseries.series import _Terms, curve_zeta
 from mcseries.toric import (
     mc_series_toric,
+    pn_divisor_series,
     product_fan,
     projective_space_fan,
     three_point_blowup_fan,
@@ -158,6 +159,20 @@ class TestToric:
         argv = ["toric", "--fan", path, "--p", "1"]
         assert main(argv) == 2
         assert main(argv + ["--format", "json"]) == 0
+
+    def test_one_class_table_per_run(self, capsys, monkeypatch):
+        # the series, its expansion and its notes share one presentation
+        made = []
+        init = AbelianGroupPresentation.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AbelianGroupPresentation, "__init__", counted)
+        gp = str(ROOT / "fans" / "gp.json")
+        assert main(["toric", "--fan", gp, "--p", "1", "--truncate", "3"]) == 0
+        assert len(made) == 1
 
     def test_cube4_divisor_series_finishes(self, capsys):
         # face fan of the 4-cube: Fourier-Motzkin elimination gave up on its
@@ -337,6 +352,13 @@ class TestVerify:
         pb = fan_file(projective_space_fan(2), "p2")
         assert main(["verify", "product", "--fanA", pa, "--fanB", pb,
                      "--truncate", "5"]) == 0
+
+    def test_witness_line_names_the_first_differing_class(self):
+        # the FAIL line of verify localization and verify product
+        p2, p1 = pn_divisor_series(2, 3), pn_divisor_series(1, 3)
+        assert cli._first_difference(p2, p2) is None
+        assert (cli._first_difference(p2, p1)
+                == "FAIL witness: class t, coefficient difference L^2")
 
     def test_eq1_refuted_with_l_kept(self, capsys):
         assert main(["verify", "eq1", "--n", "2", "--denominator", "(1-t)^4",

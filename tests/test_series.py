@@ -184,12 +184,13 @@ def test_certify_rejects_denominator_reaching_truncation():
 def test_punctured_line_polynomial_forms():
     ra = standard_ring(a1_homotopy=True)
     p2 = punctured_p1_zeta(2)
-    assert isinstance(p2, MonoidPolynomial) and p2.is_one()
+    assert p2.factors == () and p2.numerator.is_one()
     p3 = punctured_p1_zeta(3)
     mono = p3.monoid
     t = mono.generator_named("t")
-    assert p3 == binomial_factor_polynomial(ra, mono, 1, t)
-    p4 = punctured_p1_zeta(4)
+    assert p3.factors == ()
+    assert p3.numerator == binomial_factor_polynomial(ra, mono, 1, t)
+    p4 = punctured_p1_zeta(4).numerator
     assert p4.coefficient(2 * t) == 1 and p4.coefficient(t) == -2
 
 
@@ -199,11 +200,6 @@ def test_punctured_line_rational_fallback_below_two():
     assert len(p1.factors) == 1 and p1.factors[0][2] == 1
     p0 = punctured_p1_zeta(0)
     assert p0.factors[0][2] == 2
-
-
-def test_punctured_line_requires_homotopy_quotient():
-    with pytest.raises(ValueError):
-        punctured_p1_zeta(3, ring=standard_ring())
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,18 @@ GONE = {
                   "colinear_blowup_data"),
     "monoid": ("canonicalize",),
     "toric": ("hirzebruch_fan", "weighted_p112_fan", "blowup_at_fixed_point"),
+    "cli": ("_generator_cones",),
 }
 GONE_METHODS = (("monoid", "GradedMonoid", "elements_up_to"),
                 ("series", "MonoidPolynomial", "scale"),
                 ("series", "RationalSeries", "denominator_polynomial"),
-                ("series", "RationalSeries", "is_monic"))
+                ("series", "RationalSeries", "is_monic"),
+                ("kring", "KElement", "_scaled"),
+                ("toric", "OrbitClassMonoid", "fan"))
 GONE_PARAMETERS = (("series", "certify_rational", "numerator_degree"),
-                   ("gm_action", "colinear_mc_series", "ring"))
+                   ("gm_action", "colinear_mc_series", "ring"),
+                   ("toric", "mc_series_toric", "chow"),
+                   ("series", "punctured_p1_zeta", "ring"))
 
 
 @pytest.mark.parametrize("name", [None, *MODULES])

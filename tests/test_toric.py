@@ -207,16 +207,31 @@ def test_degree_class_dimension_errors():
         chow_presentation(fan, 3)
 
 
-@pytest.mark.parametrize("other, q", [(hirzebruch_fan(1), 1),
-                                      (projective_space_fan(2), 0)],
-                         ids=["other-fan", "other-p"])
-def test_class_table_of_another_fan_or_p_is_rejected(other, q):
-    # the series would otherwise be the other table's, silently
+def test_class_table_is_made_once_per_fan_and_p():
     fan = projective_space_fan(2)
-    with pytest.raises(MCSError, match="different fan or p"):
-        mc_series_toric(fan, 1, chow=chow_presentation(other, q))
-    assert (mc_series_toric(fan, 1, chow=chow_presentation(fan, 1))
-            == mc_series_toric(fan, 1))
+    assert chow_presentation(fan, 1) is chow_presentation(fan, 1)
+    assert chow_presentation(fan, 0) is not chow_presentation(fan, 1)
+    assert (mc_series_toric(fan, 1, ring=standard_ring(a1_homotopy=True)).monoid
+            is chow_presentation(fan, 1).monoid)
+    assert mc_series_toric(fan, 1) == mc_series_toric(fan, 1)
+
+
+def test_failed_class_table_is_not_cached(monkeypatch):
+    fan = projective_space_fan(3)
+    monkeypatch.setenv("MCS_MAX_TERMS", "10")
+    with pytest.raises(MCSError, match="relation matrix of 1-cycles"):
+        chow_presentation(fan, 1)
+    monkeypatch.delenv("MCS_MAX_TERMS")
+    assert chow_presentation(fan, 1).monoid.names == ("t",)
+
+
+@pytest.mark.parametrize("fan, p", [(three_point_blowup_fan(), 1),
+                                    (fan_file("cube4"), 3)],
+                         ids=["gp-1", "cube4-3"])
+def test_generator_cones_carry_the_generators(fan, p):
+    chow = chow_presentation(fan, p)
+    classes = [chow.class_of(c) for c in chow.generator_cones]
+    assert classes == list(chow.monoid.generators)
 
 
 def test_degree_class_additive_through_canonicalize():
