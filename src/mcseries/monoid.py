@@ -10,7 +10,9 @@ constructor of AbelianGroupPresentation, which keeps two matrices: the
 projection from ambient vectors to canonical coordinates and the lift from
 canonical coordinates back to an ambient vector.  Series keep each class
 as its packed key (MonoidElement.packed) from expansion to output, and
-unpack a MonoidElement only for a library caller.
+unpack a MonoidElement only for a library caller.  The two hot loops, the
+expansion and the enumeration below, carry each key as one int instead
+(AbelianGroupPresentation.codes) and decode once at their end.
 
 The grading is an integer functional on the free part that is >= 1 on every
 generator.  Its existence is exactly what certifies that each graded piece
@@ -20,7 +22,10 @@ find it by exact rational optimization (no floats), see positive_grading.
 A class is written as a word in the generators.  When their free parts are
 linearly independent, as for the colinear blow-up, the word is unique: its
 coordinates, read off a left inverse solved for once per monoid.  Otherwise
-(every toric monoid) it is the first word a breadth-first enumeration finds.
+(every toric monoid) it is the first word a breadth-first enumeration finds:
+a shortest word, ties going to the lexicographically greatest exponent
+vector, that is the most copies of generator 0, then of generator 1, and so
+on (see GradedMonoid._enumerate).
 """
 
 from __future__ import annotations
@@ -234,6 +239,56 @@ class AbelianGroupPresentation:
 
         return add_packed
 
+    def codes(self, span):
+        """Integer class codes for a hot loop: (zero, encode, decode, fold).
+
+        A packed key (free part, then torsion residues) becomes one int in
+        mixed radix, digits most significant first: free coordinate p is
+        the digit x_p + span[p] in radix 2*span[p] + 1, torsion residue j
+        the digit itself in radix 2*d_j.  So codes order as their packed
+        keys do, and encode(key) == zero + shift(key) with shift(key) the
+        dot product of key with the digit weights: adding shift(x) to the
+        code of y gives the code of x + y, provided each free coordinate
+        of x + y lies in [-span[p], span[p]] and fold (None for a group
+        without torsion) then subtracts d_j from a torsion digit that
+        reached d_j.  Two reduced residues sum to less than 2*d_j, so a
+        torsion digit never carries.  A span too small for the loop's
+        classes silently merges them: each caller derives its spans from
+        its own bound on the classes it can make, and says why.
+
+        decode maps a sequence of codes to their packed keys, one
+        comprehension per coordinate, so the loop decodes once at its end.
+        """
+        radices = [2 * s + 1 for s in span] + [2 * d for d in self.invariants]
+        offsets = [*span] + [0] * len(self.invariants)
+        weights, w = [], 1
+        for radix in reversed(radices):
+            weights.append(w)
+            w *= radix
+        weights.reverse()
+        zero = sum(map(mul, span, weights))
+
+        def encode(key):
+            return zero + sum(map(mul, key, weights))
+
+        def decode(codes):
+            cols = [[c // w % radix - off for c in codes]
+                    for w, radix, off in zip(weights, radices, offsets)]
+            return list(zip(*cols)) if cols else [()] * len(codes)
+
+        if not self.invariants:
+            return zero, encode, decode, None
+        torsion = [(w, 2 * d, d * w, d) for w, d in
+                   zip(weights[self.rank:], self.invariants)]
+
+        def fold(c):
+            for w, radix, dw, d in torsion:
+                if c // w % radix >= d:
+                    c -= dw
+            return c
+
+        return zero, encode, decode, fold
+
     def basis_images(self) -> list[MonoidElement]:
         """project of each unit vector: column j of the projection."""
         rows = self._projection
@@ -372,30 +427,49 @@ class GradedMonoid:
         """Packed key -> (degree, word) for every element of degree <= bound.
 
         Breadth-first from zero, generators in order; each element keeps the
-        word it was first reached by.  Every prefix of a word for e has
-        degree <= deg e, so elements above deg e never change which word e
-        gets: a table built for a larger bound gives the same words, and the
+        word it was first reached by.  That word is a shortest one, ties
+        going to the lexicographically greatest exponent vector: within a
+        layer the elements are found in the lexicographic order of their
+        least word written with its letters ascending, and the least such
+        letter sequence has the most copies of generator 0, then of
+        generator 1, and so on.  Every prefix of a word for e has degree
+        <= deg e, so elements above deg e never change which word e gets:
+        a table built for a larger bound gives the same words, and the
         cached table is reused for every smaller bound.
+
+        The walk runs on the int codes of AbelianGroupPresentation.codes
+        and decodes the table, which stays keyed by packed keys, once at
+        its end.  The span of free coordinate p is
+        min(max_i floor(bound*|g_ip| / deg g_i), (cap + 1)*max_i |g_ip|):
+        a word sum k_i g_i of degree <= bound has |x_p| <= sum_i k_i |g_ip|
+        <= bound * max_i |g_ip| / deg g_i, and each layer adds an element,
+        so no word of more than cap + 1 letters is made before the cap
+        trips.
         """
         if self._enum_cache is not None and self._enum_cache[0] >= bound:
             return self._enum_cache[1]
         cap = max_terms_from_env()
-        plus = self.group.packed_adder()
-        gens = [g.packed() for g in self.generators]
-        degs = [self.degree(g) for g in self.generators]
-        zero = self.zero.packed()
-        found: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
-            zero: (0, (0,) * len(gens))}
+        gens = self.generators
+        degs = [self.degree(g) for g in gens]
+        span = [min(max((bound * abs(g.free[p]) // d for g, d in zip(gens, degs)),
+                        default=0),
+                    (cap + 1) * max((abs(g.free[p]) for g in gens), default=0))
+                for p in range(self.group.rank)]
+        zero, encode, decode, fold = self.group.codes(span)
+        steps = [(d, encode(g.packed()) - zero) for g, d in zip(gens, degs)]
+        found: dict[int, tuple[int, tuple[int, ...]]] = {zero: (0, (0,) * len(gens))}
         frontier = [zero]
         while frontier:
             nxt = []
             for e in frontier:
                 d0, word = found[e]
-                for i, g in enumerate(gens):
-                    d = d0 + degs[i]
+                for i, (dg, g) in enumerate(steps):
+                    d = d0 + dg
                     if d > bound:
                         continue
-                    e2 = plus(e, g)
+                    e2 = e + g
+                    if fold:
+                        e2 = fold(e2)
                     if e2 in found:
                         continue
                     w2 = list(word)
@@ -407,8 +481,9 @@ class GradedMonoid:
                             len(found), cap, "elements")
                     nxt.append(e2)
             frontier = nxt
-        self._enum_cache = (bound, found)
-        return found
+        table = dict(zip(decode(list(found)), found.values()))
+        self._enum_cache = (bound, table)
+        return table
 
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
@@ -444,13 +519,8 @@ class GradedMonoid:
         return self._words([e.packed()], self.degree(e))[0] is not None
 
     def _format_word(self, word) -> str:
-        parts = []
-        for name, k in zip(self.names, word):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        return "*".join(parts) or "1"
+        return "*".join([name if k == 1 else f"{name}^{k}"
+                         for name, k in zip(self.names, word) if k > 0]) or "1"
 
     def format_element(self, e: MonoidElement) -> str:
         """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""

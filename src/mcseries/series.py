@@ -558,12 +558,27 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     deg alpha; for k = 1 that is a[b + alpha] += c*a[b].  The p_i are made
     only as far as a push needs them.  A factor of exponent e <= K takes e
     passes with k = 1; past K, one pass with k = 1 and one with k = e - 1,
-    so the time stops growing with e.  Classes are packed int keys (see
-    MonoidElement.packed) throughout, and the result keeps them: no
-    MonoidElement is made unless a caller reads its terms.  Coefficients
-    stay Python ints while the numerator and every c are integers.  Integer
-    coefficients become one KElement per distinct value, shared by every
-    term that has it; KElement is immutable, so sharing is safe.
+    so the time stops growing with e.  A bucket whose terms all cancelled
+    pushes nothing, so no pass walks the empty degrees above it.
+
+    Classes are int codes (AbelianGroupPresentation.codes) in the loop:
+    each push weight carries the code shift of its class i*alpha, and the
+    codes are decoded to packed keys (MonoidElement.packed) once, at the
+    end; no MonoidElement is made unless a caller reads the terms.  Every
+    term is a numerator class of degree <= truncation plus sum_j n_j
+    alpha_j, so free coordinate p gets the span max |x_p| over those
+    numerator classes plus sum_j |alpha_jp| s_j, where s_j bounds n_j:
+    K_j always, as every other part of a term has degree >= 0; and
+    (cap + 1) * e_j when factor j takes only passes with k = 1, as the
+    keys that push in such a pass are popped, final and live until the
+    pass ends, so a chain of m pushes leaves m + 1 live terms and trips
+    the cap first.  A span from the truncation alone would make each digit
+    as wide as the truncation.
+
+    Coefficients stay Python ints while the numerator and every c are
+    integers.  Integer coefficients become one KElement per distinct
+    value, shared by every term that has it; KElement is immutable, so
+    sharing is safe.
 
     The running term count is checked as each new term appears; passing
     the MCS_MAX_TERMS cap raises EnumerationLimitError.
@@ -571,23 +586,33 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     if truncation < 0:
         raise ValueError("negative truncation bound")
     monoid, ring = f.monoid, f.ring
-    plus = monoid.group.packed_adder()
     as_int = (all(c.is_integer() for c in f.numerator.coeffs)
               and all(c.is_integer() for c, _, _ in f.factors))
     cap = max_terms_from_env()
     stage = f"expansion to degree {truncation}"
 
-    # degree -> {packed class: nonzero coefficient}
-    buckets: dict[int, dict[tuple[int, ...], object]] = {}
-    count = 0
-    for key, c, d in zip(f.numerator.keys, f.numerator.coeffs, f.numerator._degrees):
-        if d <= truncation:
-            buckets.setdefault(d, {})[key] = c.as_integer() if as_int else c
-            count += 1
+    numerator = [(d, key, c) for key, c, d in zip(
+        f.numerator.keys, f.numerator.coeffs, f.numerator._degrees) if d <= truncation]
+    # max |x_p| over the numerator classes; the zero row stops zip at the rank
+    span = [max(map(abs, col)) for col in zip((0,) * monoid.group.rank,
+                                              *(key for _, key, _ in numerator))]
+    degrees = [monoid.degree(alpha) for _, alpha, _ in f.factors]
+    for (_, alpha, e), step in zip(f.factors, degrees):
+        n = truncation // step
+        if e <= max(1, n):
+            n = min(n, (cap + 1) * e)
+        span = [s + abs(x) * n for s, x in zip(span, alpha.free)]
+    zero, encode, decode, fold = monoid.group.codes(span)
+
+    # degree -> {class code: nonzero coefficient}
+    buckets: dict[int, dict[int, object]] = {}
+    for d, key, c in numerator:
+        buckets.setdefault(d, {})[encode(key)] = c.as_integer() if as_int else c
+    count = len(numerator)
     if count > cap:
         raise EnumerationLimitError(stage, count, cap)
-    for c, alpha, e in f.factors:
-        step = monoid.degree(alpha)
+    for (c, alpha, e), step in zip(f.factors, degrees):
+        a = encode(alpha.packed()) - zero
         if as_int:
             c = c.as_integer()
         # up to e = K, e passes with k = 1: one pass with k = e would multiply
@@ -598,21 +623,25 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
         for k in ((1 for _ in range(e)) if e <= max(1, truncation // step)
                   else (1, e - 1)):
             # for i = 1..: the push weight -p_i = (-1)^(i+1) C(k, i) c^i,
-            # whether it is 1, the class i*alpha and the degree i*deg(alpha)
-            a = alpha.packed()
+            # whether it is 1, the code shift of i*alpha and i*deg(alpha)
             pushes = [(k * c, k * c == 1, a, step)]
             binom, power = k, c
             todo = sorted(d for d in buckets if d + step <= truncation)
             while todo:
                 d = heappop(todo)
                 src = buckets[d]
+                if not src:
+                    continue
                 room = truncation - d
                 while len(pushes) < k and pushes[-1][3] + step <= room:
                     i = len(pushes) + 1
                     binom = binom * (k - i + 1) // i
                     power = power * c
                     w = (binom if i % 2 else -binom) * power
-                    pushes.append((w, w == 1, plus(pushes[-1][2], a), i * step))
+                    shift = pushes[-1][2] + a
+                    if fold:
+                        shift = fold(zero + shift) - zero
+                    pushes.append((w, w == 1, shift, i * step))
                 for w, unit, shift, off in pushes:
                     if off > room:
                         break
@@ -623,7 +652,9 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
                         if d2 + step <= truncation:
                             heappush(todo, d2)
                     for key, v in src.items():
-                        key2 = plus(key, shift)
+                        key2 = key + shift
+                        if fold:
+                            key2 = fold(key2)
                         inc = v if unit else w * v
                         old = dst.get(key2)
                         if old is None:
@@ -639,11 +670,12 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
                         else:
                             dst[key2] = new
     items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
-    degrees, keys, coeffs = zip(*items) if items else ((), (), ())
+    degrees, codes, coeffs = zip(*items) if items else ((), (), ())
     if as_int:
         shared: dict[int, KElement] = {}
         coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
-    return TruncatedSeries._from_sorted(ring, monoid, truncation, keys, coeffs, degrees)
+    return TruncatedSeries._from_sorted(ring, monoid, truncation, decode(codes),
+                                        coeffs, degrees)
 
 
 # ---------------------------------------------------------------------------

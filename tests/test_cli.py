@@ -519,6 +519,15 @@ class TestExpandSpecialize:
         assert main(["expand", "--series", str(path), "--truncate", "2"]) == 0
         assert "t^3" not in capsys.readouterr().out
 
+    def test_cancelled_degree_ends_the_expansion(self, tmp_path, capsys):
+        # (1 - t)/(1 - t): degree 1 cancels to nothing, and the expansion
+        # stops there instead of walking every empty degree to --truncate
+        path = _write(tmp_path, _over_line([_line_term(0, 1), _line_term(1, -1)], 1))
+        start = time.perf_counter()
+        assert main(["expand", "--series", path, "--truncate", str(10 ** 6)]) == 0
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == "1 + O(degree 1000001)\n"
+
     def test_assignment_parse_errors(self, zeta_file, capsys):
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,
@@ -600,6 +609,37 @@ class TestTermCap:
         assert captured.out == ""
         assert captured.err == (f"error: {stage_and_count}, over the cap of"
                                 f" {cap}; raise MCS_MAX_TERMS\n")
+
+    def test_class_code_spans_follow_the_cap(self, tmp_path, capsys, monkeypatch):
+        # 1/(1 - t) to degree 10^4000, and a class of degree 10^3999 printed
+        # as a word over a, b and c = a + b, which enumerates the monoid:
+        # spans read off the bound alone would give each class code digit
+        # about 13,000 bits; read off the cap they stay at most
+        # (cap + 1) * 1, 1 being the largest coordinate of a generator or
+        # factor class here
+        spans = []
+        codes = AbelianGroupPresentation.codes
+
+        def recording(group, span):
+            spans.append(tuple(span))
+            return codes(group, span)
+
+        monkeypatch.setattr(AbelianGroupPresentation, "codes", recording)
+        monkeypatch.setenv("MCS_MAX_TERMS", "1000")
+        line = _write(tmp_path, _over_line([_line_term(0, 1)], 1))
+        assert main(["expand", "--series", line, "--truncate", str(10 ** 4000)]) == 2
+        assert "expansion to degree" in capsys.readouterr().err
+        poly = _write(tmp_path, {
+            "kind": "polynomial", "ring": {"generators": ["L", "eps"]},
+            "monoid": {"ambient_generators": 2, "generators": [
+                {"name": "a", "ambient": [1, 0]}, {"name": "b", "ambient": [0, 1]},
+                {"name": "c", "ambient": [1, 1]}]},
+            "terms": [{"class": {"free": [10 ** 3999, 0], "torsion": []},
+                       "coeff": {"terms": [{"coeff": 1, "exp": {}}]}}]})
+        assert main(["expand", "--series", poly, "--truncate", str(10 ** 3999)]) == 2
+        assert "monoid enumeration to degree" in capsys.readouterr().err
+        assert len(spans) == 2
+        assert max(max(span) for span in spans) <= 1001
 
     @pytest.mark.parametrize("k, n, p", [(7, 1, 1), (7, 1, 3), (1, 10, 5)],
                              ids=["p1^7-p1", "p1^7-p3", "p10-p5"])

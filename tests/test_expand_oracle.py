@@ -3,10 +3,12 @@
 The reference multiplies the truncated numerator by one full truncated
 geometric series per factor, sum_k C(k+e-1, e-1) c^k t^(k alpha), using
 TruncatedSeries multiplication.  rational_expand instead divides by each
-power of a binomial with a linear recurrence on packed keys, with int
+power of a binomial with a linear recurrence on integer class codes, with int
 coefficients where it can.  Hypothesis draws the forms: torsion monoids,
+one with two torsion invariants and one with negative class coordinates,
 exponents e both at most and above the truncation over the factor's degree,
-negative and L/eps coefficients, and numerators of several terms.
+negative and L/eps coefficients, and numerators of several terms, some of
+them above the truncation.
 """
 
 from math import comb
@@ -64,6 +66,13 @@ MONOIDS = {
     # the three-point blow-up: rank 4, no torsion
     "blowup": _presented(("t1", "t2", "t3", "s1", "s2", "s3"),
                          ((1, -1, 0, -1, 1, 0), (1, 0, -1, -1, 0, 1))),
+    # Z^3 on four generators of degree one, the third at Smith coordinates
+    # (-3, 2, 2): class codes offset negative coordinates by their span
+    "negative": _presented(("a", "b", "c", "d"), ((2, -3, -1, 2),)),
+    # the 3-cube's curve classes: Z^5 x (Z/2)^2, two torsion code digits
+    "cube3": _presented(tuple(f"v{i}" for i in range(8)),
+                        ((1, -1, 1, -1, 1, -1, 1, -1), (1, 1, -1, -1, 1, 1, -1, -1),
+                         (1, 1, 1, 1, -1, -1, -1, -1))),
 }
 
 INT_COEFFS = [R.from_int(n) for n in (1, 2, 3, -1, -2)]
@@ -84,9 +93,13 @@ def forms(draw, coeffs):
     for w in draw(st.lists(word.filter(any), min_size=0, max_size=4)):
         factors.append((draw(st.sampled_from(coeffs)), canonicalize(w, monoid),
                         draw(st.integers(1, 9))))
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):  # a numerator class above the truncation
+        e = (n + 1) * monoid.generators[0]
+        numerator[e] = numerator.get(e, R.zero) + draw(st.sampled_from(coeffs))
     f = RationalSeries(R, monoid, MonoidPolynomial(R, monoid, numerator),
                        factors)
-    return f, draw(st.integers(0, 6))
+    return f, n
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,8 +18,9 @@ from mcseries.monoid import (
     free_graded_monoid,
     positive_grading,
 )
+from mcseries.toric import chow_presentation
 
-from _tools import canonicalize, elements_up_to
+from _tools import FANS, canonicalize, elements_up_to, fan_file
 
 # the six-generator class group of a three-point blow-up: generators
 # (L1, L2, L3, E1, E2, E3) with L_i + E_j = L_j + E_i
@@ -530,3 +531,116 @@ def test_colinear_words_match_bfs_to_the_numerator_degree(r):
     top = max(f.numerator.terms, key=lambda t: m.degree(t[0]))[0]
     assert m.word_for(top) == (r - 2,) * (r + 1)
     _check_against_bfs(m, m.degree(top), [top - (r - 1) * m.generators[1]])
+
+
+# -- integer class codes -----------------------------------------------------
+
+
+@st.composite
+def coded_groups(draw):
+    """(group, span): Z^rank times one or two torsion invariants of 2, 3 or
+    4, or none, with a span of 0 to 4 on each free coordinate."""
+    rank = draw(st.integers(0, 3))
+    moduli = draw(st.sampled_from([(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 3)]))
+    q = len(moduli)
+    group = AbelianGroupPresentation(
+        rank + q, [[0] * rank + [d * (i == j) for j in range(q)]
+                   for i, d in enumerate(moduli)])
+    assert (group.rank, group.invariants) == (rank, moduli)
+    return group, draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank))
+
+
+def _coded_key(draw, group, low, high):
+    """A packed key of group, free coordinate p in [low[p], high[p]] and
+    often at one end of it, torsion reduced."""
+    free = tuple(draw(st.one_of(st.sampled_from((lo, hi)), st.integers(lo, hi)))
+                 for lo, hi in zip(low, high))
+    return free + tuple(draw(st.integers(0, d - 1)) for d in group.invariants)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_class_codes_round_trip_add_and_order(data):
+    group, span = data.draw(coded_groups())
+    zero, encode, decode, fold = group.codes(span)
+    assert (fold is None) == (not group.invariants)
+    neg = [-s for s in span]
+    keys = [_coded_key(data.draw, group, neg, span) for _ in range(6)]
+    codes = [encode(k) for k in keys]
+    assert decode(codes) == keys
+    assert encode(group.zero.packed()) == zero
+    assert sorted(codes) == [encode(k) for k in sorted(keys)]
+    # x + y with both free parts inside the span: the code of x plus the
+    # shift of y, folded, is the code of the sum
+    x = keys[0]
+    y = _coded_key(data.draw, group, [-s - a for s, a in zip(span, x)],
+                   [s - a for s, a in zip(span, x)])
+    total = encode(x) + encode(y) - zero
+    if fold:
+        total = fold(total)
+    assert total == encode(group.packed_adder()(x, y))
+
+
+# -- class words: a brute force over exponent vectors -------------------------
+
+
+def brute_force_words(m, bound):
+    """Packed key -> (degree, word) of every class of degree <= bound, the
+    word a shortest exponent vector, ties to the lexicographically
+    greatest, read off every vector of degree <= bound; classes are summed
+    with MonoidElement arithmetic, not with the enumeration's codes."""
+    gens, degs = m.generators, [m.degree(g) for g in m.generators]
+    best = {}
+
+    def walk(i, word, e, d):
+        if i == len(gens):
+            rank = (sum(word), [-k for k in word])
+            key = e.packed()
+            if key not in best or rank < best[key][0]:
+                best[key] = (rank, (d, tuple(word)))
+            return
+        k = 0
+        while d + k * degs[i] <= bound:
+            walk(i + 1, word + [k], e, d + k * degs[i])
+            e, k = e + gens[i], k + 1
+
+    walk(0, [], m.zero, 0)
+    return {key: entry for key, (_, entry) in best.items()}
+
+
+def _presented(names, relations, images=None):
+    group = AbelianGroupPresentation(len(names) if images is None else len(images[0]),
+                                     relations)
+    gens = group.basis_images() if images is None else [group.project(v) for v in images]
+    return GradedMonoid(group, names, gens)
+
+
+SMALL_MONOIDS = {
+    # a, b and c = a + b
+    "sum": lambda: _presented("abc", (), [(1, 0), (0, 1), (1, 1)]),
+    # two generators of one class, and their double
+    "repeat": lambda: _presented("abc", (), [(1,), (1,), (2,)]),
+    # a and b differ by a class of order two
+    "torsion2": lambda: _presented("ab", ((2, -2),)),
+    # Z x (Z/2)^2 on three generators of degree one
+    "torsion22": lambda: _presented("abc", ((2, -2, 0), (2, 0, -2))),
+    # c = 3a: a generator of degree 3, a shorter word than a^3
+    "degrees": lambda: _presented("abc", (), [(1, 0), (2, 1), (3, 0)]),
+    "blowup": blowup_monoid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_MONOIDS))
+def test_bfs_words_are_shortest_then_lexicographically_greatest(name):
+    m = SMALL_MONOIDS[name]()
+    assert m._enumerate(6) == brute_force_words(m, 6)
+
+
+@pytest.mark.parametrize("path", sorted(FANS.glob("*.json")), ids=lambda p: p.stem)
+def test_bfs_words_of_the_fan_monoids(path):
+    fan = fan_file(path.stem)
+    for p in range(fan.dim + 1):
+        m = chow_presentation(fan, p).monoid
+        bound = 4 if len(m.generators) <= 12 else 3
+        table = {k: v for k, v in m._enumerate(bound).items() if v[0] <= bound}
+        assert table == brute_force_words(m, bound)
