@@ -189,7 +189,9 @@ def _emit_series(args, label, f, e, fields, notes) -> int:
 def cmd_toric(args) -> int:
     fan = fan_from_json(_load_json(args.fan))
     f = _apply_specializations(mc_series_toric(fan, args.p), args.specialize)
-    e = f.expand(args.truncate) if args.truncate > 0 else None
+    # pretty output names each class by a word, which the expansion records
+    e = (f.expand(args.truncate, words=args.format == "pretty")
+         if args.truncate > 0 else None)
     notes = OrbitClassMonoid.assumptions
     return _emit_series(args, f"MC_{args.p}", f, e,
                         {"command": "toric", "p": args.p, "notes": list(notes)},
@@ -393,7 +395,7 @@ def cmd_verify_macdonald(args) -> int:
 def cmd_expand(args) -> int:
     f = series_from_json(_load_json(args.series))
     if isinstance(f, RationalSeries):
-        out = f.expand(args.truncate)
+        out = f.expand(args.truncate, words=args.format == "pretty")
     else:
         out = f.as_series(args.truncate)
         if len(out.terms) > (cap := max_terms_from_env()):

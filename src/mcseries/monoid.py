@@ -10,9 +10,9 @@ constructor of AbelianGroupPresentation, which keeps two matrices: the
 projection from ambient vectors to canonical coordinates and the lift from
 canonical coordinates back to an ambient vector.  Series keep each class
 as its packed key (MonoidElement.packed) from expansion to output, and
-unpack a MonoidElement only for a library caller.  The two hot loops, the
-expansion and the enumeration below, carry each key as one int instead
-(AbelianGroupPresentation.codes) and decode once at their end.
+unpack a MonoidElement only for a library caller.  The hot loop, the
+expansion passes of GradedMonoid._expand, carries each key as one int
+instead (AbelianGroupPresentation.codes) and decodes once at its end.
 
 The grading is an integer functional on the free part that is >= 1 on every
 generator.  Its existence is exactly what certifies that each graded piece
@@ -22,10 +22,19 @@ find it by exact rational optimization (no floats), see positive_grading.
 A class is written as a word in the generators.  When their free parts are
 linearly independent, as for the colinear blow-up, the word is unique: its
 coordinates, read off a left inverse solved for once per monoid.  Otherwise
-(every toric monoid) it is the first word a breadth-first enumeration finds:
-a shortest word, ties going to the lexicographically greatest exponent
-vector, that is the most copies of generator 0, then of generator 1, and so
-on (see GradedMonoid._enumerate).
+(every toric monoid) the word follows one rule: a shortest word, ties going
+to the lexicographically greatest exponent vector, that is the most copies
+of generator 0, then of generator 1, and so on; a generator is its own
+letter, the least one among equal generators.  The words are recorded by
+the expansion passes of prod_i 1/(1 - t^g_i), which reach every element of
+degree <= N: the first pass of generator i keeps word(x + g_i) =
+min(word(x + g_i), word(x) + e_i) in ascending degree, each word an int
+cost in mixed radix (GradedMonoid._word_costs).  The rule's order does not
+change when the same vector is added to both words, so this gives the least
+word whatever the order of the generators.  toric.mc_series_toric is that
+product, so its pretty expansion records the words as it expands
+(series.rational_expand); other callers enumerate the monoid by the same
+passes (GradedMonoid._enumerate).
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import add, mul
 
@@ -367,8 +377,8 @@ def _coordinate_solver(vectors, rank: int, moduli):
 class GradedMonoid:
     """Named generators inside a presented group, graded positively."""
 
-    __slots__ = ("group", "names", "generators", "grading", "_enum_cache",
-                 "_solve", "_by_name")
+    __slots__ = ("group", "names", "generators", "grading", "_table",
+                 "_solve", "_by_name", "_letters")
 
     def __init__(self, group: AbelianGroupPresentation, names, generators,
                  grading: tuple[int, ...] | None = None):
@@ -394,9 +404,11 @@ class GradedMonoid:
                 if sum(w * f for w, f in zip(grading, g.free)) < 1:
                     raise MCSError("given grading is not positive on generators")
         self.grading = grading
-        self._enum_cache: tuple[int, dict] | None = None
+        self._table: tuple[int, dict] | None = None  # (bound, word table)
         self._solve = None  # built by _words at the first query
         self._by_name = {n: g for n, g in zip(names, gens)}
+        # packed generator -> its least index, the letter of its word
+        self._letters = {g.packed(): i for i, g in reversed(list(enumerate(gens)))}
 
     def __eq__(self, other):
         if not isinstance(other, GradedMonoid):
@@ -421,86 +433,224 @@ class GradedMonoid:
     def degree(self, e: MonoidElement) -> int:
         return sum(w * f for w, f in zip(self.grading, e.free))
 
-    # -- enumeration
+    # -- expansion passes, enumeration and words
+
+    def _expand(self, numerator, factors, truncation: int, stage: str,
+                unit: str = "terms", words: bool = False):
+        """The terms of numerator / prod (1 - c t^alpha)^e to degree
+        truncation, as (degrees, packed keys, coefficients, words) in term
+        order; series.rational_expand states the passes, the class codes,
+        the term cap and the word rule.  numerator holds (degree, packed
+        key, coefficient) rows of degree <= truncation, factors (c, alpha,
+        e) triples; a coefficient is an int or a KElement.  stage and unit
+        word the cap message.
+
+        With words, and when the numerator is 1, every c is 1 and the
+        factor classes are exactly the generators, the first pass of each
+        factor records the word of each class it reaches (_word_costs), and
+        words is the table {packed key: word} of every element of degree <=
+        truncation; it is kept for _words when it reaches further than the
+        table kept.  Otherwise words is None.
+        """
+        cap = max_terms_from_env()
+        # max |x_p| over the numerator classes; the zero row stops zip at the rank
+        span = [max(map(abs, col)) for col in zip((0,) * self.group.rank,
+                                                  *(key for _, key, _ in numerator))]
+        degrees = [self.degree(alpha) for _, alpha, _ in factors]
+        for (_, alpha, e), step in zip(factors, degrees):
+            n = truncation // step
+            if e <= max(1, n):
+                n = min(n, (cap + 1) * e)
+            span = [s + abs(x) * n for s, x in zip(span, alpha.free)]
+        zero, encode, decode, fold = self.group.codes(span)
+
+        # degree -> {class code: nonzero coefficient}
+        buckets: dict[int, dict[int, object]] = {}
+        for d, key, c in numerator:
+            buckets.setdefault(d, {})[encode(key)] = c
+        count = len(numerator)
+        if count > cap:
+            raise EnumerationLimitError(stage, count, cap, unit)
+        costs = None  # class code -> cost of its word, while words are recorded
+        if (words and numerator == [(0, self.zero.packed(), 1)]
+                and all(c == 1 for c, _, _ in factors)
+                and {alpha for _, alpha, _ in factors} == set(self.generators)):
+            start, letter_costs, decode_words = self._word_costs(truncation, cap)
+            costs = {zero: start}
+        for (c, alpha, e), step in zip(factors, degrees):
+            a = encode(alpha.packed()) - zero
+            # the cost of alpha's letter, added in its first pass only
+            letter = None if costs is None else letter_costs[alpha.packed()]
+            # up to e = K, e passes with k = 1: one pass with k = e would multiply
+            # big weights by big coefficients.  Past K, a pass with k = 1 first,
+            # so that a term cap trips on small coefficients, then k = e - 1.
+            # (range, unlike repeat, takes an e past sys.maxsize, where the
+            # first pass trips the cap.)
+            for k in ((1 for _ in range(e)) if e <= max(1, truncation // step)
+                      else (1, e - 1)):
+                # push i + 1 has the weight -p_(i+1) = (-1)^i C(k, i + 1) c^(i+1),
+                # whether it is 1, the code shift of (i + 1)*alpha and its
+                # degree, made just before its first push
+                pushes = [(k * c, k * c == 1, a, step)]
+                binom, power = k, c
+                todo = sorted(d for d in buckets if d + step <= truncation)
+                while todo:
+                    d = heappop(todo)
+                    src = buckets[d]
+                    if not src:
+                        continue
+                    room = truncation - d
+                    for i in range(k):
+                        if i == len(pushes):
+                            if (i + 1) * step > room:
+                                break
+                            binom = binom * (k - i) // (i + 1)
+                            power = power * c
+                            w = (-binom if i % 2 else binom) * power
+                            shift = pushes[-1][2] + a
+                            if fold:
+                                shift = fold(zero + shift) - zero
+                            pushes.append((w, w == 1, shift, (i + 1) * step))
+                        w, one, shift, off = pushes[i]
+                        if off > room:
+                            break
+                        d2 = d + off
+                        dst = buckets.get(d2)
+                        if dst is None:
+                            dst = buckets[d2] = {}
+                            if d2 + step <= truncation:
+                                heappush(todo, d2)
+                        if letter is not None:
+                            # k = 1 and w = 1; every coefficient is positive,
+                            # so nothing cancels
+                            for key, v in src.items():
+                                key2 = key + shift
+                                if fold:
+                                    key2 = fold(key2)
+                                cost = costs[key] + letter
+                                old = dst.get(key2)
+                                if old is None:
+                                    dst[key2] = v
+                                    costs[key2] = cost
+                                    count += 1
+                                    if count > cap:
+                                        raise EnumerationLimitError(stage, count, cap, unit)
+                                    continue
+                                dst[key2] = old + v
+                                if cost < costs[key2]:
+                                    costs[key2] = cost
+                            continue
+                        for key, v in src.items():
+                            key2 = key + shift
+                            if fold:
+                                key2 = fold(key2)
+                            inc = v if one else w * v
+                            old = dst.get(key2)
+                            if old is None:
+                                dst[key2] = inc
+                                count += 1
+                                if count > cap:
+                                    raise EnumerationLimitError(stage, count, cap, unit)
+                                continue
+                            new = old + inc
+                            if new == 0:
+                                del dst[key2]
+                                count -= 1
+                            else:
+                                dst[key2] = new
+                letter = None
+        items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
+        degrees, codes, coeffs = zip(*items) if items else ((), (), ())
+        keys = decode(codes)
+        table = None
+        if costs is not None:
+            table = dict(zip(keys, decode_words([costs[c] for c in codes])))
+            if self._table is None or self._table[0] < truncation:
+                self._table = (truncation, table)
+        return degrees, keys, coeffs, table
+
+    def _word_costs(self, bound: int, cap: int):
+        """Words as int costs for the expansion passes: (start,
+        letter_costs, decode).
+
+        The word k (k_i copies of generator i) costs sum(k) * W + sum_i
+        (s_i - k_i) * W_i, in mixed radix s_i + 1 with W_i the product of
+        the radices after i and W that of all.  While 0 <= k_i <= s_i the
+        costs order as the words do under the word rule: shorter first,
+        ties going to the lexicographically greatest exponent vector.
+        Adding the same word to two words keeps their order, and the cost
+        of k + e_i is that of k plus W - W_i.  A word of degree <= bound
+        has k_i <= bound // deg g_i.  A word of x with k_i copies of g_i is
+        made when the k_i + 1 classes x - j*g_i, 0 <= j <= k_i, are live
+        terms (no term cancels here), so past cap copies the cap trips
+        first: s_i = min(bound // deg g_i, cap + 1), bounded as the class
+        code spans are.
+
+        start is the cost of the empty word, letter_costs maps the packed
+        key of each generator to the cost added by its letter (the least i
+        among equal generators), and decode maps a list of costs to their
+        words, one comprehension per generator.
+        """
+        sizes = [min(bound // self.degree(g), cap + 1) for g in self.generators]
+        weights, w = [], 1
+        for s in reversed(sizes):
+            weights.append(w)
+            w *= s + 1
+        weights.reverse()
+        letter_costs = {}
+        for g, wi in zip(reversed(self.generators), reversed(weights)):
+            letter_costs[g.packed()] = w - wi
+
+        def decode(costs):
+            cols = [[s - c // wi % (s + 1) for c in costs]
+                    for s, wi in zip(sizes, weights)]
+            return list(zip(*cols)) if cols else [()] * len(costs)
+
+        return w - 1, letter_costs, decode
 
     def _enumerate(self, bound: int) -> dict:
-        """Packed key -> (degree, word) for every element of degree <= bound.
-
-        Breadth-first from zero, generators in order; each element keeps the
-        word it was first reached by.  That word is a shortest one, ties
-        going to the lexicographically greatest exponent vector: within a
-        layer the elements are found in the lexicographic order of their
-        least word written with its letters ascending, and the least such
-        letter sequence has the most copies of generator 0, then of
-        generator 1, and so on.  Every prefix of a word for e has degree
-        <= deg e, so elements above deg e never change which word e gets:
-        a table built for a larger bound gives the same words, and the
-        cached table is reused for every smaller bound.
-
-        The walk runs on the int codes of AbelianGroupPresentation.codes
-        and decodes the table, which stays keyed by packed keys, once at
-        its end.  The span of free coordinate p is
-        min(max_i floor(bound*|g_ip| / deg g_i), (cap + 1)*max_i |g_ip|):
-        a word sum k_i g_i of degree <= bound has |x_p| <= sum_i k_i |g_ip|
-        <= bound * max_i |g_ip| / deg g_i, and each layer adds an element,
-        so no word of more than cap + 1 letters is made before the cap
-        trips.
-        """
-        if self._enum_cache is not None and self._enum_cache[0] >= bound:
-            return self._enum_cache[1]
-        cap = max_terms_from_env()
-        gens = self.generators
-        degs = [self.degree(g) for g in gens]
-        span = [min(max((bound * abs(g.free[p]) // d for g, d in zip(gens, degs)),
-                        default=0),
-                    (cap + 1) * max((abs(g.free[p]) for g in gens), default=0))
-                for p in range(self.group.rank)]
-        zero, encode, decode, fold = self.group.codes(span)
-        steps = [(d, encode(g.packed()) - zero) for g, d in zip(gens, degs)]
-        found: dict[int, tuple[int, tuple[int, ...]]] = {zero: (0, (0,) * len(gens))}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                d0, word = found[e]
-                for i, (dg, g) in enumerate(steps):
-                    d = d0 + dg
-                    if d > bound:
-                        continue
-                    e2 = e + g
-                    if fold:
-                        e2 = fold(e2)
-                    if e2 in found:
-                        continue
-                    w2 = list(word)
-                    w2[i] += 1
-                    found[e2] = (d, tuple(w2))
-                    if len(found) > cap:
-                        raise EnumerationLimitError(
-                            f"monoid enumeration to degree {bound}",
-                            len(found), cap, "elements")
-                    nxt.append(e2)
-            frontier = nxt
-        table = dict(zip(decode(list(found)), found.values()))
-        self._enum_cache = (bound, table)
-        return table
+        """Packed key -> word of every element of degree <= bound: the
+        classes of prod_i 1/(1 - t^g_i) to degree bound, whose expansion
+        passes record their words.  The cap message names the monoid
+        enumeration and counts elements."""
+        return self._expand([(0, self.zero.packed(), 1)],
+                            [(1, g, 1) for g in dict.fromkeys(self.generators)],
+                            bound, f"monoid enumeration to degree {bound}",
+                            "elements", words=True)[3]
 
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
-        monoid; bound is at least the degree of each member."""
+        monoid; bound is at least the degree of each member.  The zero class
+        and the generators need no table; other keys read the table kept
+        from an expansion that reached bound, or enumerate to bound."""
         if self._solve is None:
             self._solve = _coordinate_solver(
                 self.generators, self.group.rank, self.group.invariants) or False
         if self._solve:
             return [w if w is not None and min(w, default=0) >= 0 else None
                     for w in map(self._solve, keys)]
-        found = self._enumerate(max(bound, 0))
-        return [found[k][1] if k in found else None for k in keys]
+        if self._table is not None and self._table[0] >= bound:
+            found = self._table[1]
+        else:
+            n, letters, words = len(self.generators), self._letters, []
+            for key in keys:
+                i = letters.get(key)
+                if i is not None:
+                    words.append(tuple(int(j == i) for j in range(n)))
+                elif not any(key):
+                    words.append((0,) * n)
+                else:
+                    break
+            else:
+                return words
+            found = self._enumerate(max(bound, 0))
+        return [found.get(k) for k in keys]
 
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
         """The word of an element of the monoid: its coordinates, from a
         solver built once per monoid, when the generators have linearly
-        independent free parts, else the BFS-first word of the enumeration."""
+        independent free parts, else the word the expansion passes record
+        (see _word_costs)."""
         d = self.degree(e)
         if d < 0:
             raise MCSError("element has negative degree; not in the monoid")
@@ -518,17 +668,25 @@ class GradedMonoid:
             return True
         return self._words([e.packed()], self.degree(e))[0] is not None
 
-    def _format_word(self, word) -> str:
-        return "*".join([name if k == 1 else f"{name}^{k}"
-                         for name, k in zip(self.names, word) if k > 0]) or "1"
+    def _format_words(self, words) -> list[str]:
+        """The text of each word, e.g. 't0*s1^2', '1' for the empty word,
+        written one generator column at a time: a column makes the text
+        of each of its exponents once."""
+        if not self.names:
+            return ["1"] * len(words)
+        cols = []
+        for name, col in zip(self.names, zip(*words)):
+            texts = ["", f"*{name}", *(f"*{name}^{k}" for k in range(2, max(col) + 1))]
+            cols.append([texts[k] for k in col])
+        return ["".join(row)[1:] or "1" for row in zip(*cols)]
 
     def format_element(self, e: MonoidElement) -> str:
         """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""
-        return self._format_word(self.word_for(e))
+        return self._format_words([self.word_for(e)])[0]
 
     def format_elements(self, elements) -> list[str]:
         """format_element of each element; the words come from one solver or
-        one enumeration up to the largest degree among them."""
+        one table up to the largest degree among them."""
         elements = list(elements)
         if not all(e in self.group for e in elements):
             raise MCSError("element is not in the monoid's group")
@@ -541,7 +699,7 @@ class GradedMonoid:
         words = self._words(keys, bound)
         if None in words:
             raise MCSError("element is not a sum of monoid generators")
-        return [self._format_word(w) for w in words]
+        return self._format_words(words)
 
 
 def free_graded_monoid(names) -> GradedMonoid:

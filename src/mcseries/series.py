@@ -22,7 +22,6 @@ from collections import Counter
 from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import floor, lgamma, log, log10
 from operator import mul
 
@@ -427,8 +426,8 @@ class RationalSeries:
     def __hash__(self):
         return hash((self.ring, self.monoid, self.numerator, self.factors))
 
-    def expand(self, truncation: int) -> TruncatedSeries:
-        return rational_expand(self, truncation)
+    def expand(self, truncation: int, words: bool = False) -> TruncatedSeries:
+        return rational_expand(self, truncation, words)
 
     def specialize(self, s: Specialization) -> "RationalSeries":
         return RationalSeries(self.ring, self.monoid, self.numerator.specialize(s),
@@ -549,17 +548,19 @@ def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPoly
     return MonoidPolynomial(ring, monoid, acc)
 
 
-def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
+def rational_expand(f: RationalSeries, truncation: int,
+                    words: bool = False) -> TruncatedSeries:
     """Expand numerator / product of binomials exactly up to the bound.
 
     Dividing by (1 - c*t^alpha)^k = sum_i p_i t^(i*alpha) is one pass over
     the degree buckets in increasing order: each finished bucket pushes
     a[b + i*alpha] -= p_i*a[b] for 1 <= i <= min(k, K), K = truncation //
-    deg alpha; for k = 1 that is a[b + alpha] += c*a[b].  The p_i are made
-    only as far as a push needs them.  A factor of exponent e <= K takes e
-    passes with k = 1; past K, one pass with k = 1 and one with k = e - 1,
-    so the time stops growing with e.  A bucket whose terms all cancelled
-    pushes nothing, so no pass walks the empty degrees above it.
+    deg alpha; for k = 1 that is a[b + alpha] += c*a[b].  Each p_i is made
+    just before its first push, after the cap checks of the pushes before
+    it.  A factor of exponent e <= K takes e passes with k = 1; past K, one
+    pass with k = 1 and one with k = e - 1, so the time stops growing with
+    e.  A bucket whose terms all cancelled pushes nothing, so no pass walks
+    the empty degrees above it.  The passes are GradedMonoid._expand.
 
     Classes are int codes (AbelianGroupPresentation.codes) in the loop:
     each push weight carries the code shift of its class i*alpha, and the
@@ -575,6 +576,22 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     the cap first.  A span from the truncation alone would make each digit
     as wide as the truncation.
 
+    With words (the pretty writers ask for them), the passes also record
+    the word of each class, when that is valid: the numerator is 1, every
+    c is 1 and the factor classes are exactly the monoid's generators, as
+    in toric.mc_series_toric.  Then the terms are exactly the monoid's
+    elements of degree <= truncation, and the first pass of the factor of
+    generator i keeps word(x + g_i) = min(word(x + g_i), word(x) + e_i) as
+    it reads the buckets in ascending degree, so each class ends with the
+    least word in the order of the word rule: shorter first, ties going to
+    the lexicographically greatest exponent vector.  That order does not
+    change when the same vector is added to both words, so the least word
+    does not depend on the factor order.  A word is an int cost in mixed
+    radix s_i + 1, s_i = min(K_i, cap + 1), bounded as the spans are
+    (GradedMonoid._word_costs).  The table of words is kept by the monoid,
+    and the pretty writers read it instead of enumerating the monoid again.
+    Otherwise words is ignored.
+
     Coefficients stay Python ints while the numerator and every c are
     integers.  Integer coefficients become one KElement per distinct
     value, shared by every term that has it; KElement is immutable, so
@@ -588,93 +605,16 @@ def rational_expand(f: RationalSeries, truncation: int) -> TruncatedSeries:
     monoid, ring = f.monoid, f.ring
     as_int = (all(c.is_integer() for c in f.numerator.coeffs)
               and all(c.is_integer() for c, _, _ in f.factors))
-    cap = max_terms_from_env()
-    stage = f"expansion to degree {truncation}"
-
-    numerator = [(d, key, c) for key, c, d in zip(
+    numerator = [(d, key, c.as_integer() if as_int else c) for key, c, d in zip(
         f.numerator.keys, f.numerator.coeffs, f.numerator._degrees) if d <= truncation]
-    # max |x_p| over the numerator classes; the zero row stops zip at the rank
-    span = [max(map(abs, col)) for col in zip((0,) * monoid.group.rank,
-                                              *(key for _, key, _ in numerator))]
-    degrees = [monoid.degree(alpha) for _, alpha, _ in f.factors]
-    for (_, alpha, e), step in zip(f.factors, degrees):
-        n = truncation // step
-        if e <= max(1, n):
-            n = min(n, (cap + 1) * e)
-        span = [s + abs(x) * n for s, x in zip(span, alpha.free)]
-    zero, encode, decode, fold = monoid.group.codes(span)
-
-    # degree -> {class code: nonzero coefficient}
-    buckets: dict[int, dict[int, object]] = {}
-    for d, key, c in numerator:
-        buckets.setdefault(d, {})[encode(key)] = c.as_integer() if as_int else c
-    count = len(numerator)
-    if count > cap:
-        raise EnumerationLimitError(stage, count, cap)
-    for (c, alpha, e), step in zip(f.factors, degrees):
-        a = encode(alpha.packed()) - zero
-        if as_int:
-            c = c.as_integer()
-        # up to e = K, e passes with k = 1: one pass with k = e would multiply
-        # big weights by big coefficients.  Past K, a pass with k = 1 first,
-        # so that a term cap trips on small coefficients, then k = e - 1.
-        # (range, unlike repeat, takes an e past sys.maxsize, where the
-        # first pass trips the cap.)
-        for k in ((1 for _ in range(e)) if e <= max(1, truncation // step)
-                  else (1, e - 1)):
-            # for i = 1..: the push weight -p_i = (-1)^(i+1) C(k, i) c^i,
-            # whether it is 1, the code shift of i*alpha and i*deg(alpha)
-            pushes = [(k * c, k * c == 1, a, step)]
-            binom, power = k, c
-            todo = sorted(d for d in buckets if d + step <= truncation)
-            while todo:
-                d = heappop(todo)
-                src = buckets[d]
-                if not src:
-                    continue
-                room = truncation - d
-                while len(pushes) < k and pushes[-1][3] + step <= room:
-                    i = len(pushes) + 1
-                    binom = binom * (k - i + 1) // i
-                    power = power * c
-                    w = (binom if i % 2 else -binom) * power
-                    shift = pushes[-1][2] + a
-                    if fold:
-                        shift = fold(zero + shift) - zero
-                    pushes.append((w, w == 1, shift, i * step))
-                for w, unit, shift, off in pushes:
-                    if off > room:
-                        break
-                    d2 = d + off
-                    dst = buckets.get(d2)
-                    if dst is None:
-                        dst = buckets[d2] = {}
-                        if d2 + step <= truncation:
-                            heappush(todo, d2)
-                    for key, v in src.items():
-                        key2 = key + shift
-                        if fold:
-                            key2 = fold(key2)
-                        inc = v if unit else w * v
-                        old = dst.get(key2)
-                        if old is None:
-                            dst[key2] = inc
-                            count += 1
-                            if count > cap:
-                                raise EnumerationLimitError(stage, count, cap)
-                            continue
-                        new = old + inc
-                        if new == 0:
-                            del dst[key2]
-                            count -= 1
-                        else:
-                            dst[key2] = new
-    items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
-    degrees, codes, coeffs = zip(*items) if items else ((), (), ())
+    factors = [(c.as_integer() if as_int else c, alpha, e) for c, alpha, e in f.factors]
+    degrees, keys, coeffs, _ = monoid._expand(
+        numerator, factors, truncation, f"expansion to degree {truncation}",
+        words=words)
     if as_int:
         shared: dict[int, KElement] = {}
         coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
-    return TruncatedSeries._from_sorted(ring, monoid, truncation, decode(codes),
+    return TruncatedSeries._from_sorted(ring, monoid, truncation, keys,
                                         coeffs, degrees)
 
 

@@ -24,9 +24,9 @@ def canonicalize(word, monoid):
 
 def elements_up_to(monoid, bound):
     """Every element of degree <= bound as (element, degree) pairs, ordered
-    by degree and then packed key, from the breadth-first enumeration."""
+    by degree and then packed key, from the monoid's enumeration."""
     found = monoid._enumerate(max(bound, 0))
-    rows = sorted((d, key) for key, (d, _) in found.items() if d <= bound)
+    rows = sorted((monoid.degree(e), e.packed()) for e in map(monoid.group.unpack, found))
     return [(monoid.group.unpack(key), d) for d, key in rows]
 
 

@@ -26,6 +26,10 @@ from mcseries.toric import (
 )
 
 
+def _no_enumeration(self, bound):
+    raise AssertionError(f"enumerated the monoid to degree {bound}")
+
+
 @pytest.fixture
 def fan_file(tmp_path):
     def write(fan, name):
@@ -151,14 +155,51 @@ class TestToric:
         assert main(["toric", "--fan", path, "--p", "1"]) == 2
         assert "MCS_MAX_TERMS" in capsys.readouterr().err
 
-    def test_json_skips_rendering(self, fan_file, capsys, monkeypatch):
-        # printing the six generator words enumerates seven classes; JSON
-        # output renders no word, so it stays under a cap of three
-        monkeypatch.setenv("MCS_MAX_TERMS", "3")
-        path = fan_file(three_point_blowup_fan(), "gp")
-        argv = ["toric", "--fan", path, "--p", "1"]
+    def test_json_skips_rendering(self, tmp_path, capsys, monkeypatch):
+        # printing the word of a^2 over a, b and c = a + b enumerates the
+        # monoid to degree 2 (seven classes); JSON output renders no word, so
+        # it stays under a cap of four, which the series file's 2 x 2
+        # ambient matrix passes
+        monkeypatch.setenv("MCS_MAX_TERMS", "4")
+        path = _write(tmp_path, _dependent_polynomial(2, 0))
+        argv = ["expand", "--series", path, "--truncate", "2"]
         assert main(argv) == 2
         assert main(argv + ["--format", "json"]) == 0
+
+    def test_pretty_expansion_walks_the_monoid_once(self, capsys, monkeypatch):
+        # the expansion records the word of each class it reaches, so the
+        # printed expansion reads the words instead of enumerating the
+        # monoid a second time
+        walks = []
+        expand = GradedMonoid._expand
+
+        def counted(self, *args, **kwargs):
+            walks.append(args[2])
+            return expand(self, *args, **kwargs)
+
+        gp = str(ROOT / "fans" / "gp.json")
+        argv = ["toric", "--fan", gp, "--p", "1", "--truncate", "10"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(GradedMonoid, "_expand", counted)
+        monkeypatch.setattr(GradedMonoid, "_enumerate", _no_enumeration)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert walks == [10]
+
+    @pytest.mark.parametrize("fan, truncate, factors", [
+        ("gp", "0", "1/((1 - s1)*(1 - s3)*(1 - t1)*(1 - s2)*(1 - t3)*(1 - t2))"),
+        # f1 has degree 2, above the expansion's degree 1
+        ("hirzebruch1", "1", "1/((1 - s1)*(1 - f1)^2*(1 - s2))"),
+    ], ids=["no-expansion", "below-a-generator-degree"])
+    def test_generator_words_need_no_table(self, fan, truncate, factors, capsys,
+                                           monkeypatch):
+        # a generator's word is its own letter and the zero class's is 1, so
+        # the factors print without any word table
+        monkeypatch.setattr(GradedMonoid, "_enumerate", _no_enumeration)
+        path = str(ROOT / "fans" / f"{fan}.json")
+        assert main(["toric", "--fan", path, "--p", "1", "--truncate", truncate]) == 0
+        assert capsys.readouterr().out.startswith(f"MC_1 = {factors}\n")
 
     def test_one_class_table_per_run(self, capsys, monkeypatch):
         # the series, its expansion and its notes share one presentation
@@ -249,10 +290,7 @@ class TestColinear:
         # the colinear generators are a basis, so words are coordinates: the
         # numerator (1 - t^H)^10 reaches degree 130, and an enumeration of
         # the monoid that far would pass a cap of 5,000 elements
-        def no_enumeration(self, bound):
-            raise AssertionError(f"enumerated the monoid to degree {bound}")
-
-        monkeypatch.setattr(GradedMonoid, "_enumerate", no_enumeration)
+        monkeypatch.setattr(GradedMonoid, "_enumerate", _no_enumeration)
         monkeypatch.setenv("MCS_MAX_TERMS", "5000")
         assert main(["colinear", "--r", "12", "--truncate", "4"]) == 0
         h = "t0*" + "*".join(f"s{i}" for i in range(1, 13))
@@ -555,7 +593,9 @@ class TestTermCap:
         doc["denominator"][0]["power"] = 10 ** 25
         power = tmp_path / "power.json"
         power.write_text(json.dumps(doc))
-        return {"GP": fan_file(three_point_blowup_fan(), "gp"),
+        dependent = tmp_path / "dependent.json"
+        dependent.write_text(json.dumps(_dependent_polynomial(2, 0)))
+        return {"DEPENDENT": str(dependent),
                 "P8": fan_file(projective_space_fan(8), "p8"),
                 "P16": fan_file(projective_space_fan(16), "p16"),
                 "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file,
@@ -565,9 +605,10 @@ class TestTermCap:
         # a rational series file is capped inside its expansion
         ("3", ["expand", "--series", "ZETA", "--truncate", "3"],
          "expansion to degree 3: 4 terms"),
-        # printing the six generator words enumerates seven classes
-        ("3", ["toric", "--fan", "GP", "--p", "1"],
-         "monoid enumeration to degree 1: 4 elements"),
+        # printing the word of a^2 over a, b and c = a + b enumerates the
+        # monoid to degree 2: 0, a, b, c, a^2, a*b and b^2
+        ("4", ["expand", "--series", "DEPENDENT", "--truncate", "2"],
+         "monoid enumeration to degree 2: 5 elements"),
         ("30", ["toric", "--fan", "PLANE40", "--p", "1"],
          f"fan validation of cone {tuple(range(40))}: 40 candidate 1-faces"),
         # every cone of P^8 is simplicial, with C(8, 4) = 70 faces of dim 4
@@ -614,9 +655,9 @@ class TestTermCap:
         # 1/(1 - t) to degree 10^4000, and a class of degree 10^3999 printed
         # as a word over a, b and c = a + b, which enumerates the monoid:
         # spans read off the bound alone would give each class code digit
-        # about 13,000 bits; read off the cap they stay at most
-        # (cap + 1) * 1, 1 being the largest coordinate of a generator or
-        # factor class here
+        # about 13,000 bits; read off the cap they stay at most (cap + 1)
+        # times the sum of |x_p| over the factor classes, which is 2 for a
+        # and c and 1 for the factor t
         spans = []
         codes = AbelianGroupPresentation.codes
 
@@ -629,17 +670,27 @@ class TestTermCap:
         line = _write(tmp_path, _over_line([_line_term(0, 1)], 1))
         assert main(["expand", "--series", line, "--truncate", str(10 ** 4000)]) == 2
         assert "expansion to degree" in capsys.readouterr().err
-        poly = _write(tmp_path, {
-            "kind": "polynomial", "ring": {"generators": ["L", "eps"]},
-            "monoid": {"ambient_generators": 2, "generators": [
-                {"name": "a", "ambient": [1, 0]}, {"name": "b", "ambient": [0, 1]},
-                {"name": "c", "ambient": [1, 1]}]},
-            "terms": [{"class": {"free": [10 ** 3999, 0], "torsion": []},
-                       "coeff": {"terms": [{"coeff": 1, "exp": {}}]}}]})
+        poly = _write(tmp_path, _dependent_polynomial(10 ** 3999, 0))
         assert main(["expand", "--series", poly, "--truncate", str(10 ** 3999)]) == 2
         assert "monoid enumeration to degree" in capsys.readouterr().err
         assert len(spans) == 2
-        assert max(max(span) for span in spans) <= 1001
+        assert max(max(span) for span in spans) <= 2 * 1001
+
+    def test_push_weights_are_made_as_they_are_pushed(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # (1 - t)/(1 - t)^(T + 2) at T = 10^6: its pass with k = T + 1 trips
+        # a cap of 1,000 after 1,000 pushes.  Making every weight C(T + 1, i)
+        # it could push before the first push takes time quadratic in T.
+        doc = _over_line([_line_term(0, 1), _line_term(1, -1)], 1)
+        doc["denominator"][0]["power"] = 10 ** 6 + 2
+        path = _write(tmp_path, doc)
+        monkeypatch.setenv("MCS_MAX_TERMS", "1000")
+        start = time.perf_counter()
+        assert main(["expand", "--series", path, "--truncate", str(10 ** 6)]) == 2
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == (
+            "error: expansion to degree 1000000: 1001 terms, over the cap of"
+            " 1000; raise MCS_MAX_TERMS\n")
 
     @pytest.mark.parametrize("k, n, p", [(7, 1, 1), (7, 1, 3), (1, 10, 5)],
                              ids=["p1^7-p1", "p1^7-p3", "p10-p5"])
@@ -752,6 +803,17 @@ class TestRingFiles:
 def _line_term(degree, coeff):
     return {"class": {"free": [degree], "torsion": []},
             "coeff": {"terms": [{"coeff": coeff, "exp": {}}]}}
+
+
+def _dependent_polynomial(x, y):
+    """The polynomial t^(x, y) over a, b and c = a + b, whose generators
+    have dependent free parts: its pretty word enumerates the monoid."""
+    return {"kind": "polynomial", "ring": {"generators": ["L", "eps"]},
+            "monoid": {"ambient_generators": 2, "generators": [
+                {"name": "a", "ambient": [1, 0]}, {"name": "b", "ambient": [0, 1]},
+                {"name": "c", "ambient": [1, 1]}]},
+            "terms": [{"class": {"free": [x, y], "torsion": []},
+                       "coeff": {"terms": [{"coeff": 1, "exp": {}}]}}]}
 
 
 def _over_line(numerator, c):

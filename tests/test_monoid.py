@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from mcseries.cli import main
 from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.gm_action import colinear_mc_series
-from mcseries.intlinalg import smith_decomposition
+from mcseries.intlinalg import det, smith_decomposition
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -18,9 +19,11 @@ from mcseries.monoid import (
     free_graded_monoid,
     positive_grading,
 )
-from mcseries.toric import chow_presentation
+from mcseries.toric import chow_presentation, mc_series_toric
 
-from _tools import FANS, canonicalize, elements_up_to, fan_file
+from _tools import (FANS, blowup_at_fixed_point, canonicalize, elements_up_to,
+                    fan_file)
+from test_fan_faces import cube_face_fan
 
 # the six-generator class group of a three-point blow-up: generators
 # (L1, L2, L3, E1, E2, E3) with L_i + E_j = L_j + E_i
@@ -474,14 +477,13 @@ def _combination(m, word):
 
 
 def _check_against_bfs(m, bound, outside=()):
-    """word_for, contains and format_elements against the BFS table of the
+    """word_for, contains and format_elements against the word table of the
     enumeration to bound; each element of outside must be no member."""
     table = m._enumerate(bound)
     members = [m.group.unpack(key) for key in table]
-    assert [m.word_for(e) for e in members] == [w for _, w in table.values()]
+    assert [m.word_for(e) for e in members] == list(table.values())
     assert all(m.contains(e) for e in members)
-    assert m.format_elements(members) == [m._format_word(w)
-                                          for _, w in table.values()]
+    assert m.format_elements(members) == m._format_words(list(table.values()))
     for e in outside:
         assert e.packed() not in m._enumerate(max(m.degree(e), 0))
         assert not m.contains(e)
@@ -585,7 +587,7 @@ def test_class_codes_round_trip_add_and_order(data):
 
 
 def brute_force_words(m, bound):
-    """Packed key -> (degree, word) of every class of degree <= bound, the
+    """Packed key -> word of every class of degree <= bound, the
     word a shortest exponent vector, ties to the lexicographically
     greatest, read off every vector of degree <= bound; classes are summed
     with MonoidElement arithmetic, not with the enumeration's codes."""
@@ -597,7 +599,7 @@ def brute_force_words(m, bound):
             rank = (sum(word), [-k for k in word])
             key = e.packed()
             if key not in best or rank < best[key][0]:
-                best[key] = (rank, (d, tuple(word)))
+                best[key] = (rank, tuple(word))
             return
         k = 0
         while d + k * degs[i] <= bound:
@@ -605,7 +607,7 @@ def brute_force_words(m, bound):
             e, k = e + gens[i], k + 1
 
     walk(0, [], m.zero, 0)
-    return {key: entry for key, (_, entry) in best.items()}
+    return {key: word for key, (_, word) in best.items()}
 
 
 def _presented(names, relations, images=None):
@@ -642,5 +644,100 @@ def test_bfs_words_of_the_fan_monoids(path):
     for p in range(fan.dim + 1):
         m = chow_presentation(fan, p).monoid
         bound = 4 if len(m.generators) <= 12 else 3
-        table = {k: v for k, v in m._enumerate(bound).items() if v[0] <= bound}
-        assert table == brute_force_words(m, bound)
+        assert m._enumerate(bound) == brute_force_words(m, bound)
+
+
+# -- class words recorded by the expansion -----------------------------------
+
+
+def _no_table(self, bound):
+    raise AssertionError(f"enumerated the monoid to degree {bound}")
+
+
+@st.composite
+def word_cases(draw):
+    """(fan, p, truncation): a fan of fans/ or the 3-cube's face fan, a
+    surface among them blown up at up to four fixed points, any p, and a
+    truncation from 0, often below the largest generator degree, up to 4
+    (3 for more than twelve generators, to bound the brute force)."""
+    name = draw(st.sampled_from(["cube3", *sorted(p.stem for p in FANS.glob("*.json"))]))
+    fan = cube_face_fan(3) if name == "cube3" else fan_file(name)
+    if fan.dim == 2:
+        for _ in range(draw(st.integers(0, 4))):
+            smooth = [c for c in fan.maximal_cones
+                      if abs(det([list(fan.rays[i]) for i in c])) == 1]
+            fan = blowup_at_fixed_point(fan, draw(st.sampled_from(smooth)))
+    p = draw(st.integers(0, fan.dim))
+    top = 4 if len(chow_presentation(fan, p).monoid.generators) <= 12 else 3
+    return fan, p, draw(st.integers(0, top))
+
+
+def _parse_word(m, text):
+    """The exponent vector of a printed word such as 't1*s2^2'."""
+    word = [0] * len(m.names)
+    if text != "1":
+        for letter in text.split("*"):
+            name, _, k = letter.partition("^")
+            word[m.names.index(name)] += int(k or 1)
+    return word
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=word_cases())
+# torsion: the 3-cube's curves, Z^5 x (Z/2)^2, and the 4-cube's surfaces,
+# Z^12 x (Z/2)^3; a generator of degree 2 above the truncation
+@example(case=(cube_face_fan(3), 2, 4))
+@example(case=(fan_file("cube4"), 3, 3))
+@example(case=(fan_file("hirzebruch1"), 1, 1))
+def test_recorded_words_follow_the_word_rule(case):
+    # the words the expansion records are the brute force's, and each
+    # printed word's generators sum to the class it names
+    fan, p, n = case
+    series = mc_series_toric(fan, p)
+    m = series.monoid
+    expansion = series.expand(n, words=True)
+    assert m._table[0] == n
+    assert m._table[1] == brute_force_words(m, n)
+    assert set(expansion.keys) == set(m._table[1])
+    for key, text in zip(expansion.keys, m._format_keys(expansion.keys, n)):
+        assert canonicalize(_parse_word(m, text), m).packed() == key
+
+
+def test_words_are_recorded_only_when_asked():
+    # without words, and for a series other than the monoid's own product
+    # (a numerator that is not 1, a factor coefficient that is not 1), the
+    # expansion keeps no word table
+    gp = mc_series_toric(fan_file("gp"), 1)
+    m = gp.monoid
+    gp.expand(4)
+    assert m._table is None
+    twice = type(gp)(gp.ring, m, gp.numerator + gp.numerator, gp.factors)
+    twice.expand(4, words=True)
+    doubled = type(gp)(gp.ring, m, None, [(2, a, e) for _, a, e in gp.factors])
+    doubled.expand(4, words=True)
+    assert m._table is None
+    gp.expand(4, words=True)
+    assert m._table[0] == 4
+
+
+def test_json_output_records_no_words(monkeypatch, capsys):
+    def no_words(self, bound, cap):
+        raise AssertionError("recorded class words")
+
+    monkeypatch.setattr(GradedMonoid, "_word_costs", no_words)
+    monkeypatch.setattr(GradedMonoid, "_enumerate", _no_table)
+    argv = ["toric", "--fan", str(FANS / "gp.json"), "--p", "1", "--truncate", "6"]
+    assert main(argv + ["--format", "json"]) == 0
+    with pytest.raises(AssertionError, match="recorded class words"):
+        main(argv)
+
+
+def test_generator_words_need_no_table(monkeypatch):
+    # a and b are one class, so both are written with the least letter, a
+    m = SMALL_MONOIDS["repeat"]()
+    a, b, c = m.generators
+    monkeypatch.setattr(GradedMonoid, "_enumerate", _no_table)
+    assert m.format_elements([m.zero, a, b, c]) == ["1", "a", "a", "c"]
+    assert m.word_for(b) == (1, 0, 0)
+    with pytest.raises(AssertionError, match="enumerated"):
+        m.word_for(a + c)
