@@ -25,16 +25,17 @@ coordinates, read off a left inverse solved for once per monoid.  Otherwise
 (every toric monoid) the word follows one rule: a shortest word, ties going
 to the lexicographically greatest exponent vector, that is the most copies
 of generator 0, then of generator 1, and so on; a generator is its own
-letter, the least one among equal generators.  The words are recorded by
-the expansion passes of prod_i 1/(1 - t^g_i), which reach every element of
-degree <= N: the first pass of generator i keeps word(x + g_i) =
-min(word(x + g_i), word(x) + e_i) in ascending degree, each word an int
-cost in mixed radix (GradedMonoid._word_costs).  The rule's order does not
-change when the same vector is added to both words, so this gives the least
-word whatever the order of the generators.  toric.mc_series_toric is that
-product, so its pretty expansion records the words as it expands
-(series.rational_expand); other callers enumerate the monoid by the same
-passes (GradedMonoid._enumerate).
+letter, the least one among equal generators, and the zero class the empty
+word (GradedMonoid._units).  The other words are recorded by the expansion
+passes of prod_i 1/(1 - t^g_i), which reach every element of degree <= N:
+the first pass of generator i keeps word(x + g_i) = min(word(x + g_i),
+word(x) + e_i) in ascending degree, each word an int cost in mixed radix
+(GradedMonoid._word_costs).  The rule's order does not change when the same
+vector is added to both words, so this gives the least word whatever the
+order of the generators.  toric.mc_series_toric is that product, so its
+pretty expansion records the words as it expands (series.rational_expand);
+other callers enumerate the monoid by the same passes
+(GradedMonoid._enumerate).
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ class GradedMonoid:
     """Named generators inside a presented group, graded positively."""
 
     __slots__ = ("group", "names", "generators", "grading", "_table",
-                 "_solve", "_by_name", "_letters")
+                 "_solve", "_by_name", "_units")
 
     def __init__(self, group: AbelianGroupPresentation, names, generators,
                  grading: tuple[int, ...] | None = None):
@@ -407,8 +408,12 @@ class GradedMonoid:
         self._table: tuple[int, dict] | None = None  # (bound, word table)
         self._solve = None  # built by _words at the first query
         self._by_name = {n: g for n, g in zip(names, gens)}
-        # packed generator -> its least index, the letter of its word
-        self._letters = {g.packed(): i for i, g in reversed(list(enumerate(gens)))}
+        # the words that need no table: a generator's letter, the least i
+        # among equal generators, and the zero class's empty word
+        n = len(gens)
+        self._units = {g.packed(): tuple(int(j == i) for j in range(n))
+                       for i, g in reversed(list(enumerate(gens)))}
+        self._units[group.zero.packed()] = (0,) * n
 
     def __eq__(self, other):
         if not isinstance(other, GradedMonoid):
@@ -439,29 +444,65 @@ class GradedMonoid:
                 unit: str = "terms", words: bool = False):
         """The terms of numerator / prod (1 - c t^alpha)^e to degree
         truncation, as (degrees, packed keys, coefficients, words) in term
-        order; series.rational_expand states the passes, the class codes,
-        the term cap and the word rule.  numerator holds (degree, packed
-        key, coefficient) rows of degree <= truncation, factors (c, alpha,
-        e) triples; a coefficient is an int or a KElement.  stage and unit
-        word the cap message.
+        order.  numerator holds (degree, packed key, coefficient) rows of
+        degree <= truncation, factors (c, alpha, e) triples; a coefficient
+        is an int or a KElement.
+
+        Dividing by (1 - c t^alpha)^k = sum_i p_i t^(i*alpha) is one pass
+        over the degree buckets in increasing order: each finished bucket
+        pushes a[b + i*alpha] -= p_i*a[b] for 1 <= i <= min(k, K), K =
+        truncation // deg alpha; for k = 1 that is a[b + alpha] += c*a[b].
+        Each p_i is made just before its first push, after the cap checks of
+        the pushes before it.  A factor of exponent e <= K takes e passes
+        with k = 1; past K, one pass with k = 1 and one with k = e - 1, so
+        the time stops growing with e.  A bucket whose terms all cancelled
+        pushes nothing, so no pass walks the empty degrees above it.
+
+        Classes are int codes (AbelianGroupPresentation.codes) in the loop,
+        decoded to packed keys once, at the end.  Every term is a numerator
+        class plus sum_j n_j alpha_j, so free coordinate p gets the span
+        max |x_p| over the numerator classes plus sum_j |alpha_jp| s_j,
+        where s_j bounds n_j: K_j always, as every other part of a term has
+        degree >= 0; and (cap + 1) * e_j when factor j takes only passes
+        with k = 1, as the keys that push in such a pass are popped, final
+        and live until the pass ends, so a chain of m pushes leaves m + 1
+        live terms and trips the cap first.  A span from the truncation
+        alone would make each digit as wide as the truncation.
+
+        The running term count is checked as each new term appears; passing
+        the MCS_MAX_TERMS cap raises EnumerationLimitError, whose message
+        names stage and counts unit.
 
         With words, and when the numerator is 1, every c is 1 and the
-        factor classes are exactly the generators, the first pass of each
-        factor records the word of each class it reaches (_word_costs), and
-        words is the table {packed key: word} of every element of degree <=
-        truncation; it is kept for _words when it reaches further than the
-        table kept.  Otherwise words is None.
+        factor classes are exactly the generators, the terms are the
+        monoid's elements of degree <= truncation, and the first pass of
+        each factor records their words by the word rule (module
+        docstring), each an int cost (_word_costs).  That pass has k = 1
+        and w = 1, and nothing cancels in it, so the count and the cap
+        verdict are those of a pass that records nothing.  words is the
+        table {packed key: word}; it is kept for _words when it reaches
+        further than the table kept.  Otherwise words is None.
         """
         cap = max_terms_from_env()
         # max |x_p| over the numerator classes; the zero row stops zip at the rank
         span = [max(map(abs, col)) for col in zip((0,) * self.group.rank,
                                                   *(key for _, key, _ in numerator))]
-        degrees = [self.degree(alpha) for _, alpha, _ in factors]
-        for (_, alpha, e), step in zip(factors, degrees):
+        # the k of each pass of each factor: up to e = K, e passes with k = 1,
+        # as one pass with k = e would multiply big weights by big
+        # coefficients.  Past K, a pass with k = 1 first, so that a term cap
+        # trips on small coefficients, then k = e - 1.  (range, unlike
+        # repeat, takes an e past sys.maxsize, where the first pass trips
+        # the cap.)
+        plans = []
+        for c, alpha, e in factors:
+            step = self.degree(alpha)
             n = truncation // step
             if e <= max(1, n):
-                n = min(n, (cap + 1) * e)
+                ks, n = (1 for _ in range(e)), min(n, (cap + 1) * e)
+            else:
+                ks = (1, e - 1)
             span = [s + abs(x) * n for s, x in zip(span, alpha.free)]
+            plans.append((c, alpha, step, ks))
         zero, encode, decode, fold = self.group.codes(span)
 
         # degree -> {class code: nonzero coefficient}
@@ -477,17 +518,11 @@ class GradedMonoid:
                 and {alpha for _, alpha, _ in factors} == set(self.generators)):
             start, letter_costs, decode_words = self._word_costs(truncation, cap)
             costs = {zero: start}
-        for (c, alpha, e), step in zip(factors, degrees):
+        for c, alpha, step, ks in plans:
             a = encode(alpha.packed()) - zero
             # the cost of alpha's letter, added in its first pass only
             letter = None if costs is None else letter_costs[alpha.packed()]
-            # up to e = K, e passes with k = 1: one pass with k = e would multiply
-            # big weights by big coefficients.  Past K, a pass with k = 1 first,
-            # so that a term cap trips on small coefficients, then k = e - 1.
-            # (range, unlike repeat, takes an e past sys.maxsize, where the
-            # first pass trips the cap.)
-            for k in ((1 for _ in range(e)) if e <= max(1, truncation // step)
-                      else (1, e - 1)):
+            for k in ks:
                 # push i + 1 has the weight -p_(i+1) = (-1)^i C(k, i + 1) c^(i+1),
                 # whether it is 1, the code shift of (i + 1)*alpha and its
                 # degree, made just before its first push
@@ -520,26 +555,6 @@ class GradedMonoid:
                             dst = buckets[d2] = {}
                             if d2 + step <= truncation:
                                 heappush(todo, d2)
-                        if letter is not None:
-                            # k = 1 and w = 1; every coefficient is positive,
-                            # so nothing cancels
-                            for key, v in src.items():
-                                key2 = key + shift
-                                if fold:
-                                    key2 = fold(key2)
-                                cost = costs[key] + letter
-                                old = dst.get(key2)
-                                if old is None:
-                                    dst[key2] = v
-                                    costs[key2] = cost
-                                    count += 1
-                                    if count > cap:
-                                        raise EnumerationLimitError(stage, count, cap, unit)
-                                    continue
-                                dst[key2] = old + v
-                                if cost < costs[key2]:
-                                    costs[key2] = cost
-                            continue
                         for key, v in src.items():
                             key2 = key + shift
                             if fold:
@@ -548,6 +563,8 @@ class GradedMonoid:
                             old = dst.get(key2)
                             if old is None:
                                 dst[key2] = inc
+                                if letter is not None:
+                                    costs[key2] = costs[key] + letter
                                 count += 1
                                 if count > cap:
                                     raise EnumerationLimitError(stage, count, cap, unit)
@@ -558,6 +575,10 @@ class GradedMonoid:
                                 count -= 1
                             else:
                                 dst[key2] = new
+                            if letter is not None:
+                                cost = costs[key] + letter
+                                if cost < costs[key2]:
+                                    costs[key2] = cost
                 letter = None
         items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
         degrees, codes, coeffs = zip(*items) if items else ((), (), ())
@@ -576,20 +597,17 @@ class GradedMonoid:
         The word k (k_i copies of generator i) costs sum(k) * W + sum_i
         (s_i - k_i) * W_i, in mixed radix s_i + 1 with W_i the product of
         the radices after i and W that of all.  While 0 <= k_i <= s_i the
-        costs order as the words do under the word rule: shorter first,
-        ties going to the lexicographically greatest exponent vector.
-        Adding the same word to two words keeps their order, and the cost
-        of k + e_i is that of k plus W - W_i.  A word of degree <= bound
-        has k_i <= bound // deg g_i.  A word of x with k_i copies of g_i is
-        made when the k_i + 1 classes x - j*g_i, 0 <= j <= k_i, are live
-        terms (no term cancels here), so past cap copies the cap trips
-        first: s_i = min(bound // deg g_i, cap + 1), bounded as the class
-        code spans are.
+        costs order as the words do under the word rule (module docstring),
+        and the cost of k + u is that of k plus sum(u) * W - sum_i u_i W_i.
+        A word of degree <= bound has k_i <= bound // deg g_i.  A word of x
+        with k_i copies of g_i is made when the k_i + 1 classes x - j*g_i,
+        0 <= j <= k_i, are live terms (no term cancels here), so past cap
+        copies the cap trips first: s_i = min(bound // deg g_i, cap + 1),
+        bounded as the class code spans are.
 
-        start is the cost of the empty word, letter_costs maps the packed
-        key of each generator to the cost added by its letter (the least i
-        among equal generators), and decode maps a list of costs to their
-        words, one comprehension per generator.
+        start is the cost of the empty word, letter_costs maps each packed
+        key of _units to the cost added by its word, and decode maps a list
+        of costs to their words, one comprehension per generator.
         """
         sizes = [min(bound // self.degree(g), cap + 1) for g in self.generators]
         weights, w = [], 1
@@ -597,9 +615,8 @@ class GradedMonoid:
             weights.append(w)
             w *= s + 1
         weights.reverse()
-        letter_costs = {}
-        for g, wi in zip(reversed(self.generators), reversed(weights)):
-            letter_costs[g.packed()] = w - wi
+        letter_costs = {key: sum(u) * w - sum(map(mul, u, weights))
+                        for key, u in self._units.items()}
 
         def decode(costs):
             cols = [[s - c // wi % (s + 1) for c in costs]
@@ -611,8 +628,8 @@ class GradedMonoid:
     def _enumerate(self, bound: int) -> dict:
         """Packed key -> word of every element of degree <= bound: the
         classes of prod_i 1/(1 - t^g_i) to degree bound, whose expansion
-        passes record their words.  The cap message names the monoid
-        enumeration and counts elements."""
+        passes record their words (the word rule of the module docstring).
+        The cap message names the monoid enumeration and counts elements."""
         return self._expand([(0, self.zero.packed(), 1)],
                             [(1, g, 1) for g in dict.fromkeys(self.generators)],
                             bound, f"monoid enumeration to degree {bound}",
@@ -621,8 +638,11 @@ class GradedMonoid:
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
         monoid; bound is at least the degree of each member.  The zero class
-        and the generators need no table; other keys read the table kept
-        from an expansion that reached bound, or enumerate to bound."""
+        and the generators read _units; unless all keys do, every key is
+        solved for, or read from the table kept from an expansion that
+        reached bound, or from an enumeration to bound."""
+        if all(key in self._units for key in keys):
+            return [self._units[key] for key in keys]
         if self._solve is None:
             self._solve = _coordinate_solver(
                 self.generators, self.group.rank, self.group.invariants) or False
@@ -632,17 +652,6 @@ class GradedMonoid:
         if self._table is not None and self._table[0] >= bound:
             found = self._table[1]
         else:
-            n, letters, words = len(self.generators), self._letters, []
-            for key in keys:
-                i = letters.get(key)
-                if i is not None:
-                    words.append(tuple(int(j == i) for j in range(n)))
-                elif not any(key):
-                    words.append((0,) * n)
-                else:
-                    break
-            else:
-                return words
             found = self._enumerate(max(bound, 0))
         return [found.get(k) for k in keys]
 
@@ -650,7 +659,7 @@ class GradedMonoid:
         """The word of an element of the monoid: its coordinates, from a
         solver built once per monoid, when the generators have linearly
         independent free parts, else the word the expansion passes record
-        (see _word_costs)."""
+        by the word rule (module docstring)."""
         d = self.degree(e)
         if d < 0:
             raise MCSError("element has negative degree; not in the monoid")
@@ -664,8 +673,6 @@ class GradedMonoid:
     def contains(self, e: MonoidElement) -> bool:
         if e not in self.group:
             return False
-        if e in self.generators:
-            return True
         return self._words([e.packed()], self.degree(e))[0] is not None
 
     def _format_words(self, words) -> list[str]:

@@ -529,10 +529,10 @@ def _binomial_digits(e: int) -> int:
 
 def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPolynomial:
     """The polynomial (1 - c*t^alpha)^e, written in one pass as the sum of
-    C(e, i) (-c)^i t^(i*alpha) over i <= e; the K-ring is commutative.
-    Before any term is made, its e + 1 terms are counted against the
-    MCS_MAX_TERMS cap, and the digits of C(e, e // 2) against
-    MAX_COEFFICIENT_DIGITS, so that every coefficient can be printed."""
+    C(e, i) (-c)^i t^(i*alpha) over i <= e (the K-ring is commutative), in
+    ints when c is an integer.  Before any term is made, its e + 1 terms are
+    counted against the MCS_MAX_TERMS cap, and the digits of C(e, e // 2)
+    against MAX_COEFFICIENT_DIGITS, so that every coefficient can be printed."""
     if e < 0:
         raise ValueError("negative power of a polynomial")
     if e + 1 > (cap := max_terms_from_env()):
@@ -540,65 +540,32 @@ def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPoly
     if (digits := _binomial_digits(e)) > MAX_COEFFICIENT_DIGITS:
         raise MCSError(f"binomial power {e}: C({e}, {e // 2}) has {digits} digits,"
                        f" over the limit of {MAX_COEFFICIENT_DIGITS}")
-    step = -_coerce_coeff(ring, c)
-    acc, cls, power, binom = {}, monoid.zero, ring.one, 1
+    c = _coerce_coeff(ring, c)
+    step, power = (-c.as_integer(), 1) if c.is_integer() else (-c, ring.one)
+    acc, cls, binom = {}, monoid.zero, 1
     for i in range(e + 1):
-        acc[cls] = acc.get(cls, ring.zero) + binom * power
+        acc[cls] = acc.get(cls, 0) + binom * power
         cls, power, binom = cls + alpha, power * step, binom * (e - i) // (i + 1)
     return MonoidPolynomial(ring, monoid, acc)
 
 
 def rational_expand(f: RationalSeries, truncation: int,
                     words: bool = False) -> TruncatedSeries:
-    """Expand numerator / product of binomials exactly up to the bound.
-
-    Dividing by (1 - c*t^alpha)^k = sum_i p_i t^(i*alpha) is one pass over
-    the degree buckets in increasing order: each finished bucket pushes
-    a[b + i*alpha] -= p_i*a[b] for 1 <= i <= min(k, K), K = truncation //
-    deg alpha; for k = 1 that is a[b + alpha] += c*a[b].  Each p_i is made
-    just before its first push, after the cap checks of the pushes before
-    it.  A factor of exponent e <= K takes e passes with k = 1; past K, one
-    pass with k = 1 and one with k = e - 1, so the time stops growing with
-    e.  A bucket whose terms all cancelled pushes nothing, so no pass walks
-    the empty degrees above it.  The passes are GradedMonoid._expand.
-
-    Classes are int codes (AbelianGroupPresentation.codes) in the loop:
-    each push weight carries the code shift of its class i*alpha, and the
-    codes are decoded to packed keys (MonoidElement.packed) once, at the
-    end; no MonoidElement is made unless a caller reads the terms.  Every
-    term is a numerator class of degree <= truncation plus sum_j n_j
-    alpha_j, so free coordinate p gets the span max |x_p| over those
-    numerator classes plus sum_j |alpha_jp| s_j, where s_j bounds n_j:
-    K_j always, as every other part of a term has degree >= 0; and
-    (cap + 1) * e_j when factor j takes only passes with k = 1, as the
-    keys that push in such a pass are popped, final and live until the
-    pass ends, so a chain of m pushes leaves m + 1 live terms and trips
-    the cap first.  A span from the truncation alone would make each digit
-    as wide as the truncation.
+    """Expand numerator / product of binomials exactly up to the bound, by
+    the expansion passes of GradedMonoid._expand, which state the passes,
+    the class codes and the MCS_MAX_TERMS cap.
 
     With words (the pretty writers ask for them), the passes also record
-    the word of each class, when that is valid: the numerator is 1, every
-    c is 1 and the factor classes are exactly the monoid's generators, as
-    in toric.mc_series_toric.  Then the terms are exactly the monoid's
-    elements of degree <= truncation, and the first pass of the factor of
-    generator i keeps word(x + g_i) = min(word(x + g_i), word(x) + e_i) as
-    it reads the buckets in ascending degree, so each class ends with the
-    least word in the order of the word rule: shorter first, ties going to
-    the lexicographically greatest exponent vector.  That order does not
-    change when the same vector is added to both words, so the least word
-    does not depend on the factor order.  A word is an int cost in mixed
-    radix s_i + 1, s_i = min(K_i, cap + 1), bounded as the spans are
-    (GradedMonoid._word_costs).  The table of words is kept by the monoid,
-    and the pretty writers read it instead of enumerating the monoid again.
-    Otherwise words is ignored.
+    the word of each class by the word rule (see the monoid module), when
+    the numerator is 1, every c is 1 and the factor classes are exactly
+    the monoid's generators, as in toric.mc_series_toric.  The monoid
+    keeps the table of words, and the pretty writers read it instead of
+    enumerating the monoid again.  Otherwise words is ignored.
 
     Coefficients stay Python ints while the numerator and every c are
     integers.  Integer coefficients become one KElement per distinct
     value, shared by every term that has it; KElement is immutable, so
     sharing is safe.
-
-    The running term count is checked as each new term appears; passing
-    the MCS_MAX_TERMS cap raises EnumerationLimitError.
     """
     if truncation < 0:
         raise ValueError("negative truncation bound")

@@ -690,12 +690,14 @@ def _parse_word(m, text):
 @example(case=(fan_file("cube4"), 3, 3))
 @example(case=(fan_file("hirzebruch1"), 1, 1))
 def test_recorded_words_follow_the_word_rule(case):
-    # the words the expansion records are the brute force's, and each
-    # printed word's generators sum to the class it names
+    # the words the expansion records are the brute force's, each printed
+    # word's generators sum to the class it names, and recording them
+    # leaves the terms as a plain expansion makes them
     fan, p, n = case
     series = mc_series_toric(fan, p)
     m = series.monoid
     expansion = series.expand(n, words=True)
+    assert expansion == series.expand(n)
     assert m._table[0] == n
     assert m._table[1] == brute_force_words(m, n)
     assert set(expansion.keys) == set(m._table[1])

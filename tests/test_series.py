@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from mcseries.errors import EnumerationLimitError, MCSError
-from mcseries.kring import Specialization, class_projective_space, standard_ring
+from mcseries.kring import KElement, Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -463,6 +463,25 @@ def test_binomial_power_is_capped(monkeypatch):
             "^binomial power 3: 4 terms, over the cap of 3;")):
         binomial_factor_polynomial(R, mono, 1, t, 3)
     assert len(binomial_factor_polynomial(R, mono, 1, t, 2).terms) == 3
+
+
+def test_integer_binomial_makes_no_ring_product(monkeypatch):
+    # an integer c runs the binomial recurrence on ints
+    calls = []
+    original = KElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    monkeypatch.setattr(KElement, "__rmul__", counted)
+    mono = t_monoid()
+    t = mono.generator_named("t")
+    poly = binomial_factor_polynomial(R, mono, 1, t, 50)
+    assert len(calls) == 0
+    assert [c.as_integer() for c in poly.coeffs] == [
+        (-1) ** i * comb(50, i) for i in range(51)]
 
 
 def test_binomial_digits_are_exact_where_they_decide():
