@@ -3,7 +3,8 @@
 Subcommands compute orbit-class series from fan files, assemble the colinear
 blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
-bad input.  Output is deterministic: identical inputs give identical bytes.
+bad input or a stdout closed early.  Output is deterministic: identical
+inputs give identical bytes.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms,
 elements, candidate faces or matrix entries a stage may make; past it the run
 aborts with exit code 2 and a message naming the stage.
@@ -14,16 +15,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from math import comb
 from operator import mul
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import EnumerationLimitError, MCSError, WideCoefficientError
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
 from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
-from .serialize import fan_from_json, json_text, series_from_json, series_to_json
+from .serialize import fan_from_json, json_text, series_from_json
 from .series import (
     MAX_COEFFICIENT_DIGITS,
     MonoidPolynomial,
@@ -82,19 +84,24 @@ def _apply_specializations(f, raw: list[str]):
     return f.specialize(Specialization(f.ring, pairs))
 
 
-def _emit(args, doc, lines, *printed) -> None:
-    """Print doc() as JSON or the lines(), as --format asks; only the chosen
-    output is built, so JSON runs never render class words.  printed are
-    the (stage, series) pairs the output writes, None for an absent series;
-    before anything is printed, check_printable reads each of them."""
-    for stage, f in printed:
-        if f is not None:
+def _emit(args, fields, lines, **printed) -> None:
+    """Print the lines(), or with --format json fields plus the series of
+    each (stage, series) pair of printed that is not None, under its key.
+    The whole text is made before any of it is printed, and a coefficient
+    too wide to print is bad input naming the stage of its series."""
+    for stage, f in printed.values():
+        if isinstance(f, RationalSeries):
             check_printable(stage, f)
-    if args.format == "json":
-        print(json_text(doc()))
-    else:
-        for line in lines():
-            print(line)
+    try:
+        if args.format == "json":
+            text = json_text(dict(fields, **{key: f for key, (_, f) in printed.items()
+                                             if f is not None}))
+        else:
+            text = "\n".join(lines())
+    except WideCoefficientError as exc:
+        stage = next(stage for stage, f in printed.values() if f is exc.series)
+        raise MCSError(f"{stage}: {exc}") from None
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +178,12 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
 def _emit_series(args, label, f, e, fields, notes) -> int:
     """Print "label = f", the expansion e unless it is None, then the note
     lines; or, with --format json, one document of fields, f and e."""
-    def doc():
-        out = dict(fields, rational=series_to_json(f))
-        if e is not None:
-            out["expansion"] = series_to_json(e)
-        return out
-
     def lines():
         expansion = [] if e is None else [f"expansion: {e}"]
         return [f"{label} = {f}", *expansion, *notes]
 
-    _emit(args, doc, lines, ("specialization", f),
-          (f"expansion to degree {args.truncate}", e))
+    _emit(args, fields, lines, rational=("specialization", f),
+          expansion=(f"expansion to degree {args.truncate}", e))
     return 0
 
 
@@ -401,8 +402,8 @@ def cmd_expand(args) -> int:
         if len(out.terms) > (cap := max_terms_from_env()):
             raise EnumerationLimitError(f"series file to degree {args.truncate}",
                                         len(out.terms), cap)
-    _emit(args, lambda: {"command": "expand", "series": series_to_json(out)},
-          lambda: [str(out)], (f"expansion to degree {args.truncate}", out))
+    _emit(args, {"command": "expand"}, lambda: [str(out)],
+          series=(f"expansion to degree {args.truncate}", out))
     return 0
 
 
@@ -411,8 +412,8 @@ def cmd_specialize(args) -> int:
     pairs = dict(_parse_assignment(text, f.ring) for text in args.assign)
     out = f.specialize(Specialization(f.ring, pairs,
                                       carry_unassigned=not args.strict))
-    _emit(args, lambda: {"command": "specialize", "series": series_to_json(out)},
-          lambda: [str(out)], ("specialization", out))
+    _emit(args, {"command": "specialize"}, lambda: [str(out)],
+          series=("specialization", out))
     return 0
 
 
@@ -530,16 +531,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; its exit code.  Python's int-to-text limit (3.10.7
+    on) is MAX_COEFFICIENT_DIGITS during the call, whatever the environment."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit and limit()
+    if limit:
+        sys.set_int_max_str_digits(MAX_COEFFICIENT_DIGITS)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except SystemExit as exc:  # a usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except MCSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: stdout now points at
+        # os.devnull, so that the flush at exit reports no closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

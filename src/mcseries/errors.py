@@ -19,3 +19,12 @@ class EnumerationLimitError(MCSError):
     def __init__(self, stage: str, count: int, cap: int, unit: str = "terms"):
         super().__init__(f"{stage}: {count} {unit}, over the cap of {cap};"
                          " raise MCS_MAX_TERMS")
+
+
+class WideCoefficientError(MCSError):
+    """A coefficient too wide to print, met as series was written; the
+    command line puts the stage of series in front of the message."""
+
+    def __init__(self, series, message: str):
+        super().__init__(message)
+        self.series = series

@@ -348,6 +348,11 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _word_dict(keys, cols) -> dict:
+    """Packed key -> word, from the exponent column of each generator."""
+    return dict(zip(keys, zip(*cols))) if cols else dict.fromkeys(keys, ())
+
+
 def _coordinate_solver(vectors, rank: int, moduli):
     """Function from a packed key to its unique integer coordinates in
     vectors, None when it is no integer combination of them; None itself
@@ -378,8 +383,8 @@ def _coordinate_solver(vectors, rank: int, moduli):
 class GradedMonoid:
     """Named generators inside a presented group, graded positively."""
 
-    __slots__ = ("group", "names", "generators", "grading", "_table",
-                 "_solve", "_by_name", "_units")
+    __slots__ = ("group", "names", "generators", "grading", "_recording",
+                 "_table", "_solve", "_by_name", "_units")
 
     def __init__(self, group: AbelianGroupPresentation, names, generators,
                  grading: tuple[int, ...] | None = None):
@@ -405,7 +410,10 @@ class GradedMonoid:
                 if sum(w * f for w, f in zip(grading, g.free)) < 1:
                     raise MCSError("given grading is not positive on generators")
         self.grading = grading
-        self._table: tuple[int, dict] | None = None  # (bound, word table)
+        # (bound, packed keys, word columns) of the furthest recording
+        # expansion, and (bound, word table) once a word query built one
+        self._recording: tuple[int, list, list] | None = None
+        self._table: tuple[int, dict] | None = None
         self._solve = None  # built by _words at the first query
         self._by_name = {n: g for n, g in zip(names, gens)}
         # the words that need no table: a generator's letter, the least i
@@ -479,9 +487,11 @@ class GradedMonoid:
         each factor records their words by the word rule (module
         docstring), each an int cost (_word_costs).  That pass has k = 1
         and w = 1, and nothing cancels in it, so the count and the cap
-        verdict are those of a pass that records nothing.  words is the
-        table {packed key: word}; it is kept for _words when it reaches
-        further than the table kept.  Otherwise words is None.
+        verdict are those of a pass that records nothing.  words is then
+        the exponent column of each generator, in term order, decoded from
+        the costs; the monoid keeps the columns with the keys when they
+        reach at least as far as those kept, for _word_table.  Otherwise
+        words is None.
         """
         cap = max_terms_from_env()
         # max |x_p| over the numerator classes; the zero row stops zip at the rank
@@ -516,7 +526,7 @@ class GradedMonoid:
         if (words and numerator == [(0, self.zero.packed(), 1)]
                 and all(c == 1 for c, _, _ in factors)
                 and {alpha for _, alpha, _ in factors} == set(self.generators)):
-            start, letter_costs, decode_words = self._word_costs(truncation, cap)
+            start, letter_costs, columns = self._word_costs(truncation, cap)
             costs = {zero: start}
         for c, alpha, step, ks in plans:
             a = encode(alpha.packed()) - zero
@@ -583,16 +593,16 @@ class GradedMonoid:
         items = [(d, key, v) for d in sorted(buckets) for key, v in sorted(buckets[d].items())]
         degrees, codes, coeffs = zip(*items) if items else ((), (), ())
         keys = decode(codes)
-        table = None
-        if costs is not None:
-            table = dict(zip(keys, decode_words([costs[c] for c in codes])))
-            if self._table is None or self._table[0] < truncation:
-                self._table = (truncation, table)
-        return degrees, keys, coeffs, table
+        if costs is None:
+            return degrees, keys, coeffs, None
+        words = columns([costs[c] for c in codes])
+        if self._recording is None or self._recording[0] <= truncation:
+            self._recording = (truncation, keys, words)
+        return degrees, keys, coeffs, words
 
     def _word_costs(self, bound: int, cap: int):
         """Words as int costs for the expansion passes: (start,
-        letter_costs, decode).
+        letter_costs, columns).
 
         The word k (k_i copies of generator i) costs sum(k) * W + sum_i
         (s_i - k_i) * W_i, in mixed radix s_i + 1 with W_i the product of
@@ -606,8 +616,9 @@ class GradedMonoid:
         bounded as the class code spans are.
 
         start is the cost of the empty word, letter_costs maps each packed
-        key of _units to the cost added by its word, and decode maps a list
-        of costs to their words, one comprehension per generator.
+        key of _units to the cost added by its word, and columns maps a
+        list of costs to the exponent column of each generator, one
+        comprehension per generator.
         """
         sizes = [min(bound // self.degree(g), cap + 1) for g in self.generators]
         weights, w = [], 1
@@ -618,29 +629,43 @@ class GradedMonoid:
         letter_costs = {key: sum(u) * w - sum(map(mul, u, weights))
                         for key, u in self._units.items()}
 
-        def decode(costs):
-            cols = [[s - c // wi % (s + 1) for c in costs]
+        def columns(costs):
+            return [[s - c // wi % (s + 1) for c in costs]
                     for s, wi in zip(sizes, weights)]
-            return list(zip(*cols)) if cols else [()] * len(costs)
 
-        return w - 1, letter_costs, decode
+        return w - 1, letter_costs, columns
 
     def _enumerate(self, bound: int) -> dict:
         """Packed key -> word of every element of degree <= bound: the
         classes of prod_i 1/(1 - t^g_i) to degree bound, whose expansion
         passes record their words (the word rule of the module docstring).
         The cap message names the monoid enumeration and counts elements."""
-        return self._expand([(0, self.zero.packed(), 1)],
-                            [(1, g, 1) for g in dict.fromkeys(self.generators)],
-                            bound, f"monoid enumeration to degree {bound}",
-                            "elements", words=True)[3]
+        _, keys, _, cols = self._expand(
+            [(0, self.zero.packed(), 1)],
+            [(1, g, 1) for g in dict.fromkeys(self.generators)],
+            bound, f"monoid enumeration to degree {bound}", "elements", words=True)
+        return _word_dict(keys, cols)
+
+    def _word_table(self, bound: int) -> dict:
+        """Packed key -> word of every element of degree <= bound, and
+        maybe more: the table kept, else one built from the words of the
+        furthest recording expansion when it reached bound, else an
+        enumeration to bound.  So a recording expansion makes no table
+        unless a later word query needs one."""
+        if self._table is None or self._table[0] < bound:
+            bound = max(bound, 0)
+            if self._recording is None or self._recording[0] < bound:
+                self._table = (bound, self._enumerate(bound))
+            else:
+                top, keys, cols = self._recording
+                self._table = (top, _word_dict(keys, cols))
+        return self._table[1]
 
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
         monoid; bound is at least the degree of each member.  The zero class
         and the generators read _units; unless all keys do, every key is
-        solved for, or read from the table kept from an expansion that
-        reached bound, or from an enumeration to bound."""
+        solved for, or read from _word_table(bound)."""
         if all(key in self._units for key in keys):
             return [self._units[key] for key in keys]
         if self._solve is None:
@@ -649,10 +674,7 @@ class GradedMonoid:
         if self._solve:
             return [w if w is not None and min(w, default=0) >= 0 else None
                     for w in map(self._solve, keys)]
-        if self._table is not None and self._table[0] >= bound:
-            found = self._table[1]
-        else:
-            found = self._enumerate(max(bound, 0))
+        found = self._word_table(bound)
         return [found.get(k) for k in keys]
 
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
@@ -675,21 +697,22 @@ class GradedMonoid:
             return False
         return self._words([e.packed()], self.degree(e))[0] is not None
 
-    def _format_words(self, words) -> list[str]:
-        """The text of each word, e.g. 't0*s1^2', '1' for the empty word,
-        written one generator column at a time: a column makes the text
-        of each of its exponents once."""
+    def _format_words(self, cols, n: int) -> list[str]:
+        """The text of n words, e.g. 't0*s1^2', '1' for the empty word, from
+        the exponent column of each generator (the words of a recording
+        expansion come so): a column makes the text of each of its
+        exponents once."""
         if not self.names:
-            return ["1"] * len(words)
-        cols = []
-        for name, col in zip(self.names, zip(*words)):
-            texts = ["", f"*{name}", *(f"*{name}^{k}" for k in range(2, max(col) + 1))]
-            cols.append([texts[k] for k in col])
-        return ["".join(row)[1:] or "1" for row in zip(*cols)]
+            return ["1"] * n
+        texts = []
+        for name, col in zip(self.names, cols):
+            text = ["", f"*{name}", *(f"*{name}^{k}" for k in range(2, max(col) + 1))]
+            texts.append([text[k] for k in col])
+        return ["".join(row)[1:] or "1" for row in zip(*texts)]
 
     def format_element(self, e: MonoidElement) -> str:
         """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""
-        return self._format_words([self.word_for(e)])[0]
+        return self._format_words([[k] for k in self.word_for(e)], 1)[0]
 
     def format_elements(self, elements) -> list[str]:
         """format_element of each element; the words come from one solver or
@@ -706,7 +729,7 @@ class GradedMonoid:
         words = self._words(keys, bound)
         if None in words:
             raise MCSError("element is not a sum of monoid generators")
-        return self._format_words(words)
+        return self._format_words(zip(*words), len(words))
 
 
 def free_graded_monoid(names) -> GradedMonoid:

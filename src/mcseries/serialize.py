@@ -9,6 +9,7 @@ schema written here and the short form {"generators": [names...],
 
 from __future__ import annotations
 
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import EnumerationLimitError, MCSError
@@ -19,7 +20,8 @@ from .monoid import (
     MonoidElement,
     max_terms_from_env,
 )
-from .series import MonoidPolynomial, RationalSeries, TruncatedSeries
+from .series import (MonoidPolynomial, RationalSeries, TruncatedSeries,
+                     coefficient_texts)
 from .toric import Fan
 
 __all__ = [
@@ -159,21 +161,15 @@ def monoid_from_json(obj) -> GradedMonoid:
 # series
 
 
-class _TermRows(list):
-    """The rows {"class", "coeff"} of a series term list, which json_text
-    writes from one template.  To json.dumps it is a plain list."""
-
-
 def _terms_to_json(poly) -> list:
-    """One row per term of poly, its class coordinates sliced from the
-    packed key.  Equal coefficients share one coefficient dict, as KElement
-    is immutable: one dict per distinct coefficient, not one per term."""
+    """One {"class", "coeff"} row per term of poly, its class coordinates
+    sliced from the packed key.  Equal coefficients share one coefficient
+    dict, as KElement is immutable.  json_text makes no rows (_terms_text)."""
     r = poly.monoid.group.rank
     coeffs: dict[KElement, dict] = {}
-    return _TermRows(
-        {"class": {"free": list(k[:r]), "torsion": list(k[r:])},
-         "coeff": coeffs.get(c) or coeffs.setdefault(c, element_to_json(c))}
-        for k, c in zip(poly.keys, poly.coeffs))
+    return [{"class": {"free": list(k[:r]), "torsion": list(k[r:])},
+             "coeff": coeffs.get(c) or coeffs.setdefault(c, element_to_json(c))}
+            for k, c in zip(poly.keys, poly.coeffs)]
 
 
 def _terms_from_json(ring, monoid, rows, kind):
@@ -186,18 +182,22 @@ def _terms_from_json(ring, monoid, rows, kind):
 
 
 def series_to_json(f) -> dict:
+    return _series_fields(f, _terms_to_json)
+
+
+def _series_fields(f, terms) -> dict:
+    """The JSON object of series f, with terms(poly) for each term list."""
     if isinstance(f, TruncatedSeries):
         return {"kind": "truncated", "ring": ring_to_json(f.ring),
                 "monoid": monoid_to_json(f.monoid),
-                "truncation": f.truncation, "terms": _terms_to_json(f)}
+                "truncation": f.truncation, "terms": terms(f)}
     if isinstance(f, MonoidPolynomial):
         return {"kind": "polynomial", "ring": ring_to_json(f.ring),
-                "monoid": monoid_to_json(f.monoid),
-                "terms": _terms_to_json(f)}
+                "monoid": monoid_to_json(f.monoid), "terms": terms(f)}
     if isinstance(f, RationalSeries):
         return {"kind": "rational", "ring": ring_to_json(f.ring),
                 "monoid": monoid_to_json(f.monoid),
-                "numerator": _terms_to_json(f.numerator),
+                "numerator": terms(f.numerator),
                 "denominator": [{"class": monoid_element_to_json(a),
                                  "coeff": element_to_json(c), "power": e}
                                 for c, a, e in f.factors]}
@@ -269,87 +269,56 @@ def fan_from_json(obj) -> Fan:
 def json_text(value) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, for a
     value built from dicts with str keys, lists, str, int, bool and None;
-    anything else raises TypeError.  With indent set, json.dumps always runs
-    its pure-Python encoder; this writer leans on the C string escaper.
-
-    The term rows of a series (the lists _terms_to_json makes from packed
-    class keys) all sit at one indent, so each row is one template filled
-    with its class coordinates and its coefficient's text.  That text is
-    written once per distinct coefficient of the list, as equal
-    coefficients share one dict."""
-    out: list[str] = []
-    _write(value, out, "\n")
-    return "".join(out)
+    a series, a polynomial or a rational series in it stands for its
+    series_to_json document.  Anything else raises TypeError.  With indent
+    set, json.dumps always runs its pure-Python encoder; this writer leans
+    on the C string escaper, and writes the term lists of a series from
+    its packed keys and coefficients (_terms_text), with no row dicts."""
+    return _text(value, "\n")
 
 
-def _write(value, out: list[str], newline: str) -> None:
+# a term list of a series document, which _text writes with _terms_text
+_TermList = namedtuple("_TermList", "poly")
+
+
+def _text(value, newline: str) -> str:
+    """The JSON text of value at the indent of newline."""
     if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-            out.append(f"{sep}{_quote(key)}: ")
-            _write(value[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        if type(value) is _TermRows:
-            _write_terms(value, out, newline)
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            if type(item) is int:
-                # exponent vectors make ints the commonest item
-                out.append(sep + int.__repr__(item))
-            else:
-                # each item is joined to one string at once, so the small
-                # pieces alive at a time are one item's, not the document's
-                piece = [sep]
-                _write(item, piece, inner)
-                out.append("".join(piece))
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        items = [f"{_quote(key)}: {_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + f",{inner}".join(items) + newline + "}" if items else "{}"
+    if isinstance(value, list):
+        # exponent vectors make ints the commonest item
+        items = [int.__repr__(x) if type(x) is int else _text(x, inner) for x in value]
+        return "[" + inner + f",{inner}".join(items) + newline + "]" if items else "[]"
+    if isinstance(value, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
+        return _text(_series_fields(value, _TermList), newline)
+    if type(value) is _TermList:
+        return _terms_text(value.poly, newline)
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _write_terms(rows: _TermRows, out: list[str], newline: str) -> None:
-    """The rows of a term list at the indent of newline, as _write would
-    give them."""
+def _terms_text(poly, newline: str) -> str:
+    """_text(_terms_to_json(poly), newline), in one pass over the packed
+    keys and the coefficients: each row is one template, made once per
+    series, filled with the class coordinates (template % key), and
+    coefficient_texts writes each distinct coefficient once."""
     row, cls, coord = (newline + "  " * k for k in (1, 2, 3))
-    between = "," + coord + "  "
-    texts: dict[int, str] = {}  # by id of the shared coefficient dict
-    sep = "[" + row
-    for doc in rows:
-        coeff, klass = doc["coeff"], doc["class"]
-        text = texts.get(id(coeff))
-        if text is None:
-            piece: list[str] = []
-            _write(coeff, piece, cls)
-            text = texts[id(coeff)] = "".join(piece)
-        free = (f"[{coord}  {between.join(map(int.__repr__, klass['free']))}{coord}]"
-                if klass["free"] else "[]")
-        torsion = (f"[{coord}  {between.join(map(int.__repr__, klass['torsion']))}{coord}]"
-                   if klass["torsion"] else "[]")
-        out.append(f'{sep}{{{cls}"class": {{{coord}"free": {free},'
-                   f'{coord}"torsion": {torsion}{cls}}},{cls}"coeff": {text}{row}}}')
-        sep = "," + row
-    out.append(newline + "]")
+    free, torsion = (f"[{coord}  " + f",{coord}  ".join(["%d"] * n) + f"{coord}]" if n else "[]"
+                     for n in (poly.monoid.group.rank, len(poly.monoid.group.invariants)))
+    template = (f'{row}{{{cls}"class": {{{coord}"free": {free},{coord}"torsion": {torsion}'
+                f'{cls}}},{cls}"coeff": ')
+    rows = [template % key + text for key, text in zip(
+        poly.keys, coefficient_texts(poly, lambda c: _text(element_to_json(c), cls)))]
+    return "[" + f"{row}}},".join(rows) + f"{row}}}{newline}]" if rows else "[]"

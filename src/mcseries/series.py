@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import floor, lgamma, log, log10
 from operator import mul
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import EnumerationLimitError, MCSError, WideCoefficientError
 from .kring import KElement, KRingSpec, Specialization, specialize, standard_ring
 from .monoid import (
     GradedMonoid,
@@ -50,6 +50,7 @@ __all__ = [
     "punctured_p1_zeta",
     "binomial_factor_polynomial",
     "check_printable",
+    "coefficient_texts",
 ]
 
 
@@ -84,10 +85,11 @@ class _Terms:
     key (MonoidElement.packed): parallel tuples keys, coeffs and _degrees.
     The core of MonoidPolynomial and TruncatedSeries; _bound() is the
     largest degree a term (of a product too) may have, and _noun and
-    _range_error word the error messages of a subclass.
+    _range_error word the error messages of a subclass.  _words is None or
+    the words a recording expansion made (GradedMonoid._expand).
     """
 
-    __slots__ = ("ring", "monoid", "keys", "coeffs", "_degrees")
+    __slots__ = ("ring", "monoid", "keys", "coeffs", "_degrees", "_words")
 
     def __init__(self, ring: KRingSpec, monoid: GradedMonoid, terms=()):
         self.ring, self.monoid = ring, monoid
@@ -104,6 +106,7 @@ class _Terms:
         items = sorted((sum(map(mul, self.monoid.grading, k)), k, c)
                        for k, c in keyed.items() if not c.is_zero())
         self._degrees, self.keys, self.coeffs = zip(*items) if items else ((), (), ())
+        self._words = None
         if items and (self._degrees[0] < 0 or self._degrees[-1] > self._bound()):
             raise MCSError(self._range_error)
         return self
@@ -268,17 +271,15 @@ def _times_word(text: str, word: str) -> str:
 
 def _terms_str(poly: _Terms, words=None) -> str:
     """Signed sum of poly's terms; words are the terms' class words when
-    the caller has rendered them already.  Each distinct coefficient's text
-    is made once per call."""
-    if words is None:
-        words = poly.monoid._format_keys(
-            poly.keys, poly._degrees[-1] if poly._degrees else 0)
-    texts: dict[KElement, str] = {}
+    the caller has rendered them already.  The coefficients are checked
+    before any word is found."""
+    texts = coefficient_texts(poly, _coeff_text)
+    if words is None and poly._words is not None:
+        words = poly.monoid._format_words(poly._words, len(poly.keys))
+    elif words is None:
+        words = poly.monoid._format_keys(poly.keys, poly._degrees[-1] if poly._degrees else 0)
     pieces = []
-    for c, word in zip(poly.coeffs, words):
-        text = texts.get(c)
-        if text is None:
-            text = texts[c] = _coeff_text(c)
+    for text, word in zip(texts, words):
         body = _times_word(text, word)
         if not pieces:
             pieces.append(body)
@@ -307,12 +308,13 @@ class TruncatedSeries(_Terms):
         return self.truncation
 
     @classmethod
-    def _from_sorted(cls, ring, monoid, truncation, keys, coeffs, degrees):
+    def _from_sorted(cls, ring, monoid, truncation, keys, coeffs, degrees, words=None):
         """Series from packed keys already checked and in term order, with
-        their nonzero coefficients and their degrees."""
+        their nonzero coefficients, their degrees and their words, if any."""
         out = cls.__new__(cls)
         out.ring, out.monoid, out.truncation = ring, monoid, truncation
         out.keys, out.coeffs, out._degrees = tuple(keys), tuple(coeffs), tuple(degrees)
+        out._words = words
         return out
 
     def _check(self, other):
@@ -476,48 +478,59 @@ def _wide_digits(n: int) -> int:
     return d - 1 if d - 1 > MAX_COEFFICIENT_DIGITS else 0
 
 
-def _too_wide(c: KElement) -> str:
-    """What in c, the coefficient or the largest generator exponent of a
-    term, has more than MAX_COEFFICIENT_DIGITS digits, in the words of the
-    message; "" when nothing has."""
+def _too_wide(c: KElement, degree: int) -> str:
+    """The message for the coefficient c at degree when its coefficient or
+    the largest generator exponent of a term has more than
+    MAX_COEFFICIENT_DIGITS digits; "" when nothing has."""
     for exp, v in c.terms:
         # most terms stop at the bit lengths; _wide_digits settles the rest
         if v.bit_length() > _MAX_BITS or exp and max(exp).bit_length() > _MAX_BITS:
             if digits := _wide_digits(v):
-                return f"{digits} digits"
-            if digits := _wide_digits(top := max(exp)):
-                name = c.spec.generators[exp.index(top)]
-                return f"an exponent of {name} with {digits} digits"
+                wide = f"{digits} digits"
+            elif digits := _wide_digits(top := max(exp)):
+                wide = f"an exponent of {c.spec.generators[exp.index(top)]} with {digits} digits"
+            else:
+                continue
+            return (f"the coefficient at degree {degree} has {wide},"
+                    f" over the limit of {MAX_COEFFICIENT_DIGITS}")
     return ""
+
+
+def coefficient_texts(poly, make) -> list[str]:
+    """make(c) of the coefficient c of each term of poly, in term order,
+    called once per distinct c; first, the one width check of both writers
+    raises WideCoefficientError at the degree of a c too wide to print."""
+    texts: dict[KElement, str] = {}
+    out = []
+    for c, d in zip(poly.coeffs, poly._degrees):
+        text = texts.get(c)
+        if text is None:
+            if message := _too_wide(c, d):
+                raise WideCoefficientError(poly, message)
+            text = texts[c] = make(c)
+        out.append(text)
+    return out
 
 
 def check_printable(stage: str, f, degree: int = 0) -> None:
     """Raise MCSError, naming stage, the degree, the digit count and the
     limit, at the first coefficient of f with an integer, a coefficient or
     a generator exponent, of more decimal digits than
-    MAX_COEFFICIENT_DIGITS, the most Python converts to text; the factor
-    powers of a rational series are read too.  f is a series, a
-    polynomial, a rational series or one KElement at the given degree.
-
-    The text and JSON writers do not check: what prints f checks it first,
-    and values that are never printed, wide or not, are let be.  Each
-    distinct coefficient is read once."""
-    if isinstance(f, RationalSeries):
-        check_printable(stage, f.numerator)
-        for c, alpha, e in f.factors:
-            d = f.monoid.degree(alpha)
-            check_printable(stage, c, d)
-            if digits := _wide_digits(e):
-                raise MCSError(f"{stage}: the power of the factor at degree {d} has"
-                               f" {digits} digits, over the limit of {MAX_COEFFICIENT_DIGITS}")
-        return
-    seen: set[KElement] = set()
-    for d, c in [(degree, f)] if isinstance(f, KElement) else zip(f._degrees, f.coeffs):
-        if c not in seen:
-            seen.add(c)
-            if wide := _too_wide(c):
-                raise MCSError(f"{stage}: the coefficient at degree {d} has {wide},"
-                               f" over the limit of {MAX_COEFFICIENT_DIGITS}")
+    MAX_COEFFICIENT_DIGITS, the most Python converts to text, or at the
+    first factor power that wide.  f is a rational series or one KElement
+    at the given degree, which what prints it checks first; the writers of
+    the other series check as they write (coefficient_texts)."""
+    if isinstance(f, KElement):
+        rows = [(f, degree, 0)]
+    else:
+        rows = [(c, d, 0) for c, d in zip(f.numerator.coeffs, f.numerator._degrees)]
+        rows += [(c, f.monoid.degree(alpha), e) for c, alpha, e in f.factors]
+    for c, d, e in rows:
+        if message := _too_wide(c, d):
+            raise MCSError(f"{stage}: {message}")
+        if digits := _wide_digits(e):
+            raise MCSError(f"{stage}: the power of the factor at degree {d} has"
+                           f" {digits} digits, over the limit of {MAX_COEFFICIENT_DIGITS}")
 
 
 def _binomial_digits(e: int) -> int:
@@ -558,9 +571,10 @@ def rational_expand(f: RationalSeries, truncation: int,
     With words (the pretty writers ask for them), the passes also record
     the word of each class by the word rule (see the monoid module), when
     the numerator is 1, every c is 1 and the factor classes are exactly
-    the monoid's generators, as in toric.mc_series_toric.  The monoid
-    keeps the table of words, and the pretty writers read it instead of
-    enumerating the monoid again.  Otherwise words is ignored.
+    the monoid's generators, as in toric.mc_series_toric.  The series
+    keeps them, as the exponent column of each generator in term order,
+    for its pretty writer, and the monoid keeps them for later word
+    queries.  Otherwise words is ignored.
 
     Coefficients stay Python ints while the numerator and every c are
     integers.  Integer coefficients become one KElement per distinct
@@ -575,14 +589,14 @@ def rational_expand(f: RationalSeries, truncation: int,
     numerator = [(d, key, c.as_integer() if as_int else c) for key, c, d in zip(
         f.numerator.keys, f.numerator.coeffs, f.numerator._degrees) if d <= truncation]
     factors = [(c.as_integer() if as_int else c, alpha, e) for c, alpha, e in f.factors]
-    degrees, keys, coeffs, _ = monoid._expand(
+    degrees, keys, coeffs, words = monoid._expand(
         numerator, factors, truncation, f"expansion to degree {truncation}",
         words=words)
     if as_int:
         shared: dict[int, KElement] = {}
         coeffs = [shared.get(v) or shared.setdefault(v, ring.from_int(v)) for v in coeffs]
     return TruncatedSeries._from_sorted(ring, monoid, truncation, keys,
-                                        coeffs, degrees)
+                                        coeffs, degrees, words)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mcseries import cli, intlinalg
+from mcseries import cli, intlinalg, serialize
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
@@ -934,6 +934,98 @@ class TestDigitLimit:
         assert captured.out.endswith(": consistent-to-6\nPASS (consistent with a"
                                      " numerator of degree <= 2 up to degree 6)\n")
         assert captured.err == ""
+
+
+class TestIntTextLimit:
+    """The output does not depend on PYTHONINTMAXSTRDIGITS: main converts
+    ints of up to 4,300 digits to text, and refuses wider ones itself."""
+
+    @staticmethod
+    def _run(tmp_path, truncate, fmt, limit=None):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        path = _write(tmp_path, _over_line([_line_term(0, 1)], 10 ** 100))
+        return subprocess.run([sys.executable, "-m", "mcseries.cli", "expand",
+                               "--series", path, "--truncate", str(truncate),
+                               "--format", fmt],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_a_lower_limit_prints_the_same_bytes(self, fmt, tmp_path):
+        # the coefficient at degree 10 of 1/(1 - 10^100 t) has 1,001 digits
+        low = self._run(tmp_path, 10, fmt, "640")
+        assert (low.returncode, low.stderr) == (0, "")
+        assert low.stdout == self._run(tmp_path, 10, fmt).stdout
+        assert "1" + "0" * 1000 in low.stdout
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_no_limit_still_refuses_wide_coefficients(self, fmt, tmp_path):
+        run = self._run(tmp_path, 50, fmt, "0")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == ("error: expansion to degree 50: the coefficient at"
+                              " degree 43 has 4301 digits, over the limit of 4300\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-text limit")
+    def test_in_process_calls_restore_the_limit(self, tmp_path, capsys):
+        path = _write(tmp_path, _over_line([_line_term(0, 1)], 10 ** 100))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["expand", "--series", path, "--truncate", "10"]) == 0
+            assert main(["expand", "--series", path, "--truncate", "50"]) == 2
+            assert main(["toric", "--fan", "missing.json", "--p", "1"]) == 2
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert "1" + "0" * 1000 in capsys.readouterr().out
+
+
+class TestJsonWriter:
+    """--format json writes the term lists of each series straight from its
+    packed keys and coefficients: no row dict of series_to_json is made."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("readme-toric-p2", ["toric", "--fan", "fans/p2.json", "--p", "1",
+                             "--truncate", "4"]),
+        ("readme-expand", ["expand", "--series", "tests/golden/series.json",
+                           "--truncate", "3"]),
+        ("readme-specialize", ["specialize", "--series", "tests/golden/series.json",
+                               "--assign", "L=1", "--assign", "eps=-1", "--strict"]),
+    ], ids=["toric", "expand", "specialize"])
+    def test_no_row_dicts(self, name, argv, capsys, monkeypatch):
+        def no_rows(poly):
+            raise AssertionError("made the row dicts of a term list")
+
+        monkeypatch.setattr(serialize, "_terms_to_json", no_rows)
+        monkeypatch.chdir(ROOT)
+        assert main(argv + ["--format", "json"]) == 0
+        golden = ROOT / "tests" / "golden" / "cli" / f"{name}-json.txt"
+        assert "exit 0\n" + capsys.readouterr().out == golden.read_text()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit code 2 and
+    nothing on stderr: no traceback, and no report of the closed pipe when
+    the interpreter exits."""
+
+    def test_head_1(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        # about 1.4 MB of JSON, far more than a pipe holds
+        proc = subprocess.Popen([sys.executable, "-m", "mcseries.cli", "toric", "--fan",
+                                 str(ROOT / "fans" / "gp.json"), "--p", "1",
+                                 "--truncate", "12", "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, text=True)
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
 
 class TestProgramDefects:

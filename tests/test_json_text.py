@@ -3,8 +3,9 @@
 The oracle is the standard library: json_text must give the same text as
 json.dumps(value, indent=2, sort_keys=True) on every JSON value built from
 dicts with str keys, lists, str, int, bool and None, and must refuse
-anything else rather than guess a rendering.  Series documents, whose term
-rows json_text writes from one template, are checked the same way.
+anything else rather than guess a rendering.  A series in a document
+stands for its series_to_json document, whose term lists json_text writes
+from one row template; the oracle there is json.dumps of series_to_json.
 """
 
 import json
@@ -98,7 +99,11 @@ def series(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(series())
 def test_series_documents_match_json_dumps(f):
+    # the writer the CLI uses: a document that holds the series itself
     doc = series_to_json(f)
-    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    # the term rows are a real list to the C encoder, too
+    want = {"command": "expand", "series": doc, "rational": [doc]}
+    assert (json_text({"command": "expand", "series": f, "rational": [f]})
+            == json.dumps(want, indent=2, sort_keys=True))
+    assert json_text(f) == json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # series_to_json gives plain lists, for the C encoder too
     assert series_from_json(json.loads(json.dumps(doc))) == f

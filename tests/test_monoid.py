@@ -483,7 +483,7 @@ def _check_against_bfs(m, bound, outside=()):
     members = [m.group.unpack(key) for key in table]
     assert [m.word_for(e) for e in members] == list(table.values())
     assert all(m.contains(e) for e in members)
-    assert m.format_elements(members) == m._format_words(list(table.values()))
+    assert m.format_elements(members) == m._format_words(zip(*table.values()), len(table))
     for e in outside:
         assert e.packed() not in m._enumerate(max(m.degree(e), 0))
         assert not m.contains(e)
@@ -692,16 +692,21 @@ def _parse_word(m, text):
 def test_recorded_words_follow_the_word_rule(case):
     # the words the expansion records are the brute force's, each printed
     # word's generators sum to the class it names, and recording them
-    # leaves the terms as a plain expansion makes them
+    # leaves the terms as a plain expansion makes them; the words the
+    # series keeps print as the monoid's table gives them
     fan, p, n = case
     series = mc_series_toric(fan, p)
     m = series.monoid
     expansion = series.expand(n, words=True)
     assert expansion == series.expand(n)
+    assert m._recording[0] == n
+    table = m._word_table(n)
     assert m._table[0] == n
-    assert m._table[1] == brute_force_words(m, n)
-    assert set(expansion.keys) == set(m._table[1])
-    for key, text in zip(expansion.keys, m._format_keys(expansion.keys, n)):
+    assert table == brute_force_words(m, n)
+    assert set(expansion.keys) == set(table)
+    texts = m._format_words(expansion._words, len(expansion.keys))
+    assert texts == m._format_keys(expansion.keys, n)
+    for key, text in zip(expansion.keys, texts):
         assert canonicalize(_parse_word(m, text), m).packed() == key
 
 
@@ -711,15 +716,34 @@ def test_words_are_recorded_only_when_asked():
     # expansion keeps no word table
     gp = mc_series_toric(fan_file("gp"), 1)
     m = gp.monoid
-    gp.expand(4)
-    assert m._table is None
+    assert gp.expand(4)._words is None
+    assert m._recording is None
     twice = type(gp)(gp.ring, m, gp.numerator + gp.numerator, gp.factors)
-    twice.expand(4, words=True)
+    assert twice.expand(4, words=True)._words is None
     doubled = type(gp)(gp.ring, m, None, [(2, a, e) for _, a, e in gp.factors])
-    doubled.expand(4, words=True)
-    assert m._table is None
+    assert doubled.expand(4, words=True)._words is None
+    assert m._recording is None
     gp.expand(4, words=True)
+    assert m._recording[0] == 4
+    m._word_table(4)
     assert m._table[0] == 4
+
+
+def test_word_table_is_built_from_the_recording_when_asked(monkeypatch):
+    # a recording expansion makes no table; a later word query builds one
+    # from the recorded words, reaching the expansion's degree, without
+    # enumerating the monoid, and a query past that degree enumerates
+    gp = mc_series_toric(fan_file("gp"), 1)
+    m = gp.monoid
+    expansion = gp.expand(6, words=True)
+    assert m._table is None
+    monkeypatch.setattr(GradedMonoid, "_enumerate", _no_table)
+    top = m.group.unpack(expansion.keys[-1])
+    assert m.contains(top)
+    assert m.format_element(top) == m._format_words(expansion._words, len(expansion.keys))[-1]
+    assert m._table[0] == 6
+    with pytest.raises(AssertionError, match="enumerated the monoid to degree 7"):
+        m.word_for(top + m.generators[0])
 
 
 def test_json_output_records_no_words(monkeypatch, capsys):

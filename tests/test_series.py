@@ -11,7 +11,8 @@ from math import comb
 
 import pytest
 
-from mcseries.errors import EnumerationLimitError, MCSError
+from mcseries import series
+from mcseries.errors import EnumerationLimitError, MCSError, WideCoefficientError
 from mcseries.kring import KElement, Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
@@ -27,6 +28,7 @@ from mcseries.series import (
     _binomial_digits,
     _coeff_text,
     _times_word,
+    _too_wide as too_wide,
     binomial_factor_polynomial,
     certify_rational,
     curve_zeta,
@@ -35,6 +37,7 @@ from mcseries.series import (
     punctured_p1_zeta,
     pushforward,
 )
+from mcseries.serialize import json_text
 
 from _tools import denominator_polynomial
 
@@ -525,6 +528,24 @@ def test_str_renders_every_term_with_coeff_str():
             f"{text} + O(degree 16)")
         assert str(RationalSeries(z.ring, z.monoid, poly, z.factors)) == (
             f"({text})/((1 - t)*(1 - L*t))")
+
+
+def test_writers_refuse_a_coefficient_too_wide_to_print(monkeypatch):
+    # the coefficient of t^d in 1/(1 - 10^100 t) is 10^(100 d): both
+    # writers stop at degree 43, the first of more than 4,300 digits, and
+    # check each distinct coefficient once, in term order
+    mono = free_graded_monoid(("t",))
+    t = mono.generator_named("t")
+    e = RationalSeries(R, mono, None, [(10 ** 100, t, 1)]).expand(50)
+    read = []
+    monkeypatch.setattr(series, "_too_wide", lambda c, d: read.append(d) or too_wide(c, d))
+    for write in (str, json_text):
+        read.clear()
+        with pytest.raises(WideCoefficientError, match=(
+                "^the coefficient at degree 43 has 4301 digits, over the limit of 4300$")) as exc:
+            write(e)
+        assert exc.value.series is e
+        assert read == list(range(44))
 
 
 def test_truncated_as_series_keeps_terms_up_to_n():
