@@ -77,11 +77,11 @@ def _parse_assignment(text: str, ring: KRingSpec):
         f"assignment value must be an integer or a generator name, got {value!r}")
 
 
-def _apply_specializations(f, raw: list[str]):
+def _apply_specializations(f, raw: list[str], strict: bool = False):
     if not raw:
         return f
     pairs = dict(_parse_assignment(text, f.ring) for text in raw)
-    return f.specialize(Specialization(f.ring, pairs))
+    return f.specialize(Specialization(f.ring, pairs, carry_unassigned=not strict))
 
 
 def _emit(args, fields, lines, **printed) -> None:
@@ -409,9 +409,7 @@ def cmd_expand(args) -> int:
 
 def cmd_specialize(args) -> int:
     f = series_from_json(_load_json(args.series))
-    pairs = dict(_parse_assignment(text, f.ring) for text in args.assign)
-    out = f.specialize(Specialization(f.ring, pairs,
-                                      carry_unassigned=not args.strict))
+    out = _apply_specializations(f, args.assign, args.strict)
     _emit(args, {"command": "specialize"}, lambda: [str(out)],
           series=("specialization", out))
     return 0
@@ -514,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("expand", help="expand a series JSON file")
     e.add_argument("--series", required=True, metavar="SERIES_JSON")
     e.add_argument("--truncate", required=True, type=degree_bound, metavar="N")
-    _add_output_flags(e)
+    e.add_argument("--format", choices=("pretty", "json"), default="pretty")
     e.set_defaults(func=cmd_expand)
 
     s = sub.add_parser("specialize",

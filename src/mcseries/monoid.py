@@ -26,16 +26,17 @@ coordinates, read off a left inverse solved for once per monoid.  Otherwise
 to the lexicographically greatest exponent vector, that is the most copies
 of generator 0, then of generator 1, and so on; a generator is its own
 letter, the least one among equal generators, and the zero class the empty
-word (GradedMonoid._units).  The other words are recorded by the expansion
-passes of prod_i 1/(1 - t^g_i), which reach every element of degree <= N:
+word, the first entries of the one word table (GradedMonoid._table).  The
+other words are recorded by the expansion passes of prod_i 1/(1 - t^g_i),
+which reach every element of degree <= N:
 the first pass of generator i keeps word(x + g_i) = min(word(x + g_i),
 word(x) + e_i) in ascending degree, each word an int cost in mixed radix
 (GradedMonoid._word_costs).  The rule's order does not change when the same
 vector is added to both words, so this gives the least word whatever the
 order of the generators.  toric.mc_series_toric is that product, so its
-pretty expansion records the words as it expands (series.rational_expand);
-other callers enumerate the monoid by the same passes
-(GradedMonoid._enumerate).
+pretty expansion records the words as it expands, for its own series
+(series.rational_expand); a word query enumerates the monoid by the same
+passes (GradedMonoid._enumerate) into the word table.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def max_terms_from_env() -> int:
     if cap <= 0:
         raise MCSError("MCS_MAX_TERMS must be positive")
     return cap
+
+
+def _place_values(radices) -> tuple[list[int], int]:
+    """Mixed-radix place values, most significant first, and their radix product."""
+    weights, w = [], 1
+    for radix in reversed(radices):
+        weights.append(w)
+        w *= radix
+    weights.reverse()
+    return weights, w
 
 
 @dataclass(frozen=True)
@@ -272,11 +283,7 @@ class AbelianGroupPresentation:
         """
         radices = [2 * s + 1 for s in span] + [2 * d for d in self.invariants]
         offsets = [*span] + [0] * len(self.invariants)
-        weights, w = [], 1
-        for radix in reversed(radices):
-            weights.append(w)
-            w *= radix
-        weights.reverse()
+        weights, _ = _place_values(radices)
         zero = sum(map(mul, span, weights))
 
         def encode(key):
@@ -326,11 +333,7 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
             raise MCSError("zero generator admits no positive grading")
     if rank == 0:
         return ()
-    seen = []
-    for g in gens:
-        if g.free not in seen:
-            seen.append(g.free)
-    cons = [(f, 1) for f in seen]
+    cons = [(f, 1) for f in dict.fromkeys(g.free for g in gens)]
     objective = [sum(g.free[i] for g in gens) for i in range(rank)]
     result = minimize_linear(rank, objective, cons, "grading")
     if result is None:
@@ -348,15 +351,12 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _word_dict(keys, cols) -> dict:
-    """Packed key -> word, from the exponent column of each generator."""
-    return dict(zip(keys, zip(*cols))) if cols else dict.fromkeys(keys, ())
-
-
 def _coordinate_solver(vectors, rank: int, moduli):
     """Function from a packed key to its unique integer coordinates in
     vectors, None when it is no integer combination of them; None itself
     when their free parts are linearly dependent."""
+    if len(vectors) > rank:  # more vectors than dimensions: dependent
+        return None
     inverse = left_inverse([v.free for v in vectors], rank)
     if inverse is None:
         return None
@@ -383,8 +383,8 @@ def _coordinate_solver(vectors, rank: int, moduli):
 class GradedMonoid:
     """Named generators inside a presented group, graded positively."""
 
-    __slots__ = ("group", "names", "generators", "grading", "_recording",
-                 "_table", "_solve", "_by_name", "_units")
+    __slots__ = ("group", "names", "generators", "grading", "_table",
+                 "_reach", "_solve", "_by_name")
 
     def __init__(self, group: AbelianGroupPresentation, names, generators,
                  grading: tuple[int, ...] | None = None):
@@ -410,18 +410,15 @@ class GradedMonoid:
                 if sum(w * f for w, f in zip(grading, g.free)) < 1:
                     raise MCSError("given grading is not positive on generators")
         self.grading = grading
-        # (bound, packed keys, word columns) of the furthest recording
-        # expansion, and (bound, word table) once a word query built one
-        self._recording: tuple[int, list, list] | None = None
-        self._table: tuple[int, dict] | None = None
         self._solve = None  # built by _words at the first query
         self._by_name = {n: g for n, g in zip(names, gens)}
-        # the words that need no table: a generator's letter, the least i
-        # among equal generators, and the zero class's empty word
+        # packed key -> word: the generator letters, the least i among equal
+        # generators, the empty word, and every element of degree <= _reach
         n = len(gens)
-        self._units = {g.packed(): tuple(int(j == i) for j in range(n))
+        self._table = {g.packed(): tuple(int(j == i) for j in range(n))
                        for i, g in reversed(list(enumerate(gens)))}
-        self._units[group.zero.packed()] = (0,) * n
+        self._table[group.zero.packed()] = (0,) * n
+        self._reach = -1
 
     def __eq__(self, other):
         if not isinstance(other, GradedMonoid):
@@ -489,9 +486,7 @@ class GradedMonoid:
         and w = 1, and nothing cancels in it, so the count and the cap
         verdict are those of a pass that records nothing.  words is then
         the exponent column of each generator, in term order, decoded from
-        the costs; the monoid keeps the columns with the keys when they
-        reach at least as far as those kept, for _word_table.  Otherwise
-        words is None.
+        the costs.  Otherwise words is None.  Nothing is kept on self.
         """
         cap = max_terms_from_env()
         # max |x_p| over the numerator classes; the zero row stops zip at the rank
@@ -595,10 +590,7 @@ class GradedMonoid:
         keys = decode(codes)
         if costs is None:
             return degrees, keys, coeffs, None
-        words = columns([costs[c] for c in codes])
-        if self._recording is None or self._recording[0] <= truncation:
-            self._recording = (truncation, keys, words)
-        return degrees, keys, coeffs, words
+        return degrees, keys, coeffs, columns([costs[c] for c in codes])
 
     def _word_costs(self, bound: int, cap: int):
         """Words as int costs for the expansion passes: (start,
@@ -615,19 +607,15 @@ class GradedMonoid:
         copies the cap trips first: s_i = min(bound // deg g_i, cap + 1),
         bounded as the class code spans are.
 
-        start is the cost of the empty word, letter_costs maps each packed
-        key of _units to the cost added by its word, and columns maps a
-        list of costs to the exponent column of each generator, one
-        comprehension per generator.
+        start is the cost of the empty word, letter_costs maps each
+        generator's packed key to the cost W - W_i of its letter, the least
+        i among equal generators, and columns maps a list of costs to the
+        exponent column of each generator, one comprehension per generator.
         """
         sizes = [min(bound // self.degree(g), cap + 1) for g in self.generators]
-        weights, w = [], 1
-        for s in reversed(sizes):
-            weights.append(w)
-            w *= s + 1
-        weights.reverse()
-        letter_costs = {key: sum(u) * w - sum(map(mul, u, weights))
-                        for key, u in self._units.items()}
+        weights, w = _place_values([s + 1 for s in sizes])
+        letter_costs = {g.packed(): w - wi for g, wi in
+                        reversed(list(zip(self.generators, weights)))}
 
         def columns(costs):
             return [[s - c // wi % (s + 1) for c in costs]
@@ -644,38 +632,27 @@ class GradedMonoid:
             [(0, self.zero.packed(), 1)],
             [(1, g, 1) for g in dict.fromkeys(self.generators)],
             bound, f"monoid enumeration to degree {bound}", "elements", words=True)
-        return _word_dict(keys, cols)
-
-    def _word_table(self, bound: int) -> dict:
-        """Packed key -> word of every element of degree <= bound, and
-        maybe more: the table kept, else one built from the words of the
-        furthest recording expansion when it reached bound, else an
-        enumeration to bound.  So a recording expansion makes no table
-        unless a later word query needs one."""
-        if self._table is None or self._table[0] < bound:
-            bound = max(bound, 0)
-            if self._recording is None or self._recording[0] < bound:
-                self._table = (bound, self._enumerate(bound))
-            else:
-                top, keys, cols = self._recording
-                self._table = (top, _word_dict(keys, cols))
-        return self._table[1]
+        return dict(zip(keys, zip(*cols))) if cols else dict.fromkeys(keys, ())
 
     def _words(self, keys, bound: int) -> list:
         """The word_for of each packed key, None where it is not in the
-        monoid; bound is at least the degree of each member.  The zero class
-        and the generators read _units; unless all keys do, every key is
-        solved for, or read from _word_table(bound)."""
-        if all(key in self._units for key in keys):
-            return [self._units[key] for key in keys]
+        monoid; bound is at least the degree of each member.  The keys are
+        read from the word table when all are in it, else solved for, else
+        read once the table reaches bound.  _reach is set only after the
+        enumeration returns: one stopped at the cap leaves it as it was."""
+        table = self._table
+        if all(key in table for key in keys):
+            return [table[key] for key in keys]
         if self._solve is None:
             self._solve = _coordinate_solver(
                 self.generators, self.group.rank, self.group.invariants) or False
         if self._solve:
             return [w if w is not None and min(w, default=0) >= 0 else None
                     for w in map(self._solve, keys)]
-        found = self._word_table(bound)
-        return [found.get(k) for k in keys]
+        if self._reach < bound:
+            table.update(self._enumerate(bound))
+            self._reach = bound
+        return [table.get(k) for k in keys]
 
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
         """The word of an element of the monoid: its coordinates, from a

@@ -573,8 +573,8 @@ def rational_expand(f: RationalSeries, truncation: int,
     the numerator is 1, every c is 1 and the factor classes are exactly
     the monoid's generators, as in toric.mc_series_toric.  The series
     keeps them, as the exponent column of each generator in term order,
-    for its pretty writer, and the monoid keeps them for later word
-    queries.  Otherwise words is ignored.
+    for its pretty writer; the monoid keeps no copy.  Otherwise words is
+    ignored.
 
     Coefficients stay Python ints while the numerator and every c are
     integers.  Integer coefficients become one KElement per distinct

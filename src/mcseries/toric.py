@@ -312,22 +312,21 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
             relations += [tuple(rel) for rel in rels if any(rel)]
     group = AbelianGroupPresentation(len(gen_cones), relations)
     class_of = dict(zip(gen_cones, group.basis_images()))
-    distinct: list[MonoidElement] = []
-    first_cone: list[tuple] = []
+    # the first cone of each class, in cone order; packed keys hash in C
+    first_of: dict[tuple, tuple] = {}
     for c in gen_cones:
-        if class_of[c] not in distinct:
-            distinct.append(class_of[c])
-            first_cone.append(c)
-    if len(distinct) == 1:
+        first_of.setdefault(class_of[c].packed(), c)
+    first_cone = tuple(first_of.values())
+    if len(first_cone) == 1:
         names = ("t",)
     elif p == n - 1:
         names = tuple(fan.ray_names[c[0]] for c in first_cone)
     else:
-        names = tuple(f"c{i}" for i in range(len(distinct)))
+        names = tuple(f"c{i}" for i in range(len(first_cone)))
     # an MCSError from here signals a fan with no projective grading
-    monoid = GradedMonoid(group, names, tuple(distinct))
+    monoid = GradedMonoid(group, names, tuple(class_of[c] for c in first_cone))
     fan._class_tables[p] = OrbitClassMonoid(p, n, monoid, gen_cones,
-                                            tuple(first_cone), class_of)
+                                            first_cone, class_of)
     return fan._class_tables[p]
 
 

@@ -512,6 +512,15 @@ class TestExpandSpecialize:
         assert out == ("1 + (1 + L)*t + (1 + L + L^2)*t^2"
                        " + (1 + L + L^2 + L^3)*t^3 + O(degree 4)")
 
+    @pytest.mark.parametrize("assignment", ["L=1", "bogus"])
+    def test_expand_takes_no_assignments(self, zeta_file, assignment, capsys):
+        # the specialize command applies assignments; expand rejects the flag
+        assert main(["expand", "--series", zeta_file, "--truncate", "3",
+                     "--specialize", assignment]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --specialize" in captured.err
+
     def test_specialize_merges_factors(self, zeta_file, capsys):
         assert main(["specialize", "--series", zeta_file,
                      "--assign", "L=1"]) == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mcseries import monoid as monoid_module
 from mcseries.cli import main
 from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.gm_action import colinear_mc_series
@@ -693,15 +694,15 @@ def test_recorded_words_follow_the_word_rule(case):
     # the words the expansion records are the brute force's, each printed
     # word's generators sum to the class it names, and recording them
     # leaves the terms as a plain expansion makes them; the words the
-    # series keeps print as the monoid's table gives them
+    # series keeps print as the monoid's word queries give them
     fan, p, n = case
     series = mc_series_toric(fan, p)
     m = series.monoid
     expansion = series.expand(n, words=True)
     assert expansion == series.expand(n)
-    assert m._recording[0] == n
-    table = m._word_table(n)
-    assert m._table[0] == n
+    assert len(expansion._words) == len(m.generators)
+    table = dict(zip(expansion.keys, zip(*expansion._words)))
+    assert len(table) == len(expansion.keys)
     assert table == brute_force_words(m, n)
     assert set(expansion.keys) == set(table)
     texts = m._format_words(expansion._words, len(expansion.keys))
@@ -713,37 +714,55 @@ def test_recorded_words_follow_the_word_rule(case):
 def test_words_are_recorded_only_when_asked():
     # without words, and for a series other than the monoid's own product
     # (a numerator that is not 1, a factor coefficient that is not 1), the
-    # expansion keeps no word table
+    # expansion records no words
     gp = mc_series_toric(fan_file("gp"), 1)
     m = gp.monoid
     assert gp.expand(4)._words is None
-    assert m._recording is None
     twice = type(gp)(gp.ring, m, gp.numerator + gp.numerator, gp.factors)
     assert twice.expand(4, words=True)._words is None
     doubled = type(gp)(gp.ring, m, None, [(2, a, e) for _, a, e in gp.factors])
     assert doubled.expand(4, words=True)._words is None
-    assert m._recording is None
-    gp.expand(4, words=True)
-    assert m._recording[0] == 4
-    m._word_table(4)
-    assert m._table[0] == 4
+    recorded = gp.expand(4, words=True)
+    assert len(recorded._words) == len(m.generators)
+    assert all(len(col) == len(recorded.keys) for col in recorded._words)
 
 
-def test_word_table_is_built_from_the_recording_when_asked(monkeypatch):
-    # a recording expansion makes no table; a later word query builds one
-    # from the recorded words, reaching the expansion's degree, without
-    # enumerating the monoid, and a query past that degree enumerates
+def test_a_recording_expansion_leaves_the_word_table_alone(monkeypatch):
+    # the words go to the series only: the monoid's table still holds the
+    # generator letters and the empty word, and a word query enumerates
     gp = mc_series_toric(fan_file("gp"), 1)
     m = gp.monoid
+    letters = dict(m._table)
     expansion = gp.expand(6, words=True)
-    assert m._table is None
+    assert (m._table, m._reach) == (letters, -1)
     monkeypatch.setattr(GradedMonoid, "_enumerate", _no_table)
-    top = m.group.unpack(expansion.keys[-1])
-    assert m.contains(top)
-    assert m.format_element(top) == m._format_words(expansion._words, len(expansion.keys))[-1]
-    assert m._table[0] == 6
-    with pytest.raises(AssertionError, match="enumerated the monoid to degree 7"):
-        m.word_for(top + m.generators[0])
+    with pytest.raises(AssertionError, match="enumerated the monoid to degree 6"):
+        m.word_for(m.group.unpack(expansion.keys[-1]))
+
+
+def test_a_word_query_stopped_at_the_cap_can_be_retried(monkeypatch):
+    # the table's reach is set only once an enumeration returned, so the
+    # retry enumerates again instead of finding no word
+    m = mc_series_toric(fan_file("gp"), 1).monoid
+    e = 3 * m.generators[0] + 2 * m.generators[1]
+    monkeypatch.setenv("MCS_MAX_TERMS", "10")
+    with pytest.raises(EnumerationLimitError, match="monoid enumeration to degree 5"):
+        m.word_for(e)
+    assert m._reach == -1
+    monkeypatch.delenv("MCS_MAX_TERMS")
+    assert m.word_for(e) == (3, 2, 0, 0, 0, 0)
+    assert m._reach == 5
+
+
+def test_more_generators_than_the_rank_need_no_elimination(monkeypatch):
+    # six generators of a rank-4 group are dependent by their count alone
+    def no_elimination(*args):
+        raise AssertionError("solved for a left inverse")
+
+    m = mc_series_toric(fan_file("gp"), 1).monoid
+    monkeypatch.setattr(monoid_module, "left_inverse", no_elimination)
+    e = m.generators[0] + m.generators[1]
+    assert m.word_for(e) == brute_force_words(m, m.degree(e))[e.packed()]
 
 
 def test_json_output_records_no_words(monkeypatch, capsys):
@@ -767,3 +786,11 @@ def test_generator_words_need_no_table(monkeypatch):
     assert m.word_for(b) == (1, 0, 0)
     with pytest.raises(AssertionError, match="enumerated"):
         m.word_for(a + c)
+
+
+def test_generator_letters_outlast_an_enumeration():
+    m = SMALL_MONOIDS["repeat"]()
+    a, b, c = m.generators
+    assert m.word_for(a + c) == (1, 0, 1)
+    assert m._reach == 3
+    assert m.format_elements([m.zero, a, b, c]) == ["1", "a", "a", "c"]
