@@ -70,8 +70,10 @@ def left_inverse(columns, dim: int) -> tuple[Matrix, int] | None:
             return None
         rows[c], rows[t] = rows[t], rows[c]
         top, p = rows[c], rows[c][c]
+        # a row with no entry in column c is unchanged under an equal pivot
         rows = [[(x * p - row[c] * y) // prev for x, y in zip(row, top)]
-                if i != c else row for i, row in enumerate(rows)]
+                if i != c and (row[c] or p != prev) else row
+                for i, row in enumerate(rows)]
         prev = p
     s = 1 if prev > 0 else -1
     return [[s * x for x in row[k:]] for row in rows[:k]], s * prev

@@ -44,17 +44,12 @@ def _need(obj, key, kind):
 _SHAPES = {list: "an array", dict: "an object", str: "a string", int: "an integer"}
 
 
-def _as(shape, value, what, size=None):
+def _as(shape, value, what):
     """value when it is a JSON integer (not a bool, a float or a string), or
-    a list, dict or str (of the given size, if any); anything else is a
-    MCSError naming what."""
-    if shape is int:
-        if type(value) is int:
-            return value
-    elif isinstance(value, shape) and (size is None or len(value) == size):
+    a list, dict or str; anything else is a MCSError naming what."""
+    if (type(value) is int) if shape is int else isinstance(value, shape):
         return value
-    of = "" if size is None else f" of length {size}"
-    raise MCSError(f"{what} must be {_SHAPES[shape]}{of}, got {value!r:.60}")
+    raise MCSError(f"{what} must be {_SHAPES[shape]}, got {value!r:.60}")
 
 
 def _ints(value, what) -> tuple[int, ...]:
@@ -186,48 +181,38 @@ def series_to_json(f) -> dict:
 
 
 def _series_fields(f, terms) -> dict:
-    """The JSON object of series f, with terms(poly) for each term list."""
+    """The JSON object of series f, with terms(poly) for each term list:
+    kind, ring and monoid, then the fields of its kind."""
     if isinstance(f, TruncatedSeries):
-        return {"kind": "truncated", "ring": ring_to_json(f.ring),
-                "monoid": monoid_to_json(f.monoid),
-                "truncation": f.truncation, "terms": terms(f)}
-    if isinstance(f, MonoidPolynomial):
-        return {"kind": "polynomial", "ring": ring_to_json(f.ring),
-                "monoid": monoid_to_json(f.monoid), "terms": terms(f)}
-    if isinstance(f, RationalSeries):
-        return {"kind": "rational", "ring": ring_to_json(f.ring),
-                "monoid": monoid_to_json(f.monoid),
-                "numerator": terms(f.numerator),
-                "denominator": [{"class": monoid_element_to_json(a),
-                                 "coeff": element_to_json(c), "power": e}
-                                for c, a, e in f.factors]}
-    raise TypeError(f"cannot serialize {type(f).__name__}")
+        kind, fields = "truncated", {"truncation": f.truncation, "terms": terms(f)}
+    elif isinstance(f, MonoidPolynomial):
+        kind, fields = "polynomial", {"terms": terms(f)}
+    elif isinstance(f, RationalSeries):
+        kind, fields = "rational", {
+            "numerator": terms(f.numerator),
+            "denominator": [{"class": monoid_element_to_json(a),
+                             "coeff": element_to_json(c), "power": e}
+                            for c, a, e in f.factors]}
+    else:
+        raise TypeError(f"cannot serialize {type(f).__name__}")
+    return {"kind": kind, "ring": ring_to_json(f.ring),
+            "monoid": monoid_to_json(f.monoid), **fields}
 
 
 def series_from_json(obj):
+    """The series of a _series_fields object: a missing numerator is 1, and
+    an empty one is 0."""
     ring = ring_from_json(_need(obj, "ring", "series"))
     monoid = monoid_from_json(_need(obj, "monoid", "series"))
     kind = obj.get("kind")
     if kind is None:
         kind = ("rational" if "denominator" in obj
                 else "truncated" if "truncation" in obj else "polynomial")
-    if kind == "truncated":
-        terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
-                                 "series term")
-        return TruncatedSeries(ring, monoid,
-                               _as(int, _need(obj, "truncation", "series"), "truncation"),
-                               terms)
-    if kind == "polynomial":
-        terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
-                                 "polynomial term")
-        return MonoidPolynomial(ring, monoid, terms)
     if kind == "rational":
-        num = MonoidPolynomial(ring, monoid,
-                               _terms_from_json(ring, monoid,
-                                                obj.get("numerator", []),
-                                                "numerator term"))
-        if not obj.get("numerator"):
-            num = MonoidPolynomial.one(ring, monoid)
+        num = None
+        if "numerator" in obj:
+            num = MonoidPolynomial(ring, monoid, _terms_from_json(
+                ring, monoid, obj["numerator"], "numerator term"))
         factors = []
         for row in _as(list, _need(obj, "denominator", "rational series"),
                        "denominator"):
@@ -235,7 +220,15 @@ def series_from_json(obj):
                             monoid_element_from_json(monoid, _need(row, "class", "factor")),
                             _as(int, row.get("power", 1), "factor power")))
         return RationalSeries(ring, monoid, num, factors)
-    raise MCSError(f"unknown series kind {kind!r}")
+    if kind not in ("truncated", "polynomial"):
+        raise MCSError(f"unknown series kind {kind!r}")
+    terms = _terms_from_json(ring, monoid, _need(obj, "terms", "series"),
+                             "series term" if kind == "truncated" else "polynomial term")
+    if kind == "polynomial":
+        return MonoidPolynomial(ring, monoid, terms)
+    return TruncatedSeries(ring, monoid,
+                           _as(int, _need(obj, "truncation", "series"), "truncation"),
+                           terms)
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,35 @@ class TestExpandSpecialize:
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().out == "1 + O(degree 1000001)\n"
 
+    def test_specialized_to_zero_then_expanded(self, tmp_path, capsys):
+        # (1 - L)/(1 - t) at L = 1 is the zero numerator, written as "[]"
+        one_minus_l = {"class": {"free": [0], "torsion": []},
+                       "coeff": {"terms": [{"coeff": 1, "exp": {}},
+                                           {"coeff": -1, "exp": {"L": 1}}]}}
+        path = _write(tmp_path, _over_line([one_minus_l], 1))
+        assert main(["specialize", "--series", path, "--assign", "L=1",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["series"]["numerator"] == []
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc["series"]))
+        assert main(["expand", "--series", str(path), "--truncate", "3"]) == 0
+        assert capsys.readouterr().out == "0 + O(degree 4)\n"
+
+    def test_word_over_many_free_generators(self, tmp_path, capsys):
+        # the elimination that solves for words skips the rows a pivot
+        # leaves unchanged, so 400 free generators cost no 400^3 work
+        m = 400
+        doc = {"kind": "polynomial", "ring": {"generators": ["L", "eps"]},
+               "monoid": {"generators": [f"g{i}" for i in range(m)]},
+               "terms": [{"class": {"free": [1, 1] + [0] * (m - 2), "torsion": []},
+                          "coeff": {"terms": [{"coeff": 1, "exp": {}}]}}]}
+        path = _write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["expand", "--series", path, "--truncate", "2"]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == "g0*g1 + O(degree 3)\n"
+
     def test_assignment_parse_errors(self, zeta_file, capsys):
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,

@@ -23,7 +23,7 @@ from mcseries.serialize import (
     series_from_json,
     series_to_json,
 )
-from mcseries.series import MonoidPolynomial
+from mcseries.series import MonoidPolynomial, RationalSeries, TruncatedSeries
 from mcseries.toric import (
     Fan,
     chow_presentation,
@@ -160,6 +160,22 @@ class TestSeries:
              "coeff": {"terms": [{"exp": {}, "coeff": 1}]}}]
         roundtrip(f, series_to_json, series_from_json)
 
+    def test_zero_series_of_each_kind(self):
+        m = free_graded_monoid(("t",))
+        zero = MonoidPolynomial(R, m, {})
+        rational = RationalSeries(R, m, zero, [(R.one, m.generator_named("t"), 1)])
+        for f in (zero, TruncatedSeries(R, m, 3, {}), rational):
+            roundtrip(f, series_to_json, series_from_json)
+        blob = series_to_json(rational)
+        assert blob["numerator"] == []
+        assert series_from_json(blob).expand(3) == TruncatedSeries(R, m, 3, {})
+
+    def test_missing_numerator_is_one(self):
+        f = mc_series_toric(projective_space_fan(2), 1)
+        blob = series_to_json(f)
+        del blob["numerator"]
+        assert series_from_json(blob) == f
+
     def test_kind_inferred_when_absent(self):
         f = mc_series_toric(projective_space_fan(2), 1)
         blob = series_to_json(f)
@@ -169,6 +185,11 @@ class TestSeries:
         blob = series_to_json(g)
         del blob["kind"]
         assert series_from_json(blob) == g
+        m = free_graded_monoid(("t",))
+        p = MonoidPolynomial(R, m, {m.generator_named("t"): R.one})
+        blob = series_to_json(p)
+        del blob["kind"]
+        assert series_from_json(blob) == p
 
     def test_unknown_kind(self):
         blob = series_to_json(mc_series_toric(projective_space_fan(1), 0))
