@@ -20,6 +20,7 @@ forms are equal, so hashing and dict keying are safe.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 
 from .errors import MCSError
@@ -298,7 +299,8 @@ class Specialization:
         self.carry_unassigned = carry_unassigned
 
 
-def specialize(a: KElement, s: Specialization) -> KElement:
+def specialize(a: KElement, s: Specialization,
+               base: tuple[KElement, KElement] | None = None) -> KElement:
     """Apply the ring map s to a.  Raises MCSError in strict mode.
 
     One pass over the terms into a single raw dict, reading each term at
@@ -307,7 +309,13 @@ def specialize(a: KElement, s: Specialization) -> KElement:
     that exponent; an unassigned generator stays in the exponent vector;
     any other image is raised to each power e once per call.  With integer
     images only, the result needs no reduction: clearing exponents of a
-    reduced vector leaves it reduced."""
+    reduced vector leaves it reduced.
+
+    base, when given, is a pair (b, specialize(b, s)).  If the terms of b
+    are a prefix of the terms of a, the raw dict starts from the terms of
+    b's image and only the terms of a past the prefix are walked: the map
+    is additive, and reducing an image again changes nothing.  Any other
+    base costs only the prefix comparison."""
     if a.spec != s.spec:
         raise MCSError("element and specialization use different specs")
     spec = a.spec
@@ -323,7 +331,13 @@ def specialize(a: KElement, s: Specialization) -> KElement:
     scales = tuple(ints.items())
     powers: dict[tuple[int, int], KElement] = {}
     raw: dict[ExpVec, int] = {}
-    for exp, coeff in a.terms:
+    terms = a.terms
+    if base is not None:
+        b, image = base
+        if terms[:len(b.terms)] == b.terms:
+            raw.update(image.terms)
+            terms = terms[len(b.terms):]
+    for exp, coeff in terms:
         for gi in unassigned:
             if exp[gi]:
                 raise MCSError(
@@ -363,6 +377,6 @@ def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
     li = spec.index("L")
     if spec.a1_homotopy:
         return spec.from_int(n + 1)
-    zero = (0,) * len(spec.generators)
-    powers = [zero[:li] + (i,) + zero[li + 1:] for i in range(n + 1)]
-    return KElement(spec, tuple((e, 1) for e in powers))
+    head, tail = (0,) * li, (0,) * (len(spec.generators) - li - 1)
+    return KElement(spec, tuple(zip([head + (i,) + tail for i in range(n + 1)],
+                                    repeat(1))))

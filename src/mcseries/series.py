@@ -206,7 +206,15 @@ class _Terms:
                 yield d, keys, coeffs
 
     def specialize(self, s: Specialization):
-        return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
+        """The terms mapped by s.  Each coefficient is specialized with the
+        previous one and its image as the base, so a coefficient whose terms
+        extend its neighbour's (the prefix chains of pn_divisor_series)
+        walks only its own new terms."""
+        keyed, base = {}, None
+        for k, c in zip(self.keys, self.coeffs):
+            image = keyed[k] = specialize(c, s, base)
+            base = c, image
+        return self._like(keyed)
 
     def as_series(self, n: int) -> "TruncatedSeries":
         """The terms of degree <= n as a series truncated at n; n may not
@@ -465,17 +473,23 @@ _MAX_BITS = floor(MAX_COEFFICIENT_DIGITS / log10(2))
 
 def _wide_digits(n: int) -> int:
     """The decimal digits of |n| when there are more than
-    MAX_COEFFICIENT_DIGITS of them, else 0; n is not converted to text."""
-    if n.bit_length() <= _MAX_BITS:
+    MAX_COEFFICIENT_DIGITS of them, else 0; n is not converted to text.
+
+    log10 |n| is taken from the leading 64 bits and the bit length, within
+    a few units in the last place; a power of ten is made, to compare |n|
+    with, only when that estimate is too close to an integer to call."""
+    bits = n.bit_length()
+    if bits <= _MAX_BITS:
         return 0
     n = abs(n)
-    # the digit count less 1 or 2, so 10^(d - 1) <= n past any rounding
-    d = floor((n.bit_length() - 1) * log10(2))
-    power = 10 ** (d - 1)
-    while n >= power:  # one power of ten is made, then multiplied
-        power *= 10
-        d += 1
-    return d - 1 if d - 1 > MAX_COEFFICIENT_DIGITS else 0
+    shift = bits - 64
+    x = log10(n >> shift) + shift * log10(2)
+    k = round(x)
+    if abs(x - k) < 1e-12 * x:
+        d = k + 1 if n >= 10 ** k else k
+    else:
+        d = floor(x) + 1
+    return d if d > MAX_COEFFICIENT_DIGITS else 0
 
 
 def _too_wide(c: KElement, degree: int) -> str:

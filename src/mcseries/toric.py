@@ -348,8 +348,10 @@ def pn_divisor_series(n: int, truncation: int,
     The coefficients have binom(n+d,d) terms each; their total is checked
     against the MCS_MAX_TERMS cap before any of them is built.  The top
     coefficient 1 + L + ... + L^M is written once, and each lower one is a
-    prefix of its terms, sharing their pairs.  Under the homotopy quotient
-    the coefficients are the integers binom(n+d,d), each built on its own."""
+    prefix of its terms, sharing their pairs; _Terms.specialize then maps
+    each shared term once, walking only the terms a degree adds to the one
+    below.  Under the homotopy quotient the coefficients are the integers
+    binom(n+d,d), each built on its own."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
     cap = max_terms_from_env()

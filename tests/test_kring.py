@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcseries import series
 from mcseries.errors import MCSError
 from mcseries.kring import (
     KElement,
@@ -14,6 +15,8 @@ from mcseries.kring import (
     specialize,
     standard_ring,
 )
+from mcseries.monoid import free_graded_monoid
+from mcseries.toric import pn_divisor_series
 
 STD = standard_ring()
 A1 = standard_ring(a1_homotopy=True)
@@ -289,3 +292,119 @@ def test_specialize_to_integer_makes_no_ring_product(monkeypatch):
     calls.clear()
     assert specialize(big, Specialization(STD, {"L": 1})) == 10_001
     assert len(calls) == 0
+
+
+def test_projective_space_terms_equal_the_sliced_vectors():
+    # the vectors head + (i,) + tail equal the zero vector sliced around
+    # the position of L, wherever L stands, and under the A^1 quotient
+    for spec in (STD, KRingSpec(("u", "eps", "x", "L")), A1):
+        for n in (0, 1, 5, 40):
+            zero = (0,) * len(spec.generators)
+            li = spec.index("L")
+            if spec.a1_homotopy:
+                want = spec.from_int(n + 1).terms
+            else:
+                want = tuple((zero[:li] + (i,) + zero[li + 1:], 1) for i in range(n + 1))
+            assert class_projective_space(n, spec).terms == want
+
+
+# -- specialize with a base: series whose coefficients are prefix chains
+
+@st.composite
+def chained_series_cases(draw):
+    """A specialization and a list of coefficients, in term order: prefix
+    chains of one term tuple, chains whose first terms map to zero,
+    unrelated elements and equal neighbours."""
+    a, s = draw(specialize_cases())
+    spec = s.spec
+    n = len(spec.generators)
+    coeffs = [a]
+    for kind in draw(st.lists(st.sampled_from(("chain", "zero", "unrelated", "repeat")),
+                              min_size=1, max_size=6)):
+        if kind == "repeat":
+            coeffs.append(coeffs[-1])
+            continue
+        if kind == "unrelated":
+            coeffs.append(draw(elements(spec)))
+            continue
+        terms = []
+        # an integer image v of a generator g that nothing reduces: the
+        # terms k*v and -k*g map to 0
+        ints = [spec.index(name) for name, image in s.assignments.items()
+                if image.is_integer() and not (spec.a1_homotopy and name == "L")]
+        if kind == "zero" and ints:
+            gi = draw(st.sampled_from(ints))
+            v = s.assignments[spec.generators[gi]].as_integer()
+            k = draw(st.sampled_from((-2, -1, 1, 3)))
+            unit = tuple(int(i == gi) for i in range(n))
+            terms = [(unit, k)] if v == 0 else [((0,) * n, k * v), (unit, -k)]
+        # further terms past the last, from a random element
+        tail = draw(elements(spec, max_terms=8))
+        terms += [t for t in tail.terms if not terms or t[0] > terms[-1][0]]
+        cuts = draw(st.lists(st.integers(0, len(terms)), min_size=1, max_size=5))
+        # terms is sorted, reduced and nonzero, so each prefix is canonical
+        coeffs += [KElement(spec, tuple(terms[:c])) for c in sorted(cuts)]
+    return coeffs, s
+
+
+@given(chained_series_cases(), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_specialize_prefix_chains_matches_term_by_term(case, truncated):
+    coeffs, s = case
+    mono = free_graded_monoid(("t",))
+    t = mono.generator_named("t")
+    terms = {d * t: c for d, c in enumerate(coeffs)}
+    f = (series.TruncatedSeries(s.spec, mono, len(coeffs) + 1, terms) if truncated
+         else series.MonoidPolynomial(s.spec, mono, terms))
+    # the oracle walks the nonzero coefficients in term order; in strict
+    # mode the first that meets an unassigned generator raises
+    want, failed = {}, None
+    for d, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        try:
+            want[d] = term_by_term_specialize(c, s)
+        except MCSError as exc:
+            failed = c, str(exc)
+            break
+    seen = []
+
+    def counted(a, *args):
+        seen.append(a)
+        return specialize(a, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "specialize", counted)
+        if failed is not None:
+            assert not s.carry_unassigned
+            with pytest.raises(MCSError) as exc:
+                f.specialize(s)
+            assert (seen[-1], str(exc.value)) == failed
+            assert len(seen) == len(want) + 1
+            return
+        got = f.specialize(s)
+    assert len(seen) == len(want)
+    for d, c in want.items():
+        assert got.coefficient(d * t) == c
+
+
+def test_divisor_series_powers_each_exponent_once(monkeypatch):
+    # L -> eps is no integer image, so each power eps^e is made by
+    # __pow__: once per distinct exponent 1..1819 of the top coefficient,
+    # not once per coefficient that has the term (6,175 calls)
+    f = pn_divisor_series(4, 12)
+    eps = STD.generator("eps")
+    calls = []
+    original = KElement.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(KElement, "__pow__", counted)
+    g = f.specialize(Specialization(STD, {"L": eps}))
+    assert sorted(calls) == list(range(1, 1820))
+    # 1 + L + ... + L^(m - 1) maps to ceil(m / 2) + floor(m / 2) eps
+    for c, image in zip(f.coeffs, g.coeffs):
+        m = len(c.terms)
+        assert image == (m + 1) // 2 + m // 2 * eps

@@ -7,6 +7,8 @@ identity via math.comb, pushforward coefficients from a hand convolution.
 """
 
 import random
+import sys
+import time
 from math import comb
 
 import pytest
@@ -29,6 +31,7 @@ from mcseries.series import (
     _coeff_text,
     _times_word,
     _too_wide as too_wide,
+    _wide_digits,
     binomial_factor_polynomial,
     certify_rational,
     curve_zeta,
@@ -546,6 +549,37 @@ def test_writers_refuse_a_coefficient_too_wide_to_print(monkeypatch):
             write(e)
         assert exc.value.series is e
         assert read == list(range(44))
+
+
+def test_wide_digits_is_the_length_of_the_text():
+    # digit boundaries (10^k - 1, 10^k, 10^k + 1), powers of two and
+    # random widths around the limit, against the text of |n|
+    values = []
+    for k in range(MAX_COEFFICIENT_DIGITS - 20, MAX_COEFFICIENT_DIGITS + 20):
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+    for j in range(14_250, 14_350):
+        values += [2 ** j, 2 ** j - 1]
+    rng = random.Random(4300)
+    for _ in range(300):
+        width = rng.randint(MAX_COEFFICIENT_DIGITS - 100, 3 * MAX_COEFFICIENT_DIGITS)
+        values.append(rng.randrange(10 ** (width - 1), 10 ** width))
+    # the limit on int-to-text conversion (Python 3.10.7 and later) is lifted
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in values + [-n for n in values]:
+            digits = len(str(abs(n)))
+            assert _wide_digits(n) == (digits if digits > MAX_COEFFICIENT_DIGITS else 0), n
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_wide_digits_makes_no_power_of_ten_far_from_a_boundary():
+    start = time.perf_counter()
+    assert _wide_digits(1 << 33_000_000) == 9_933_990
+    assert time.perf_counter() - start < 1
 
 
 def test_truncated_as_series_keeps_terms_up_to_n():
