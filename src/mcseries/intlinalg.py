@@ -1,12 +1,13 @@
 """Exact integer matrix algebra and rational linear programming.
 
 Everything works over Python ints and Fractions; no floats enter anywhere.
-The Smith normal form keeps the row transforms U and U^-1 always, and the
-column transform V unless the caller leaves it out (keep_v=False); U and
-U^-1 move between ambient coordinates of a presentation and its canonical
-coordinates.  Pivot selection is pinned (smallest absolute value,
-then lowest row, then lowest column) whichever transforms are kept, so U, D
-and V are reproducible across runs and the same with or without V.
+The Smith normal form builds the row transforms U and U^-1 unless the
+caller leaves them out (keep_u=False), and the column transform V unless it
+leaves that out (keep_v=False).  A class presentation keeps U and U^-1,
+which move between ambient coordinates and canonical coordinates; a kernel
+needs only V.  Pivot selection is pinned (smallest absolute value, then
+lowest row, then lowest column) whichever transforms are kept, so U, D and
+V are reproducible across runs and the same with or without the others.
 """
 
 from __future__ import annotations
@@ -27,14 +28,23 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def det(a: Matrix) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
+def det(a) -> int:
+    """Determinant of a square integer matrix, given as a sequence of rows:
+    by cofactor expansion at 2 x 2 and 3 x 3, by fraction-free elimination
+    (Bareiss) otherwise."""
     n = len(a)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise ValueError("det needs a square matrix")
-    m = [row[:] for row in a]
+    if n == 2:
+        (a0, a1), (b0, b1) = a
+        return a0 * b1 - a1 * b0
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0))
+    m = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -84,8 +94,9 @@ class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form.
 
     Uinv is the exact inverse of U, maintained during the reduction.  A call
-    with keep_v=False does not build V; it is () then, and U, D and Uinv are
-    those of the full call.
+    with keep_v=False does not build V, and one with keep_u=False builds
+    neither U nor Uinv; what is left out is (), and the rest is that of the
+    full call.
     """
 
     U: tuple[tuple[int, ...], ...]
@@ -122,39 +133,45 @@ def _find_pivot(d: Matrix, t: int) -> tuple[int, int] | None:
     return None if best is None else (best[1], best[2])
 
 
-def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
-    """The Smith decomposition of a; keep_v=False leaves V out."""
+def smith_decomposition(a: Matrix, keep_v: bool = True,
+                        keep_u: bool = True) -> SmithDecomposition:
+    """The Smith decomposition of a; keep_v=False leaves V out, and
+    keep_u=False leaves U and Uinv out.  The pivots, and so D and the
+    transforms that are kept, are the same either way."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
     d = [list(row) for row in a]
-    u = identity_matrix(m)
-    uinv = identity_matrix(m)
+    u = identity_matrix(m) if keep_u else []
+    uinv = identity_matrix(m) if keep_u else []
     v = identity_matrix(n) if keep_v else []
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        if keep_u:
+            u[i], u[j] = u[j], u[i]
+            for r in uinv:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(i: int, j: int, q: int) -> None:
         # row i += q * row j; inverse recorded on the column side of Uinv
         di, dj = d[i], d[j]
         for k in range(n):
             di[k] += q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] += q * uj[k]
-        for r in uinv:
-            r[j] -= q * r[i]
+        if keep_u:
+            ui, uj = u[i], u[j]
+            for k in range(m):
+                ui[k] += q * uj[k]
+            for r in uinv:
+                r[j] -= q * r[i]
 
     def row_neg(i: int) -> None:
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        if keep_u:
+            u[i] = [-x for x in u[i]]
+            for r in uinv:
+                r[i] = -r[i]
 
     def col_swap(i: int, j: int) -> None:
         for r in d:
@@ -211,21 +228,22 @@ def smith_decomposition(a: Matrix, keep_v: bool = True) -> SmithDecomposition:
             row_neg(t)
         t += 1
 
-    freeze = lambda mat: tuple(tuple(row) for row in mat)
-    return SmithDecomposition(freeze(u), freeze(d), freeze(v), freeze(uinv))
+    u, d, v, uinv = (tuple(map(tuple, mat)) for mat in (u, d, v, uinv))
+    return SmithDecomposition(u, d, v, uinv)
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : a @ x = 0}, as column vectors."""
+    """Basis of the integer kernel {x : a @ x = 0}, as column vectors: the
+    columns r..n of V in the Smith decomposition U a V = D of rank r, which
+    is made without the row transforms U and U^-1 that nothing here reads."""
     m = len(a)
     n = len(a[0]) if m else 0
     if n == 0:
         return []
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    dec = smith_decomposition(a)
-    r = dec.rank
-    return [[dec.V[i][j] for i in range(n)] for j in range(r, n)]
+    dec = smith_decomposition(a, keep_u=False)
+    return [list(col) for col in zip(*dec.V)][dec.rank:]
 
 
 def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:

@@ -178,7 +178,7 @@ class AbelianGroupPresentation:
         m = int(num_generators)
         if m < 0:
             raise MCSError("negative generator count")
-        rels = tuple(tuple(int(x) for x in row) for row in relations)
+        rels = tuple(tuple(map(int, row)) for row in relations)
         for row in rels:
             if len(row) != m:
                 raise MCSError("relation length differs from generator count")

@@ -177,12 +177,13 @@ def _terms_from_json(ring, monoid, rows, kind):
 
 
 def series_to_json(f) -> dict:
-    return _series_fields(f, _terms_to_json)
+    return _series_fields(f, _terms_to_json, monoid_to_json)
 
 
-def _series_fields(f, terms) -> dict:
-    """The JSON object of series f, with terms(poly) for each term list:
-    kind, ring and monoid, then the fields of its kind."""
+def _series_fields(f, terms, monoid) -> dict:
+    """The JSON object of series f, with terms(poly) for each term list and
+    monoid(f.monoid) for its monoid: kind, ring and monoid, then the fields
+    of its kind."""
     if isinstance(f, TruncatedSeries):
         kind, fields = "truncated", {"truncation": f.truncation, "terms": terms(f)}
     elif isinstance(f, MonoidPolynomial):
@@ -196,7 +197,7 @@ def _series_fields(f, terms) -> dict:
     else:
         raise TypeError(f"cannot serialize {type(f).__name__}")
     return {"kind": kind, "ring": ring_to_json(f.ring),
-            "monoid": monoid_to_json(f.monoid), **fields}
+            "monoid": monoid(f.monoid), **fields}
 
 
 def series_from_json(obj):
@@ -266,16 +267,21 @@ def json_text(value) -> str:
     series_to_json document.  Anything else raises TypeError.  With indent
     set, json.dumps always runs its pure-Python encoder; this writer leans
     on the C string escaper, and writes the term lists of a series from
-    its packed keys and coefficients (_terms_text), with no row dicts."""
-    return _text(value, "\n")
+    its packed keys and coefficients (_terms_text), with no row dicts.
+    Each monoid object is written once per document: a second series over
+    it reuses that text.  Nothing is kept from one call to the next."""
+    return _text(value, "\n", {})
 
 
-# a term list of a series document, which _text writes with _terms_text
+# a term list and the monoid of a series document, which _text writes with
+# _terms_text and with the text of the monoid's first writing
 _TermList = namedtuple("_TermList", "poly")
+_Monoid = namedtuple("_Monoid", "monoid")
 
 
-def _text(value, newline: str) -> str:
-    """The JSON text of value at the indent of newline."""
+def _text(value, newline: str, monoids: dict) -> str:
+    """The JSON text of value at the indent of newline; monoids maps the
+    id and indent of each monoid written so far to its text."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -289,21 +295,29 @@ def _text(value, newline: str) -> str:
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-        items = [f"{_quote(key)}: {_text(value[key], inner)}" for key in sorted(value)]
+        items = [f"{_quote(key)}: {_text(value[key], inner, monoids)}"
+                 for key in sorted(value)]
         return "{" + inner + f",{inner}".join(items) + newline + "}" if items else "{}"
     if isinstance(value, list):
         # exponent vectors make ints the commonest item
-        items = [int.__repr__(x) if type(x) is int else _text(x, inner) for x in value]
+        items = [int.__repr__(x) if type(x) is int else _text(x, inner, monoids)
+                 for x in value]
         return "[" + inner + f",{inner}".join(items) + newline + "]" if items else "[]"
     if isinstance(value, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
-        return _text(_series_fields(value, _TermList), newline)
+        return _text(_series_fields(value, _TermList, _Monoid), newline, monoids)
     if type(value) is _TermList:
         return _terms_text(value.poly, newline)
+    if type(value) is _Monoid:
+        # the value holds the monoid for the whole call, so its id is not reused
+        key = id(value.monoid), newline
+        if key not in monoids:
+            monoids[key] = _text(monoid_to_json(value.monoid), newline, monoids)
+        return monoids[key]
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _terms_text(poly, newline: str) -> str:
-    """_text(_terms_to_json(poly), newline), in one pass over the packed
+    """_text(_terms_to_json(poly), newline, {}), in one pass over the packed
     keys and the coefficients: each row is one template, made once per
     series, filled with the class coordinates (template % key), and
     coefficient_texts writes each distinct coefficient once."""
@@ -313,5 +327,5 @@ def _terms_text(poly, newline: str) -> str:
     template = (f'{row}{{{cls}"class": {{{coord}"free": {free},{coord}"torsion": {torsion}'
                 f'{cls}}},{cls}"coeff": ')
     rows = [template % key + text for key, text in zip(
-        poly.keys, coefficient_texts(poly, lambda c: _text(element_to_json(c), cls)))]
+        poly.keys, coefficient_texts(poly, lambda c: _text(element_to_json(c), cls, {})))]
     return "[" + f"{row}}},".join(rows) + f"{row}}}{newline}]" if rows else "[]"

@@ -110,7 +110,8 @@ class Fan:
         """Every cone's facets, then the criterion of the module docstring."""
         n, cones = self.dim, self.maximal_cones
         # n independent rays: strongly convex and full-dimensional
-        dets = {c: det([list(self.rays[i]) for i in c]) for c in cones if len(c) == n}
+        rays = self.rays
+        dets = {c: det([rays[i] for i in c]) for c in cones if len(c) == n}
         self._simplicial = frozenset(c for c, d in dets.items() if d)
         walls: dict[tuple, tuple] = {}  # wall -> (orienting rays, [(cone, side)])
         for k, c in enumerate(cones):
@@ -125,11 +126,12 @@ class Fan:
             self._facets[c] = tuple(f for f, _, _ in facets)
             for f, t, side in facets:
                 walls.setdefault(f, (t, []))[1].append((k, side))
-        rows = [[list(self.rays[i]) for i in t] for t, _ in walls.values()]
+        rows = [[rays[i] for i in t] for t, _ in walls.values()]
         # det(orienting rays, g(s)) is a nonzero polynomial of degree < n in
         # s, so few points g(s) = (1, s, .., s^(n-1)) lie on a wall's hyperplane
         for s in count(1):
-            at_g = [det(r + [[s ** i for i in range(n)]]) for r in rows]
+            g = [s ** i for i in range(n)]
+            at_g = [det(r + [g]) for r in rows]
             if all(at_g):
                 break
         # g(s) lies in a cone when it is on the cone's side of each facet
@@ -167,8 +169,8 @@ class Fan:
         for t in self._candidates(cone, self.dim - 1, "fan validation"):
             if any(s.issuperset(t) for s in seen):
                 continue
-            rows = [list(self.rays[i]) for i in t]
-            signs = [det(rows + [list(self.rays[i])]) for i in cone]
+            rows = [self.rays[i] for i in t]
+            signs = [det(rows + [self.rays[i]]) for i in cone]
             if not any(signs):
                 continue
             zero = {i for i, sign in zip(cone, signs) if not sign}
@@ -285,7 +287,6 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     if p in fan._class_tables:
         return fan._class_tables[p]
     gen_cones = fan.cones_of_dim(n - p)
-    index = {c: i for i, c in enumerate(gen_cones)}
     relations = []
     if n - p - 1 >= 0:
         taus = fan.cones_of_dim(n - p - 1)
@@ -297,18 +298,19 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         if p < n - 1 and entries > cap:
             raise EnumerationLimitError(f"relation matrix of {p}-cycles",
                                         entries, cap, "entries")
+        ray_sets = [(k, sigma, set(sigma)) for k, sigma in enumerate(gen_cones)]
         for tau in taus:
             tau_rows = [fan.rays[i] for i in tau]
             perp = kernel_basis(tau_rows) if tau_rows else identity_matrix(n)
             rels = [[0] * len(gen_cones) for _ in perp]
-            for sigma in gen_cones:
-                if not set(tau) <= set(sigma):
+            for k, sigma, ray_set in ray_sets:
+                if not ray_set.issuperset(tau):
                     continue
                 v = next(fan.rays[i] for i in sigma if i not in tau)
                 pairings = [sum(mi * vi for mi, vi in zip(m, v)) for m in perp]
                 q = gcd(*pairings)
                 for rel, pairing in zip(rels, pairings):
-                    rel[index[sigma]] = pairing // q
+                    rel[k] = pairing // q
             relations += [tuple(rel) for rel in rels if any(rel)]
     group = AbelianGroupPresentation(len(gen_cones), relations)
     class_of = dict(zip(gen_cones, group.basis_images()))
@@ -332,12 +334,15 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
 
 def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None) -> RationalSeries:
     """Product over (n-p)-cones of 1/(1 - t^class): the series counting
-    effective sums of p-dimensional orbit closures by class."""
+    effective sums of p-dimensional orbit closures by class.  RationalSeries
+    gets one factor per distinct class, with its cone count as the power,
+    so each class is checked once, not once per cone."""
     if ring is None:
         ring = standard_ring()
     chow = chow_presentation(fan, p)
-    factors = [(ring.one, chow.class_of(c), 1) for c in chow.cones]
-    return RationalSeries(ring, chow.monoid, None, factors)
+    counts = Counter(chow.class_of(c) for c in chow.cones)
+    return RationalSeries(ring, chow.monoid, None,
+                          [(ring.one, alpha, e) for alpha, e in counts.items()])
 
 
 def pn_divisor_series(n: int, truncation: int,

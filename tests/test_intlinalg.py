@@ -9,6 +9,7 @@ it from the reference.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, prod
 from unittest import mock
 
@@ -136,6 +137,53 @@ def test_det_examples():
             for i in range(3)
         )
         assert det(a) == expected
+
+
+def permutation_sum_det(a):
+    """The determinant as the signed sum over all permutations (Leibniz),
+    which shares nothing with cofactor expansion or elimination."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def det_inputs(draw):
+    """Square matrices of size 0..5 with small, negative and 100+ digit
+    entries, as lists or tuples of rows; about half are made singular by
+    setting one row to a combination of the others."""
+    n = draw(st.integers(0, 5))
+    entries = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.integers(-10**120, 10**120),
+        st.sampled_from([0, 1, -1, 10**100 + 7, -(10**101 + 3), 2**400]),
+    ]))
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j, k = (draw(st.integers(0, n - 2)) for _ in range(2))
+        j, k = j + (j >= i), k + (k >= i)
+        c, e = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a[i] = [c * x + e * y for x, y in zip(a[j], a[k])]
+    shape = draw(st.sampled_from([list, tuple]))
+    return [shape(row) for row in a]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(det_inputs())
+@example([[0, 0], [0, 0]])
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])        # a zero column
+@example([[1, 2, 3], [2, 4, 6], [-1, 5, 10**100]])  # two proportional rows
+@example([[0, 2, 0, 0], [3, 0, 0, 0], [0, 0, 0, 5], [0, 0, -7, 0]])  # row swaps
+def test_det_matches_the_permutation_sum(a):
+    """The closed forms at 2 x 2 and 3 x 3 and elimination from 4 x 4 up
+    agree with the Leibniz formula, and leave the matrix as it was."""
+    before = [list(row) for row in a]
+    assert det(a) == permutation_sum_det(a)
+    assert [list(row) for row in a] == before
 
 
 def test_kernel_basis():
@@ -561,6 +609,14 @@ def test_smith_decomposition_matches_the_reference_with_and_without_v(a):
     with mock.patch.object(intlinalg, "_find_pivot", checked_pivot):
         full = smith_decomposition(a)
         lean = smith_decomposition(a, keep_v=False)
+        rowless = smith_decomposition(a, keep_u=False)
+        kernel = kernel_basis(a)
     assert (full.U, full.D, full.V, full.Uinv) == (u, d, v, uinv)
     assert (lean.U, lean.D, lean.Uinv) == (u, d, uinv)
     assert lean.V == ()
+    assert (rowless.D, rowless.V) == (d, v)
+    assert rowless.U == rowless.Uinv == ()
+    if a and a[0]:
+        # the kernel is the columns r..n of V, read from the reference
+        n, r = len(a[0]), full.rank
+        assert kernel == [[v[i][j] for i in range(n)] for j in range(r, n)]

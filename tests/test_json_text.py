@@ -13,10 +13,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcseries import serialize
+from mcseries.cli import main
 from mcseries.kring import standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
 from mcseries.serialize import json_text, series_from_json, series_to_json
 from mcseries.series import MonoidPolynomial, RationalSeries, TruncatedSeries
+from mcseries.toric import OrbitClassMonoid, mc_series_toric
+
+from _tools import FANS, fan_file
 
 # quotes, backslashes and control characters next to arbitrary code points,
 # non-ASCII ones included
@@ -107,3 +112,34 @@ def test_series_documents_match_json_dumps(f):
     assert json_text(f) == json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
     # series_to_json gives plain lists, for the C encoder too
     assert series_from_json(json.loads(json.dumps(doc))) == f
+
+
+def test_each_monoid_is_written_once_per_document(monkeypatch, capsys):
+    """A toric document holds the rational series and its expansion over
+    one monoid, whose text json_text writes once and reuses; series over
+    two monoids are written twice.  The bytes stay those of json.dumps."""
+    calls = []
+    write = serialize.monoid_to_json
+
+    def counting(monoid):
+        calls.append(monoid)
+        return write(monoid)
+
+    monkeypatch.setattr(serialize, "monoid_to_json", counting)
+    assert main(["toric", "--fan", str(FANS / "gp.json"), "--p", "1",
+                 "--truncate", "4", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert len(calls) == 1
+    f = mc_series_toric(fan_file("gp"), 1)
+    doc = {"command": "toric", "p": 1, "notes": list(OrbitClassMonoid.assumptions),
+           "rational": series_to_json(f), "expansion": series_to_json(f.expand(4))}
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    calls.clear()
+    one = RationalSeries(RING, MONOIDS[2], None, [(1, MONOIDS[2].generators[0], 2)])
+    two = RationalSeries(RING, MONOIDS[3], None, [(1, MONOIDS[3].generators[1], 1)])
+    value = {"rational": one, "expansion": two}
+    text = json_text(value)
+    assert len(calls) == 2
+    assert text == json.dumps({key: series_to_json(f) for key, f in value.items()},
+                              indent=2, sort_keys=True)

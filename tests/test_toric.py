@@ -14,7 +14,7 @@ import pytest
 from mcseries.errors import MCSError
 from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import MonoidHom, free_graded_monoid
-from mcseries.series import curve_zeta, pushforward, rational_expand
+from mcseries.series import RationalSeries, curve_zeta, pushforward, rational_expand
 from mcseries.toric import (
     Fan,
     chow_presentation,
@@ -25,7 +25,7 @@ from mcseries.toric import (
     three_point_blowup_fan,
 )
 
-from _tools import blowup_at_fixed_point, canonicalize, fan_file, hirzebruch_fan
+from _tools import FANS, blowup_at_fixed_point, canonicalize, fan_file, hirzebruch_fan
 
 R = standard_ring()
 
@@ -258,6 +258,26 @@ def test_mc1_p2_is_inverse_cube():
     f = series.expand(8)
     for d in range(9):
         assert f.coefficient(d * alpha) == comb(d + 2, 2)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in FANS.glob("*.json")))
+def test_one_factor_per_class_is_the_product_over_cones(name):
+    """mc_series_toric hands RationalSeries one factor per class, with its
+    cone count as the power; the series is the one of a factor per cone."""
+    fan = fan_file(name)
+    for p in range(fan.dim + 1):
+        chow = chow_presentation(fan, p)
+        per_cone = [(R.one, chow.class_of(c), 1) for c in chow.cones]
+        assert mc_series_toric(fan, p) == RationalSeries(R, chow.monoid, None, per_cone)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_projective_space_has_one_factor_per_p(n):
+    fan = projective_space_fan(n)
+    for p in range(n + 1):
+        series = mc_series_toric(fan, p)
+        t = series.monoid.generator_named("t")
+        assert series.factors == ((R.one, t, comb(n + 1, p + 1)),)
 
 
 def test_mc1_gp_six_distinct_binomial_factors():
