@@ -24,7 +24,7 @@ from operator import mul
 from .errors import EnumerationLimitError, MCSError, WideCoefficientError
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
-from .monoid import GradedMonoid, MonoidHom, express_in_basis, max_terms_from_env
+from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis, max_terms_from_env
 from .serialize import fan_from_json, json_text, series_from_json
 from .series import (
     MAX_COEFFICIENT_DIGITS,
@@ -229,12 +229,11 @@ def _compare_colinear(col: TruncatedSeries, fan, truncate: int):
     fan_basis = (h, s["s1"], s["s2"], s["s3"])
     col_basis = col.monoid.group.basis_images()
 
-    def in_basis(terms, basis):
-        return dict(zip(express_in_basis([e for e, _ in terms], basis),
-                        (c for _, c in terms)))
+    def in_basis(series, basis):
+        return dict(zip(express_keys_in_basis(series.keys, basis), series.coeffs))
 
-    col_terms = in_basis(col.terms, col_basis)
-    fan_terms = in_basis(fan_series.expand(truncate).terms, fan_basis)
+    col_terms = in_basis(col, col_basis)
+    fan_terms = in_basis(fan_series.expand(truncate), fan_basis)
     # degrees are linear: the degree of sum v_i b_i is sum v_i deg(b_i)
     col_degs = [col.monoid.degree(b) for b in col_basis]
     fan_degs = [m.degree(b) for b in fan_basis]

@@ -147,14 +147,16 @@ def standard_ring(symbols: tuple[str, ...] = (), a1_homotopy: bool = False) -> K
 
 
 class KElement:
-    """Canonical sparse ring element; construct through a KRingSpec."""
+    """Canonical sparse ring element; construct through a KRingSpec.  Its
+    hash is made at the first __hash__ call: most elements are never
+    hashed, and a tuple does not keep its own hash."""
 
     __slots__ = ("spec", "terms", "_hash")
 
     def __init__(self, spec: KRingSpec, terms: Terms):
         self.spec = spec
         self.terms = terms
-        self._hash = hash((spec, terms))
+        self._hash = None
 
     # -- predicates
 
@@ -239,6 +241,8 @@ class KElement:
         return self.spec == other.spec and self.terms == other.terms
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.spec, self.terms))
         return self._hash
 
     # -- display

@@ -21,7 +21,10 @@ find it by exact rational optimization (no floats), see positive_grading.
 
 A class is written as a word in the generators.  When their free parts are
 linearly independent, as for the colinear blow-up, the word is unique: its
-coordinates, read off a left inverse solved for once per monoid.  Otherwise
+coordinates.  A left inverse is solved for once per monoid, and the words
+of a whole key list come from one column-wise solve (_coordinate_solver):
+each word column a sum of key columns weighted by the nonzero entries of
+an inverse row, each check a pass over whole columns.  Otherwise
 (every toric monoid) the word follows one rule: a shortest word, ties going
 to the lexicographically greatest exponent vector, that is the most copies
 of generator 0, then of generator 1, and so on; a generator is its own
@@ -46,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
+from itertools import chain, compress, count, repeat
+from operator import add, mul, ne
 
 from .errors import EnumerationLimitError, MCSError
 from .intlinalg import (
@@ -66,6 +70,7 @@ __all__ = [
     "positive_grading",
     "direct_sum",
     "express_in_basis",
+    "express_keys_in_basis",
     "free_graded_monoid",
     "DEFAULT_MAX_TERMS",
     "max_terms_from_env",
@@ -351,33 +356,79 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _weighted_sums(rows, columns, n: int) -> list:
+    """For each row of (x, i) pairs, sum x * columns[i] as a sequence of n
+    ints: one chain of C-level maps, so the work is one add per entry and
+    pair, and a lone column of weight 1 is that column itself."""
+    out = []
+    for terms in rows:
+        acc = None
+        for x, i in terms:
+            col = columns[i] if x == 1 else map(mul, columns[i], repeat(x))
+            acc = col if acc is None else map(add, acc, col)
+        out.append([0] * n if acc is None else list(acc) if type(acc) is map else acc)
+    return out
+
+
+def _positions(flags) -> set[int]:
+    """The positions of the true flags."""
+    return set(compress(count(), flags))
+
+
 def _coordinate_solver(vectors, rank: int, moduli):
-    """Function from a packed key to its unique integer coordinates in
-    vectors, None when it is no integer combination of them; None itself
-    when their free parts are linearly dependent."""
+    """Batch solve for coordinates in vectors: a function from a list of
+    packed keys to (columns, failed), or None when the free parts of the
+    vectors are linearly dependent.  columns[j][t] is the coefficient of
+    vectors[j] in keys[t], and failed the set of positions t whose key is
+    no integer combination of the vectors, or, with nonnegative, has a
+    negative coefficient; the columns at failed positions mean nothing.
+
+    The left inverse M (M @ F == p * I for the free parts F as columns) is
+    solved for once.  The keys are transposed into coordinate columns
+    once, and each word column is the sum of the key columns weighted by
+    the nonzero entries of its row of M, divided by p; a basis with few
+    nonzeros in its inverse, as the colinear one (at most 2 a row), costs
+    O(rank) a key, not O(rank^2).  Each check is a pass over whole
+    columns: divisibility by p, and the rows of the vectors that the
+    inverse does not pin down (the free rows when there are fewer vectors
+    than the rank; a square F has F @ M == p * I, so there they hold
+    already), then the torsion rows mod d, summed back from the words and
+    compared with the key columns."""
     if len(vectors) > rank:  # more vectors than dimensions: dependent
         return None
     inverse = left_inverse([v.free for v in vectors], rank)
     if inverse is None:
         return None
     inv, p = inverse
-    # check the coordinates by summing the vectors; a square F has F @ M ==
-    # p * I, so there the free rows hold already
+    solve_rows = [[(x, i) for i, x in enumerate(row) if x] for row in inv]
     first = rank if len(vectors) == rank else 0
     packed = [v.packed() for v in vectors]
-    rows = [[v[i] for v in packed] for i in range(first, rank + len(moduli))]
+    checks = range(first, rank + len(moduli))
+    check_rows = [[(v[i], j) for j, v in enumerate(packed) if v[i]] for i in checks]
+    check_moduli = [moduli[i - rank] if i >= rank else None for i in checks]
 
-    def coordinates(key):
-        w = [sum(map(mul, row, key)) for row in inv]
+    def solve(keys, nonnegative=False):
+        n = len(keys)
+        columns = list(zip(*keys)) if n else [()] * (rank + len(moduli))
+        words = _weighted_sums(solve_rows, columns, n)
+        failed = set()
         if p > 1:
-            if any(x % p for x in w):
-                return None
-            w = [x // p for x in w]
-        s = [sum(map(mul, row, w)) for row in rows]
-        s[rank - first:] = [x % d for x, d in zip(s[rank - first:], moduli)]
-        return tuple(w) if tuple(s) == key[first:] else None
+            for col in words:
+                if any(map(p.__rmod__, col)):
+                    failed |= _positions(map(p.__rmod__, col))
+            words = [list(map(p.__rfloordiv__, col)) for col in words]
+        sums = _weighted_sums(check_rows, words, n)
+        for i, s, d in zip(checks, sums, check_moduli):
+            if d is not None:
+                s = list(map(d.__rmod__, s))
+            if any(map(ne, s, columns[i])):
+                failed |= _positions(map(ne, s, columns[i]))
+        if nonnegative and min(chain.from_iterable(words), default=0) < 0:
+            # the keys with a negative coordinate: 0 > their least one
+            failed |= _positions(map((0).__gt__, map(min, zip(*words))))
+        return words, failed
 
-    return coordinates
+    return solve
 
 
 class GradedMonoid:
@@ -634,57 +685,68 @@ class GradedMonoid:
             bound, f"monoid enumeration to degree {bound}", "elements", words=True)
         return dict(zip(keys, zip(*cols))) if cols else dict.fromkeys(keys, ())
 
-    def _words(self, keys, bound: int) -> list:
-        """The word_for of each packed key, None where it is not in the
-        monoid; bound is at least the degree of each member.  The keys are
-        read from the word table when all are in it, else solved for, else
-        read once the table reaches bound.  _reach is set only after the
-        enumeration returns: one stopped at the cap leaves it as it was."""
+    def _words(self, keys, bound: int | None = None):
+        """The words of packed keys as (columns, failed): the exponent
+        column of each generator, and the set of positions whose key is not
+        in the monoid, where the columns mean nothing.  bound is at least
+        the degree of each member; by default the largest degree of the
+        keys, found only when the table must grow.  The words are read from
+        the word table when all keys are in it, else from one batch solve
+        of all keys when the generators have linearly independent free
+        parts, else from the table once it reaches bound.  _reach is set
+        only after the enumeration returns: one stopped at the cap leaves
+        it as it was."""
         table = self._table
-        if all(key in table for key in keys):
-            return [table[key] for key in keys]
-        if self._solve is None:
-            self._solve = _coordinate_solver(
-                self.generators, self.group.rank, self.group.invariants) or False
-        if self._solve:
-            return [w if w is not None and min(w, default=0) >= 0 else None
-                    for w in map(self._solve, keys)]
-        if self._reach < bound:
-            table.update(self._enumerate(bound))
-            self._reach = bound
-        return [table.get(k) for k in keys]
+        if not all(map(table.__contains__, keys)):
+            if self._solve is None:
+                self._solve = _coordinate_solver(
+                    self.generators, self.group.rank, self.group.invariants) or False
+            if self._solve:
+                return self._solve(keys, True)
+            if bound is None:
+                bound = max(sum(map(mul, self.grading, key)) for key in keys)
+            if self._reach < bound:
+                table.update(self._enumerate(bound))
+                self._reach = bound
+        words = list(map(table.get, keys))
+        failed = set()
+        if None in words:
+            failed = {t for t, w in enumerate(words) if w is None}
+            none = (0,) * len(self.generators)
+            words = [none if w is None else w for w in words]
+        return list(zip(*words)) or [()] * len(self.generators), failed
 
     def word_for(self, e: MonoidElement) -> tuple[int, ...]:
         """The word of an element of the monoid: its coordinates, from a
-        solver built once per monoid, when the generators have linearly
-        independent free parts, else the word the expansion passes record
-        by the word rule (module docstring)."""
+        batch solve built once per monoid, when the generators have
+        linearly independent free parts, else the word the expansion passes
+        record by the word rule (module docstring)."""
         d = self.degree(e)
         if d < 0:
             raise MCSError("element has negative degree; not in the monoid")
         if e not in self.group:
             raise MCSError("element is not in the monoid's group")
-        word = self._words([e.packed()], d)[0]
-        if word is None:
+        columns, failed = self._words([e.packed()], d)
+        if failed:
             raise MCSError("element is not a sum of monoid generators")
-        return word
+        return next(zip(*columns), ())
 
     def contains(self, e: MonoidElement) -> bool:
         if e not in self.group:
             return False
-        return self._words([e.packed()], self.degree(e))[0] is not None
+        return not self._words([e.packed()])[1]
 
     def _format_words(self, cols, n: int) -> list[str]:
         """The text of n words, e.g. 't0*s1^2', '1' for the empty word, from
         the exponent column of each generator (the words of a recording
         expansion come so): a column makes the text of each of its
         exponents once."""
-        if not self.names:
+        if not self.names or not n:
             return ["1"] * n
         texts = []
         for name, col in zip(self.names, cols):
             text = ["", f"*{name}", *(f"*{name}^{k}" for k in range(2, max(col) + 1))]
-            texts.append([text[k] for k in col])
+            texts.append(list(map(text.__getitem__, col)))
         return ["".join(row)[1:] or "1" for row in zip(*texts)]
 
     def format_element(self, e: MonoidElement) -> str:
@@ -692,21 +754,20 @@ class GradedMonoid:
         return self._format_words([[k] for k in self.word_for(e)], 1)[0]
 
     def format_elements(self, elements) -> list[str]:
-        """format_element of each element; the words come from one solver or
-        one table up to the largest degree among them."""
+        """format_element of each element; the words come from one batch
+        solve or one table up to the largest degree among them."""
         elements = list(elements)
         if not all(e in self.group for e in elements):
             raise MCSError("element is not in the monoid's group")
-        return self._format_keys([e.packed() for e in elements],
-                                 max(map(self.degree, elements), default=0))
+        return self._format_keys([e.packed() for e in elements])
 
-    def _format_keys(self, keys, bound: int) -> list[str]:
-        """The words of packed keys whose degrees are at most bound, for
-        callers that hold keys and degrees already, as series do."""
-        words = self._words(keys, bound)
-        if None in words:
+    def _format_keys(self, keys, bound: int | None = None) -> list[str]:
+        """The words of packed keys, bound as for _words, for callers that
+        hold keys, and often their degrees, already, as series do."""
+        columns, failed = self._words(keys, bound)
+        if failed:
             raise MCSError("element is not a sum of monoid generators")
-        return self._format_words(zip(*words), len(words))
+        return self._format_words(columns, len(keys))
 
 
 def free_graded_monoid(names) -> GradedMonoid:
@@ -717,17 +778,26 @@ def free_graded_monoid(names) -> GradedMonoid:
 
 
 def express_in_basis(elements, basis) -> list[tuple[int, ...]]:
-    """Integer coordinates of each element in a nonempty basis of its group,
-    solved for once.  Raises MCSError when the basis has linearly
-    dependent free parts or an element is no integer combination of it."""
+    """Integer coordinates of each element in a nonempty basis of its group:
+    express_keys_in_basis of their packed keys."""
+    return express_keys_in_basis([e.packed() for e in elements], basis)
+
+
+def express_keys_in_basis(keys, basis) -> list[tuple[int, ...]]:
+    """Integer coordinates of each packed key in a nonempty basis of its
+    group, from one batch solve of all keys.  Raises MCSError when the
+    basis is empty or has linearly dependent free parts, or a key is no
+    integer combination of it."""
     basis = list(basis)
+    if not basis:
+        raise MCSError("cannot express classes in an empty basis")
     solve = _coordinate_solver(basis, len(basis[0].free), basis[0].moduli)
     if solve is None:
         raise MCSError("basis has linearly dependent free parts")
-    out = [solve(e.packed()) for e in elements]
-    if None in out:
+    columns, failed = solve(list(keys))
+    if failed:
         raise MCSError("element is not an integer combination of the basis")
-    return out
+    return list(zip(*columns))
 
 
 class MonoidHom:

@@ -1,14 +1,15 @@
 """Builders and oracles that several test modules share and the package
 itself has no use for: words of generators, the enumerated elements of a
-monoid, the denominator of a rational series as one polynomial, the
-Hirzebruch fans, the blow-up of a fan at a fixed point and a reader of the
-files in fans/."""
+monoid, a per-key coordinate solver, the denominator of a rational series
+as one polynomial, the Hirzebruch fans, the blow-up of a fan at a fixed
+point and a reader of the files in fans/."""
 
 import json
+from operator import mul
 from pathlib import Path
 
 from mcseries.errors import MCSError
-from mcseries.intlinalg import det
+from mcseries.intlinalg import det, left_inverse
 from mcseries.serialize import fan_from_json
 from mcseries.series import MonoidPolynomial, binomial_factor_polynomial
 from mcseries.toric import Fan
@@ -28,6 +29,37 @@ def elements_up_to(monoid, bound):
     found = monoid._enumerate(max(bound, 0))
     rows = sorted((monoid.degree(e), e.packed()) for e in map(monoid.group.unpack, found))
     return [(monoid.group.unpack(key), d) for d, key in rows]
+
+
+def coordinate_oracle(vectors, rank: int, moduli):
+    """Function from one packed key to its unique integer coordinates in
+    vectors, None when it is no integer combination of them; None itself
+    when their free parts are linearly dependent.  Dense dot products, one
+    key at a time: the reference the package's batch solve is checked
+    against."""
+    if len(vectors) > rank:  # more vectors than dimensions: dependent
+        return None
+    inverse = left_inverse([v.free for v in vectors], rank)
+    if inverse is None:
+        return None
+    inv, p = inverse
+    # check the coordinates by summing the vectors; a square F has F @ M ==
+    # p * I, so there the free rows hold already
+    first = rank if len(vectors) == rank else 0
+    packed = [v.packed() for v in vectors]
+    rows = [[v[i] for v in packed] for i in range(first, rank + len(moduli))]
+
+    def coordinates(key):
+        w = [sum(map(mul, row, key)) for row in inv]
+        if p > 1:
+            if any(x % p for x in w):
+                return None
+            w = [x // p for x in w]
+        s = [sum(map(mul, row, w)) for row in rows]
+        s[rank - first:] = [x % d for x, d in zip(s[rank - first:], moduli)]
+        return tuple(w) if tuple(s) == key[first:] else None
+
+    return coordinates
 
 
 def denominator_polynomial(rs):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mcseries import cli, intlinalg, serialize
+from mcseries import cli, intlinalg, monoid, serialize
 from mcseries.cli import build_parser, main
 from mcseries.kring import Specialization
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
@@ -321,6 +321,54 @@ class TestColinear:
         assert main(["colinear", "--r", "3", "--truncate", "4",
                      "--compare", path]) == 0
         assert sorted(calls) == ["left_inverse"] * 3 + ["smith_decomposition"]
+
+    def test_pretty_words_take_a_solve_count_free_of_the_term_count(
+            self, capsys, monkeypatch):
+        # the words of a term list come from one batch solve, so more terms
+        # make longer solves, not more of them
+        sizes = []
+        build = monoid._coordinate_solver
+
+        def counted_build(*args):
+            solve = build(*args)
+
+            def counted(keys, *rest):
+                sizes.append(len(keys))
+                return solve(keys, *rest)
+
+            return None if solve is None else counted
+
+        monkeypatch.setattr(monoid, "_coordinate_solver", counted_build)
+        runs = []
+        for truncate in ("4", "8"):
+            sizes.clear()
+            assert main(["colinear", "--r", "4", "--truncate", truncate]) == 0
+            capsys.readouterr()
+            runs.append((len(sizes), max(sizes)))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] < runs[1][1]
+
+    def test_compare_unpacks_no_term(self, fan_file, capsys, monkeypatch):
+        # --compare hands each series' packed keys to the batch solve, so
+        # the number of classes unpacked does not grow with the term count
+        unpacked = []
+        unpack = AbelianGroupPresentation.unpack
+
+        def counted(self, key):
+            unpacked.append(key)
+            return unpack(self, key)
+
+        monkeypatch.setattr(AbelianGroupPresentation, "unpack", counted)
+        path = fan_file(three_point_blowup_fan(), "gp")
+        counts, outs = [], []
+        for truncate in ("4", "6"):
+            unpacked.clear()
+            assert main(["colinear", "--r", "3", "--truncate", truncate,
+                         "--compare", path]) == 0
+            outs.append(capsys.readouterr().out)
+            counts.append(len(unpacked))
+        assert counts[0] == counts[1]
+        assert len(outs[0]) < len(outs[1])
 
     def test_r_below_two(self, capsys):
         assert main(["colinear", "--r", "1"]) == 2

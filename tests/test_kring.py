@@ -152,6 +152,20 @@ def test_ring_axioms_random():
         assert a - a == STD.zero
 
 
+def test_equal_elements_hash_equally():
+    # the hash is made at the first __hash__ call, whichever of two equal
+    # elements is hashed first, and is kept for the next call
+    rng = random.Random(7)
+    for _ in range(200):
+        a = random_element(STD, rng)
+        b = random_element(STD, rng)
+        ab, ba = a * b, b * a
+        assert ab == ba
+        assert hash(ab) == hash(ba) == hash(ab)
+        assert hash(a + b) == hash(STD.element(dict((a + b).terms)))
+    assert {STD.one * STD.one: 1}[STD.one] == 1
+
+
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 3)),
                           st.integers(-9, 9)), max_size=5))
 @settings(max_examples=200, deadline=None)

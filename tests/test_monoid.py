@@ -22,8 +22,8 @@ from mcseries.monoid import (
 )
 from mcseries.toric import chow_presentation, mc_series_toric
 
-from _tools import (FANS, blowup_at_fixed_point, canonicalize, elements_up_to,
-                    fan_file)
+from _tools import (FANS, blowup_at_fixed_point, canonicalize, coordinate_oracle,
+                    elements_up_to, fan_file)
 from test_fan_faces import cube_face_fan
 
 # the six-generator class group of a three-point blow-up: generators
@@ -304,6 +304,13 @@ def test_express_in_basis():
         express_in_basis([t1], [t0, t1, s1, s2, s3])
 
 
+def test_express_in_an_empty_basis():
+    with pytest.raises(MCSError, match="empty basis"):
+        express_in_basis([blowup_monoid().zero], [])
+    with pytest.raises(MCSError, match="empty basis"):
+        express_in_basis([], [])
+
+
 def test_element_arithmetic_validation():
     e = MonoidElement((1, 2))
     f = MonoidElement((1,))
@@ -523,6 +530,63 @@ def test_coordinate_words_match_bfs(square, torsion, data):
                                    ).rank > k:
                 outside.append(m.group.unpack(tuple(unit) + m.zero.torsion))
     _check_against_bfs(m, 3 * max(m.degree(g) for g in m.generators), outside)
+
+
+def _check_batch_against_oracle(vectors, rank, moduli, keys):
+    """The batch solve against the per-key oracle on one list of keys, with
+    and without the non-negativity check."""
+    solve = monoid_module._coordinate_solver(vectors, rank, moduli)
+    oracle = coordinate_oracle(vectors, rank, moduli)
+    assert (solve is None) == (oracle is None)
+    if solve is None:
+        return
+    want = [oracle(key) for key in keys]
+    for nonnegative in (False, True):
+        columns, failed = solve(keys, nonnegative)
+        assert len(columns) == len(vectors)
+        assert all(len(col) == len(keys) for col in columns)
+        assert failed == {t for t, w in enumerate(want) if w is None or (
+            nonnegative and min(w, default=0) < 0)}
+        for t, w in enumerate(want):
+            if t not in failed:
+                assert tuple(col[t] for col in columns) == w
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "k<rank"])
+@pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion"])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_batch_solve_matches_the_per_key_oracle(square, torsion, data):
+    m = data.draw(independent_monoids(square, torsion))
+    k, rank, moduli = len(m.generators), m.group.rank, m.group.invariants
+    words = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                               max_size=6))
+    batch = [_combination(m, word) for word in words]
+    g = m.generators[0]
+    if all(x % 2 == 0 for x in g.free):  # coordinate 1/2 on the first
+        batch.append(MonoidElement(tuple(x // 2 for x in g.free), g.torsion, g.moduli))
+    if torsion:  # the right free part with the wrong torsion
+        e = _combination(m, [1] * k)
+        batch.append(MonoidElement(e.free, tuple(
+            (t + 1) % d for t, d in zip(e.torsion, e.moduli)), e.moduli))
+    # unit vectors, outside the span of the free parts when k < rank
+    batch += [m.group.unpack(tuple(int(i == j) for j in range(rank)) + m.zero.torsion)
+              for i in range(rank)]
+    keys = data.draw(st.permutations([e.packed() for e in batch]))
+    _check_batch_against_oracle(m.generators, rank, moduli, keys)
+    _check_batch_against_oracle(m.generators, rank, moduli, [])
+
+
+@pytest.mark.parametrize("relations, vectors, keys", [
+    ([], [], [(), ()]),
+    ([[2]], [], [(0,), (1,), (0,)]),  # residue 1 is no combination of none
+    ([[2]], [(1,)], [(1,)]),  # a vector in a rank-0 group is dependent
+], ids=["trivial", "torsion", "dependent"])
+def test_batch_solve_in_a_rank_0_group(relations, vectors, keys):
+    group = AbelianGroupPresentation(len(relations), relations)
+    vectors = [group.unpack(v) for v in vectors]
+    for batch in ([], keys):
+        _check_batch_against_oracle(vectors, 0, group.invariants, batch)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
