@@ -21,10 +21,10 @@ import sys
 from math import comb
 from operator import mul
 
-from .errors import EnumerationLimitError, MCSError, WideCoefficientError
+from .errors import MCSError, WideCoefficientError, check_cap, term_cap
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
-from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis, max_terms_from_env
+from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis
 from .serialize import fan_from_json, json_text, series_from_json
 from .series import (
     MAX_COEFFICIENT_DIGITS,
@@ -398,9 +398,7 @@ def cmd_expand(args) -> int:
         out = f.expand(args.truncate, words=args.format == "pretty")
     else:
         out = f.as_series(args.truncate)
-        if len(out.terms) > (cap := max_terms_from_env()):
-            raise EnumerationLimitError(f"series file to degree {args.truncate}",
-                                        len(out.terms), cap)
+        check_cap(f"series file to degree {args.truncate}", len(out.terms))
     _emit(args, {"command": "expand"}, lambda: [str(out)],
           series=(f"expansion to degree {args.truncate}", out))
     return 0
@@ -536,6 +534,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_COEFFICIENT_DIGITS)
     try:
         args = build_parser().parse_args(argv)
+        term_cap()  # a bad MCS_MAX_TERMS is bad input for every command
         code = args.func(args)
         sys.stdout.flush()
         return code

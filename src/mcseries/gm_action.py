@@ -26,9 +26,9 @@ s_i = E_i, which are a basis of the class group.
 
 from __future__ import annotations
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import MCSError, check_cap
 from .kring import standard_ring
-from .monoid import AbelianGroupPresentation, GradedMonoid, max_terms_from_env
+from .monoid import AbelianGroupPresentation, GradedMonoid
 from .series import RationalSeries, binomial_factor_polynomial
 
 __all__ = ["colinear_mc_series"]
@@ -43,9 +43,8 @@ def colinear_mc_series(r: int) -> RationalSeries:
     if r < 2:
         raise MCSError(
             "the colinear blow-up needs at least two centers")
-    if (r + 1) ** 2 > (cap := max_terms_from_env()):
-        raise EnumerationLimitError(f"colinear blow-up at {r} points",
-                                    (r + 1) ** 2, cap, "class coordinates")
+    check_cap(f"colinear blow-up at {r} points", (r + 1) ** 2,
+              "class coordinates")
     ring = standard_ring(a1_homotopy=True)
     group = AbelianGroupPresentation(r + 1)
     h, *e = group.basis_images()

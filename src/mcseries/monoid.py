@@ -44,7 +44,6 @@ passes (GradedMonoid._enumerate) into the word table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -52,7 +51,7 @@ from math import gcd, lcm
 from itertools import chain, compress, count, repeat
 from operator import add, mul, ne
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import MCSError, check_cap
 from .intlinalg import (
     identity_matrix,
     kernel_basis,
@@ -72,28 +71,7 @@ __all__ = [
     "express_in_basis",
     "express_keys_in_basis",
     "free_graded_monoid",
-    "DEFAULT_MAX_TERMS",
-    "max_terms_from_env",
 ]
-
-DEFAULT_MAX_TERMS = 10 ** 6
-
-
-def max_terms_from_env() -> int:
-    """The term cap: MCS_MAX_TERMS when set, else DEFAULT_MAX_TERMS.
-
-    Raises MCSError when the variable is not a positive integer.
-    """
-    raw = os.environ.get("MCS_MAX_TERMS", "").strip()
-    if not raw:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MCSError(f"MCS_MAX_TERMS must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise MCSError("MCS_MAX_TERMS must be positive")
-    return cap
 
 
 def _place_values(radices) -> tuple[list[int], int]:
@@ -539,7 +517,8 @@ class GradedMonoid:
         the exponent column of each generator, in term order, decoded from
         the costs.  Otherwise words is None.  Nothing is kept on self.
         """
-        cap = max_terms_from_env()
+        count = len(numerator)
+        cap = check_cap(stage, count, unit)
         # max |x_p| over the numerator classes; the zero row stops zip at the rank
         span = [max(map(abs, col)) for col in zip((0,) * self.group.rank,
                                                   *(key for _, key, _ in numerator))]
@@ -565,9 +544,6 @@ class GradedMonoid:
         buckets: dict[int, dict[int, object]] = {}
         for d, key, c in numerator:
             buckets.setdefault(d, {})[encode(key)] = c
-        count = len(numerator)
-        if count > cap:
-            raise EnumerationLimitError(stage, count, cap, unit)
         costs = None  # class code -> cost of its word, while words are recorded
         if (words and numerator == [(0, self.zero.packed(), 1)]
                 and all(c == 1 for c, _, _ in factors)
@@ -623,7 +599,7 @@ class GradedMonoid:
                                     costs[key2] = costs[key] + letter
                                 count += 1
                                 if count > cap:
-                                    raise EnumerationLimitError(stage, count, cap, unit)
+                                    check_cap(stage, count, unit, cap=cap)
                                 continue
                             new = old + inc
                             if new == 0:

@@ -12,14 +12,9 @@ from __future__ import annotations
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import MCSError, check_cap
 from .kring import KElement, KRingSpec
-from .monoid import (
-    AbelianGroupPresentation,
-    GradedMonoid,
-    MonoidElement,
-    max_terms_from_env,
-)
+from .monoid import AbelianGroupPresentation, GradedMonoid, MonoidElement
 from .series import (MonoidPolynomial, RationalSeries, TruncatedSeries,
                      coefficient_texts)
 from .toric import Fan
@@ -136,9 +131,8 @@ def monoid_from_json(obj) -> GradedMonoid:
                       for g in gens)
         m = _as(int, _need(obj, "ambient_generators", "monoid"), "ambient_generators")
     # the group keeps two m x m matrices, even without relations
-    if m > 0 and m * m > (cap := max_terms_from_env()):
-        raise EnumerationLimitError(f"monoid on {m} ambient generators", m * m,
-                                    cap, "matrix entries")
+    if m > 0:
+        check_cap(f"monoid on {m} ambient generators", m * m, "matrix entries")
     group = AbelianGroupPresentation(m, relations)
     if short:
         elements = tuple(group.basis_images())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import floor, lgamma, log, log10
 from operator import mul
 
-from .errors import EnumerationLimitError, MCSError, WideCoefficientError
+from .errors import MCSError, WideCoefficientError, check_cap
 from .kring import KElement, KRingSpec, Specialization, specialize, standard_ring
 from .monoid import (
     GradedMonoid,
@@ -33,7 +33,6 @@ from .monoid import (
     MonoidHom,
     direct_sum,
     free_graded_monoid,
-    max_terms_from_env,
 )
 
 __all__ = [
@@ -562,8 +561,7 @@ def binomial_factor_polynomial(ring, monoid, c, alpha, e: int = 1) -> MonoidPoly
     against MAX_COEFFICIENT_DIGITS, so that every coefficient can be printed."""
     if e < 0:
         raise ValueError("negative power of a polynomial")
-    if e + 1 > (cap := max_terms_from_env()):
-        raise EnumerationLimitError(f"binomial power {e}", e + 1, cap)
+    check_cap(f"binomial power {e}", e + 1)
     if (digits := _binomial_digits(e)) > MAX_COEFFICIENT_DIGITS:
         raise MCSError(f"binomial power {e}: C({e}, {e // 2}) has {digits} digits,"
                        f" over the limit of {MAX_COEFFICIENT_DIGITS}")

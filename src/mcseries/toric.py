@@ -26,14 +26,13 @@ from collections import Counter
 from itertools import combinations, count
 from math import comb, gcd
 
-from .errors import EnumerationLimitError, MCSError
+from .errors import MCSError, check_cap, term_cap
 from .kring import KElement, KRingSpec, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
     MonoidElement,
     free_graded_monoid,
-    max_terms_from_env,
 )
 from .intlinalg import det, identity_matrix, kernel_basis
 from .series import RationalSeries, TruncatedSeries
@@ -153,10 +152,8 @@ class Fan:
     def _candidates(self, cone, k, stage):
         """The k-subsets of a cone's rays, once their count is within the cap;
         stage names the caller in the cap message."""
-        candidates, cap = comb(len(cone), k), max_terms_from_env()
-        if candidates > cap:
-            raise EnumerationLimitError(f"{stage} of cone {cone}", candidates,
-                                        cap, f"candidate {k}-faces")
+        check_cap(f"{stage} of cone {cone}", comb(len(cone), k),
+                  f"candidate {k}-faces")
         return combinations(cone, k)
 
     def _general_facets(self, cone) -> list[tuple]:
@@ -294,10 +291,9 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         # vector of its perp; their entries are counted before any is made.
         # For p = n - 1 the one tau is the zero cone and the rows are the
         # columns of the ray matrix, no larger than the fan itself.
-        entries, cap = len(gen_cones) * len(taus) * (p + 1), max_terms_from_env()
-        if p < n - 1 and entries > cap:
-            raise EnumerationLimitError(f"relation matrix of {p}-cycles",
-                                        entries, cap, "entries")
+        if p < n - 1:
+            check_cap(f"relation matrix of {p}-cycles",
+                      len(gen_cones) * len(taus) * (p + 1), "entries")
         ray_sets = [(k, sigma, set(sigma)) for k, sigma in enumerate(gen_cones)]
         for tau in taus:
             tau_rows = [fan.rays[i] for i in tau]
@@ -359,14 +355,13 @@ def pn_divisor_series(n: int, truncation: int,
     binom(n+d,d), each built on its own."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
-    cap = max_terms_from_env()
+    cap = term_cap()
     counts, total = [], 0  # counts[d] = binom(n+d, d)
     for d in range(truncation + 1):
         counts.append(comb(n + d, d))
         total += counts[-1]
         if total > cap:
-            raise EnumerationLimitError(
-                f"divisor series of P^{n} to degree {d}", total, cap)
+            check_cap(f"divisor series of P^{n} to degree {d}", total, cap=cap)
     if ring is None:
         ring = standard_ring()
     monoid = free_graded_monoid(("t",))

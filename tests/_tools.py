@@ -5,11 +5,12 @@ as one polynomial, the Hirzebruch fans, the blow-up of a fan at a fixed
 point and a reader of the files in fans/."""
 
 import json
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
 from mcseries.errors import MCSError
-from mcseries.intlinalg import det, left_inverse
+from mcseries.intlinalg import det
 from mcseries.serialize import fan_from_json
 from mcseries.series import MonoidPolynomial, binomial_factor_polynomial
 from mcseries.toric import Fan
@@ -34,30 +35,34 @@ def elements_up_to(monoid, bound):
 def coordinate_oracle(vectors, rank: int, moduli):
     """Function from one packed key to its unique integer coordinates in
     vectors, None when it is no integer combination of them; None itself
-    when their free parts are linearly dependent.  Dense dot products, one
-    key at a time: the reference the package's batch solve is checked
-    against."""
-    if len(vectors) > rank:  # more vectors than dimensions: dependent
-        return None
-    inverse = left_inverse([v.free for v in vectors], rank)
-    if inverse is None:
-        return None
-    inv, p = inverse
-    # check the coordinates by summing the vectors; a square F has F @ M ==
-    # p * I, so there the free rows hold already
-    first = rank if len(vectors) == rank else 0
+    when their free parts are linearly dependent.  A Gauss-Jordan
+    elimination over the rationals and dense dot products, one key at a
+    time, sharing no elimination with the package: the reference its
+    batch solve is checked against."""
+    k = len(vectors)
+    # [F | I] with the free parts as the columns of F; F reduces to the
+    # first k unit rows exactly when its columns are independent
+    rows = [[Fraction(v.free[i]) for v in vectors] + [Fraction(int(i == j)) for j in range(rank)]
+            for i in range(rank)]
+    for c in range(k):
+        t = next((i for i in range(c, rank) if rows[i][c]), None)
+        if t is None:
+            return None
+        rows[c], rows[t] = rows[t], rows[c]
+        top = [x / rows[c][c] for x in rows[c]]
+        rows = [top if i == c else [x - row[c] * y for x, y in zip(row, top)]
+                for i, row in enumerate(rows)]
+    inv = [row[k:] for row in rows[:k]]  # inv @ F == I
     packed = [v.packed() for v in vectors]
-    rows = [[v[i] for v in packed] for i in range(first, rank + len(moduli))]
 
     def coordinates(key):
-        w = [sum(map(mul, row, key)) for row in inv]
-        if p > 1:
-            if any(x % p for x in w):
-                return None
-            w = [x // p for x in w]
-        s = [sum(map(mul, row, w)) for row in rows]
-        s[rank - first:] = [x % d for x, d in zip(s[rank - first:], moduli)]
-        return tuple(w) if tuple(s) == key[first:] else None
+        w = [sum(map(mul, row, key[:rank])) for row in inv]
+        if any(x.denominator != 1 for x in w):
+            return None
+        w = [int(x) for x in w]
+        s = [sum(v[i] * x for v, x in zip(packed, w)) for i in range(rank + len(moduli))]
+        s[rank:] = [x % d for x, d in zip(s[rank:], moduli)]
+        return tuple(w) if tuple(s) == key else None
 
     return coordinates
 

@@ -150,14 +150,21 @@ class TestToric:
         path = fan_file(projective_space_fan(2), "p2")
         assert main(["toric", "--fan", path, "--p", "1", "--truncate", "2"]) == 2
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_cap_value_without_truncation(self, fan_file, capsys,
-                                              monkeypatch, raw):
-        # printing the series reads the cap too
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "MCS_MAX_TERMS must be an integer, got 'abc'"),
+        ("0", "MCS_MAX_TERMS must be positive"),
+    ], ids=["abc", "0"])
+    def test_bad_cap_value_without_truncation(self, fan_file, zeta_file, capsys,
+                                              monkeypatch, raw, message):
+        # the command line reads the cap before any stage runs, also for
+        # the points of a surface (p = dim), where no stage counts anything
         monkeypatch.setenv("MCS_MAX_TERMS", raw)
         path = fan_file(three_point_blowup_fan(), "gp")
-        assert main(["toric", "--fan", path, "--p", "1"]) == 2
-        assert "MCS_MAX_TERMS" in capsys.readouterr().err
+        for argv in (["toric", "--fan", path, "--p", "1"],
+                     ["toric", "--fan", str(ROOT / "fans" / "p2.json"), "--p", "2"],
+                     ["specialize", "--series", zeta_file, "--assign", "L=1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_json_skips_rendering(self, tmp_path, capsys, monkeypatch):
         # printing the word of a^2 over a, b and c = a + b enumerates the
@@ -318,9 +325,11 @@ class TestColinear:
                         and getattr(module, fn.__name__, None) is fn):
                     monkeypatch.setattr(module, fn.__name__, counted(fn))
         path = fan_file(three_point_blowup_fan(), "gp")
-        assert main(["colinear", "--r", "3", "--truncate", "4",
-                     "--compare", path]) == 0
-        assert sorted(calls) == ["left_inverse"] * 3 + ["smith_decomposition"]
+        for truncate in ("4", "8"):
+            calls.clear()
+            assert main(["colinear", "--r", "3", "--truncate", truncate,
+                         "--compare", path]) == 0
+            assert sorted(calls) == ["left_inverse"] * 3 + ["smith_decomposition"]
 
     def test_pretty_words_take_a_solve_count_free_of_the_term_count(
             self, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from mcseries import monoid as monoid_module
 from mcseries.cli import main
 from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.gm_action import colinear_mc_series
-from mcseries.intlinalg import det, smith_decomposition
+from mcseries.intlinalg import det, left_inverse, smith_decomposition
 from mcseries.monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -598,6 +598,27 @@ def test_colinear_words_match_bfs_to_the_numerator_degree(r):
     top = max(f.numerator.terms, key=lambda t: m.degree(t[0]))[0]
     assert m.word_for(top) == (r - 2,) * (r + 1)
     _check_against_bfs(m, m.degree(top), [top - (r - 1) * m.generators[1]])
+
+
+def test_colinear_inverse_is_sparse_and_integral(monkeypatch):
+    # the colinear basis is unimodular, so its left inverse is its inverse
+    # (p = 1), with at most two nonzeros a row: a word costs O(r), not O(r^2)
+    m = colinear_mc_series(40).monoid
+    rank = m.group.rank
+    assert left_inverse([g.free for g in m.generators], rank)[1] == 1
+    pairs = []
+    weighted_sums = monoid_module._weighted_sums
+
+    def counted(rows, columns, n):
+        pairs.append(sum(map(len, rows)))
+        return weighted_sums(rows, columns, n)
+
+    monkeypatch.setattr(monoid_module, "_weighted_sums", counted)
+    solve = monoid_module._coordinate_solver(m.generators, rank, m.group.invariants)
+    words, failed = solve([g.packed() for g in m.generators])
+    assert not failed
+    assert list(map(list, words)) == [[int(i == j) for j in range(rank)] for i in range(rank)]
+    assert pairs[0] <= 2 * rank  # the word columns, before the checks
 
 
 # -- integer class codes -----------------------------------------------------
