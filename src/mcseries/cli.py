@@ -54,8 +54,11 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise MCSError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # a decode error or an oversized integer
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MCSError(f"{path} is not valid JSON: {exc}")
+    except ValueError:  # the only other one json raises: an integer too wide
+        raise MCSError(f"{path} holds an integer wider than the limit of"
+                       f" {MAX_COEFFICIENT_DIGITS} digits") from None
     except RecursionError:
         raise MCSError(f"{path} nests arrays or objects too deeply to read")
 
@@ -67,14 +70,13 @@ def _parse_assignment(text: str, ring: KRingSpec):
         raise MCSError(f"assignment must look like NAME=VALUE, got {text!r}")
     if name not in ring.generators:
         raise MCSError(f"unknown ring generator {name!r}")
-    try:
-        return name, int(value)
-    except ValueError:
-        pass
     if value in ring.generators:
         return name, ring.generator(value)
-    raise MCSError(
-        f"assignment value must be an integer or a generator name, got {value!r}")
+    try:
+        return name, _integer(value, f"the value of {name}")
+    except ValueError:
+        raise MCSError("assignment value must be an integer or a generator"
+                       f" name, got {value!r}") from None
 
 
 def _apply_specializations(f, raw: list[str], strict: bool = False):
@@ -111,13 +113,13 @@ _FACTOR = re.compile(r"\(\s*1\s*-\s*([^()]+?)\s*\)\s*(?:\^\s*(\d+))?")
 _ATOM = re.compile(r"\s*\*?\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?)")
 
 
-def _integer(digits: str) -> int:
-    """The int a run of digits in a denominator spells; a run longer than
-    Python converts is bad input."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise MCSError(str(exc)) from None
+def _integer(text: str, what: str) -> int:
+    """The int that text spells, else ValueError; its digits are counted
+    first, and more than Python converts is bad input naming what it is."""
+    if (digits := sum(map(str.isdecimal, text))) > MAX_COEFFICIENT_DIGITS:
+        raise MCSError(f"{what} has {digits} digits, over the limit of"
+                       f" {MAX_COEFFICIENT_DIGITS}")
+    return int(text)
 
 
 def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
@@ -130,9 +132,9 @@ def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
             break
         pos = m.end()
         if m.group(1):
-            coeff = coeff * ring.from_int(_integer(m.group(1)))
+            coeff *= ring.from_int(_integer(m.group(1), "a denominator coefficient"))
             continue
-        name, exp = m.group(2), _integer(m.group(3) or "1")
+        name, exp = m.group(2), _integer(m.group(3) or "1", "a denominator exponent")
         if name in monoid.names:
             alpha = alpha + exp * monoid.generator_named(name)
         elif name in ring.generators:
@@ -157,7 +159,7 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
-        power = _integer(m.group(2) or "1")
+        power = _integer(m.group(2) or "1", "a denominator power")
         factors.append((coeff, alpha, power))
         degree += power * factor.degree()
         pos = m.end()
@@ -423,7 +425,7 @@ def degree_bound(text: str) -> int:
     """The type of every --truncate option: an int >= 0 with fewer than
     MAX_COEFFICIENT_DIGITS digits, so that the degree of the O-term, one
     more, can be printed."""
-    if (n := int(text)) < 0:
+    if (n := _integer(text, "--truncate")) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     if n >= _TRUNCATE_LIMIT:
         raise argparse.ArgumentTypeError(

@@ -1,13 +1,13 @@
 """Exact integer matrix algebra and rational linear programming.
 
 Everything works over Python ints and Fractions; no floats enter anywhere.
-The Smith normal form builds the row transforms U and U^-1 unless the
-caller leaves them out (keep_u=False), and the column transform V unless it
-leaves that out (keep_v=False).  A class presentation keeps U and U^-1,
-which move between ambient coordinates and canonical coordinates; a kernel
-needs only V.  Pivot selection is pinned (smallest absolute value, then
-lowest row, then lowest column) whichever transforms are kept, so U, D and
-V are reproducible across runs and the same with or without the others.
+The Smith normal form reduces one matrix that extends D by the row
+transform U (with U^-1, unless keep_u=False) and the column transform V
+(unless keep_v=False).  A class presentation, also one without relations,
+keeps U and U^-1, which move between ambient and canonical coordinates; a
+kernel needs only V.  Pivot selection is pinned (smallest absolute value,
+then lowest row, then lowest column) whichever transforms are kept, so U, D
+and V are reproducible across runs and the same with or without the others.
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ class SmithDecomposition:
         return len(self.invariants)
 
 
-def _find_pivot(d: Matrix, t: int) -> tuple[int, int] | None:
-    """The smallest nonzero entry of d[t:][t:], the lowest row then the
-    lowest column on ties; the first unit in row-major order is that entry."""
+def _find_pivot(w: Matrix, t: int, m: int, n: int) -> tuple[int, int] | None:
+    """The smallest nonzero entry of the block D[t:m][t:n] of the extended
+    matrix w, the lowest row then the lowest column on ties; the first unit
+    in row-major order is that entry."""
     best: tuple[int, int, int] | None = None
-    for i in range(t, len(d)):
-        row = d[i]
-        for j in range(t, len(row)):
+    for i in range(t, m):
+        row = w[i]
+        for j in range(t, n):
             v = abs(row[j])
             if v and (best is None or v < best[0]):
                 if v == 1:
@@ -135,61 +136,50 @@ def _find_pivot(d: Matrix, t: int) -> tuple[int, int] | None:
 
 def smith_decomposition(a: Matrix, keep_v: bool = True,
                         keep_u: bool = True) -> SmithDecomposition:
-    """The Smith decomposition of a; keep_v=False leaves V out, and
-    keep_u=False leaves U and Uinv out.  The pivots, and so D and the
-    transforms that are kept, are the same either way."""
+    """The Smith decomposition of a, reduced on one extended matrix w
+    (Cohen 1993, section 2.4): row i < m is row i of D, then row i of U
+    unless keep_u=False, and unless keep_v=False the n rows below hold V.
+    So a row operation on D moves U, and a column operation V; only Uinv,
+    which changes by the inverse column operation, has its own loop.  The
+    pivots, and so D and the transforms that are kept, are the same
+    whichever are left out."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    d = [list(row) for row in a]
-    u = identity_matrix(m) if keep_u else []
+    w = [[*row, *e] for row, e in zip(a, identity_matrix(m) if keep_u else [[]] * m)]
+    w += identity_matrix(n) if keep_v else []
     uinv = identity_matrix(m) if keep_u else []
-    v = identity_matrix(n) if keep_v else []
 
     def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        if keep_u:
-            u[i], u[j] = u[j], u[i]
-            for r in uinv:
-                r[i], r[j] = r[j], r[i]
+        w[i], w[j] = w[j], w[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
 
     def row_add(i: int, j: int, q: int) -> None:
         # row i += q * row j; inverse recorded on the column side of Uinv
-        di, dj = d[i], d[j]
-        for k in range(n):
-            di[k] += q * dj[k]
-        if keep_u:
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] += q * uj[k]
-            for r in uinv:
-                r[j] -= q * r[i]
+        wi, wj = w[i], w[j]
+        for k in range(len(wi)):
+            wi[k] += q * wj[k]
+        for r in uinv:
+            r[j] -= q * r[i]
 
     def row_neg(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        if keep_u:
-            u[i] = [-x for x in u[i]]
-            for r in uinv:
-                r[i] = -r[i]
+        w[i] = [-x for x in w[i]]
+        for r in uinv:
+            r[i] = -r[i]
 
     def col_swap(i: int, j: int) -> None:
-        for r in d:
+        for r in w:
             r[i], r[j] = r[j], r[i]
-        if keep_v:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
 
     def col_add(j: int, i: int, q: int) -> None:
         # col j += q * col i; i is the pivot column t, zero above row t
-        for r in d[i:]:
+        for r in w[i:]:
             r[j] += q * r[i]
-        if keep_v:
-            for r in v:
-                r[j] += q * r[i]
 
     t = 0
-    while t < min(m, n) and (piv := _find_pivot(d, t)) is not None:
+    while t < min(m, n) and (piv := _find_pivot(w, t, m, n)) is not None:
         while True:  # each round pivots on the smallest entry left
             i, j = piv
             if i != t:
@@ -198,38 +188,39 @@ def smith_decomposition(a: Matrix, keep_v: bool = True,
                 col_swap(t, j)
             clean = True
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
                     if q:
                         row_add(i, t, -q)
-                    if d[i][t]:
+                    if w[i][t]:
                         clean = False
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
                     if q:
                         col_add(j, t, -q)
-                    if d[t][j]:
+                    if w[t][j]:
                         clean = False
             if clean:
                 # pivot must divide the whole remaining submatrix before moving
                 # on, otherwise pull the offending row up and reduce again;
                 # a unit divides everything
-                p = d[t][t]
+                p = w[t][t]
                 if p == 1 or p == -1:
                     break
                 pulled = next((i for i in range(t + 1, m)
-                               if any(d[i][j] % p for j in range(t + 1, n))), None)
+                               if any(w[i][j] % p for j in range(t + 1, n))), None)
                 if pulled is None:
                     break
                 row_add(t, pulled, 1)
-            piv = _find_pivot(d, t)
-        if d[t][t] < 0:
+            piv = _find_pivot(w, t, m, n)
+        if w[t][t] < 0:
             row_neg(t)
         t += 1
 
-    u, d, v, uinv = (tuple(map(tuple, mat)) for mat in (u, d, v, uinv))
-    return SmithDecomposition(u, d, v, uinv)
+    u = tuple(tuple(row[n:]) for row in w[:m]) if keep_u else ()
+    d = tuple(tuple(row[:n]) for row in w[:m])
+    return SmithDecomposition(u, d, tuple(map(tuple, w[m:])), tuple(map(tuple, uinv)))
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:

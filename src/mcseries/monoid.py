@@ -53,7 +53,6 @@ from operator import add, mul, ne
 
 from .errors import MCSError, check_cap
 from .intlinalg import (
-    identity_matrix,
     kernel_basis,
     left_inverse,
     mat_vec,
@@ -145,7 +144,8 @@ class AbelianGroupPresentation:
     """Z^m modulo the subgroup spanned by integer relation rows.
 
     Canonical coordinates come from the Smith decomposition U A V = D of
-    the matrix A whose columns are the relations.  Two matrices are kept:
+    the m x len(relations) matrix A whose columns are the relations; with
+    no relations A is m x 0, and U = U^-1 = I.  Two matrices are kept:
     the projection, the rows of U at the free and then the torsion positions
     of D (the packed-key order), and the lift, the matching columns of U^-1.
     An ambient vector v has coordinates projection @ v, torsion reduced mod
@@ -167,13 +167,8 @@ class AbelianGroupPresentation:
                 raise MCSError("relation length differs from generator count")
         self.num_generators = m
         self.relations = rels
-        if rels:
-            dec = smith_decomposition([list(col) for col in zip(*rels)], keep_v=False)
-            diag, u, uinv = dec.diagonal, dec.U, dec.Uinv
-        else:
-            diag, u = (), identity_matrix(m)
-            uinv = u
-        s = sum(1 for d in diag if d)
+        dec = smith_decomposition([[r[i] for r in rels] for i in range(m)], keep_v=False)
+        diag, u, uinv, s = dec.diagonal, dec.U, dec.Uinv, dec.rank
         torsion_pos = [i for i in range(s) if diag[i] > 1]
         keep = [*range(s, m), *torsion_pos]
         self.rank = m - s

@@ -196,8 +196,7 @@ class Fan:
         for t in candidates:
             if any(s.issuperset(t) for s in spans):
                 continue
-            normals = (kernel_basis([self.rays[i] for i in t]) if t
-                       else identity_matrix(self.dim))
+            normals = kernel_basis([self.rays[i] for i in t])
             if len(normals) == self.dim - k:
                 spans.append({i for i in cone if not any(
                     sum(b * x for b, x in zip(col, self.rays[i])) for col in normals)})

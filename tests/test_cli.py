@@ -308,9 +308,9 @@ class TestColinear:
         assert f"MC_1 = (1 - 10*{h} + " in capsys.readouterr().out
 
     def test_compare_solves_once_per_basis(self, fan_file, capsys, monkeypatch):
-        # one Smith form for the fan's class group, and one left inverse for
-        # each of the two bases and for the colinear monoid, whatever the
-        # number of terms compared
+        # two Smith forms, for the fan's class group and the colinear free
+        # group, and one left inverse for each of the two bases and for the
+        # colinear monoid, whatever the number of terms compared
         calls = []
 
         def counted(fn):
@@ -329,7 +329,8 @@ class TestColinear:
             calls.clear()
             assert main(["colinear", "--r", "3", "--truncate", truncate,
                          "--compare", path]) == 0
-            assert sorted(calls) == ["left_inverse"] * 3 + ["smith_decomposition"]
+            assert sorted(calls) == (["left_inverse"] * 3
+                                     + ["smith_decomposition"] * 2)
 
     def test_pretty_words_take_a_solve_count_free_of_the_term_count(
             self, capsys, monkeypatch):
@@ -669,6 +670,41 @@ class TestExpandSpecialize:
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,
                          "--assign", bad]) == 2, bad
+
+
+class TestWideIntegers:
+    """An integer in text wider than the 4,300 digits Python converts exits
+    2 with one message naming the input, its digit count and the limit, and
+    without echoing the digits."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--denominator", "(1-t)^2", "--truncate", "4",
+          "--specialize", "L=" + "1" * 5000], "the value of L has 5000 digits"),
+        (["--denominator", "(1 - " + "1" * 4301 + " t)", "--truncate", "4"],
+         "a denominator coefficient has 4301 digits"),
+        (["--denominator", "(1-t)^2", "--truncate", "1" * 4301],
+         "--truncate has 4301 digits"),
+    ], ids=["assignment", "denominator", "truncate"])
+    def test_one_message(self, argv, message, capsys):
+        assert main(["verify", "eq1", "--n", "1", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message}, over the limit of 4300\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no limit on integer digits before Python 3.11")
+    def test_series_file_coefficient(self, tmp_path, capsys):
+        # the file is valid JSON: json.load raises a plain ValueError for
+        # the width, not a JSONDecodeError
+        doc = {"kind": "polynomial", "ring": {"generators": ["L", "eps"]},
+               "monoid": {"generators": ["t"]},
+               "terms": [{"class": {"free": [1], "torsion": []},
+                          "coeff": {"terms": [{"coeff": 7, "exp": {}}]}}]}
+        path = _write(tmp_path, doc)
+        Path(path).write_text(Path(path).read_text().replace(
+            '"coeff": 7', '"coeff": ' + "1" * 4400))
+        assert main(["expand", "--series", path, "--truncate", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} holds an integer wider than the limit of 4300 digits\n")
 
 
 class TestTermCap:

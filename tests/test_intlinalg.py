@@ -595,15 +595,17 @@ def smith_inputs(draw):
 @example([[2, 0], [0, 3]])           # pull-up of a non-unit pivot
 @example([[2, 3, 1], [0, 0, 0]])     # a unit after a smaller-index 2
 @example([[0, 4, 0, 6, 0, 10]])      # one wide row with a common factor
+@example([[], [], []])               # a free group's: three rows, no relation
+@example([])                         # the free group on no generators
 def test_smith_decomposition_matches_the_reference_with_and_without_v(a):
     u, d, v, uinv, _ = reference_smith_decomposition(a)
     find_pivot = intlinalg._find_pivot
 
-    def checked_pivot(m, t):
-        # every pivot on the way must be the full scan's, or the
-        # reduction could loop instead of failing
-        piv = find_pivot(m, t)
-        assert piv == reference_find_pivot(m, t)
+    def checked_pivot(w, t, m, n):
+        # every pivot on the way must be the full scan's of the D block, or
+        # the reduction could loop instead of failing
+        piv = find_pivot(w, t, m, n)
+        assert piv == reference_find_pivot([row[:n] for row in w[:m]], t)
         return piv
 
     with mock.patch.object(intlinalg, "_find_pivot", checked_pivot):
