@@ -6,8 +6,8 @@ JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input or a stdout closed early.  Output is deterministic: identical
 inputs give identical bytes.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms,
-elements, candidate faces or matrix entries a stage may make; past it the run
-aborts with exit code 2 and a message naming the stage.
+elements, candidate faces, facet intersections or matrix entries a stage may
+make; past it the run aborts with exit code 2 and a message naming the stage.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import sys
 from math import comb
 from operator import mul
 
-from .errors import MCSError, WideCoefficientError, check_cap, term_cap
+from .errors import (MAX_COEFFICIENT_DIGITS, MCSError, WideCoefficientError,
+                     check_cap, read_integer, term_cap)
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
 from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis
 from .serialize import fan_from_json, json_text, series_from_json
 from .series import (
-    MAX_COEFFICIENT_DIGITS,
     MonoidPolynomial,
     RationalSeries,
     TruncatedSeries,
@@ -73,7 +73,7 @@ def _parse_assignment(text: str, ring: KRingSpec):
     if value in ring.generators:
         return name, ring.generator(value)
     try:
-        return name, _integer(value, f"the value of {name}")
+        return name, read_integer(value, f"the value of {name}")
     except ValueError:
         raise MCSError("assignment value must be an integer or a generator"
                        f" name, got {value!r}") from None
@@ -113,15 +113,6 @@ _FACTOR = re.compile(r"\(\s*1\s*-\s*([^()]+?)\s*\)\s*(?:\^\s*(\d+))?")
 _ATOM = re.compile(r"\s*\*?\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?)")
 
 
-def _integer(text: str, what: str) -> int:
-    """The int that text spells, else ValueError; its digits are counted
-    first, and more than Python converts is bad input naming what it is."""
-    if (digits := sum(map(str.isdecimal, text))) > MAX_COEFFICIENT_DIGITS:
-        raise MCSError(f"{what} has {digits} digits, over the limit of"
-                       f" {MAX_COEFFICIENT_DIGITS}")
-    return int(text)
-
-
 def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
     coeff = ring.one
     alpha = monoid.zero
@@ -132,9 +123,9 @@ def _parse_monomial(text: str, ring: KRingSpec, monoid: GradedMonoid):
             break
         pos = m.end()
         if m.group(1):
-            coeff *= ring.from_int(_integer(m.group(1), "a denominator coefficient"))
+            coeff *= ring.from_int(read_integer(m.group(1), "a denominator coefficient"))
             continue
-        name, exp = m.group(2), _integer(m.group(3) or "1", "a denominator exponent")
+        name, exp = m.group(2), read_integer(m.group(3) or "1", "a denominator exponent")
         if name in monoid.names:
             alpha = alpha + exp * monoid.generator_named(name)
         elif name in ring.generators:
@@ -159,7 +150,7 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
         factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
-        power = _integer(m.group(2) or "1", "a denominator power")
+        power = read_integer(m.group(2) or "1", "a denominator power")
         factors.append((coeff, alpha, power))
         degree += power * factor.degree()
         pos = m.end()
@@ -425,12 +416,19 @@ def degree_bound(text: str) -> int:
     """The type of every --truncate option: an int >= 0 with fewer than
     MAX_COEFFICIENT_DIGITS digits, so that the degree of the O-term, one
     more, can be printed."""
-    if (n := _integer(text, "--truncate")) < 0:
+    if (n := read_integer(text, "--truncate")) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     if n >= _TRUNCATE_LIMIT:
         raise argparse.ArgumentTypeError(
             f"must have fewer than {MAX_COEFFICIENT_DIGITS} digits")
     return n
+
+
+def _int_option(flag: str):
+    """read_integer naming flag, under argparse's name for an int option."""
+    read = functools.partial(read_integer, what=flag)
+    read.__name__ = "int"
+    return read
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -454,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("toric", help="series of a fan from JSON")
     t.add_argument("--fan", required=True, metavar="FAN_JSON")
-    t.add_argument("--p", required=True, type=int,
+    t.add_argument("--p", required=True, type=_int_option("--p"),
                    help="cycle dimension of the orbit closures")
     t.add_argument("--truncate", type=degree_bound, default=0, metavar="N",
                    help="also print the expansion up to degree N")
@@ -463,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("colinear",
                        help="blow-up of the plane at r colinear points")
-    c.add_argument("--r", required=True, type=int, help="number of points (>= 2)")
+    c.add_argument("--r", required=True, type=_int_option("--r"),
+                   help="number of points (>= 2)")
     c.add_argument("--truncate", type=degree_bound, default=0, metavar="N")
     c.add_argument("--compare", metavar="FAN_JSON",
                    help="report the first coefficient differing from this fan's"
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="removing r points from a curve divides the series"
                               " by the points' series")
     vl.add_argument("--curve", default="p1", metavar="NAME")
-    vl.add_argument("--remove", required=True, type=int, metavar="R")
+    vl.add_argument("--remove", required=True, type=_int_option("--remove"), metavar="R")
     vl.add_argument("--truncate", type=degree_bound, default=8, metavar="N")
     vl.set_defaults(func=cmd_verify_localization)
 
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve = vsub.add_parser("eq1",
                          help="test the P^n divisor series against a claimed"
                               " denominator")
-    ve.add_argument("--n", required=True, type=int)
+    ve.add_argument("--n", required=True, type=_int_option("--n"))
     ve.add_argument("--denominator", required=True, metavar="EXPR",
                     help="product of factors like \"(1-t)^4\" or \"(1-L t)\"")
     ve.add_argument("--truncate", type=degree_bound, default=8, metavar="N")

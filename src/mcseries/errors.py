@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one term cap.
+"""Exception types, the one term cap and the one reader of integer text.
 
 Every failure that bad input can cause raises MCSError, which the
 command-line front end reports with exit code 2; any other exception is a
@@ -10,6 +10,8 @@ stage's count passes it.
 import os
 
 DEFAULT_MAX_TERMS = 10 ** 6
+# the most decimal digits of an int that Python converts to text by default
+MAX_COEFFICIENT_DIGITS = 4300
 
 
 class MCSError(Exception):
@@ -37,20 +39,27 @@ class WideCoefficientError(MCSError):
 
 
 def term_cap() -> int:
-    """The term cap: MCS_MAX_TERMS when set, else DEFAULT_MAX_TERMS.
-
-    Raises MCSError when the variable is not a positive integer.
-    """
+    """The term cap: MCS_MAX_TERMS when set, else DEFAULT_MAX_TERMS; an
+    MCSError when the variable is not a positive integer."""
     raw = os.environ.get("MCS_MAX_TERMS", "").strip()
     if not raw:
         return DEFAULT_MAX_TERMS
     try:
-        cap = int(raw)
+        cap = read_integer(raw, "MCS_MAX_TERMS")
     except ValueError:
         raise MCSError(f"MCS_MAX_TERMS must be an integer, got {raw!r}") from None
     if cap <= 0:
         raise MCSError("MCS_MAX_TERMS must be positive")
     return cap
+
+
+def read_integer(text: str, what: str) -> int:
+    """The int that text spells, else ValueError; its digits are counted
+    first, and more than Python converts is bad input naming what it is."""
+    if (digits := sum(map(str.isdecimal, text))) > MAX_COEFFICIENT_DIGITS:
+        raise MCSError(f"{what} has {digits} digits, over the limit of"
+                       f" {MAX_COEFFICIENT_DIGITS}")
+    return int(text)
 
 
 def check_cap(stage: str, count: int, unit: str = "terms",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import MCSError
 
@@ -25,7 +26,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def det(a) -> int:
@@ -227,12 +228,8 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     """Basis of the integer kernel {x : a @ x = 0}, as column vectors: the
     columns r..n of V in the Smith decomposition U a V = D of rank r, which
     is made without the row transforms U and U^-1 that nothing here reads."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
+    if not a or not a[0]:
         return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     dec = smith_decomposition(a, keep_u=False)
     return [list(col) for col in zip(*dec.V)][dec.rank:]
 

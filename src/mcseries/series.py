@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import floor, lgamma, log, log10
 from operator import mul
 
-from .errors import MCSError, WideCoefficientError, check_cap
+from .errors import MAX_COEFFICIENT_DIGITS, MCSError, WideCoefficientError, check_cap
 from .kring import KElement, KRingSpec, Specialization, specialize, standard_ring
 from .monoid import (
     GradedMonoid,
@@ -460,10 +460,6 @@ class RationalSeries:
 
     def __repr__(self):
         return f"<rational {self}>"
-
-
-# the most decimal digits of an int that Python converts to text by default
-MAX_COEFFICIENT_DIGITS = 4300
 
 
 # an int of at most this many bits has at most MAX_COEFFICIENT_DIGITS digits

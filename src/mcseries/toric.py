@@ -9,8 +9,8 @@ one cone.  Crossing a wall swaps one cone for the other, so then every
 generic point lies in exactly one cone: the cones cover the space and meet
 in common faces.  A simplicial cone's facets drop one ray; another cone's
 are spanned by the (n-1)-subsets of its rays that leave all of them on one
-side.  Its lower faces are the spans of ray subsets that equal the
-intersection of the facets holding them.
+side.  Its lower faces come from the facets alone: the facets of a face
+are its maximal proper intersections with the cone's facets.
 
 Class groups of orbit closures are presented by the divisor-of-character
 relations on one-higher-dimensional orbit closures; the relation coefficient
@@ -184,24 +184,22 @@ class Fan:
 
     def _faces(self, cone, k) -> list[tuple]:
         """The k-faces of a maximal cone, as ray-index tuples ordered by their
-        bitmasks of positions in the cone.  A face holds every cone ray in its
-        span, so the candidates are the spans of k-subsets of rank k; a span
-        is a face when it is the intersection of the facets that hold it."""
+        bitmasks of positions in the cone.  A non-simplicial cone's faces come
+        down from the cone one dimension at a time: its face lattice is
+        graded, so the facets of a face F are the maximal sets F & G over the
+        cone's facets G that do not hold F."""
         if k == self.dim - 1:
             return list(self._facets[cone])
-        candidates = self._candidates(cone, k, "face enumeration")
         if cone in self._simplicial:
-            return list(candidates)
-        spans: list[set] = []
-        for t in candidates:
-            if any(s.issuperset(t) for s in spans):
-                continue
-            normals = kernel_basis([self.rays[i] for i in t])
-            if len(normals) == self.dim - k:
-                spans.append({i for i in cone if not any(
-                    sum(b * x for b, x in zip(col, self.rays[i])) for col in normals)})
-        return sorted((tuple(sorted(s)) for s in spans if s == set(cone).intersection(
-                           *(f for f in self._facets[cone] if s.issubset(f)))),
+            return list(self._candidates(cone, k, "face enumeration"))
+        facets = [frozenset(f) for f in self._facets[cone]]
+        level = {frozenset(cone)}
+        for _ in range(self.dim - k):
+            check_cap(f"face enumeration of cone {cone}", len(level) * len(facets),
+                      "facet intersections")
+            meets = [{f & g for g in facets if not f <= g} for f in level]
+            level = {f for m in meets for f in m if not any(f < g for g in m)}
+        return sorted((tuple(sorted(f)) for f in level),
                       key=lambda f: sum(1 << cone.index(i) for i in f))
 
     # -- queries ----------------------------------------------------------

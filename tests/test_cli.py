@@ -153,7 +153,9 @@ class TestToric:
     @pytest.mark.parametrize("raw, message", [
         ("abc", "MCS_MAX_TERMS must be an integer, got 'abc'"),
         ("0", "MCS_MAX_TERMS must be positive"),
-    ], ids=["abc", "0"])
+        # the digits are counted before int() is asked
+        ("1" * 4301, "MCS_MAX_TERMS has 4301 digits, over the limit of 4300"),
+    ], ids=["abc", "0", "4301-digits"])
     def test_bad_cap_value_without_truncation(self, fan_file, zeta_file, capsys,
                                               monkeypatch, raw, message):
         # the command line reads the cap before any stage runs, also for
@@ -255,7 +257,8 @@ class TestToric:
         return str(path)
 
     def test_many_ray_cone_validates_quickly(self, tmp_path, capsys):
-        # its faces come from the spans of ray subsets, not from 2^40 subsets
+        # its faces come from intersections of its facets, not from 2^40
+        # subsets
         path = self._many_ray_plane_fan(tmp_path / "plane40.json", 40)
         start = time.perf_counter()
         assert main(["toric", "--fan", path, "--p", "1", "--truncate", "2"]) == 0
@@ -265,13 +268,21 @@ class TestToric:
 
     def test_face_candidates_past_the_cap_exit_2(self, tmp_path, capsys,
                                                  monkeypatch):
-        # the 2-faces of the 40-ray cone have C(40, 2) = 780 candidates
+        # a 4-cube cone comes down to its rays through its 6 facets and 12
+        # edges: 6 * 6 = 36 facet intersections, then 12 * 6 = 72, past a cap
+        # of 60 that its C(8, 3) = 56 validation candidates stay within
+        cube4 = str(ROOT / "fans" / "cube4.json")
+        monkeypatch.setenv("MCS_MAX_TERMS", "60")
+        assert main(["toric", "--fan", cube4, "--p", "3"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: face enumeration of cone (0, 2, 4, 6, 8, 10, 12, 14): 72"
+            " facet intersections, over the cap of 60; raise MCS_MAX_TERMS\n"))
+        # the 40-ray cone is the only face of itself: its C(40, 2) = 780
+        # ray pairs are never listed
         path = self._many_ray_plane_fan(tmp_path / "plane40.json", 40)
         monkeypatch.setenv("MCS_MAX_TERMS", "500")
-        assert main(["toric", "--fan", path, "--p", "0", "--truncate", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "face enumeration" in err
-        assert "780" in err and "cap of 500" in err
+        assert main(["toric", "--fan", path, "--p", "0", "--truncate", "2"]) == 0
+        assert capsys.readouterr().out.startswith("MC_0 = 1/(1 - t)^4")
 
 
 class TestColinear:
@@ -1190,6 +1201,23 @@ class TestArgHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--truncate: must have fewer than 4300 digits" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["toric", "--fan", "FAN", "--p"],
+        ["colinear", "--truncate", "2", "--r"],
+        ["verify", "localization", "--remove"],
+        ["verify", "eq1", "--denominator", "(1-t)^3", "--n"],
+    ], ids=["p", "r", "remove", "n"])
+    def test_integer_options_past_the_digit_limit(self, argv, capsys):
+        # the digits are counted before int() is asked: one line naming the
+        # option, not argparse's echo of every digit
+        argv = [str(ROOT / "fans" / "p2.json") if a == "FAN" else a for a in argv]
+        assert main(argv + ["1" * 4301]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {argv[-1]} has 4301 digits, over the limit of 4300\n")
+        assert main(argv + ["abc"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-1]}: invalid int value: 'abc'\n")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,25 +1,30 @@
 """Fan faces and wall relations against the LP and saturation references.
 
-Simplicial maximal cones take their faces from ray subsets, without a
-linear program, and chow_presentation divides each wall pairing by the gcd
-of the wall's pairings.  The references below are the earlier routes, kept
-here as oracles: a rank and an LP witness (each zero ray passed as a pair of
-inequalities) on every ray subset, and a wall coefficient from two
-saturations, integer coordinates and a determinant for every character.
-Hypothesis draws star subdivisions of P^2, P^3 and P^1 x P^2 and products
-of those; the face fan of the 3-cube covers the non-simplicial path.  The
-benchmark's fans must stay far below the work cap of the elimination LP.
+Simplicial maximal cones take their faces from ray subsets, other cones
+from intersections of their facets, without a linear program, and
+chow_presentation divides each wall pairing by the gcd of the wall's
+pairings.  The references below are the earlier routes, kept here as
+oracles: a kernel and an LP witness (each zero ray passed as a pair of
+inequalities) on the span of every subset of at most n rays, and a wall
+coefficient from two saturations, integer coordinates and a determinant
+for every character.  Hypothesis draws star subdivisions of P^2, P^3 and
+P^1 x P^2 and products of those; the face fans of the 3-cube and the
+4-cube, the 3-cube times P^1 and plane cones of up to 40 rays cover the
+non-simplicial path.  The benchmark's fans must stay far below the work cap
+of the elimination LP.
 
 Every fan is validated by determinant signs alone: facets, paired walls
 and one covering count.  The tests at the end keep the earlier pairwise-LP
 validator as an oracle and check that both accept the families above, that
 they accept the same perturbations of valid fans, that bad fans are named by
-exact messages, and that validation runs no LP or Smith form.
+exact messages, and that validation and face enumeration run no LP or Smith
+form.
 """
 
 from collections import Counter
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,14 +61,21 @@ def reference_is_face(rays, cone, subset):
 
 
 def reference_cones(fan):
-    """dimension -> sorted faces, from a rank and an LP on every subset."""
+    """dimension -> sorted faces, from a kernel and an LP on the span of
+    every subset of at most n rays: a k-face is the set of its cone's rays
+    in the span of any k independent rays of it."""
     found = {k: {()} if k == 0 else set() for k in range(fan.dim + 1)}
     for c in fan.maximal_cones:
-        for mask in range(1, 1 << len(c)):
-            subset = tuple(c[i] for i in range(len(c)) if mask >> i & 1)
-            rank = smith_decomposition([list(fan.rays[i]) for i in subset]).rank
-            if reference_is_face(fan.rays, c, set(subset)):
-                found[rank].add(subset)
+        seen = set()
+        for k in range(1, fan.dim + 1):
+            for t in combinations(c, k):
+                normals = kernel_basis([list(fan.rays[i]) for i in t])
+                span = tuple(i for i in c if not any(
+                    sum(map(mul, m, fan.rays[i])) for m in normals))
+                if len(normals) == fan.dim - k and span not in seen:
+                    seen.add(span)
+                    if reference_is_face(fan.rays, c, set(span)):
+                        found[k].add(span)
     return {k: tuple(sorted(v)) for k, v in found.items()}
 
 
@@ -153,18 +165,22 @@ def test_products_of_subdivisions_match_references(f1, f2):
 
 
 def test_non_simplicial_cube_matches_references():
-    fan = cube_face_fan(3)
-    assert not fan._simplicial
-    assert_matches_references(fan)
+    cube = cube_face_fan(3)
+    for fan in (cube, cube_face_fan(4), product_fan(cube, projective_space_fan(1))):
+        assert not fan._simplicial
+        assert_matches_references(fan)
 
 
 def test_rays_inside_faces_match_references():
-    # a face holding more rays than its dimension: the inner rays of a plane
-    # cone, and a ray on an edge of the 3-cube shared by two square cones
-    plane = Fan([(1, 0), (1, 1), (1, 2), (1, 3), (0, 1), (-1, 0), (0, -1)],
-                [(0, 1, 2, 3, 4), (4, 5), (5, 6), (6, 0)])
-    assert plane.cones_of_dim(1) == ((0,), (4,), (5,), (6,))
-    assert_matches_references(plane)
+    # a face holding more rays than its dimension: the inner rays of plane
+    # cones of 5 and 40 rays, and a ray on an edge of the 3-cube shared by
+    # two square cones
+    for count in (5, 40):
+        plane = Fan([(1, i) for i in range(count - 1)] + [(0, 1), (-1, 0), (0, -1)],
+                    [tuple(range(count)), (count - 1, count), (count, count + 1),
+                     (count + 1, 0)])
+        assert plane.cones_of_dim(1) == ((0,), (count - 1,), (count,), (count + 1,))
+        assert_matches_references(plane)
     cube = cube_face_fan(3)
     rays = cube.rays + ((1, 1, 0),)
     edge = len(cube.rays)
@@ -438,12 +454,16 @@ def test_certified_fans_run_no_lp_and_no_smith_form(monkeypatch):
     for _ in range(4):
         p1_5 = product_fan(p1_5, p1)
     blown_up = blowup_at_fixed_point(P3, P3.maximal_cones[0])
+    cube4 = cube_face_fan(4)
     for module in (intlinalg, monoid, toric):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, module))
-    for fan in (p1_5, blown_up, CUBE, split_cube()):
-        Fan(fan.rays, fan.maximal_cones, fan.ray_names)
+    for fan in (p1_5, blown_up, CUBE, split_cube(), cube4):
+        fan = Fan(fan.rays, fan.maximal_cones, fan.ray_names)
+        # non-simplicial faces come from set operations on the facets
+        for k in range(fan.dim + 1):
+            fan.cones_of_dim(k)
     assert calls == {"feasible_point": 0, "minimize_linear": 0,
                      "smith_decomposition": 0}
     # the counters do see the grading LP and the class presentation, on a
