@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import lcm
 from itertools import chain, compress, count, repeat
 from operator import add, mul, ne
 
@@ -318,11 +318,9 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
         raise MCSError("no strictly positive grading exists")
     _, point = result
     denom = lcm(*(x.denominator for x in point))
+    # w is primitive: some w.gen is denom at the optimum, so a common
+    # factor of w would divide denom and make a smaller common denominator
     w = [int(x * denom) for x in point]
-    # g divides each value w.gen >= 1, so w / g keeps every value >= 1
-    g = gcd(*w)
-    if g > 1:
-        w = [x // g for x in w]
     for gen in gens:
         if sum(wi * fi for wi, fi in zip(w, gen.free)) < 1:
             raise MCSError("no strictly positive grading exists")

@@ -373,7 +373,7 @@ def certify_rational(f: TruncatedSeries, g: MonoidPolynomial) -> RationalityVerd
     if g.degree() >= f.truncation:
         raise MCSError("denominator degree reaches the truncation bound")
     bound = g.degree()
-    hit = next(f._product(g.as_series(f.truncation), bound + 1), None)
+    hit = next(f._product(g, bound + 1), None)
     if hit is None:
         return RationalityVerdict(True, f.truncation, bound)
     d, keys, coeffs = hit
@@ -443,14 +443,14 @@ class RationalSeries:
                               [(specialize(c, s), a, e) for c, a, e in self.factors])
 
     def __str__(self):
-        num_terms = self.numerator.terms
-        words = self.monoid.format_elements(
-            [e for e, _ in num_terms] + [alpha for _, alpha, _ in self.factors])
+        n = len(self.numerator.keys)
+        words = self.monoid._format_keys(
+            self.numerator.keys + tuple(alpha.packed() for _, alpha, _ in self.factors))
         num = _terms_str(self.numerator, words) or "0"
         if not self.factors:
             return num
         parts = []
-        for (c, alpha, e), word in zip(self.factors, words[len(num_terms):]):
+        for (c, alpha, e), word in zip(self.factors, words[n:]):
             binom = f"(1 - {_times_word(_coeff_text(c), word)})"
             parts.append(binom if e == 1 else f"{binom}^{e}")
         den = "*".join(parts) if len(parts) == 1 else f"({'*'.join(parts)})"
@@ -663,28 +663,32 @@ def external_product(f, g):
 
 
 def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPolynomial:
-    """Exact quotient num/den for monic den, else MCSError.
+    """Exact quotient num/den, else MCSError; den must be monic, and its
+    other terms of degree >= 1, or the loop below would never end.
 
     Works in degree order like power-series division; only quotients of
     degree <= deg(num) are found, which covers every quotient this engine
     produces (localizing removes strata, it never enlarges the numerator).
+    rest = num - quotient * den throughout, and each class added to rest
+    lies above the one taken, so no class is taken twice, and the quotient
+    is exact once rest is empty.
     """
     if not den.is_monic():
         raise MCSError("division requires a monic divisor")
-    if num.is_zero():
-        return num
+    # the degrees are sorted, so the constant comes first, alone at degree 0
+    if den._degrees[1:2] == (0,):
+        raise MCSError("division requires non-constant divisor terms of positive degree")
     bound, zero = num.degree(), num.ring.zero
     grading, plus = num.monoid.grading, num.monoid.group.packed_adder()
     rest = dict(zip(num.keys, num.coeffs))
     quotient: dict[tuple[int, ...], KElement] = {}
-    den_tail = [(k, c) for k, c in zip(den.keys, den.coeffs) if any(k)]
+    den_tail = list(zip(den.keys[1:], den.coeffs[1:]))
     while rest:
         d, k = min((sum(map(mul, grading, k)), k) for k in rest)
         if d > bound:
             raise MCSError(
                 "quotient is not a polynomial of numerator-bounded degree")
-        c = rest.pop(k)
-        quotient[k] = quotient.get(k, zero) + c
+        c = quotient[k] = rest.pop(k)
         for k2, c2 in den_tail:
             k3 = plus(k, k2)
             c3 = rest.get(k3, zero) - c * c2
@@ -692,10 +696,7 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
                 rest.pop(k3, None)
             else:
                 rest[k3] = c3
-    q = num._like(quotient)
-    if not (q * den == num):
-        raise MCSError("division left a nonzero remainder")
-    return q
+    return num._like(quotient)
 
 
 def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSeries:
@@ -703,7 +704,8 @@ def localize_quotient(mc_x: RationalSeries, mc_y: RationalSeries) -> RationalSer
 
     Shared denominator factors cancel; leftover factors of mc_y become
     numerator binomials; a non-trivial numerator of mc_y must divide exactly,
-    otherwise MCSError.
+    otherwise MCSError; so does a term of degree 0 in it besides the
+    constant 1, since division by it would never end.
     """
     mc_x._check(mc_y)
     # the factors of a RationalSeries are already merged by this key

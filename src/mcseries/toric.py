@@ -183,11 +183,10 @@ class Fan:
         return sorted(facets, key=lambda f: sum(1 << cone.index(i) for i in f[0]))
 
     def _faces(self, cone, k) -> list[tuple]:
-        """The k-faces of a maximal cone, as ray-index tuples ordered by their
-        bitmasks of positions in the cone.  A non-simplicial cone's faces come
-        down from the cone one dimension at a time: its face lattice is
-        graded, so the facets of a face F are the maximal sets F & G over the
-        cone's facets G that do not hold F."""
+        """The k-faces of a maximal cone, as ray-index tuples.  A non-simplicial
+        cone's faces come down from the cone one dimension at a time: its face
+        lattice is graded, so the facets of a face F are the maximal sets F & G
+        over the cone's facets G that do not hold F."""
         if k == self.dim - 1:
             return list(self._facets[cone])
         if cone in self._simplicial:
@@ -199,8 +198,7 @@ class Fan:
                       "facet intersections")
             meets = [{f & g for g in facets if not f <= g} for f in level]
             level = {f for m in meets for f in m if not any(f < g for g in m)}
-        return sorted((tuple(sorted(f)) for f in level),
-                      key=lambda f: sum(1 << cone.index(i) for i in f))
+        return [tuple(sorted(f)) for f in level]
 
     # -- queries ----------------------------------------------------------
 
@@ -333,7 +331,7 @@ def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None) -> Rational
     if ring is None:
         ring = standard_ring()
     chow = chow_presentation(fan, p)
-    counts = Counter(chow.class_of(c) for c in chow.cones)
+    counts = Counter(chow._class_of.values())
     return RationalSeries(ring, chow.monoid, None,
                           [(ring.one, alpha, e) for alpha, e in counts.items()])
 

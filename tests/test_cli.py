@@ -13,10 +13,10 @@ import pytest
 
 from mcseries import cli, intlinalg, monoid, serialize
 from mcseries.cli import build_parser, main
-from mcseries.kring import Specialization
+from mcseries.kring import Specialization, standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
-from mcseries.series import _Terms, curve_zeta
+from mcseries.series import RationalSeries, _Terms, binomial_factor_polynomial, curve_zeta
 from mcseries.toric import (
     mc_series_toric,
     pn_divisor_series,
@@ -308,6 +308,23 @@ class TestColinear:
                                   "colinear_coefficient": "1",
                                   "fan_coefficient": "0"}
 
+    def test_compare_names_a_class_with_zero_coordinates(self, capsys, monkeypatch):
+        # an extra factor 1/(1 - s1) on the fan's series first changes the
+        # coefficient of E1, whose H, E2 and E3 coordinates are 0
+        real = cli.mc_series_toric
+
+        def extra(fan, p, ring=None):
+            f = real(fan, p, ring=ring)
+            s1 = f.monoid.generator_named("s1")
+            return f * RationalSeries(f.ring, f.monoid, None, [(f.ring.one, s1, 1)])
+        monkeypatch.setattr(cli, "mc_series_toric", extra)
+        assert main(["colinear", "--r", "3", "--truncate", "4",
+                     "--compare", str(ROOT / "fans" / "gp.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == (
+            "compare: first differing class E1: colinear 1, fan 2")
+        assert captured.err == ""
+
     def test_r12_words_without_enumerating(self, capsys, monkeypatch):
         # the colinear generators are a basis, so words are coordinates: the
         # numerator (1 - t^H)^10 reaches degree 130, and an enumeration of
@@ -561,6 +578,80 @@ class TestVerify:
         captured = capsys.readouterr()
         assert sha256(captured.out.encode()).hexdigest() == digest
         assert captured.err == ""
+
+    # each FAIL path below is forced by a monkeypatched library call; the
+    # command must print its FAIL line and exit 1 with nothing on stderr
+    @pytest.mark.parametrize("extra_factor, line", [
+        (False, "FAIL witness: class t, coefficient difference 2"),
+        (True, "FAIL: rational forms differ"),
+    ])
+    def test_localization_fail(self, extra_factor, line, capsys, monkeypatch):
+        real = cli.localize_quotient
+
+        def wrong(x, y):
+            if not extra_factor:
+                return x  # the curve's series, not the quotient
+            # (1 - t)/(1 - t): the right expansion in another rational form
+            q, t = real(x, y), x.monoid.generator_named("t")
+            return RationalSeries(q.ring, q.monoid, q.numerator * binomial_factor_polynomial(
+                q.ring, q.monoid, 1, t), q.factors + ((q.ring.one, t, 1),))
+        monkeypatch.setattr(cli, "localize_quotient", wrong)
+        assert main(["verify", "localization", "--curve", "p1",
+                     "--remove", "2", "--truncate", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == line
+        assert captured.err == ""
+
+    def test_product_fail(self, capsys, monkeypatch):
+        # the square of the pushed-forward series doubles each degree-1 term
+        real = cli.pushforward
+        monkeypatch.setattr(cli, "pushforward", lambda f, phi: real(f, phi) * real(f, phi))
+        p1 = str(ROOT / "fans" / "p1.json")
+        assert main(["verify", "product", "--fanA", p1, "--fanB", p1,
+                     "--truncate", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == (
+            "FAIL witness: class x0_2, coefficient difference 2")
+        assert captured.err == ""
+
+    def test_macdonald_fail_on_the_point_factor(self, capsys, monkeypatch):
+        # the square of MC_0 has the point class with multiplicity 2 * chi
+        real = cli.mc_series_toric
+        monkeypatch.setattr(cli, "mc_series_toric", lambda fan, p: real(fan, p) * real(fan, p))
+        assert main(["verify", "macdonald", "--fan", str(ROOT / "fans" / "p2.json"),
+                     "--truncate", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "MC_0 = 1/(1 - t)^6",
+            "FAIL: expected a single point class with multiplicity 3 (one per maximal cone)"]
+        assert captured.err == ""
+
+    def test_macdonald_fail_on_a_coefficient(self, capsys, monkeypatch):
+        # a point class of degree 2: 1/(1 - t)^3 expanded to degree 3 stops
+        # at the coefficient of t, and t^2 (degree 4) reads 0, not C(4, 2)
+        def graded_two(fan, p):
+            group = AbelianGroupPresentation(1)
+            m = GradedMonoid(group, ("t",), group.basis_images(), grading=(2,))
+            ring = standard_ring()
+            return RationalSeries(ring, m, None, [(ring.one, m.generators[0], 3)])
+        monkeypatch.setattr(cli, "mc_series_toric", graded_two)
+        assert main(["verify", "macdonald", "--fan", str(ROOT / "fans" / "p2.json"),
+                     "--truncate", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "MC_0 = 1/(1 - t)^3", "FAIL witness: degree 2, coefficient 0, expected 6"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("denominator, message", [
+        ("(1 - t+)", "cannot parse monomial fragment '+'"),
+        ("(1-t) x (1-t)", "unexpected text 'x' in denominator"),
+    ])
+    def test_eq1_denominator_parse_errors(self, denominator, message, capsys):
+        assert main(["verify", "eq1", "--n", "2", "--truncate", "4",
+                     "--denominator", denominator]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_macdonald_builders(self, fan_file, capsys):
         for name, fan in [("p2", projective_space_fan(2)),
@@ -1168,6 +1259,20 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 2
         assert "Traceback" not in err
         assert "Exception ignored" not in err
+
+    def test_pipe_closed_before_the_run(self, capsys, monkeypatch):
+        # in-process: the read end is closed before main starts, so the
+        # first flush of stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["verify", "macdonald", "--fan", str(ROOT / "fans" / "p2.json"),
+                         "--truncate", "3"]) == 2
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestProgramDefects:

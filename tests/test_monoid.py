@@ -1,6 +1,8 @@
 """Presentations, canonical coordinates, gradings, enumeration, homs."""
 
 import random
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -133,6 +135,19 @@ def test_positive_grading_rejects_zero_generator():
         positive_grading([group.project([0])], group.rank)
 
 
+@pytest.mark.parametrize("path", sorted(FANS.glob("*.json")), ids=lambda p: p.stem)
+def test_positive_grading_of_every_sample_fan_is_primitive(path):
+    # at the LP optimum some generator has value 1 before scaling, so the
+    # scaled functional has no common factor to divide out
+    fan = fan_file(path.stem)
+    for p in range(fan.dim + 1):
+        m = chow_presentation(fan, p).monoid
+        w = positive_grading(m.generators, m.group.rank)
+        assert w == m.grading
+        assert gcd(*w) == 1
+        assert all(sum(map(mul, w, g.free)) >= 1 for g in m.generators)
+
+
 def test_blowup_grading_all_ones():
     m = blowup_monoid()
     assert [m.degree(g) for g in m.generators] == [1, 1, 1, 1, 1, 1]
@@ -237,6 +252,30 @@ def test_hom_well_definedness():
     MonoidHom(src, tgt, (x, x))
     with pytest.raises(ValueError):
         MonoidHom(src, tgt, (x, y))
+
+
+def test_hom_from_a_torsion_source():
+    # Z + Z/2 on a, b with 2a = 2b: b - a has order 2, and an image of the
+    # word 2a - 2b must vanish
+    group = AbelianGroupPresentation(2, ((2, -2),))
+    src = GradedMonoid(group, ("a", "b"), group.basis_images())
+    free = free_graded_monoid(("x", "y"))
+    x, y = free.generators
+    with pytest.raises(ValueError, match="images do not satisfy the source relations"):
+        MonoidHom(src, free, (x, y))
+    fold = MonoidHom(src, free, (x, x))
+    a, b = src.generators
+    assert fold.apply(a + b) == 2 * x
+    ident = MonoidHom(src, src, src.generators)
+    assert ident.apply(b - a + 2 * a) == a + b
+
+
+def test_hom_from_a_source_without_generators():
+    group = AbelianGroupPresentation(0)
+    src = GradedMonoid(group, (), ())
+    hom = MonoidHom(src, free_graded_monoid(("x",)), ())
+    assert hom._word_kernel_basis() == []
+    assert hom.apply(src.zero).is_zero()
 
 
 def test_hom_requires_effective_images():

@@ -6,12 +6,16 @@ trivially forced: geometric-series coefficients come from the binomial
 identity via math.comb, pushforward coefficients from a hand convolution.
 """
 
+import os
 import random
+import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcseries import series
 from mcseries.errors import EnumerationLimitError, MCSError, WideCoefficientError
@@ -29,6 +33,7 @@ from mcseries.series import (
     TruncatedSeries,
     _binomial_digits,
     _coeff_text,
+    _divide_polynomial,
     _times_word,
     _too_wide as too_wide,
     _wide_digits,
@@ -261,6 +266,103 @@ def test_localize_mismatch_when_quotient_not_polynomial():
     y = RationalSeries(R, mono, binomial_factor_polynomial(R, mono, 2, t), ())
     with pytest.raises(MCSError, match="not a polynomial of numerator-bounded degree"):
         localize_quotient(x, y)
+
+
+# exact division over Z, Z^2 and Z + Z/2, coefficients in L, eps and a
+# free symbol s; every generator has degree 1
+DIVISION_RING = standard_ring(symbols=("s",))
+_TORSION_GROUP = AbelianGroupPresentation(2, ((2, -2),))
+DIVISION_MONOIDS = (
+    free_graded_monoid(("t",)),
+    free_graded_monoid(("u", "v")),
+    GradedMonoid(_TORSION_GROUP, ("a", "b"), _TORSION_GROUP.basis_images()),
+)
+_MONOMIALS = [DIVISION_RING.one] + [DIVISION_RING.generator(g) for g in ("L", "eps", "s")]
+division_coeffs = st.builds(
+    lambda pairs: sum((c * m for c, m in pairs), DIVISION_RING.zero),
+    st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(
+        _MONOMIALS + [x * y for x in _MONOMIALS[1:] for y in _MONOMIALS[1:]])),
+        min_size=1, max_size=3))
+
+
+@st.composite
+def divisions(draw):
+    """(monoid, a, den): den monic with its other terms of degree >= 1."""
+    m = draw(st.sampled_from(DIVISION_MONOIDS))
+    words = st.lists(st.integers(0, 3), min_size=len(m.generators),
+                     max_size=len(m.generators))
+
+    def poly(min_degree):
+        classes = draw(st.lists(words.filter(lambda w: sum(w) >= min_degree), max_size=4))
+        return {sum((k * g for k, g in zip(w, m.generators)), m.zero): draw(division_coeffs)
+                for w in classes}
+
+    a = MonoidPolynomial(DIVISION_RING, m, poly(0))
+    den = MonoidPolynomial(DIVISION_RING, m, {**poly(1), m.zero: 1})
+    return m, a, den
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(divisions())
+def test_divide_polynomial_returns_the_exact_quotient(case):
+    # the division does not multiply back, so the test does
+    _, a, den = case
+    num = a * den
+    q = _divide_polynomial(num, den)
+    assert q == a
+    assert q * den == num
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(divisions(), st.data())
+def test_divide_polynomial_refuses_an_inexact_numerator(case, data):
+    # den != 1 is a unit under no character of the group or of eps, so no
+    # monomial with coefficient 1 is a multiple of it
+    m, a, den = case
+    if den.is_one():
+        den = den + MonoidPolynomial(DIVISION_RING, m, {m.generators[0]: 1})
+    w = data.draw(st.lists(st.integers(0, 3), min_size=len(m.generators),
+                           max_size=len(m.generators)))
+    beta = sum((k * g for k, g in zip(w, m.generators)), m.zero)
+    num = a * den + MonoidPolynomial(DIVISION_RING, m, {beta: 1})
+    with pytest.raises(MCSError, match="not a polynomial of numerator-bounded degree"):
+        _divide_polynomial(num, den)
+
+
+# each divisor is 1 + tau with tau of degree 0: long division by it would
+# never end, so it must be refused at once; a subprocess bounds the wait
+_DEGREE_ZERO_DIVISOR = """
+import sys
+from mcseries.errors import MCSError
+from mcseries.kring import standard_ring
+from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
+from mcseries.series import MonoidPolynomial, RationalSeries, localize_quotient
+
+ring = standard_ring()
+if sys.argv[1] == "torsion":
+    group = AbelianGroupPresentation(2, ((2, -2),))
+    m = GradedMonoid(group, ("a", "b"), group.basis_images())
+else:
+    m = free_graded_monoid(("u", "v"))
+tau = m.generators[1] - m.generators[0]
+den = MonoidPolynomial(ring, m, {m.zero: 1, tau: 1})
+try:
+    localize_quotient(RationalSeries(ring, m), RationalSeries(ring, m, den))
+except MCSError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("group", ["torsion", "free"])
+def test_localize_refuses_a_degree_zero_divisor_term(group):
+    # b - a has order 2 in Z + Z/2; v - u has infinite order in Z^2
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _DEGREE_ZERO_DIVISOR, group],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("division requires non-constant divisor terms of"
+                           " positive degree\n")
 
 
 # ---------------------------------------------------------------------------
