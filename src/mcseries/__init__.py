@@ -24,7 +24,6 @@ from .monoid import (
     MonoidElement,
     MonoidHom,
     direct_sum,
-    express_in_basis,
     free_graded_monoid,
 )
 from .serialize import (
@@ -73,7 +72,7 @@ __all__ = [
     "KRingSpec", "KElement", "Specialization",
     "standard_ring", "specialize", "class_projective_space",
     "AbelianGroupPresentation", "GradedMonoid", "MonoidElement", "MonoidHom",
-    "free_graded_monoid", "direct_sum", "express_in_basis",
+    "free_graded_monoid", "direct_sum",
     "MonoidPolynomial", "TruncatedSeries", "RationalSeries",
     "RationalityVerdict", "binomial_factor_polynomial", "certify_rational",
     "rational_expand", "pushforward",

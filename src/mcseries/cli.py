@@ -220,15 +220,14 @@ def _compare_colinear(col: TruncatedSeries, fan, truncate: int):
         raise MCSError("--compare fan classes do not satisfy the three-point"
                        " blow-up relations t_i s_j = t_j s_i")
     fan_basis = (h, s["s1"], s["s2"], s["s3"])
-    col_basis = col.monoid.group.basis_images()
-
-    def in_basis(series, basis):
-        return dict(zip(express_keys_in_basis(series.keys, basis), series.coeffs))
-
-    col_terms = in_basis(col, col_basis)
-    fan_terms = in_basis(fan_series.expand(truncate), fan_basis)
+    # the colinear group has no relations, so its packed keys already are
+    # (H, E1, E2, E3) coordinates, and its grading is the unit degrees
+    col_terms = dict(zip(col.keys, col.coeffs))
+    fan_expansion = fan_series.expand(truncate)
+    fan_terms = dict(zip(express_keys_in_basis(fan_expansion.keys, fan_basis),
+                         fan_expansion.coeffs))
     # degrees are linear: the degree of sum v_i b_i is sum v_i deg(b_i)
-    col_degs = [col.monoid.degree(b) for b in col_basis]
+    col_degs = col.monoid.grading
     fan_degs = [m.degree(b) for b in fan_basis]
 
     zero = col.ring.zero
@@ -547,7 +546,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout was closed early, as by `| head`: stdout now points at
         # os.devnull, so that the flush at exit reports no closed pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 2
     finally:
         if limit:

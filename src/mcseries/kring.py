@@ -369,7 +369,7 @@ def specialize(a: KElement, s: Specialization,
     return spec.element(raw) if images else spec.from_reduced(raw)
 
 
-def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
+def class_projective_space(n: int, spec: KRingSpec) -> KElement:
     """1 + L + ... + L**n, the class of n-dimensional projective space.
 
     Its n + 1 terms are written in order of the power of L, so that its
@@ -377,7 +377,6 @@ def class_projective_space(n: int, spec: KRingSpec | None = None) -> KElement:
     homotopy quotient it is the integer n + 1."""
     if n < 0:
         raise ValueError("negative dimension")
-    spec = spec or standard_ring()
     li = spec.index("L")
     if spec.a1_homotopy:
         return spec.from_int(n + 1)

@@ -67,7 +67,6 @@ __all__ = [
     "MonoidHom",
     "positive_grading",
     "direct_sum",
-    "express_in_basis",
     "express_keys_in_basis",
     "free_graded_monoid",
 ]
@@ -319,12 +318,10 @@ def positive_grading(generators, rank: int) -> tuple[int, ...]:
     _, point = result
     denom = lcm(*(x.denominator for x in point))
     # w is primitive: some w.gen is denom at the optimum, so a common
-    # factor of w would divide denom and make a smaller common denominator
-    w = [int(x * denom) for x in point]
-    for gen in gens:
-        if sum(wi * fi for wi, fi in zip(w, gen.free)) < 1:
-            raise MCSError("no strictly positive grading exists")
-    return tuple(w)
+    # factor of w would divide denom and make a smaller common denominator.
+    # And w >= 1 on every generator: point.f >= 1 is a constraint for each
+    # free part f, so w.f = denom * (point.f) >= denom >= 1
+    return tuple(int(x * denom) for x in point)
 
 
 def _weighted_sums(rows, columns, n: int) -> list:
@@ -722,14 +719,6 @@ class GradedMonoid:
         """Multiplicative word in generator names, e.g. 't0*s1^2'; '1' for 0."""
         return self._format_words([[k] for k in self.word_for(e)], 1)[0]
 
-    def format_elements(self, elements) -> list[str]:
-        """format_element of each element; the words come from one batch
-        solve or one table up to the largest degree among them."""
-        elements = list(elements)
-        if not all(e in self.group for e in elements):
-            raise MCSError("element is not in the monoid's group")
-        return self._format_keys([e.packed() for e in elements])
-
     def _format_keys(self, keys, bound: int | None = None) -> list[str]:
         """The words of packed keys, bound as for _words, for callers that
         hold keys, and often their degrees, already, as series do."""
@@ -744,12 +733,6 @@ def free_graded_monoid(names) -> GradedMonoid:
     names = tuple(names)
     group = AbelianGroupPresentation(len(names))
     return GradedMonoid(group, names, group.basis_images())
-
-
-def express_in_basis(elements, basis) -> list[tuple[int, ...]]:
-    """Integer coordinates of each element in a nonempty basis of its group:
-    express_keys_in_basis of their packed keys."""
-    return express_keys_in_basis([e.packed() for e in elements], basis)
 
 
 def express_keys_in_basis(keys, basis) -> list[tuple[int, ...]]:
@@ -779,7 +762,7 @@ class MonoidHom:
 
     __slots__ = ("source", "target", "images")
 
-    def __init__(self, source: GradedMonoid, target: GradedMonoid, images, check=True):
+    def __init__(self, source: GradedMonoid, target: GradedMonoid, images):
         images = tuple(images)
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator required")
@@ -789,17 +772,16 @@ class MonoidHom:
         self.source = source
         self.target = target
         self.images = images
-        if check:
-            for img in images:
-                if not target.contains(img):
-                    raise ValueError("image is not effective in the target")
-            for z in self._word_kernel_basis():
-                acc = target.zero
-                for zi, img in zip(z, images):
-                    if zi:
-                        acc = acc + zi * img
-                if not acc.is_zero():
-                    raise ValueError("images do not satisfy the source relations")
+        for img in images:
+            if not target.contains(img):
+                raise ValueError("image is not effective in the target")
+        for z in self._word_kernel_basis():
+            acc = target.zero
+            for zi, img in zip(z, images):
+                if zi:
+                    acc = acc + zi * img
+            if not acc.is_zero():
+                raise ValueError("images do not satisfy the source relations")
 
     def _word_kernel_basis(self):
         """Basis of {z : sum z_i gen_i = 0 in the source group}."""
@@ -872,6 +854,4 @@ def direct_sum(a: GradedMonoid, b: GradedMonoid):
         grading.append(sum(map(mul, phi, group.lift(unit))))
 
     total = GradedMonoid(group, names, tuple(gens_a) + tuple(gens_b), grading)
-    inj1 = MonoidHom(a, total, gens_a, check=False)
-    inj2 = MonoidHom(b, total, gens_b, check=False)
-    return total, inj1, inj2
+    return total, MonoidHom(a, total, gens_a), MonoidHom(b, total, gens_b)

@@ -22,6 +22,7 @@ from collections import Counter
 from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import floor, lgamma, log, log10
 from operator import mul
 
@@ -671,7 +672,9 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
     produces (localizing removes strata, it never enlarges the numerator).
     rest = num - quotient * den throughout, and each class added to rest
     lies above the one taken, so no class is taken twice, and the quotient
-    is exact once rest is empty.
+    is exact once rest is empty.  The least (degree, key) of rest comes
+    from a heap that holds every class of rest: an entry whose class has
+    left rest is skipped when it comes up.
     """
     if not den.is_monic():
         raise MCSError("division requires a monic divisor")
@@ -681,10 +684,13 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
     bound, zero = num.degree(), num.ring.zero
     grading, plus = num.monoid.grading, num.monoid.group.packed_adder()
     rest = dict(zip(num.keys, num.coeffs))
+    heap = list(zip(num._degrees, num.keys))  # in term order, so a heap
     quotient: dict[tuple[int, ...], KElement] = {}
     den_tail = list(zip(den.keys[1:], den.coeffs[1:]))
     while rest:
-        d, k = min((sum(map(mul, grading, k)), k) for k in rest)
+        d, k = heappop(heap)
+        if k not in rest:
+            continue
         if d > bound:
             raise MCSError(
                 "quotient is not a polynomial of numerator-bounded degree")
@@ -695,6 +701,8 @@ def _divide_polynomial(num: MonoidPolynomial, den: MonoidPolynomial) -> MonoidPo
             if c3.is_zero():
                 rest.pop(k3, None)
             else:
+                if k3 not in rest:
+                    heappush(heap, (sum(map(mul, grading, k3)), k3))
                 rest[k3] = c3
     return num._like(quotient)
 

@@ -238,16 +238,15 @@ class OrbitClassMonoid:
     carried in `assumptions` for downstream display.
     """
 
-    __slots__ = ("p", "dim", "monoid", "cones", "generator_cones", "_class_of")
+    __slots__ = ("p", "dim", "monoid", "generator_cones", "_class_of")
     assumptions = ("orbit classes taken up to rational equivalence;"
                    " assumed to coincide with algebraic equivalence"
                    " on complete toric varieties",)
 
-    def __init__(self, p, dim, monoid, cones, generator_cones, class_of):
+    def __init__(self, p, dim, monoid, generator_cones, class_of):
         self.p = p
         self.dim = dim
         self.monoid = monoid
-        self.cones = cones
         self.generator_cones = generator_cones
         self._class_of = class_of
 
@@ -318,8 +317,7 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
         names = tuple(f"c{i}" for i in range(len(first_cone)))
     # an MCSError from here signals a fan with no projective grading
     monoid = GradedMonoid(group, names, tuple(class_of[c] for c in first_cone))
-    fan._class_tables[p] = OrbitClassMonoid(p, n, monoid, gen_cones,
-                                            first_cone, class_of)
+    fan._class_tables[p] = OrbitClassMonoid(p, n, monoid, first_cone, class_of)
     return fan._class_tables[p]
 
 
@@ -336,18 +334,17 @@ def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None) -> Rational
                           [(ring.one, alpha, e) for alpha, e in counts.items()])
 
 
-def pn_divisor_series(n: int, truncation: int,
-                      ring: KRingSpec | None = None) -> TruncatedSeries:
+def pn_divisor_series(n: int, truncation: int) -> TruncatedSeries:
     """Degree-d coefficient: class of the projective space of degree-d
-    hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1).
+    hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1), over standard_ring().
 
     The coefficients have binom(n+d,d) terms each; their total is checked
     against the MCS_MAX_TERMS cap before any of them is built.  The top
     coefficient 1 + L + ... + L^M is written once, and each lower one is a
     prefix of its terms, sharing their pairs; _Terms.specialize then maps
     each shared term once, walking only the terms a degree adds to the one
-    below.  Under the homotopy quotient the coefficients are the integers
-    binom(n+d,d), each built on its own."""
+    below.  Specialized at L = 1, the coefficients are the integers
+    binom(n+d,d)."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
     cap = term_cap()
@@ -357,17 +354,12 @@ def pn_divisor_series(n: int, truncation: int,
         total += counts[-1]
         if total > cap:
             check_cap(f"divisor series of P^{n} to degree {d}", total, cap=cap)
-    if ring is None:
-        ring = standard_ring()
+    ring = standard_ring()
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
-    if ring.a1_homotopy:
-        coeffs = [class_projective_space(c - 1, ring) for c in counts]
-    else:
-        top = class_projective_space(counts[-1] - 1, ring).terms
-        coeffs = [KElement(ring, top[:c]) for c in counts]
+    top = class_projective_space(counts[-1] - 1, ring).terms
     return TruncatedSeries(ring, monoid, truncation,
-                           {d * t: c for d, c in enumerate(coeffs)})
+                           {d * t: KElement(ring, top[:c]) for d, c in enumerate(counts)})
 
 
 # ---------------------------------------------------------------------------

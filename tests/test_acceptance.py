@@ -12,7 +12,7 @@ from math import comb
 from mcseries.gm_action import colinear_mc_series
 from mcseries.intlinalg import det, smith_decomposition
 from mcseries.kring import Specialization, standard_ring
-from mcseries.monoid import MonoidHom, express_in_basis, free_graded_monoid
+from mcseries.monoid import MonoidHom, express_keys_in_basis, free_graded_monoid
 from mcseries.series import (
     MonoidPolynomial,
     RationalSeries,
@@ -90,7 +90,7 @@ def test_criterion_2_three_point_blowup_form():
         t0 = t[0] - s[0]
         assert t0 == t[1] - s[1] == t[2] - s[2]
         basis = (t0, s[0], s[1], s[2])
-        got = sorted(express_in_basis([fc[1] for fc in f.factors], basis))
+        got = sorted(express_keys_in_basis([fc[1].packed() for fc in f.factors], basis))
         want = sorted([(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
                        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         assert got == want

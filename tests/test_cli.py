@@ -337,7 +337,7 @@ class TestColinear:
 
     def test_compare_solves_once_per_basis(self, fan_file, capsys, monkeypatch):
         # two Smith forms, for the fan's class group and the colinear free
-        # group, and one left inverse for each of the two bases and for the
+        # group, and one left inverse for the fan's basis and one for the
         # colinear monoid, whatever the number of terms compared
         calls = []
 
@@ -357,8 +357,24 @@ class TestColinear:
             calls.clear()
             assert main(["colinear", "--r", "3", "--truncate", truncate,
                          "--compare", path]) == 0
-            assert sorted(calls) == (["left_inverse"] * 3
+            assert sorted(calls) == (["left_inverse"] * 2
                                      + ["smith_decomposition"] * 2)
+
+    def test_compare_rewrites_only_the_fan_series(self, capsys, monkeypatch):
+        # colinear keys already are (H, E1, E2, E3) coordinates: only the
+        # fan's expansion is solved for in that basis
+        bases = []
+        real = cli.express_keys_in_basis
+
+        def counted(keys, basis):
+            bases.append(basis)
+            return real(keys, basis)
+
+        monkeypatch.setattr(cli, "express_keys_in_basis", counted)
+        assert main(["colinear", "--r", "3", "--truncate", "4",
+                     "--compare", str(ROOT / "fans" / "gp.json")]) == 0
+        assert "first differing class H - E1 - E2 - E3" in capsys.readouterr().out
+        assert len(bases) == 1 and len(bases[0]) == 4
 
     def test_pretty_words_take_a_solve_count_free_of_the_term_count(
             self, capsys, monkeypatch):
@@ -1273,6 +1289,26 @@ class TestClosedStdout:
         finally:
             stdout.close()
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count descriptors")
+    def test_closed_pipe_leaks_no_descriptor(self, capsys, monkeypatch):
+        # each closed-stdout exit points stdout at os.devnull and closes the
+        # descriptor it opened for that
+        argv = ["verify", "macdonald", "--fan", str(ROOT / "fans" / "p2.json"),
+                "--truncate", "3"]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stdout = os.fdopen(write_end, "w")
+            monkeypatch.setattr(sys, "stdout", stdout)
+            try:
+                assert main(argv) == 2
+            finally:
+                stdout.close()
+            assert capsys.readouterr().err == ""
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestProgramDefects:

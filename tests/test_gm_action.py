@@ -6,7 +6,7 @@ import pytest
 from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.gm_action import colinear_mc_series
 from mcseries.kring import standard_ring
-from mcseries.monoid import MonoidHom
+from mcseries.monoid import MonoidHom, express_keys_in_basis
 from mcseries.series import MonoidPolynomial, binomial_factor_polynomial, pushforward
 from mcseries.toric import (
     chow_presentation,
@@ -66,6 +66,22 @@ def test_colinear_generator_degrees():
     assert all(mono.degree(si) == 1 for si in s)
     assert mono.degree(h - s[0]) == 3
     assert mono.degree(h) == 4
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_colinear_keys_are_h_e_coordinates(r):
+    # the group has no relations, so a packed key is the class's (H, E1..Er)
+    # coordinate vector and the grading is the degree of each unit vector;
+    # colinear --compare reads the expansion keys as coordinates so
+    series = colinear_mc_series(r)
+    mono = series.monoid
+    t0, s, h = classes(mono, r)
+    units = [tuple(int(i == j) for j in range(r + 1)) for i in range(r + 1)]
+    assert [b.packed() for b in (h, *s)] == units
+    assert t0.packed() == (1,) + (-1,) * r
+    assert mono.grading == tuple(mono.degree(b) for b in (h, *s))
+    e = series.expand(4)
+    assert express_keys_in_basis(e.keys, (h, *s)) == list(e.keys)
 
 
 def test_colinear_rejects_single_center():

@@ -18,7 +18,7 @@ from mcseries.monoid import (
     MonoidElement,
     MonoidHom,
     direct_sum,
-    express_in_basis,
+    express_keys_in_basis,
     free_graded_monoid,
     positive_grading,
 )
@@ -288,7 +288,7 @@ def test_hom_requires_effective_images():
 
 def test_hom_apply_and_identity():
     m = blowup_monoid()
-    ident = MonoidHom(m, m, m.generators, check=False)
+    ident = MonoidHom(m, m, m.generators)
     t1 = m.generator_named("t1")
     s3 = m.generator_named("s3")
     assert ident.apply(t1 + s3) == t1 + s3
@@ -335,19 +335,20 @@ def test_express_in_basis():
     t1 = m.generator_named("t1")
     s1, s2, s3 = (m.generator_named(n) for n in ("s1", "s2", "s3"))
     t0 = t1 - s1
-    coords = express_in_basis([t1, s3, t1 + s2], [t0, s1, s2, s3])
+    coords = express_keys_in_basis([e.packed() for e in (t1, s3, t1 + s2)],
+                                   [t0, s1, s2, s3])
     assert coords == [(1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0)]
     with pytest.raises(MCSError, match="not an integer combination"):
-        express_in_basis([t1], [2 * t0, 2 * s1, 2 * s2, 2 * s3])
+        express_keys_in_basis([t1.packed()], [2 * t0, 2 * s1, 2 * s2, 2 * s3])
     with pytest.raises(MCSError, match="linearly dependent"):
-        express_in_basis([t1], [t0, t1, s1, s2, s3])
+        express_keys_in_basis([t1.packed()], [t0, t1, s1, s2, s3])
 
 
 def test_express_in_an_empty_basis():
     with pytest.raises(MCSError, match="empty basis"):
-        express_in_basis([blowup_monoid().zero], [])
+        express_keys_in_basis([blowup_monoid().zero.packed()], [])
     with pytest.raises(MCSError, match="empty basis"):
-        express_in_basis([], [])
+        express_keys_in_basis([], [])
 
 
 def test_element_arithmetic_validation():
@@ -489,6 +490,28 @@ def test_direct_sum_with_the_monoid_on_no_generators():
         assert total.degree(img) == b.degree(g)
 
 
+def test_direct_sum_checks_its_injections(monkeypatch):
+    # the 4-cube's divisor classes have torsion (2, 2, 2); each injection
+    # is checked like any MonoidHom: effective images, source relations kept
+    checked = []
+    kernel = MonoidHom._word_kernel_basis
+
+    def spy(self):
+        checked.append(self.source)
+        return kernel(self)
+
+    monkeypatch.setattr(MonoidHom, "_word_kernel_basis", spy)
+    a = chow_presentation(fan_file("cube4"), 3).monoid
+    b = chow_presentation(fan_file("p1"), 0).monoid
+    assert a.group.invariants == (2, 2, 2)
+    total, inj1, inj2 = direct_sum(a, b)
+    assert checked == [a, b]
+    for mono, inj in ((a, inj1), (b, inj2)):
+        for g, img in zip(mono.generators, inj.images):
+            assert inj.apply(g) == img and total.contains(img)
+            assert total.degree(img) == mono.degree(g)
+
+
 # -- words and membership from coordinates -----------------------------------
 
 
@@ -524,13 +547,13 @@ def _combination(m, word):
 
 
 def _check_against_bfs(m, bound, outside=()):
-    """word_for, contains and format_elements against the word table of the
+    """word_for, contains and _format_keys against the word table of the
     enumeration to bound; each element of outside must be no member."""
     table = m._enumerate(bound)
     members = [m.group.unpack(key) for key in table]
     assert [m.word_for(e) for e in members] == list(table.values())
     assert all(m.contains(e) for e in members)
-    assert m.format_elements(members) == m._format_words(zip(*table.values()), len(table))
+    assert m._format_keys(list(table)) == m._format_words(zip(*table.values()), len(table))
     for e in outside:
         assert e.packed() not in m._enumerate(max(m.degree(e), 0))
         assert not m.contains(e)
@@ -538,7 +561,7 @@ def _check_against_bfs(m, bound, outside=()):
                                            "|negative degree"):
             m.word_for(e)
         with pytest.raises(MCSError, match="not a sum of monoid generators"):
-            m.format_elements([e])
+            m._format_keys([e.packed()])
     assert m._solve  # the words came from coordinates
 
 
@@ -906,7 +929,7 @@ def test_generator_words_need_no_table(monkeypatch):
     m = SMALL_MONOIDS["repeat"]()
     a, b, c = m.generators
     monkeypatch.setattr(GradedMonoid, "_enumerate", _no_table)
-    assert m.format_elements([m.zero, a, b, c]) == ["1", "a", "a", "c"]
+    assert m._format_keys([x.packed() for x in (m.zero, a, b, c)]) == ["1", "a", "a", "c"]
     assert m.word_for(b) == (1, 0, 0)
     with pytest.raises(AssertionError, match="enumerated"):
         m.word_for(a + c)
@@ -917,4 +940,4 @@ def test_generator_letters_outlast_an_enumeration():
     a, b, c = m.generators
     assert m.word_for(a + c) == (1, 0, 1)
     assert m._reach == 3
-    assert m.format_elements([m.zero, a, b, c]) == ["1", "a", "a", "c"]
+    assert m._format_keys([x.packed() for x in (m.zero, a, b, c)]) == ["1", "a", "a", "c"]

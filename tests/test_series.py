@@ -365,6 +365,37 @@ def test_localize_refuses_a_degree_zero_divisor_term(group):
                            " positive degree\n")
 
 
+# (1 + t + ... + t^N)(1 + t) = 1 + 2t + ... + 2t^N + t^(N+1), divided by
+# 1 + t: each step takes the least class of about N live ones, so a scan
+# of them all per step is quadratic; written term by term, as C(N, N // 2)
+# would pass the 4,300 digits Python prints at N = 20,000
+_LONG_DIVISION = """
+import sys
+from mcseries.kring import standard_ring
+from mcseries.monoid import free_graded_monoid
+from mcseries.series import MonoidPolynomial, RationalSeries, localize_quotient
+
+n = int(sys.argv[1])
+ring = standard_ring()
+m = free_graded_monoid(("t",))
+t = m.generators[0]
+num = MonoidPolynomial(ring, m, {d * t: 1 if d in (0, n + 1) else 2 for d in range(n + 2)})
+den = MonoidPolynomial(ring, m, {m.zero: 1, t: 1})
+q = localize_quotient(RationalSeries(ring, m, num), RationalSeries(ring, m, den))
+assert q.numerator == MonoidPolynomial(ring, m, {d * t: 1 for d in range(n + 1)})
+assert q.factors == ()
+print(len(q.numerator.keys))
+"""
+
+
+def test_long_division_takes_the_least_class_from_a_heap():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _LONG_DIVISION, "20000"],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "20001\n")
+
+
 # ---------------------------------------------------------------------------
 # pushforward
 
@@ -623,7 +654,7 @@ def test_str_renders_every_term_with_coeff_str():
     for shift in range(5):
         terms = {k * t: coeffs[(k + shift) % 5] for k in range(16)}
         poly = MonoidPolynomial(z.ring, z.monoid, terms)
-        words = z.monoid.format_elements(e for e, _ in poly.terms)
+        words = z.monoid._format_keys(poly.keys)
         bodies = [_times_word(_coeff_text(c), w)
                   for (_, c), w in zip(poly.terms, words)]
         text = " ".join(bodies[:1] + [f"- {b[1:]}" if b.startswith("-")

@@ -10,7 +10,7 @@ the series or K-ring algorithms is used on the sympy side.
 
 import pytest
 
-from mcseries.kring import Specialization, standard_ring
+from mcseries.kring import Specialization
 from mcseries.series import curve_zeta
 from mcseries.toric import pn_divisor_series
 
@@ -58,7 +58,6 @@ def test_curve_zeta_expand(genus, truncation):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pn_divisor_series_at_l_one(n):
     truncation = 9
-    ring = standard_ring()
-    f = pn_divisor_series(n, truncation, ring)
-    collapsed = f.specialize(Specialization(ring, {"L": 1}))
+    f = pn_divisor_series(n, truncation)
+    collapsed = f.specialize(Specialization(f.ring, {"L": 1}))
     assert_matches_sympy(collapsed, 1 / (1 - t) ** (n + 1), truncation)

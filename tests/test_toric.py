@@ -110,7 +110,7 @@ def test_p2_curve_classes_collapse_to_z():
     chow = chow_presentation(fan, 1)
     assert chow.monoid.group.rank == 1
     assert chow.monoid.group.invariants == ()
-    classes = [chow.class_of(c) for c in chow.cones]
+    classes = [chow.class_of(c) for c in fan.cones_of_dim(1)]
     assert len(set(classes)) == 1
     assert chow.monoid.degree(classes[0]) == 1
 
@@ -137,7 +137,7 @@ def test_point_classes_identified_on_every_builder_fan():
                 fan_file("p112")):
         chow = chow_presentation(fan, 0)
         assert chow.monoid.group.rank == 1
-        assert len(set(chow.class_of(c) for c in chow.cones)) == 1
+        assert len(set(chow.class_of(c) for c in fan.cones_of_dim(fan.dim))) == 1
 
 
 def test_singular_wall_index_two_still_collapses_points():
@@ -173,8 +173,8 @@ def test_line_classes_in_p3_collapse_to_z():
     fan = projective_space_fan(3)
     chow = chow_presentation(fan, 1)
     assert chow.monoid.group.rank == 1
-    assert len(chow.cones) == 6
-    assert len(set(chow.class_of(c) for c in chow.cones)) == 1
+    assert len(fan.cones_of_dim(2)) == 6
+    assert len(set(chow.class_of(c) for c in fan.cones_of_dim(2))) == 1
 
 
 def test_metadata_records_equivalence_assumption():
@@ -267,7 +267,7 @@ def test_one_factor_per_class_is_the_product_over_cones(name):
     fan = fan_file(name)
     for p in range(fan.dim + 1):
         chow = chow_presentation(fan, p)
-        per_cone = [(R.one, chow.class_of(c), 1) for c in chow.cones]
+        per_cone = [(R.one, chow.class_of(c), 1) for c in fan.cones_of_dim(fan.dim - p)]
         assert mc_series_toric(fan, p) == RationalSeries(R, chow.monoid, None, per_cone)
 
 
@@ -402,19 +402,20 @@ def test_pn_divisor_series_coefficients():
 
 
 def test_pn_divisor_series_is_integer_under_a1():
-    a1 = standard_ring(a1_homotopy=True)
-    f = pn_divisor_series(3, 6, a1)
+    f = pn_divisor_series(3, 6).specialize(Specialization(R, {"L": 1}))
     t = f.monoid.generator_named("t")
     for d in range(7):
         c = f.coefficient(d * t)
         assert c.is_integer() and c.as_integer() == comb(3 + d, d)
 
 
-@pytest.mark.parametrize("ring", [R, standard_ring(symbols=("x",)),
-                                  standard_ring(a1_homotopy=True)],
-                         ids=["standard", "free-symbol", "a1"])
+@pytest.mark.parametrize("ring", [R, standard_ring(a1_homotopy=True)],
+                         ids=["standard", "a1"])
 def test_pn_divisor_coefficients_are_projective_space_classes(ring):
-    f = pn_divisor_series(3, 5, ring)
+    # the classes of the A^1 ring are the images at L = 1
+    f = pn_divisor_series(3, 5)
+    if ring.a1_homotopy:
+        f = f.specialize(Specialization(R, {"L": 1}))
     t = f.monoid.generator_named("t")
     for d in range(6):
         want = class_projective_space(comb(3 + d, d) - 1, ring)
