@@ -206,7 +206,7 @@ def _class_in_h_e(coords) -> str:
 def _compare_colinear(col: TruncatedSeries, fan, truncate: int):
     """First coefficient disagreement between the colinear expansion and the
     fan's divisor series, both rewritten in the common basis (H, E1, E2, E3)."""
-    fan_series = mc_series_toric(fan, 1, ring=col.ring)
+    fan_series = mc_series_toric(fan, 1)
     m = fan_series.monoid
     try:
         t = {n: m.generator_named(n) for n in ("t1", "t2", "t3")}
@@ -445,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     copy their default list before appending."""
     top = argparse.ArgumentParser(
         prog="mcseries",
-        description="Orbit-class generating series of complete toric varieties"
-                    " and stratified blow-ups, with identity verification.")
+        description="Orbit-class series of complete toric varieties and of the plane"
+                    " blown up at colinear points, with identity verification.")
     sub = top.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("toric", help="series of a fan from JSON")

@@ -284,10 +284,8 @@ def _simplex(num_vars: int, cons, objective, stage: str
     art = num_vars
     nonbasic = list(range(num_vars))
     tab = [[-rhs, *coeffs] for coeffs, rhs in cons]
-    basic = [art + 1 + i for i in range(len(tab))]
-    if objective is not None:
-        basic.append(-1)
-        tab.append([0, *objective])
+    basic = [art + 1 + i for i in range(len(tab))] + [-1]
+    tab.append([0, *objective])
     pivots = 0
 
     def pivot(r: int, c: int) -> None:
@@ -338,21 +336,19 @@ def _simplex(num_vars: int, cons, objective, stage: str
         if art in basic:
             return None
     # the artificial variable is nonbasic at 0 now, and entering() skips it
-    if objective is not None:
-        rows = [basic.index(v) for v in range(-1, num_vars) if v in basic]
-        while (c := entering(rows)) is not None and (r := leaving(c)) is not None:
-            pivot(r, c)
+    rows = [basic.index(v) for v in range(-1, num_vars) if v in basic]
+    while (c := entering(rows)) is not None and (r := leaving(c)) is not None:
+        pivot(r, c)
     return [Fraction(tab[basic.index(j)][0]) if j in basic else Fraction(0)
             for j in range(num_vars)]
 
 
 def feasible_point(num_vars: int, cons,
                    stage: str = "linear program") -> list[Fraction] | None:
-    """A rational point satisfying all constraints sum(c*x) >= rhs, or None.
-
-    Deterministic: phase 1 of the simplex.  Raises MCSError, naming the
-    stage, past MAX_PIVOTS pivots."""
-    return _simplex(num_vars, cons, None, stage)
+    """A rational point satisfying all constraints sum(c*x) >= rhs, or None,
+    made deterministically by the simplex with a zero objective.  Raises
+    MCSError, naming the stage, past MAX_PIVOTS pivots."""
+    return _simplex(num_vars, cons, (0,) * num_vars, stage)
 
 
 def minimize_linear(num_vars: int, objective, cons, stage: str = "linear program"

@@ -18,6 +18,9 @@ along a wall divides by an exact lattice index, never a floating determinant:
 the gcd of the pairings of the new ray with a basis of the characters
 orthogonal to the lower cone, which are the ray's coordinates in the free
 quotient of N by that cone's saturated lattice.
+
+The product formula counts torus-fixed cycles, whose classes hold where L = 1:
+mc_series_toric builds in standard_ring(a1_homotopy=True), K(ChM)_{A^1}.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import combinations, count
 from math import comb, gcd
 
 from .errors import MCSError, check_cap, term_cap
-from .kring import KElement, KRingSpec, class_projective_space, standard_ring
+from .kring import KElement, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -321,13 +324,13 @@ def chow_presentation(fan: Fan, p: int) -> OrbitClassMonoid:
     return fan._class_tables[p]
 
 
-def mc_series_toric(fan: Fan, p: int, ring: KRingSpec | None = None) -> RationalSeries:
+def mc_series_toric(fan: Fan, p: int) -> RationalSeries:
     """Product over (n-p)-cones of 1/(1 - t^class): the series counting
-    effective sums of p-dimensional orbit closures by class.  RationalSeries
+    effective sums of p-dimensional orbit closures by class, in the A^1 ring,
+    for torus-fixed cycles give classes only where L = 1.  RationalSeries
     gets one factor per distinct class, with its cone count as the power,
     so each class is checked once, not once per cone."""
-    if ring is None:
-        ring = standard_ring()
+    ring = standard_ring(a1_homotopy=True)
     chow = chow_presentation(fan, p)
     counts = Counter(chow._class_of.values())
     return RationalSeries(ring, chow.monoid, None,

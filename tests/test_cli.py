@@ -25,6 +25,8 @@ from mcseries.toric import (
     three_point_blowup_fan,
 )
 
+from _tools import FANS
+
 
 def _no_enumeration(self, bound):
     raise AssertionError(f"enumerated the monoid to degree {bound}")
@@ -75,6 +77,25 @@ class TestToric:
             projective_space_fan(2), 1)
         expansion = series_from_json(doc["expansion"])
         assert expansion == mc_series_toric(projective_space_fan(2), 1).expand(3)
+
+    @pytest.mark.parametrize("path", sorted(FANS.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_json_declares_the_a1_ring_and_reads_back(self, path, tmp_path, capsys):
+        # the product formula counts torus-fixed cycles, whose classes hold
+        # where L = 1; read back, the rational object prints as toric does
+        argv = ["toric", "--fan", str(path), "--p", "1", "--truncate", "3"]
+        assert main(argv) == 0
+        mc, expansion = capsys.readouterr().out.splitlines()[:2]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rational"]["ring"]["a1_homotopy"] is True
+        assert doc["expansion"]["ring"]["a1_homotopy"] is True
+        rational = tmp_path / "rational.json"
+        rational.write_text(json.dumps(doc["rational"]))
+        assert main(["specialize", "--series", str(rational), "--assign", "L=2"]) == 0
+        assert capsys.readouterr().out == mc.removeprefix("MC_1 = ") + "\n"
+        assert main(["expand", "--series", str(rational), "--truncate", "3"]) == 0
+        assert capsys.readouterr().out == expansion.removeprefix("expansion: ") + "\n"
 
     def test_deterministic_output(self, fan_file, capsys):
         path = fan_file(three_point_blowup_fan(), "gp")
@@ -313,8 +334,8 @@ class TestColinear:
         # coefficient of E1, whose H, E2 and E3 coordinates are 0
         real = cli.mc_series_toric
 
-        def extra(fan, p, ring=None):
-            f = real(fan, p, ring=ring)
+        def extra(fan, p):
+            f = real(fan, p)
             s1 = f.monoid.generator_named("s1")
             return f * RationalSeries(f.ring, f.monoid, None, [(f.ring.one, s1, 1)])
         monkeypatch.setattr(cli, "mc_series_toric", extra)
@@ -1362,7 +1383,9 @@ class TestArgHandling:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "toric" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())  # undo the line wrap
+        assert "toric" in out
+        assert "colinear points" in out and "stratified" not in out
 
     @pytest.mark.parametrize("argv", [
         ["toric", "--fan", "FAN", "--p", "1"],

@@ -117,7 +117,7 @@ def test_configuration_dependence_against_three_general_points():
     t0 = colinear.monoid.generator_named("t0")
     assert colinear.expand(2).coefficient(t0) == 1
 
-    gp = mc_series_toric(three_point_blowup_fan(), 1, ring=RA)
+    gp = mc_series_toric(three_point_blowup_fan(), 1)
     mono = gp.monoid
     diff = (mono.generator_named("t1") + mono.generator_named("s2")
             + mono.generator_named("s3")
@@ -146,7 +146,7 @@ def test_colinear_r2_equals_toric_two_point_blowup():
     fan = blowup_at_fixed_point(projective_space_fan(2), (0, 1))
     fan = blowup_at_fixed_point(fan, (1, 2))
     chow = chow_presentation(fan, 1)
-    toric = mc_series_toric(fan, 1, ring=RA)
+    toric = mc_series_toric(fan, 1)
     series = colinear_mc_series(2)
     # x1 = (0,1) sits in both blown-up cones: its strict transform is the
     # moved line; the barycenter rays are the exceptionals
