@@ -21,8 +21,7 @@ import sys
 from math import comb
 from operator import mul
 
-from .errors import (MAX_COEFFICIENT_DIGITS, MCSError, WideCoefficientError,
-                     check_cap, read_integer, term_cap)
+from .errors import MAX_COEFFICIENT_DIGITS, MCSError, check_cap, read_integer, term_cap
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
 from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis
@@ -82,28 +81,28 @@ def _parse_assignment(text: str, ring: KRingSpec):
 def _apply_specializations(f, raw: list[str], strict: bool = False):
     if not raw:
         return f
-    pairs = dict(_parse_assignment(text, f.ring) for text in raw)
+    pairs = {}
+    for text in raw:
+        name, value = _parse_assignment(text, f.ring)
+        if name in pairs:
+            raise MCSError(f"ring generator {name!r} is assigned twice")
+        pairs[name] = value
     return f.specialize(Specialization(f.ring, pairs, carry_unassigned=not strict))
 
 
 def _emit(args, fields, lines, **printed) -> None:
     """Print the lines(), or with --format json fields plus the series of
     each (stage, series) pair of printed that is not None, under its key.
-    The whole text is made before any of it is printed, and a coefficient
-    too wide to print is bad input naming the stage of its series."""
+    Each printed series is checked, in printed order, before any text is
+    made: a coefficient too wide to print is bad input naming its stage."""
     for stage, f in printed.values():
-        if isinstance(f, RationalSeries):
+        if f is not None:
             check_printable(stage, f)
-    try:
-        if args.format == "json":
-            text = json_text(dict(fields, **{key: f for key, (_, f) in printed.items()
-                                             if f is not None}))
-        else:
-            text = "\n".join(lines())
-    except WideCoefficientError as exc:
-        stage = next(stage for stage, f in printed.values() if f is exc.series)
-        raise MCSError(f"{stage}: {exc}") from None
-    print(text)
+    if args.format == "json":
+        print(json_text(dict(fields, **{key: f for key, (_, f) in printed.items()
+                                        if f is not None})))
+    else:
+        print("\n".join(lines()))
 
 
 # ---------------------------------------------------------------------------

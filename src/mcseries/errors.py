@@ -29,15 +29,6 @@ class EnumerationLimitError(MCSError):
                          " raise MCS_MAX_TERMS")
 
 
-class WideCoefficientError(MCSError):
-    """A coefficient too wide to print, met as series was written; the
-    command line puts the stage of series in front of the message."""
-
-    def __init__(self, series, message: str):
-        super().__init__(message)
-        self.series = series
-
-
 def term_cap() -> int:
     """The term cap: MCS_MAX_TERMS when set, else DEFAULT_MAX_TERMS; an
     MCSError when the variable is not a positive integer."""

@@ -23,10 +23,11 @@ from collections.abc import Sequence
 from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from math import floor, lgamma, log, log10
 from operator import mul
 
-from .errors import MAX_COEFFICIENT_DIGITS, MCSError, WideCoefficientError, check_cap
+from .errors import MAX_COEFFICIENT_DIGITS, MCSError, check_cap
 from .kring import KElement, KRingSpec, Specialization, specialize, standard_ring
 from .monoid import (
     GradedMonoid,
@@ -279,8 +280,8 @@ def _times_word(text: str, word: str) -> str:
 
 def _terms_str(poly: _Terms, words=None) -> str:
     """Signed sum of poly's terms; words are the terms' class words when
-    the caller has rendered them already.  The coefficients are checked
-    before any word is found."""
+    the caller has rendered them already.  No coefficient is checked here:
+    a printed series passed check_printable first."""
     texts = coefficient_texts(poly, _coeff_text)
     if words is None and poly._words is not None:
         words = poly.monoid._format_words(poly._words, len(poly.keys))
@@ -508,15 +509,12 @@ def _too_wide(c: KElement, degree: int) -> str:
 
 def coefficient_texts(poly, make) -> list[str]:
     """make(c) of the coefficient c of each term of poly, in term order,
-    called once per distinct c; first, the one width check of both writers
-    raises WideCoefficientError at the degree of a c too wide to print."""
+    called once per distinct c."""
     texts: dict[KElement, str] = {}
     out = []
-    for c, d in zip(poly.coeffs, poly._degrees):
+    for c in poly.coeffs:
         text = texts.get(c)
         if text is None:
-            if message := _too_wide(c, d):
-                raise WideCoefficientError(poly, message)
             text = texts[c] = make(c)
         out.append(text)
     return out
@@ -527,18 +525,25 @@ def check_printable(stage: str, f, degree: int = 0) -> None:
     limit, at the first coefficient of f with an integer, a coefficient or
     a generator exponent, of more decimal digits than
     MAX_COEFFICIENT_DIGITS, the most Python converts to text, or at the
-    first factor power that wide.  f is a rational series or one KElement
-    at the given degree, which what prints it checks first; the writers of
-    the other series check as they write (coefficient_texts)."""
+    first factor power that wide.  f is a series of any kind, whose
+    distinct coefficients are each checked once, at their first degree in
+    term order, or one KElement at the given degree.  This is the one width
+    check: what prints f calls it before any text is made, and the writers
+    check nothing."""
     if isinstance(f, KElement):
         rows = [(f, degree, 0)]
+    elif isinstance(f, RationalSeries):
+        rows = chain(zip(f.numerator.coeffs, f.numerator._degrees, repeat(0)),
+                     ((c, f.monoid.degree(alpha), e) for c, alpha, e in f.factors))
     else:
-        rows = [(c, d, 0) for c, d in zip(f.numerator.coeffs, f.numerator._degrees)]
-        rows += [(c, f.monoid.degree(alpha), e) for c, alpha, e in f.factors]
+        rows = zip(f.coeffs, f._degrees, repeat(0))
+    seen = set()
     for c, d, e in rows:
-        if message := _too_wide(c, d):
-            raise MCSError(f"{stage}: {message}")
-        if digits := _wide_digits(e):
+        if c not in seen:
+            seen.add(c)
+            if message := _too_wide(c, d):
+                raise MCSError(f"{stage}: {message}")
+        if e and (digits := _wide_digits(e)):
             raise MCSError(f"{stage}: the power of the factor at degree {d} has"
                            f" {digits} digits, over the limit of {MAX_COEFFICIENT_DIGITS}")
 

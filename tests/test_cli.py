@@ -1205,6 +1205,29 @@ class TestDigitLimit:
                                      " numerator of degree <= 2 up to degree 6)\n")
         assert captured.err == ""
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    @pytest.mark.parametrize("cmd, stage", [
+        (["expand", "--truncate", "2"], "expansion to degree 2"),
+        (["specialize", "--assign", "L=1"], "specialization"),
+    ], ids=["expand", "specialize"])
+    @pytest.mark.parametrize("kind", ["truncated", "polynomial"])
+    def test_wide_sum_in_a_term_file_exit_2(self, kind, cmd, stage, fmt, tmp_path,
+                                            capsys):
+        # two terms of 4,300 nines in one class sum to 4,301 digits
+        nines = int("9" * 4300)
+        doc = {"kind": kind, "ring": {"generators": ["L", "eps"]},
+               "monoid": {"generators": ["t"]}, "terms": [
+                   _line_term(0, 1), _line_term(1, nines), _line_term(1, nines),
+                   _line_term(2, 5)]}
+        if kind == "truncated":
+            doc["truncation"] = 3
+        assert main([cmd[0], "--series", _write(tmp_path, doc), *cmd[1:],
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {stage}: the coefficient at degree 1 has"
+                                " 4301 digits, over the limit of 4300\n")
+
 
 class TestIntTextLimit:
     """The output does not depend on PYTHONINTMAXSTRDIGITS: main converts
@@ -1426,6 +1449,34 @@ class TestDeepNesting:
         assert run.returncode == 2
         assert str(path) in run.stderr
         assert "Traceback" not in run.stderr
+
+
+class TestRepeatedAssignment:
+    """A generator assigned twice in one run is bad input, whichever value
+    comes last."""
+
+    @pytest.mark.parametrize("values", [("2", "1"), ("1", "2"), ("1", "1")])
+    def test_verify_specialize(self, values, capsys):
+        argv = ["verify", "eq1", "--n", "1", "--denominator", "(1-t)^2",
+                "--truncate", "4"]
+        for value in values:
+            argv += ["--specialize", f"L={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ring generator 'L' is assigned twice\n"
+
+    @pytest.mark.parametrize("assignments", [
+        ["eps=-1", "L=1", "eps=1"], ["L=1", "L=eps"]])
+    def test_specialize_assign(self, assignments, zeta_file, capsys):
+        argv = ["specialize", "--series", zeta_file]
+        for text in assignments:
+            argv += ["--assign", text]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = assignments[-1].partition("=")[0]
+        assert captured.err == f"error: ring generator {name!r} is assigned twice\n"
 
 
 class TestParserReuse:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcseries import series
-from mcseries.errors import EnumerationLimitError, MCSError, WideCoefficientError
+from mcseries.errors import EnumerationLimitError, MCSError
 from mcseries.kring import KElement, Specialization, class_projective_space, standard_ring
 from mcseries.monoid import (
     AbelianGroupPresentation,
@@ -39,6 +39,7 @@ from mcseries.series import (
     _wide_digits,
     binomial_factor_polynomial,
     certify_rational,
+    check_printable,
     curve_zeta,
     external_product,
     localize_quotient,
@@ -666,22 +667,45 @@ def test_str_renders_every_term_with_coeff_str():
             f"({text})/((1 - t)*(1 - L*t))")
 
 
-def test_writers_refuse_a_coefficient_too_wide_to_print(monkeypatch):
-    # the coefficient of t^d in 1/(1 - 10^100 t) is 10^(100 d): both
-    # writers stop at degree 43, the first of more than 4,300 digits, and
-    # check each distinct coefficient once, in term order
+def test_check_printable_refuses_a_coefficient_too_wide_to_print(monkeypatch):
+    # the coefficient of t^d is 10^(100 (d // 2)): every kind of printed
+    # value stops at degree 86, the first of more than 4,300 digits, and
+    # checks each distinct coefficient once, at its first degree
     mono = free_graded_monoid(("t",))
     t = mono.generator_named("t")
-    e = RationalSeries(R, mono, None, [(10 ** 100, t, 1)]).expand(50)
+    terms = {d * t: 10 ** (100 * (d // 2)) for d in range(100)}
+    poly = MonoidPolynomial(R, mono, terms)
     read = []
     monkeypatch.setattr(series, "_too_wide", lambda c, d: read.append(d) or too_wide(c, d))
-    for write in (str, json_text):
+    message = "the coefficient at degree {} has 4301 digits, over the limit of 4300"
+    for value in (poly, TruncatedSeries(R, mono, 99, terms),
+                  RationalSeries(R, mono, poly, [(1, t, 1)])):
         read.clear()
-        with pytest.raises(WideCoefficientError, match=(
-                "^the coefficient at degree 43 has 4301 digits, over the limit of 4300$")) as exc:
-            write(e)
-        assert exc.value.series is e
-        assert read == list(range(44))
+        with pytest.raises(MCSError, match=f"^the stage: {message.format(86)}$"):
+            check_printable("the stage", value)
+        assert read == list(range(0, 87, 2))
+    read.clear()
+    with pytest.raises(MCSError, match=f"^the stage: {message.format(7)}$"):
+        check_printable("the stage", poly.coeffs[86], 7)
+    assert read == [7]
+    # the factor coefficients of a rational series follow its numerator's,
+    # and one that equals a coefficient already checked is not checked again
+    read.clear()
+    check_printable("the stage", RationalSeries(R, mono, MonoidPolynomial(R, mono, {t: 2}),
+                                                [(2, t, 1), (3, 2 * t, 1)]))
+    assert read == [1, 2]
+
+
+def test_writers_check_no_width(monkeypatch):
+    # the width check runs once, before writing (check_printable)
+    mono = free_graded_monoid(("t",))
+    t = mono.generator_named("t")
+    e = RationalSeries(R, mono, None, [(10 ** 100, t, 1)]).expand(20)
+    read = []
+    monkeypatch.setattr(series, "_too_wide", lambda c, d: read.append(d) or too_wide(c, d))
+    for value in (e, RationalSeries(R, mono, None, [(10 ** 100, t, 1)])):
+        assert str(value) and json_text(value)
+    assert read == []
 
 
 def test_wide_digits_is_the_length_of_the_text():
