@@ -21,11 +21,12 @@ import sys
 from math import comb
 from operator import mul
 
-from .errors import MAX_COEFFICIENT_DIGITS, MCSError, check_cap, read_integer, term_cap
+from .errors import (MAX_COEFFICIENT_DIGITS, TRUNCATION_LIMIT, MCSError, check_cap,
+                     read_integer, term_cap)
 from .gm_action import colinear_mc_series
 from .kring import KRingSpec, Specialization
 from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis
-from .serialize import fan_from_json, json_text, series_from_json
+from .serialize import fan_from_json, series_from_json, write_json
 from .series import (
     MonoidPolynomial,
     RationalSeries,
@@ -94,13 +95,19 @@ def _emit(args, fields, lines, **printed) -> None:
     """Print the lines(), or with --format json fields plus the series of
     each (stage, series) pair of printed that is not None, under its key.
     Each printed series is checked, in printed order, before any text is
-    made: a coefficient too wide to print is bad input naming its stage."""
+    made: a coefficient too wide to print is bad input naming its stage.
+    Only then is anything written, so bad input leaves stdout empty.  JSON
+    goes to stdout in the pieces of write_json as they are made, and its
+    whole text is never held; the pretty lines, far shorter, are made
+    whole first, class words included, and printed at once."""
     for stage, f in printed.values():
         if f is not None:
             check_printable(stage, f)
     if args.format == "json":
-        print(json_text(dict(fields, **{key: f for key, (_, f) in printed.items()
-                                        if f is not None})))
+        write = sys.stdout.write
+        write_json(dict(fields, **{key: f for key, (_, f) in printed.items()
+                                   if f is not None}), write)
+        write("\n")
     else:
         print("\n".join(lines()))
 
@@ -407,16 +414,13 @@ def cmd_specialize(args) -> int:
 # argument wiring
 
 
-_TRUNCATE_LIMIT = 10 ** (MAX_COEFFICIENT_DIGITS - 1)
-
-
 def degree_bound(text: str) -> int:
     """The type of every --truncate option: an int >= 0 with fewer than
     MAX_COEFFICIENT_DIGITS digits, so that the degree of the O-term, one
     more, can be printed."""
     if (n := read_integer(text, "--truncate")) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    if n >= _TRUNCATE_LIMIT:
+    if n >= TRUNCATION_LIMIT:
         raise argparse.ArgumentTypeError(
             f"must have fewer than {MAX_COEFFICIENT_DIGITS} digits")
     return n

@@ -12,6 +12,9 @@ import os
 DEFAULT_MAX_TERMS = 10 ** 6
 # the most decimal digits of an int that Python converts to text by default
 MAX_COEFFICIENT_DIGITS = 4300
+# a truncation below this has fewer than MAX_COEFFICIENT_DIGITS digits, so
+# the degree of its O-term, one more, still prints
+TRUNCATION_LIMIT = 10 ** (MAX_COEFFICIENT_DIGITS - 1)
 
 
 class MCSError(Exception):

@@ -705,13 +705,15 @@ class GradedMonoid:
     def _format_words(self, cols, n: int) -> list[str]:
         """The text of n words, e.g. 't0*s1^2', '1' for the empty word, from
         the exponent column of each generator (the words of a recording
-        expansion come so): a column makes the text of each of its
-        exponents once."""
+        expansion come so): a column makes the text of each exponent
+        present in it once, and of no other, so a lone s^(10^12) costs one
+        text, not 10^12."""
         if not self.names or not n:
             return ["1"] * n
         texts = []
         for name, col in zip(self.names, cols):
-            text = ["", f"*{name}", *(f"*{name}^{k}" for k in range(2, max(col) + 1))]
+            text = {k: f"*{name}^{k}" for k in set(col)}
+            text[0], text[1] = "", f"*{name}"
             texts.append(list(map(text.__getitem__, col)))
         return ["".join(row)[1:] or "1" for row in zip(*texts)]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import MCSError, check_cap
+from .errors import MAX_COEFFICIENT_DIGITS, TRUNCATION_LIMIT, MCSError, check_cap
 from .kring import KElement, KRingSpec
 from .monoid import AbelianGroupPresentation, GradedMonoid, MonoidElement
 from .series import (MonoidPolynomial, RationalSeries, TruncatedSeries,
@@ -26,7 +26,7 @@ __all__ = [
     "monoid_to_json", "monoid_from_json",
     "series_to_json", "series_from_json",
     "fan_to_json", "fan_from_json",
-    "json_text",
+    "json_text", "write_json",
 ]
 
 
@@ -153,7 +153,7 @@ def monoid_from_json(obj) -> GradedMonoid:
 def _terms_to_json(poly) -> list:
     """One {"class", "coeff"} row per term of poly, its class coordinates
     sliced from the packed key.  Equal coefficients share one coefficient
-    dict, as KElement is immutable.  json_text makes no rows (_terms_text)."""
+    dict, as KElement is immutable.  json_text makes no rows (_write_terms)."""
     r = poly.monoid.group.rank
     coeffs: dict[KElement, dict] = {}
     return [{"class": {"free": list(k[:r]), "torsion": list(k[r:])},
@@ -221,9 +221,11 @@ def series_from_json(obj):
                              "series term" if kind == "truncated" else "polynomial term")
     if kind == "polynomial":
         return MonoidPolynomial(ring, monoid, terms)
-    return TruncatedSeries(ring, monoid,
-                           _as(int, _need(obj, "truncation", "series"), "truncation"),
-                           terms)
+    truncation = _as(int, _need(obj, "truncation", "series"), "truncation")
+    if truncation >= TRUNCATION_LIMIT:
+        raise MCSError(f"series truncation must have fewer than"
+                       f" {MAX_COEFFICIENT_DIGITS} digits, so that its O-term prints")
+    return TruncatedSeries(ring, monoid, truncation, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -261,65 +263,115 @@ def json_text(value) -> str:
     series_to_json document.  Anything else raises TypeError.  With indent
     set, json.dumps always runs its pure-Python encoder; this writer leans
     on the C string escaper, and writes the term lists of a series from
-    its packed keys and coefficients (_terms_text), with no row dicts.
+    its packed keys and coefficients (_write_terms), with no row dicts.
     Each monoid object is written once per document: a second series over
-    it reuses that text.  Nothing is kept from one call to the next."""
-    return _text(value, "\n", {})
+    it reuses that text.  Nothing is kept from one call to the next.  The
+    text is the join of the pieces write_json hands out, which the CLI
+    writes to stdout as they come instead."""
+    return _joined(value, "\n", {})
 
 
-# a term list and the monoid of a series document, which _text writes with
-# _terms_text and with the text of the monoid's first writing
+def write_json(value, write) -> None:
+    """Hand the text json_text(value) gives to write, piece by piece, each
+    as soon as it is made; no piece holds more than _CHUNK_ROWS term rows,
+    so no text of the whole document, or of a whole term list, is ever
+    made.  On TypeError some pieces may have been written already."""
+    _write(value, "\n", {}, write)
+
+
+# the most term rows of a series that _write_terms joins into one piece
+_CHUNK_ROWS = 64
+
+# a term list and the monoid of a series document, which _write writes with
+# _write_terms and with the text of the monoid's first writing
 _TermList = namedtuple("_TermList", "poly")
 _Monoid = namedtuple("_Monoid", "monoid")
 
 
-def _text(value, newline: str, monoids: dict) -> str:
-    """The JSON text of value at the indent of newline; monoids maps the
-    id and indent of each monoid written so far to its text."""
+def _joined(value, newline: str, monoids: dict) -> str:
+    """The text _write gives value at the indent of newline, as one str."""
+    parts: list[str] = []
+    _write(value, newline, monoids, parts.append)
+    return "".join(parts)
+
+
+def _write(value, newline: str, monoids: dict, write) -> None:
+    """Hand the JSON text of value at the indent of newline to write, in
+    pieces; monoids maps the id and indent of each monoid written so far
+    to its text."""
     if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
+        write(_quote(value))
+    elif value is None:
+        write("null")
+    elif isinstance(value, bool):
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-        items = [f"{_quote(key)}: {_text(value[key], inner, monoids)}"
-                 for key in sorted(value)]
-        return "{" + inner + f",{inner}".join(items) + newline + "}" if items else "{}"
-    if isinstance(value, list):
-        # exponent vectors make ints the commonest item
-        items = [int.__repr__(x) if type(x) is int else _text(x, inner, monoids)
-                 for x in value]
-        return "[" + inner + f",{inner}".join(items) + newline + "]" if items else "[]"
-    if isinstance(value, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
-        return _text(_series_fields(value, _TermList, _Monoid), newline, monoids)
-    if type(value) is _TermList:
-        return _terms_text(value.poly, newline)
-    if type(value) is _Monoid:
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(f"{sep}{_quote(key)}: ")
+            _write(value[key], inner, monoids, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in value:
+            # exponent vectors make ints the commonest item
+            if type(x) is int:
+                write(sep + int.__repr__(x))
+            else:
+                write(sep)
+                _write(x, inner, monoids, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(value, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
+        _write(_series_fields(value, _TermList, _Monoid), newline, monoids, write)
+    elif type(value) is _TermList:
+        _write_terms(value.poly, newline, write)
+    elif type(value) is _Monoid:
         # the value holds the monoid for the whole call, so its id is not reused
         key = id(value.monoid), newline
         if key not in monoids:
-            monoids[key] = _text(monoid_to_json(value.monoid), newline, monoids)
-        return monoids[key]
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+            monoids[key] = _joined(monoid_to_json(value.monoid), newline, monoids)
+        write(monoids[key])
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _terms_text(poly, newline: str) -> str:
-    """_text(_terms_to_json(poly), newline, {}), in one pass over the packed
-    keys and the coefficients: each row is one template, made once per
-    series, filled with the class coordinates (template % key), and
-    coefficient_texts writes each distinct coefficient once."""
+def _write_terms(poly, newline: str, write) -> None:
+    """_write(_terms_to_json(poly), newline, {}, write), in one pass over
+    the packed keys and the coefficients: each row is one template, made
+    once per series, filled with the class coordinates (template % key),
+    and coefficient_texts writes each distinct coefficient once.  The rows
+    go to write joined _CHUNK_ROWS at a time."""
+    keys = poly.keys
+    if not keys:
+        write("[]")
+        return
     row, cls, coord = (newline + "  " * k for k in (1, 2, 3))
     free, torsion = (f"[{coord}  " + f",{coord}  ".join(["%d"] * n) + f"{coord}]" if n else "[]"
                      for n in (poly.monoid.group.rank, len(poly.monoid.group.invariants)))
     template = (f'{row}{{{cls}"class": {{{coord}"free": {free},{coord}"torsion": {torsion}'
                 f'{cls}}},{cls}"coeff": ')
-    rows = [template % key + text for key, text in zip(
-        poly.keys, coefficient_texts(poly, lambda c: _text(element_to_json(c), cls, {})))]
-    return "[" + f"{row}}},".join(rows) + f"{row}}}{newline}]" if rows else "[]"
+    texts = coefficient_texts(poly, lambda c: _joined(element_to_json(c), cls, {}))
+    sep = f"{row}}},"
+    write("[")
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        if start:
+            write(sep)
+        write(sep.join([template % key + text
+                        for key, text in zip(keys[start:stop], texts[start:stop])]))
+    write(f"{row}}}{newline}]")

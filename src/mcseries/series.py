@@ -502,9 +502,16 @@ def _too_wide(c: KElement, degree: int) -> str:
                 wide = f"an exponent of {c.spec.generators[exp.index(top)]} with {digits} digits"
             else:
                 continue
-            return (f"the coefficient at degree {degree} has {wide},"
+            return (f"the coefficient {_at_degree(degree)} has {wide},"
                     f" over the limit of {MAX_COEFFICIENT_DIGITS}")
     return ""
+
+
+def _at_degree(d: int) -> str:
+    """'at degree d', or, for a degree too wide to print, its digit count."""
+    if digits := _wide_digits(d):
+        return f"at a degree of {digits} digits"
+    return f"at degree {d}"
 
 
 def coefficient_texts(poly, make) -> list[str]:
@@ -544,7 +551,7 @@ def check_printable(stage: str, f, degree: int = 0) -> None:
             if message := _too_wide(c, d):
                 raise MCSError(f"{stage}: {message}")
         if e and (digits := _wide_digits(e)):
-            raise MCSError(f"{stage}: the power of the factor at degree {d} has"
+            raise MCSError(f"{stage}: the power of the factor {_at_degree(d)} has"
                            f" {digits} digits, over the limit of {MAX_COEFFICIENT_DIGITS}")
 
 

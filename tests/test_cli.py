@@ -18,6 +18,7 @@ from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
 from mcseries.series import RationalSeries, _Terms, binomial_factor_polynomial, curve_zeta
 from mcseries.toric import (
+    OrbitClassMonoid,
     mc_series_toric,
     pn_divisor_series,
     product_fan,
@@ -805,6 +806,23 @@ class TestExpandSpecialize:
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().out == "g0*g1 + O(degree 3)\n"
 
+    def test_class_that_is_not_effective_exit_2(self, tmp_path, capsys):
+        # the class (-1, 2) over free s, t is no word in s and t
+        doc = _free_polynomial([((-1, 2), 1)])
+        assert main(["expand", "--series", _write(tmp_path, doc), "--truncate", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element is not a sum of monoid generators\n"
+
+    def test_huge_exponent_prints_at_once(self, tmp_path, capsys):
+        # the word s^(10^12) is one text, not one per exponent up to 10^12
+        doc = _free_polynomial([((10 ** 12,), 1)], ("s",))
+        start = time.perf_counter()
+        assert main(["specialize", "--series", _write(tmp_path, doc),
+                     "--assign", "L=1"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == "s^1000000000000\n"
+
     def test_assignment_parse_errors(self, zeta_file, capsys):
         for bad in ("L", "L=", "=1", "Q=1", "L=x"):
             assert main(["specialize", "--series", zeta_file,
@@ -1079,6 +1097,15 @@ def _line_term(degree, coeff):
             "coeff": {"terms": [{"coeff": coeff, "exp": {}}]}}
 
 
+def _free_polynomial(terms, names=("s", "t")):
+    """The polynomial of (class, integer coefficient) terms over the free
+    monoid on names."""
+    return {"kind": "polynomial", "ring": {"generators": ["L", "eps"]},
+            "monoid": {"generators": list(names)},
+            "terms": [{"class": {"free": list(c), "torsion": []},
+                       "coeff": {"terms": [{"coeff": k, "exp": {}}]}} for c, k in terms]}
+
+
 def _dependent_polynomial(x, y):
     """The polynomial t^(x, y) over a, b and c = a + b, whose generators
     have dependent free parts: its pretty word enumerates the monoid."""
@@ -1229,6 +1256,33 @@ class TestDigitLimit:
                                 " 4301 digits, over the limit of 4300\n")
 
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_wide_truncation_in_a_series_file_exit_2(self, fmt, tmp_path, capsys):
+        # the O-term of truncation 4,300 nines is of degree 10^4300
+        doc = dict(_free_polynomial([((1,), 1)], ("t",)), kind="truncated",
+                   truncation=int("9" * 4300))
+        assert main(["specialize", "--series", _write(tmp_path, doc),
+                     "--assign", "L=1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: series truncation must have fewer than 4300"
+                                " digits, so that its O-term prints\n")
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_wide_degree_is_named_by_its_digits(self, fmt, tmp_path, capsys):
+        # two terms N * s^N t^N, N of 4,300 nines, sum to 2N at degree 2N:
+        # both have 4,301 digits, too many to print in the message too
+        nines = int("9" * 4300)
+        doc = _free_polynomial([((nines, nines), nines)] * 2)
+        assert main(["specialize", "--series", _write(tmp_path, doc),
+                     "--assign", "L=1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: specialization: the coefficient at a degree"
+                                " of 4301 digits has 4301 digits, over the limit of"
+                                " 4300\n")
+
+
 class TestIntTextLimit:
     """The output does not depend on PYTHONINTMAXSTRDIGITS: main converts
     ints of up to 4,300 digits to text, and refuses wider ones itself."""
@@ -1297,6 +1351,42 @@ class TestJsonWriter:
         assert main(argv + ["--format", "json"]) == 0
         golden = ROOT / "tests" / "golden" / "cli" / f"{name}-json.txt"
         assert "exit 0\n" + capsys.readouterr().out == golden.read_text()
+
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_stdout_takes_bounded_writes(self, fmt, monkeypatch):
+        """gp to degree 20 is 8.6 MB of JSON, written in pieces of at most
+        1 MB whose bytes are json_text's and the stdlib's; its pretty text,
+        575 KB, is printed whole."""
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["toric", "--fan", str(FANS / "gp.json"), "--p", "1",
+                     "--truncate", "20", "--format", fmt]) == 0
+        assert max(map(len, out.writes)) <= 1 << 20
+        text = "".join(out.writes)
+        f = mc_series_toric(serialize.fan_from_json(
+            json.loads((FANS / "gp.json").read_text())), 1)
+        e = f.expand(20, words=fmt == "pretty")
+        notes = list(OrbitClassMonoid.assumptions)
+        if fmt == "pretty":
+            assert text == "\n".join([f"MC_1 = {f}", f"expansion: {e}",
+                                      *(f"note: {note}" for note in notes)]) + "\n"
+            return
+        assert len(text) > 8 << 20
+        doc = {"command": "toric", "p": 1, "notes": notes, "rational": f, "expansion": e}
+        assert text == serialize.json_text(doc) + "\n"
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestClosedStdout:
