@@ -5,6 +5,8 @@ blow-up series, verify catalogued identities, and expand or specialize series
 JSON.  Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for
 bad input or a stdout closed early.  Output is deterministic: identical
 inputs give identical bytes.
+Subcommands return exit code and output; _emit, the one writer of stdout,
+checks all output before making text, so an exit 2 leaves stdout empty.
 The environment variable MCS_MAX_TERMS (default 10^6) caps how many terms,
 elements, candidate faces, facet intersections or matrix entries a stage may
 make; past it the run aborts with exit code 2 and a message naming the stage.
@@ -91,23 +93,21 @@ def _apply_specializations(f, raw: list[str], strict: bool = False):
     return f.specialize(Specialization(f.ring, pairs, carry_unassigned=not strict))
 
 
-def _emit(args, fields, lines, **printed) -> None:
-    """Print the lines(), or with --format json fields plus the series of
-    each (stage, series) pair of printed that is not None, under its key.
-    Each printed series is checked, in printed order, before any text is
-    made: a coefficient too wide to print is bad input naming its stage.
-    Only then is anything written, so bad input leaves stdout empty.  JSON
-    goes to stdout in the pieces of write_json as they are made, and its
-    whole text is never held; the pretty lines, far shorter, are made
-    whole first, class words included, and printed at once."""
+def _emit(args, fields: dict, lines, printed: dict) -> None:
+    """Write a command's output: with --format json, its name, fields and
+    each printed value that is not None, under its key; else the lines().
+    printed maps a key to (stage, value).  Every printed value is checked,
+    in printed order, before any text is made: a coefficient too wide to
+    print is bad input naming its stage, and stdout stays empty.  JSON goes
+    out in the pieces of write_json as they are made, never whole; the
+    pretty lines, far shorter, are made whole, class words included."""
     for stage, f in printed.values():
         if f is not None:
             check_printable(stage, f)
     if args.format == "json":
-        write = sys.stdout.write
-        write_json(dict(fields, **{key: f for key, (_, f) in printed.items()
-                                   if f is not None}), write)
-        write("\n")
+        write_json(dict(fields, command=args.command, **{
+            key: f for key, (_, f) in printed.items() if f is not None}), sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         print("\n".join(lines()))
 
@@ -174,28 +174,26 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
 # toric / colinear
 
 
-def _emit_series(args, label, f, e, fields, notes) -> int:
-    """Print "label = f", the expansion e unless it is None, then the note
-    lines; or, with --format json, one document of fields, f and e."""
+def _series_output(args, label, f, e, fields, notes):
+    """The output of toric and colinear: "label = f", the expansion e unless
+    it is None, then the notes; with --format json, fields, f and e."""
     def lines():
         expansion = [] if e is None else [f"expansion: {e}"]
         return [f"{label} = {f}", *expansion, *notes]
 
-    _emit(args, fields, lines, rational=("specialization", f),
-          expansion=(f"expansion to degree {args.truncate}", e))
-    return 0
+    return 0, fields, lines, {"rational": ("specialization", f),
+                              "expansion": (f"expansion to degree {args.truncate}", e)}
 
 
-def cmd_toric(args) -> int:
+def cmd_toric(args):
     fan = fan_from_json(_load_json(args.fan))
     f = _apply_specializations(mc_series_toric(fan, args.p), args.specialize)
     # pretty output names each class by a word, which the expansion records
     e = (f.expand(args.truncate, words=args.format == "pretty")
          if args.truncate > 0 else None)
     notes = OrbitClassMonoid.assumptions
-    return _emit_series(args, f"MC_{args.p}", f, e,
-                        {"command": "toric", "p": args.p, "notes": list(notes)},
-                        [f"note: {note}" for note in notes])
+    return _series_output(args, f"MC_{args.p}", f, e, {"p": args.p, "notes": list(notes)},
+                          [f"note: {note}" for note in notes])
 
 
 def _class_in_h_e(coords) -> str:
@@ -250,10 +248,10 @@ def _compare_colinear(col: TruncatedSeries, fan, truncate: int):
     return None
 
 
-def cmd_colinear(args) -> int:
+def cmd_colinear(args):
     f = _apply_specializations(colinear_mc_series(args.r), args.specialize)
     e = f.expand(args.truncate) if args.truncate > 0 else None
-    fields, notes = {"command": "colinear", "r": args.r}, []
+    fields, notes = {"r": args.r}, []
     if args.compare:
         if args.r != 3:
             raise MCSError("--compare needs --r 3: the reference basis is"
@@ -274,7 +272,7 @@ def cmd_colinear(args) -> int:
                                  "fan_coefficient": str(b)}
             notes.append(f"compare: first differing class {_class_in_h_e(v)}:"
                          f" colinear {a}, fan {b}")
-    return _emit_series(args, "MC_1", f, e, fields, notes)
+    return _series_output(args, "MC_1", f, e, fields, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +280,22 @@ def cmd_colinear(args) -> int:
 
 
 def _first_difference(a: TruncatedSeries, b: TruncatedSeries):
-    """The FAIL witness line of the first class where a and b differ, None
-    when they agree."""
+    """The first term of a - b as a one-term polynomial; None if a == b."""
     diff = a - b
     if not diff.terms:
         return None
     e, c = diff.terms[0]
-    return (f"FAIL witness: class {diff.monoid.format_element(e)},"
+    return MonoidPolynomial(diff.ring, diff.monoid, {e: c})
+
+
+def _witness_line(witness: MonoidPolynomial) -> str:
+    """The FAIL line of a witness of _first_difference."""
+    e, c = witness.terms[0]
+    return (f"FAIL witness: class {witness.monoid.format_element(e)},"
             f" coefficient difference {c}")
 
 
-def cmd_verify_localization(args) -> int:
+def cmd_verify_localization(args):
     if args.curve != "p1":
         raise MCSError("only --curve p1 has a catalogued closed form")
     if args.remove < 0:
@@ -303,19 +306,19 @@ def cmd_verify_localization(args) -> int:
     t = zx.monoid.generator_named("t")
     points = RationalSeries(ring, zx.monoid, None, [(ring.one, t, args.remove)])
     quotient = localize_quotient(zx, points)
-    print(f"closed path:   {closed}")
-    print(f"quotient path: {quotient}")
     witness = _first_difference(quotient.expand(args.truncate),
                                 closed.expand(args.truncate))
-    if quotient == closed and witness is None:
-        print(f"PASS (identical rational forms; expansions agree to degree"
-              f" {args.truncate})")
-        return 0
-    print(witness or "FAIL: rational forms differ")
-    return 1
+    passed = quotient == closed and witness is None
+    verdict = (f"PASS (identical rational forms; expansions agree to degree"
+               f" {args.truncate})" if passed else "FAIL: rational forms differ")
+    return 0 if passed else 1, {}, lambda: [
+        f"closed path:   {closed}", f"quotient path: {quotient}",
+        verdict if witness is None else _witness_line(witness)], {
+        "closed": ("closed path", closed), "quotient": ("quotient path", quotient),
+        "witness": ("difference of the expansions", witness)}
 
 
-def cmd_verify_product(args) -> int:
+def cmd_verify_product(args):
     fan_a = fan_from_json(_load_json(args.fanA))
     fan_b = fan_from_json(_load_json(args.fanB))
     pa, pb = fan_a.dim - 1, fan_b.dim - 1
@@ -330,84 +333,81 @@ def cmd_verify_product(args) -> int:
                for c in chow_presentation(fan_b, pb).generator_cones]
     phi = MonoidHom(ext.monoid, chow_p.monoid, images)
     pushed = pushforward(ext, phi)
-    print(f"external product: {pushed}")
-    print(f"product fan:      {direct}")
     witness = _first_difference(pushed.expand(args.truncate),
                                 direct.expand(args.truncate))
-    if witness is None:
-        print(f"PASS (expansions agree to degree {args.truncate})")
-        return 0
-    print(witness)
-    return 1
+    return 0 if witness is None else 1, {}, lambda: [
+        f"external product: {pushed}", f"product fan:      {direct}",
+        f"PASS (expansions agree to degree {args.truncate})" if witness is None
+        else _witness_line(witness)], {
+        "external": ("external product", pushed), "product": ("product fan", direct),
+        "witness": ("difference of the expansions", witness)}
 
 
-def cmd_verify_eq1(args) -> int:
+def cmd_verify_eq1(args):
     if args.n < 1:
         raise MCSError("--n must be >= 1")
     f = _apply_specializations(pn_divisor_series(args.n, args.truncate),
                                args.specialize)
     g = _parse_denominator(args.denominator, f.ring, f.monoid, args.truncate)
-    verdict = certify_rational(f, g)
-    if not verdict.consistent:
-        check_printable(f"rationality check to degree {verdict.truncation}",
-                        verdict.witness_coeff, verdict.witness_degree)
-    print(f"divisor series of P^{args.n} against denominator"
-          f" {args.denominator}: {verdict}")
-    if verdict.consistent:
-        print(f"PASS (consistent with a numerator of degree <="
-              f" {verdict.numerator_bound} up to degree {verdict.truncation})")
-        return 0
-    print(f"FAIL witness: degree {verdict.witness_degree}, class"
-          f" {f.monoid.format_element(verdict.witness_class)},"
-          f" coefficient {verdict.witness_coeff}")
-    return 1
+    v = certify_rational(f, g)
+    head = f"divisor series of P^{args.n} against denominator {args.denominator}: {v}"
+    if v.consistent:
+        return 0, {}, lambda: [head, f"PASS (consistent with a numerator of degree <="
+                                     f" {v.numerator_bound} up to degree {v.truncation})"], {}
+    # the witness is the one term of its degree, so its check names that degree
+    witness = MonoidPolynomial(f.ring, f.monoid, {v.witness_class: v.witness_coeff})
+    return 1, {}, lambda: [head, f"FAIL witness: degree {v.witness_degree}, class"
+                                 f" {f.monoid.format_element(v.witness_class)},"
+                                 f" coefficient {v.witness_coeff}"], {
+        "witness": (f"rationality check to degree {v.truncation}", witness)}
 
 
-def cmd_verify_macdonald(args) -> int:
+def cmd_verify_macdonald(args):
     fan = fan_from_json(_load_json(args.fan))
     mc0 = mc_series_toric(fan, 0)
     chi = len(fan.maximal_cones)
-    print(f"MC_0 = {mc0}")
+    printed = {"mc0": ("MC_0", mc0)}
+
+    def output(code, verdict):
+        return code, {}, lambda: [f"MC_0 = {mc0}", verdict()], printed
+
     if (len(mc0.factors) != 1 or mc0.factors[0][2] != chi
             or not mc0.factors[0][0].is_one() or not mc0.numerator.is_one()):
-        print(f"FAIL: expected a single point class with multiplicity"
-              f" {chi} (one per maximal cone)")
-        return 1
+        return output(1, lambda: f"FAIL: expected a single point class with multiplicity"
+                                 f" {chi} (one per maximal cone)")
     pt = mc0.factors[0][1]
     e = mc0.expand(args.truncate)
     for d in range(args.truncate + 1):
         want = comb(chi + d - 1, d)
         got = e.coefficient(d * pt)
         if got != mc0.ring.from_int(want):
-            print(f"FAIL witness: degree {d}, coefficient {got}, expected {want}")
-            return 1
-    print(f"PASS (1/(1-t)^{chi} with chi = {chi} maximal cones, coefficients"
-          f" C({chi}+d-1,d) to degree {args.truncate})")
-    return 0
+            printed["witness"] = ("expansion", MonoidPolynomial(mc0.ring, mc0.monoid,
+                                                                {d * pt: got}))
+            return output(1, lambda: f"FAIL witness: degree {d}, coefficient {got},"
+                                     f" expected {want}")
+    return output(0, lambda: f"PASS (1/(1-t)^{chi} with chi = {chi} maximal cones,"
+                             f" coefficients C({chi}+d-1,d) to degree {args.truncate})")
 
 
 # ---------------------------------------------------------------------------
 # expand / specialize
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     f = series_from_json(_load_json(args.series))
     if isinstance(f, RationalSeries):
         out = f.expand(args.truncate, words=args.format == "pretty")
     else:
         out = f.as_series(args.truncate)
         check_cap(f"series file to degree {args.truncate}", len(out.terms))
-    _emit(args, {"command": "expand"}, lambda: [str(out)],
-          series=(f"expansion to degree {args.truncate}", out))
-    return 0
+    return 0, {}, lambda: [str(out)], {
+        "series": (f"expansion to degree {args.truncate}", out)}
 
 
-def cmd_specialize(args) -> int:
+def cmd_specialize(args):
     f = series_from_json(_load_json(args.series))
     out = _apply_specializations(f, args.assign, args.strict)
-    _emit(args, {"command": "specialize"}, lambda: [str(out)],
-          series=("specialization", out))
-    return 0
+    return 0, {}, lambda: [str(out)], {"series": ("specialization", out)}
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_colinear)
 
     v = sub.add_parser("verify", help="check a catalogued identity")
+    v.set_defaults(format="pretty")
     vsub = v.add_subparsers(dest="identity", required=True)
 
     vl = vsub.add_parser("localization",
@@ -538,7 +539,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         term_cap()  # a bad MCS_MAX_TERMS is bad input for every command
-        code = args.func(args)
+        code, fields, lines, printed = args.func(args)
+        _emit(args, fields, lines, printed)
         sys.stdout.flush()
         return code
     except SystemExit as exc:  # a usage error, or --help

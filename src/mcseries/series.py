@@ -527,19 +527,16 @@ def coefficient_texts(poly, make) -> list[str]:
     return out
 
 
-def check_printable(stage: str, f, degree: int = 0) -> None:
+def check_printable(stage: str, f) -> None:
     """Raise MCSError, naming stage, the degree, the digit count and the
-    limit, at the first coefficient of f with an integer, a coefficient or
-    a generator exponent, of more decimal digits than
+    limit, at the first coefficient of the series f with an integer, a
+    coefficient or a generator exponent, of more decimal digits than
     MAX_COEFFICIENT_DIGITS, the most Python converts to text, or at the
-    first factor power that wide.  f is a series of any kind, whose
-    distinct coefficients are each checked once, at their first degree in
-    term order, or one KElement at the given degree.  This is the one width
-    check: what prints f calls it before any text is made, and the writers
-    check nothing."""
-    if isinstance(f, KElement):
-        rows = [(f, degree, 0)]
-    elif isinstance(f, RationalSeries):
+    first factor power that wide.  Each distinct coefficient is checked
+    once, at its first degree in term order.  This is the one width check;
+    cli._emit, its one caller, runs it on every printed series before any
+    text is made, and the writers check nothing."""
+    if isinstance(f, RationalSeries):
         rows = chain(zip(f.numerator.coeffs, f.numerator._degrees, repeat(0)),
                      ((c, f.monoid.degree(alpha), e) for c, alpha, e in f.factors))
     else:

@@ -13,10 +13,12 @@ import pytest
 
 from mcseries import cli, intlinalg, monoid, serialize
 from mcseries.cli import build_parser, main
-from mcseries.kring import Specialization, standard_ring
+from mcseries.errors import MCSError
+from mcseries.kring import KElement, Specialization, standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid
 from mcseries.serialize import fan_to_json, series_from_json, series_to_json
-from mcseries.series import RationalSeries, _Terms, binomial_factor_polynomial, curve_zeta
+from mcseries.series import (MonoidPolynomial, RationalSeries, TruncatedSeries, _Terms,
+                             binomial_factor_polynomial, curve_zeta)
 from mcseries.toric import (
     OrbitClassMonoid,
     mc_series_toric,
@@ -40,6 +42,15 @@ def fan_file(tmp_path):
         path.write_text(json.dumps(fan_to_json(fan)))
         return str(path)
     return write
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The stages of the values the command line checks before printing."""
+    stages, real = [], cli.check_printable
+    monkeypatch.setattr(cli, "check_printable",
+                        lambda stage, f: stages.append(stage) or real(stage, f))
+    return stages
 
 
 @pytest.fixture
@@ -523,7 +534,7 @@ class TestVerify:
         # the FAIL line of verify localization and verify product
         p2, p1 = pn_divisor_series(2, 3), pn_divisor_series(1, 3)
         assert cli._first_difference(p2, p2) is None
-        assert (cli._first_difference(p2, p1)
+        assert (cli._witness_line(cli._first_difference(p2, p1))
                 == "FAIL witness: class t, coefficient difference L^2")
 
     def test_eq1_refuted_with_l_kept(self, capsys):
@@ -623,7 +634,7 @@ class TestVerify:
         (False, "FAIL witness: class t, coefficient difference 2"),
         (True, "FAIL: rational forms differ"),
     ])
-    def test_localization_fail(self, extra_factor, line, capsys, monkeypatch):
+    def test_localization_fail(self, extra_factor, line, checked, capsys, monkeypatch):
         real = cli.localize_quotient
 
         def wrong(x, y):
@@ -639,8 +650,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1] == line
         assert captured.err == ""
+        # a witness is printed, and so checked, only when the expansions differ
+        assert checked == ["closed path", "quotient path"] + (
+            [] if extra_factor else ["difference of the expansions"])
 
-    def test_product_fail(self, capsys, monkeypatch):
+    def test_product_fail(self, checked, capsys, monkeypatch):
         # the square of the pushed-forward series doubles each degree-1 term
         real = cli.pushforward
         monkeypatch.setattr(cli, "pushforward", lambda f, phi: real(f, phi) * real(f, phi))
@@ -651,6 +665,8 @@ class TestVerify:
         assert captured.out.splitlines()[-1] == (
             "FAIL witness: class x0_2, coefficient difference 2")
         assert captured.err == ""
+        assert checked == ["external product", "product fan",
+                           "difference of the expansions"]
 
     def test_macdonald_fail_on_the_point_factor(self, capsys, monkeypatch):
         # the square of MC_0 has the point class with multiplicity 2 * chi
@@ -664,7 +680,7 @@ class TestVerify:
             "FAIL: expected a single point class with multiplicity 3 (one per maximal cone)"]
         assert captured.err == ""
 
-    def test_macdonald_fail_on_a_coefficient(self, capsys, monkeypatch):
+    def test_macdonald_fail_on_a_coefficient(self, checked, capsys, monkeypatch):
         # a point class of degree 2: 1/(1 - t)^3 expanded to degree 3 stops
         # at the coefficient of t, and t^2 (degree 4) reads 0, not C(4, 2)
         def graded_two(fan, p):
@@ -679,6 +695,7 @@ class TestVerify:
         assert captured.out.splitlines() == [
             "MC_0 = 1/(1 - t)^3", "FAIL witness: degree 2, coefficient 0, expected 6"]
         assert captured.err == ""
+        assert checked == ["MC_0", "expansion"]
 
     @pytest.mark.parametrize("denominator, message", [
         ("(1 - t+)", "cannot parse monomial fragment '+'"),
@@ -888,6 +905,7 @@ class TestTermCap:
         dependent = tmp_path / "dependent.json"
         dependent.write_text(json.dumps(_dependent_polynomial(2, 0)))
         return {"DEPENDENT": str(dependent),
+                "P1": str(ROOT / "fans" / "p1.json"), "P2": str(ROOT / "fans" / "p2.json"),
                 "P8": fan_file(projective_space_fan(8), "p8"),
                 "P16": fan_file(projective_space_fan(16), "p16"),
                 "PLANE40": plane40, "SERIES": str(series), "ZETA": zeta_file,
@@ -928,10 +946,27 @@ class TestTermCap:
          "monoid on 100000 ambient generators: 10000000000 matrix entries"),
         ("5", ["expand", "--series", "POWER", "--truncate", "1" + "0" * 30],
          f"expansion to degree {10 ** 30}: 6 terms"),
+        # past the cap after some work, the verify ones after their series
+        # are made: no command writes before every stage has finished
+        ("5", ["toric", "--fan", "P2", "--p", "1", "--truncate", "10"],
+         "expansion to degree 10: 6 terms"),
+        ("20", ["colinear", "--r", "3", "--truncate", "10"],
+         "expansion to degree 10: 21 terms"),
+        ("5", ["verify", "localization", "--remove", "0", "--truncate", "10"],
+         "expansion to degree 10: 6 terms"),
+        ("5", ["verify", "product", "--fanA", "P1", "--fanB", "P1", "--truncate", "10"],
+         "expansion to degree 10: 6 terms"),
+        ("5", ["verify", "macdonald", "--fan", "P1", "--truncate", "10"],
+         "expansion to degree 10: 6 terms"),
+        # the word of a^2 is made after the specialization
+        ("4", ["specialize", "--series", "DEPENDENT", "--assign", "L=1"],
+         "monoid enumeration to degree 2: 5 elements"),
     ], ids=["expansion", "monoid-enumeration", "fan-validation",
             "simplicial-faces", "divisor-series", "series-file",
             "relation-matrix", "binomial-power", "colinear-classes",
-            "series-file-monoid", "factor-power-past-maxsize"])
+            "series-file-monoid", "factor-power-past-maxsize", "toric-expansion",
+            "colinear-expansion", "localization-expansion", "product-expansion",
+            "macdonald-expansion", "specialize-words"])
     def test_exit_2_naming_stage_count_and_cap(self, cap, argv, stage_and_count,
                                                inputs, capsys, monkeypatch):
         monkeypatch.setenv("MCS_MAX_TERMS", cap)
@@ -1269,6 +1304,33 @@ class TestDigitLimit:
                                 " digits, so that its O-term prints\n")
 
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    @pytest.mark.parametrize("cmd", [["expand", "--truncate", "2"],
+                                     ["specialize", "--assign", "L=1"]],
+                             ids=["expand", "specialize"])
+    def test_truncation_of_4300_digits_in_a_series_file(self, cmd, fmt, tmp_path,
+                                                        capsys):
+        # 10^4299 has 4,300 digits and is refused; 10^4299 - 1 is the
+        # largest truncation read, and its O-term, of degree 10^4299, prints
+        doc = dict(_free_polynomial([((1,), 1)], ("t",)), kind="truncated",
+                   truncation=10 ** 4299)
+        argv = [cmd[0], "--series", _write(tmp_path, doc), *cmd[1:], "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: series truncation must have fewer than 4300"
+                                " digits, so that its O-term prints\n")
+        doc["truncation"] -= 1
+        argv[2] = _write(tmp_path, doc)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        truncation = 2 if cmd[0] == "expand" else doc["truncation"]
+        if fmt == "pretty":
+            assert captured.out == f"t + O(degree {truncation + 1})\n"
+        else:
+            assert json.loads(captured.out)["series"]["truncation"] == truncation
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
     def test_wide_degree_is_named_by_its_digits(self, fmt, tmp_path, capsys):
         # two terms N * s^N t^N, N of 4,300 nines, sum to 2N at degree 2N:
         # both have 4,301 digits, too many to print in the message too
@@ -1410,6 +1472,21 @@ class TestClosedStdout:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
 
+    def test_head_of_a_verify_command(self):
+        # the closed path of verify localization --remove 4000 is one line
+        # of about 3.5 MB, written whole after every check has passed
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "mcseries.cli", "verify",
+                                 "localization", "--remove", "4000", "--truncate", "2"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, text=True)
+        assert proc.stdout.read(16) == "closed path:   1"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == ""
+
     def test_pipe_closed_before_the_run(self, capsys, monkeypatch):
         # in-process: the read end is closed before main starts, so the
         # first flush of stdout fails with a broken pipe
@@ -1443,6 +1520,55 @@ class TestClosedStdout:
                 stdout.close()
             assert capsys.readouterr().err == ""
         assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestOneOutputPath:
+    """Every command returns its output, and one function writes it: each
+    printed value is checked, in printed order, before any text is made."""
+
+    SERIES = str(ROOT / "tests" / "golden" / "series.json")
+
+    @pytest.mark.parametrize("argv, code, stages", [
+        (["toric", "--fan", "fans/p2.json", "--p", "1", "--truncate", "4"], 0,
+         ["specialization", "expansion to degree 4"]),
+        (["colinear", "--r", "3", "--truncate", "4"], 0,
+         ["specialization", "expansion to degree 4"]),
+        (["verify", "localization", "--remove", "2", "--truncate", "4"], 0,
+         ["closed path", "quotient path"]),
+        (["verify", "product", "--fanA", "fans/p1.json", "--fanB", "fans/p1.json",
+          "--truncate", "3"], 0, ["external product", "product fan"]),
+        (["verify", "eq1", "--n", "2", "--denominator", "(1-t)^4", "--truncate", "8"], 1,
+         ["rationality check to degree 8"]),
+        (["verify", "macdonald", "--fan", "fans/p2.json", "--truncate", "3"], 0, ["MC_0"]),
+        (["expand", "--series", SERIES, "--truncate", "5"], 0, ["expansion to degree 5"]),
+        (["specialize", "--series", SERIES, "--assign", "L=1"], 0, ["specialization"]),
+    ], ids=["toric", "colinear", "localization", "product", "eq1", "macdonald",
+            "expand", "specialize"])
+    def test_no_text_before_every_check(self, argv, code, stages, checked, capsys,
+                                        monkeypatch):
+        argv = [str(ROOT / a) if a.startswith("fans/") else a for a in argv]
+        assert main(argv) == code
+        assert checked == stages
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        # a check that refuses the last value: exit 2 before any class word,
+        # coefficient or series is made into text
+        made, refused = [], []
+        for cls in (KElement, MonoidPolynomial, TruncatedSeries, RationalSeries):
+            monkeypatch.setattr(cls, "__str__",
+                                lambda self: made.append(type(self).__name__) or "")
+        monkeypatch.setattr(GradedMonoid, "format_element",
+                            lambda self, e: made.append("word") or "")
+
+        def refuse(stage, f):
+            refused.append(stage)
+            if len(refused) == len(stages):
+                raise MCSError(f"refused {stage}")
+        monkeypatch.setattr(cli, "check_printable", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, made) == ("", [])
+        assert captured.err == f"error: refused {stages[-1]}\n"
 
 
 class TestProgramDefects:

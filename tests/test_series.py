@@ -684,9 +684,10 @@ def test_check_printable_refuses_a_coefficient_too_wide_to_print(monkeypatch):
         with pytest.raises(MCSError, match=f"^the stage: {message.format(86)}$"):
             check_printable("the stage", value)
         assert read == list(range(0, 87, 2))
+    # a one-term polynomial, as a FAIL witness is printed, names its degree
     read.clear()
     with pytest.raises(MCSError, match=f"^the stage: {message.format(7)}$"):
-        check_printable("the stage", poly.coeffs[86], 7)
+        check_printable("the stage", MonoidPolynomial(R, mono, {7 * t: poly.coeffs[86]}))
     assert read == [7]
     # the factor coefficients of a rational series follow its numerator's,
     # and one that equals a coefficient already checked is not checked again
