@@ -26,7 +26,7 @@ from operator import mul
 from .errors import (MAX_COEFFICIENT_DIGITS, TRUNCATION_LIMIT, MCSError, check_cap,
                      read_integer, term_cap)
 from .gm_action import colinear_mc_series
-from .kring import KRingSpec, Specialization
+from .kring import KRingSpec, Specialization, standard_ring
 from .monoid import GradedMonoid, MonoidHom, express_keys_in_basis
 from .serialize import fan_from_json, series_from_json, write_json
 from .series import (
@@ -42,8 +42,8 @@ from .series import (
     punctured_p1_zeta,
     pushforward,
 )
-from .toric import (OrbitClassMonoid, chow_presentation, mc_series_toric,
-                    pn_divisor_series, product_fan)
+from .toric import (OrbitClassMonoid, chow_presentation, divisor_term_counts,
+                    mc_series_toric, pn_divisor_series, product_fan)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +81,23 @@ def _parse_assignment(text: str, ring: KRingSpec):
                        f" name, got {value!r}") from None
 
 
-def _apply_specializations(f, raw: list[str], strict: bool = False):
+def _specialization(ring: KRingSpec, raw: list[str], strict: bool = False):
+    """The ring map of the NAME=VALUE assignments raw; None when there are
+    none."""
     if not raw:
-        return f
+        return None
     pairs = {}
     for text in raw:
-        name, value = _parse_assignment(text, f.ring)
+        name, value = _parse_assignment(text, ring)
         if name in pairs:
             raise MCSError(f"ring generator {name!r} is assigned twice")
         pairs[name] = value
-    return f.specialize(Specialization(f.ring, pairs, carry_unassigned=not strict))
+    return Specialization(ring, pairs, carry_unassigned=not strict)
+
+
+def _apply_specializations(f, raw: list[str], strict: bool = False):
+    s = _specialization(f.ring, raw, strict)
+    return f if s is None else f.specialize(s)
 
 
 def _emit(args, fields: dict, lines, printed: dict) -> None:
@@ -155,19 +162,29 @@ def _parse_denominator(text: str, ring: KRingSpec, monoid: GradedMonoid,
         if gap:
             raise MCSError(f"unexpected text {gap!r} in denominator")
         coeff, alpha = _parse_monomial(m.group(1), ring, monoid)
-        factor = binomial_factor_polynomial(ring, monoid, coeff, alpha)
         power = read_integer(m.group(2) or "1", "a denominator power")
         factors.append((coeff, alpha, power))
-        degree += power * factor.degree()
+        degree += power * _factor_degree(coeff, alpha, monoid)
         pos = m.end()
     if text[pos:].replace("*", " ").strip() or not factors:
         raise MCSError(f"cannot parse denominator {text!r}")
     if degree >= truncation:
         raise MCSError("denominator degree reaches the truncation bound")
-    poly = MonoidPolynomial.one(ring, monoid)
-    for coeff, alpha, power in factors:
+    (coeff, alpha, power), *rest = factors
+    poly = binomial_factor_polynomial(ring, monoid, coeff, alpha, power)
+    for coeff, alpha, power in rest:
         poly = poly * binomial_factor_polynomial(ring, monoid, coeff, alpha, power)
     return poly
+
+
+def _factor_degree(coeff, alpha, monoid: GradedMonoid) -> int:
+    """The degree of the polynomial 1 - coeff t^alpha: that of alpha, 0 when
+    the polynomial is a nonzero constant, and -1 when it is 0, as in (1 - 1)."""
+    if coeff.is_zero():
+        return 0
+    if alpha == monoid.zero:
+        return -1 if coeff.is_one() else 0
+    return monoid.degree(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +363,9 @@ def cmd_verify_product(args):
 def cmd_verify_eq1(args):
     if args.n < 1:
         raise MCSError("--n must be >= 1")
-    f = _apply_specializations(pn_divisor_series(args.n, args.truncate),
-                               args.specialize)
+    divisor_term_counts(args.n, args.truncate)  # the cap, before any assignment
+    f = pn_divisor_series(args.n, args.truncate,
+                          _specialization(standard_ring(), args.specialize))
     g = _parse_denominator(args.denominator, f.ring, f.monoid, args.truncate)
     v = certify_rational(f, g)
     head = f"divisor series of P^{args.n} against denominator {args.denominator}: {v}"

@@ -247,21 +247,14 @@ class KElement:
 
     # -- display
 
-    def _monomial_str(self, exp: ExpVec) -> str:
-        parts = []
-        for name, e in zip(self.spec.generators, exp):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self.terms:
             return "0"
+        gens = self.spec.generators
         pieces = []
         for exp, coeff in self.terms:
-            mono = self._monomial_str(exp)
+            mono = "*".join([name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(gens, exp) if e > 0])
             if not mono:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -303,8 +296,7 @@ class Specialization:
         self.carry_unassigned = carry_unassigned
 
 
-def specialize(a: KElement, s: Specialization,
-               base: tuple[KElement, KElement] | None = None) -> KElement:
+def specialize(a: KElement, s: Specialization) -> KElement:
     """Apply the ring map s to a.  Raises MCSError in strict mode.
 
     One pass over the terms into a single raw dict, reading each term at
@@ -313,13 +305,7 @@ def specialize(a: KElement, s: Specialization,
     that exponent; an unassigned generator stays in the exponent vector;
     any other image is raised to each power e once per call.  With integer
     images only, the result needs no reduction: clearing exponents of a
-    reduced vector leaves it reduced.
-
-    base, when given, is a pair (b, specialize(b, s)).  If the terms of b
-    are a prefix of the terms of a, the raw dict starts from the terms of
-    b's image and only the terms of a past the prefix are walked: the map
-    is additive, and reducing an image again changes nothing.  Any other
-    base costs only the prefix comparison."""
+    reduced vector leaves it reduced."""
     if a.spec != s.spec:
         raise MCSError("element and specialization use different specs")
     spec = a.spec
@@ -335,13 +321,7 @@ def specialize(a: KElement, s: Specialization,
     scales = tuple(ints.items())
     powers: dict[tuple[int, int], KElement] = {}
     raw: dict[ExpVec, int] = {}
-    terms = a.terms
-    if base is not None:
-        b, image = base
-        if terms[:len(b.terms)] == b.terms:
-            raw.update(image.terms)
-            terms = terms[len(b.terms):]
-    for exp, coeff in terms:
+    for exp, coeff in a.terms:
         for gi in unassigned:
             if exp[gi]:
                 raise MCSError(

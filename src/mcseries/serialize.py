@@ -171,13 +171,14 @@ def _terms_from_json(ring, monoid, rows, kind):
 
 
 def series_to_json(f) -> dict:
-    return _series_fields(f, _terms_to_json, monoid_to_json)
+    return _series_fields(f, _terms_to_json, monoid_to_json, element_to_json)
 
 
-def _series_fields(f, terms, monoid) -> dict:
-    """The JSON object of series f, with terms(poly) for each term list and
-    monoid(f.monoid) for its monoid: kind, ring and monoid, then the fields
-    of its kind."""
+def _series_fields(f, terms, monoid, coeff) -> dict:
+    """The JSON object of series f, with terms(poly) for each term list,
+    monoid(f.monoid) for its monoid and coeff(c) for the coefficient of
+    each denominator factor: kind, ring and monoid, then the fields of its
+    kind."""
     if isinstance(f, TruncatedSeries):
         kind, fields = "truncated", {"truncation": f.truncation, "terms": terms(f)}
     elif isinstance(f, MonoidPolynomial):
@@ -186,7 +187,7 @@ def _series_fields(f, terms, monoid) -> dict:
         kind, fields = "rational", {
             "numerator": terms(f.numerator),
             "denominator": [{"class": monoid_element_to_json(a),
-                             "coeff": element_to_json(c), "power": e}
+                             "coeff": coeff(c), "power": e}
                             for c, a, e in f.factors]}
     else:
         raise TypeError(f"cannot serialize {type(f).__name__}")
@@ -282,10 +283,12 @@ def write_json(value, write) -> None:
 # the most term rows of a series that _write_terms joins into one piece
 _CHUNK_ROWS = 64
 
-# a term list and the monoid of a series document, which _write writes with
-# _write_terms and with the text of the monoid's first writing
+# a term list, the monoid and a factor coefficient of a series document,
+# which _write writes with _write_terms, with the text of the monoid's first
+# writing and with _element_text
 _TermList = namedtuple("_TermList", "poly")
 _Monoid = namedtuple("_Monoid", "monoid")
+_Coefficient = namedtuple("_Coefficient", "element")
 
 
 def _joined(value, newline: str, monoids: dict) -> str:
@@ -337,7 +340,9 @@ def _write(value, newline: str, monoids: dict, write) -> None:
             sep = "," + inner
         write(newline + "]")
     elif isinstance(value, (MonoidPolynomial, TruncatedSeries, RationalSeries)):
-        _write(_series_fields(value, _TermList, _Monoid), newline, monoids, write)
+        _write(_series_fields(value, _TermList, _Monoid, _Coefficient), newline, monoids, write)
+    elif type(value) is _Coefficient:
+        write(_element_text(value.element, _sorted_names(value.element.spec), newline))
     elif type(value) is _TermList:
         _write_terms(value.poly, newline, write)
     elif type(value) is _Monoid:
@@ -354,8 +359,8 @@ def _write_terms(poly, newline: str, write) -> None:
     """_write(_terms_to_json(poly), newline, {}, write), in one pass over
     the packed keys and the coefficients: each row is one template, made
     once per series, filled with the class coordinates (template % key),
-    and coefficient_texts writes each distinct coefficient once.  The rows
-    go to write joined _CHUNK_ROWS at a time."""
+    and coefficient_texts writes each distinct coefficient once, by
+    _element_text.  The rows go to write joined _CHUNK_ROWS at a time."""
     keys = poly.keys
     if not keys:
         write("[]")
@@ -365,7 +370,8 @@ def _write_terms(poly, newline: str, write) -> None:
                      for n in (poly.monoid.group.rank, len(poly.monoid.group.invariants)))
     template = (f'{row}{{{cls}"class": {{{coord}"free": {free},{coord}"torsion": {torsion}'
                 f'{cls}}},{cls}"coeff": ')
-    texts = coefficient_texts(poly, lambda c: _joined(element_to_json(c), cls, {}))
+    names = _sorted_names(poly.ring)
+    texts = coefficient_texts(poly, lambda c: _element_text(c, names, cls))
     sep = f"{row}}},"
     write("[")
     for start in range(0, len(keys), _CHUNK_ROWS):
@@ -375,3 +381,25 @@ def _write_terms(poly, newline: str, write) -> None:
         write(sep.join([template % key + text
                         for key, text in zip(keys[start:stop], texts[start:stop])]))
     write(f"{row}}}{newline}]")
+
+
+def _sorted_names(ring: KRingSpec) -> list[tuple[int, str]]:
+    """(index, quoted name) of each generator of ring, in the order in which
+    sort_keys sorts the names."""
+    gens = ring.generators
+    return [(i, _quote(gens[i])) for i in sorted(range(len(gens)), key=gens.__getitem__)]
+
+
+def _element_text(c: KElement, names, newline: str) -> str:
+    """_joined(element_to_json(c), newline, {}), made from the terms of c
+    with names from _sorted_names: no dict, no _write call."""
+    i1, i2, i3, i4 = (newline + "  " * k for k in (1, 2, 3, 4))
+    if not c.terms:
+        return f'{{{i1}"terms": []{newline}}}'
+    sep, comma = "," + i4, "," + i2
+    rows = []
+    for exp, coeff in c.terms:
+        named = [f"{q}: {exp[i]}" for i, q in names if exp[i]]
+        exps = f"{{{i4}{sep.join(named)}{i3}}}" if named else "{}"
+        rows.append(f'{{{i3}"coeff": {coeff},{i3}"exp": {exps}{i2}}}')
+    return f'{{{i1}"terms": [{i2}{comma.join(rows)}{i1}]{newline}}}'

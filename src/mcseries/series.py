@@ -207,15 +207,8 @@ class _Terms:
                 yield d, keys, coeffs
 
     def specialize(self, s: Specialization):
-        """The terms mapped by s.  Each coefficient is specialized with the
-        previous one and its image as the base, so a coefficient whose terms
-        extend its neighbour's (the prefix chains of pn_divisor_series)
-        walks only its own new terms."""
-        keyed, base = {}, None
-        for k, c in zip(self.keys, self.coeffs):
-            image = keyed[k] = specialize(c, s, base)
-            base = c, image
-        return self._like(keyed)
+        """The terms mapped by s."""
+        return self._like({k: specialize(c, s) for k, c in zip(self.keys, self.coeffs)})
 
     def as_series(self, n: int) -> "TruncatedSeries":
         """The terms of degree <= n as a series truncated at n; n may not

@@ -30,7 +30,7 @@ from itertools import combinations, count
 from math import comb, gcd
 
 from .errors import MCSError, check_cap, term_cap
-from .kring import KElement, class_projective_space, standard_ring
+from .kring import KElement, Specialization, class_projective_space, standard_ring
 from .monoid import (
     AbelianGroupPresentation,
     GradedMonoid,
@@ -44,6 +44,7 @@ __all__ = [
     "Fan",
     "OrbitClassMonoid",
     "chow_presentation",
+    "divisor_term_counts",
     "mc_series_toric",
     "pn_divisor_series",
     "projective_space_fan",
@@ -337,32 +338,93 @@ def mc_series_toric(fan: Fan, p: int) -> RationalSeries:
                           [(ring.one, alpha, e) for alpha, e in counts.items()])
 
 
-def pn_divisor_series(n: int, truncation: int) -> TruncatedSeries:
-    """Degree-d coefficient: class of the projective space of degree-d
-    hypersurfaces in P^n, i.e. P^(binom(n+d,d)-1), over standard_ring().
-
-    The coefficients have binom(n+d,d) terms each; their total is checked
-    against the MCS_MAX_TERMS cap before any of them is built.  The top
-    coefficient 1 + L + ... + L^M is written once, and each lower one is a
-    prefix of its terms, sharing their pairs; _Terms.specialize then maps
-    each shared term once, walking only the terms a degree adds to the one
-    below.  Specialized at L = 1, the coefficients are the integers
-    binom(n+d,d)."""
+def divisor_term_counts(n: int, truncation: int) -> list[int]:
+    """[C(n+d, d) for d <= truncation], the term counts of the coefficients
+    of pn_divisor_series; their running total is checked against the
+    MCS_MAX_TERMS cap, whether or not any term is built."""
     if n < 1:
         raise ValueError("ambient projective space must have dimension >= 1")
     cap = term_cap()
-    counts, total = [], 0  # counts[d] = binom(n+d, d)
+    counts, total = [], 0
     for d in range(truncation + 1):
         counts.append(comb(n + d, d))
         total += counts[-1]
         if total > cap:
             check_cap(f"divisor series of P^{n} to degree {d}", total, cap=cap)
+    return counts
+
+
+def pn_divisor_series(n: int, truncation: int,
+                      specialization: Specialization | None = None) -> TruncatedSeries:
+    """Degree-d coefficient: class of the projective space of degree-d
+    hypersurfaces in P^n, i.e. P^(C - 1) with C = binom(n+d,d), over
+    standard_ring(), mapped by specialization when one is given.
+
+    The coefficients have C terms each; their total is checked against the
+    MCS_MAX_TERMS cap first (divisor_term_counts).  The coefficient is the
+    geometric sum 1 + y + ... + y^(C - 1) of the image y of L:
+    - y = L (no specialization, or one that leaves L alone or sends it to
+      L): the top coefficient 1 + L + ... + L^M is written once, and each
+      lower one is a prefix of its terms, sharing their pairs;
+    - an integer v: plain ints, (v^C - 1) / (v - 1) with v^C made from
+      the power of the degree below, or the count C when v = 1;
+    - any other element: the sum by doubling in the ring, O(log C)
+      products a degree.
+    The result equals pn_divisor_series(n, truncation).specialize(s)."""
+    counts = divisor_term_counts(n, truncation)
     ring = standard_ring()
     monoid = free_graded_monoid(("t",))
     t = monoid.generator_named("t")
-    top = class_projective_space(counts[-1] - 1, ring).terms
+    y = _line_image(ring, specialization, truncation)
+    if y is None:
+        top = class_projective_space(counts[-1] - 1, ring).terms
+        coeffs = [KElement(ring, top[:c]) for c in counts]
+    elif y.is_integer():
+        coeffs = [ring.from_int(x) for x in _integer_geometric_sums(y.as_integer(), counts)]
+    else:
+        coeffs = [_geometric_sum(y, c) for c in counts]
     return TruncatedSeries(ring, monoid, truncation,
-                           {d * t: KElement(ring, top[:c]) for d, c in enumerate(counts)})
+                           {d * t: c for d, c in enumerate(coeffs)})
+
+
+def _line_image(ring, s: Specialization | None, truncation: int) -> KElement | None:
+    """The image of L under s, or None when it is L itself.  In strict mode
+    an unassigned L is an error as soon as a coefficient has an L term,
+    from degree 1 on."""
+    if s is None:
+        return None
+    if s.spec != ring:
+        raise MCSError("element and specialization use different specs")
+    y = s.assignments.get("L")
+    if y is None and not s.carry_unassigned and truncation >= 1:
+        raise MCSError("no assignment for generator 'L'")
+    return None if y is None or y == ring.generator("L") else y
+
+
+def _integer_geometric_sums(v: int, counts: list[int]) -> list[int]:
+    """[1 + v + ... + v^(C - 1) for C in counts], counts increasing: each
+    v^C is v^a v^b, with a the count of the degree below, and the sum is
+    (v^C - 1) / (v - 1), one product and one exact division a degree."""
+    if v == 1:
+        return counts
+    sums, power, below = [], 1, 0  # power = v^below
+    for c in counts:
+        power *= v ** (c - below)
+        below = c
+        sums.append((power - 1) // (v - 1))
+    return sums
+
+
+def _geometric_sum(y: KElement, m: int) -> KElement:
+    """1 + y + ... + y^(m - 1), from the bits of m, highest first: with
+    S = the sum of k powers and P = y^k, the sum of 2k powers is S (1 + P),
+    and one more adds y^(2k)."""
+    total, power = y.spec.zero, y.spec.one
+    for bit in bin(m)[2:]:
+        total, power = total * (power + 1), power * power
+        if bit == "1":
+            total, power = total + power, power * y
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mcseries import cli, intlinalg, monoid, serialize
+from mcseries import cli, intlinalg, kring, monoid, serialize, series, toric
 from mcseries.cli import build_parser, main
 from mcseries.errors import MCSError
 from mcseries.kring import KElement, Specialization, standard_ring
@@ -599,6 +599,31 @@ class TestVerify:
         monkeypatch.setenv("MCS_MAX_TERMS", "6187")
         assert main(argv) == 2
         assert "over the cap of 6187" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("image, code", [("1", 0), ("2", 1), ("eps", 1)])
+    def test_eq1_specializes_no_term_of_the_divisor_series(self, image, code, capsys,
+                                                           monkeypatch):
+        # an image of L other than L itself gives each coefficient as a
+        # closed form: no class 1 + L + ... + L^M is built, and no element
+        # of more than one term is specialized
+        built, mapped = [], []
+        real_class, real_specialize = toric.class_projective_space, kring.specialize
+
+        def counted_class(n, spec):
+            built.append(n)
+            return real_class(n, spec)
+
+        def counted_specialize(a, s):
+            mapped.append(len(a.terms))
+            return real_specialize(a, s)
+
+        monkeypatch.setattr(toric, "class_projective_space", counted_class)
+        for module in (kring, series):
+            monkeypatch.setattr(module, "specialize", counted_specialize)
+        assert main(["verify", "eq1", "--n", "4", "--denominator", "(1-t)^5",
+                     "--truncate", "12", "--specialize", f"L={image}"]) == code
+        assert capsys.readouterr().err == ""
+        assert built == [] and all(k <= 1 for k in mapped)
 
     def test_eq1_bad_denominators(self, capsys):
         for bad in ("", "t^2", "(2-t)", "(1-q)", "(1-t", "(1-t)^"):

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from mcseries import serialize
 from mcseries.cli import main
-from mcseries.kring import standard_ring
+from mcseries.kring import KRingSpec, standard_ring
 from mcseries.monoid import AbelianGroupPresentation, GradedMonoid, free_graded_monoid
-from mcseries.serialize import json_text, series_from_json, series_to_json
+from mcseries.serialize import (element_to_json, json_text, series_from_json, series_to_json,
+                                write_json)
 from mcseries.series import MonoidPolynomial, RationalSeries, TruncatedSeries
 from mcseries.toric import OrbitClassMonoid, mc_series_toric
 
@@ -143,3 +144,85 @@ def test_each_monoid_is_written_once_per_document(monkeypatch, capsys):
     assert len(calls) == 2
     assert text == json.dumps({key: series_to_json(f) for key, f in value.items()},
                               indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# coefficient text made straight from the terms of an element
+
+# generator orders that differ from the sorted order of the names (L, Z, a,
+# eps, é1), a name that JSON escapes, and the A^1 quotient
+NAMED_RINGS = [KRingSpec(("L", "eps", "Z", "a", "é1")), KRingSpec(("a", "Z", "eps", "L")),
+               standard_ring(("Z",), a1_homotopy=True)]
+WIDE = 10 ** 4299  # 4,300 digits, the most that prints
+
+
+@st.composite
+def named_elements(draw):
+    """An element: zero, or terms with L and eps exponents (eps reduced mod
+    2, L dropped under A^1), coefficients +-1, negative and 4,300 digits."""
+    ring = draw(st.sampled_from(NAMED_RINGS))
+    coeff = st.one_of(st.sampled_from((1, -1, -2, 7, WIDE, -(10 * WIDE - 1))),
+                      st.integers(-10**30, 10**30))
+    # reduced exponent vectors, so that no two terms merge into a wider one
+    exps = st.tuples(*[st.just(0) if g == "L" and ring.a1_homotopy
+                       else st.integers(0, 1) if g == "eps" else st.integers(0, 3)
+                       for g in ring.generators])
+    return ring.element(draw(st.dictionaries(exps, coeff, max_size=5)))
+
+
+def old_element_str(x):
+    """KElement.__str__ as it was, with its monomial helper."""
+    def monomial(exp):
+        parts = []
+        for name, e in zip(x.spec.generators, exp):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        return "*".join(parts)
+
+    if not x.terms:
+        return "0"
+    pieces = []
+    for exp, coeff in x.terms:
+        mono = monomial(exp)
+        if not mono:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = f"{abs(coeff)}*{mono}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(named_elements(), st.sampled_from(("\n", "\n      ")))
+def test_coefficient_text_is_that_of_the_element_dict(c, newline):
+    names = serialize._sorted_names(c.spec)
+    assert (serialize._element_text(c, names, newline)
+            == serialize._joined(element_to_json(c), newline, {}))
+    assert str(c) == old_element_str(c)
+
+
+def test_document_with_named_coefficients_is_json_dumps():
+    # term rows and denominator rows both take their coefficient text from
+    # the terms
+    ring = NAMED_RINGS[0]
+    L, eps, Z, a, e1 = (ring.generator(g) for g in ring.generators)
+    m = free_graded_monoid(("t",))
+    t = m.generator_named("t")
+    num = MonoidPolynomial(ring, m, {m.zero: 1, t: -Z * a * a + WIDE * e1,
+                                     2 * t: eps * L ** 3 - 1})
+    f = RationalSeries(ring, m, num, [(e1 * Z - 3 * eps, t, 2), (ring.one, t, 1),
+                                      (-WIDE * a, 2 * t, 1)])
+    parts = []
+    write_json({"command": "expand", "rational": f, "numerator": num,
+                "zero": MonoidPolynomial(ring, m, {})}, parts.append)
+    text = "".join(parts)
+    assert "\\u00e91" in text
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert json.loads(text)["rational"] == series_to_json(f)

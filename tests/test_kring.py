@@ -1,6 +1,7 @@
 """Coefficient ring quotients: canonical forms, reductions, specializations."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,7 +323,7 @@ def test_projective_space_terms_equal_the_sliced_vectors():
             assert class_projective_space(n, spec).terms == want
 
 
-# -- specialize with a base: series whose coefficients are prefix chains
+# -- specialize of series whose coefficients are prefix chains
 
 @st.composite
 def chained_series_cases(draw):
@@ -402,23 +403,26 @@ def test_specialize_prefix_chains_matches_term_by_term(case, truncated):
         assert got.coefficient(d * t) == c
 
 
-def test_divisor_series_powers_each_exponent_once(monkeypatch):
-    # L -> eps is no integer image, so each power eps^e is made by
-    # __pow__: once per distinct exponent 1..1819 of the top coefficient,
-    # not once per coefficient that has the term (6,175 calls)
-    f = pn_divisor_series(4, 12)
+def test_divisor_series_at_eps_sums_by_doubling(monkeypatch):
+    # L -> eps is no integer image, so each coefficient is the geometric
+    # sum of eps by doubling: no power is raised, and each degree takes at
+    # most three products per bit of its term count (1,820 at degree 12),
+    # not one term walk per term of the top coefficient
     eps = STD.generator("eps")
+    s = Specialization(STD, {"L": eps})
+    want = pn_divisor_series(4, 12).specialize(s)
     calls = []
-    original = KElement.__pow__
+    original = KElement.__mul__
 
-    def counted(self, n):
-        calls.append(n)
-        return original(self, n)
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
 
-    monkeypatch.setattr(KElement, "__pow__", counted)
-    g = f.specialize(Specialization(STD, {"L": eps}))
-    assert sorted(calls) == list(range(1, 1820))
-    # 1 + L + ... + L^(m - 1) maps to ceil(m / 2) + floor(m / 2) eps
-    for c, image in zip(f.coeffs, g.coeffs):
-        m = len(c.terms)
-        assert image == (m + 1) // 2 + m // 2 * eps
+    def no_power(self, n):
+        raise AssertionError("power raised")
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    monkeypatch.setattr(KElement, "__pow__", no_power)
+    got = pn_divisor_series(4, 12, s)
+    assert got == want
+    assert len(calls) <= 3 * sum(comb(4 + d, d).bit_length() for d in range(13))

@@ -7,14 +7,21 @@ out right when wall coefficients divide by the correct index.  The singular
 weighted fan exercises index 2.
 """
 
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mcseries import cli
 from mcseries.errors import MCSError
+from mcseries.serialize import json_text
 from mcseries.kring import Specialization, class_projective_space, standard_ring
 from mcseries.monoid import MonoidHom, free_graded_monoid
-from mcseries.series import RationalSeries, curve_zeta, pushforward, rational_expand
+from mcseries.series import (RationalSeries, check_printable, curve_zeta, pushforward,
+                             rational_expand)
 from mcseries.toric import (
     Fan,
     chow_presentation,
@@ -452,3 +459,81 @@ def test_p2_divisor_series_collapses_to_toric_count():
 def test_pn_divisor_series_requires_positive_dimension():
     with pytest.raises(ValueError):
         pn_divisor_series(0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the divisor series specialized as it is built, against the route that
+# specializes every term of every coefficient
+
+LINE, EPS = R.generator("L"), R.generator("eps")
+# that route's cost is the term count times the width of the image's
+# powers, so a draw keeps the sum of the term counts, C(n+N+1, N), under
+# TERM_BUDGET, or under WIDE_TERM_BUDGET for an integer image past +-3
+TERM_BUDGET, WIDE_TERM_BUDGET = 3000, 600
+
+
+def _text(value) -> str:
+    return "L" if value is LINE else "eps" if value is EPS else str(value)
+
+
+@st.composite
+def divisor_specializations(draw):
+    """(n, N, {generator: image}, carry_unassigned): L's image an integer
+    in -3..3, +-10^k for k <= 40, eps, L or none; eps's image -1, 0, 2, L
+    or none."""
+    line = draw(st.one_of(
+        st.none(), st.integers(-3, 3), st.sampled_from((LINE, EPS)),
+        st.builds(lambda k, sign: sign * 10 ** k, st.integers(0, 40), st.sampled_from((1, -1)))))
+    eps = draw(st.sampled_from((None, -1, 0, 2, LINE)))
+    n = draw(st.integers(1, 6))
+    wide = line not in (None, LINE, EPS) and abs(line) > 3
+    budget = WIDE_TERM_BUDGET if wide else TERM_BUDGET
+    top = max(N for N in range(15) if comb(n + N + 1, N) <= budget)
+    images = {name: v for name, v in (("L", line), ("eps", eps)) if v is not None}
+    return n, draw(st.integers(0, top)), images, draw(st.booleans())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(divisor_specializations())
+def test_specialized_divisor_series_is_the_specialized_series(case):
+    n, N, images, carry = case
+    s = Specialization(R, images, carry_unassigned=carry)
+    try:
+        want = pn_divisor_series(n, N).specialize(s)
+    except MCSError as exc:  # strict, with L unassigned
+        with pytest.raises(MCSError, match=re.escape(str(exc))):
+            pn_divisor_series(n, N, s)
+        return
+    got = pn_divisor_series(n, N, s)
+    assert got == want
+    # both formats of the series itself (verify eq1 prints only the
+    # verdict), when no coefficient is too wide to print
+    try:
+        check_printable("series", want)
+    except MCSError:
+        return
+    assert (str(got), json_text(got)) == (str(want), json_text(want))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(divisor_specializations(),
+       st.sampled_from(("(1-t)", "(1-t)^2", "(1-t)(1-L t)", "(1-2t)^2", "(1 - eps t)^3")))
+def test_verify_eq1_output_is_that_of_the_specialized_series(case, denominator):
+    n, N, images, _ = case
+    argv = ["verify", "eq1", "--n", str(n), "--truncate", str(N + 1),
+            "--denominator", denominator]
+    for name, value in images.items():
+        argv += ["--specialize", f"{name}={_text(value)}"]
+
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    got = run()
+    built = cli.pn_divisor_series
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "pn_divisor_series", lambda n, N, s=None: (
+            built(n, N) if s is None else built(n, N).specialize(s)))
+        assert run() == got
